@@ -1,13 +1,13 @@
 package crsharing
 
 // The benchmark harness: one benchmark per figure and per empirical
-// validation of the paper (see DESIGN.md's experiment index), plus
+// validation of the paper (the experiment index is `crexp -h`), plus
 // micro-benchmarks for the individual algorithms. Run with
 //
 //	go test -bench=. -benchmem
 //
 // The experiment benchmarks execute the same runners as cmd/crexp in quick
-// mode, so `-bench` regenerates every table of EXPERIMENTS.md in miniature;
+// mode, so `-bench` regenerates every crexp table in miniature;
 // the micro-benchmarks isolate the algorithmic kernels (the m=2 dynamic
 // program, the configuration enumeration, the greedy schedulers, the
 // hypergraph construction and the many-core simulator engine).
@@ -288,7 +288,7 @@ func BenchmarkPartitionGadgetSolve(b *testing.B) {
 	}
 }
 
-// --- ablation benchmarks (design choices called out in DESIGN.md) ------------
+// --- ablation benchmarks (design choices of the kernels) ---------------------
 
 // BenchmarkAblationTieBreaks compares the makespans produced by the balanced
 // greedy under its different tie-breaking rules (the paper's rule prefers the
@@ -342,44 +342,6 @@ func BenchmarkAblationDenseVsPQ(b *testing.B) {
 
 // --- solver subsystem benchmarks ---------------------------------------------
 
-// hardExactInstance is an adversarial instance on which the exact search is
-// substantial (tens of milliseconds serially) but bounded, so the serial vs.
-// parallel branch-and-bound comparison is meaningful.
-func hardExactInstance() *core.Instance {
-	const m, blocks = 5, 2
-	return gen.GreedyWorstCase(m, blocks, 1.0/float64(20*m*(m+1)))
-}
-
-// BenchmarkBranchBoundSerial is the single-core baseline for
-// BenchmarkBranchBoundParallel.
-func BenchmarkBranchBoundSerial(b *testing.B) {
-	inst := hardExactInstance()
-	s := branchbound.New()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Makespan(inst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBranchBoundParallel runs the work-stealing branch-and-bound with
-// one worker per core on the same instance as the serial baseline; comparing
-// the two shows the multi-core speedup (on a single-core machine the two
-// should be on par, the queue overhead being the difference).
-func BenchmarkBranchBoundParallel(b *testing.B) {
-	inst := hardExactInstance()
-	s := branchbound.NewParallel()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Makespan(inst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPortfolio races the default portfolio on a mid-size instance; the
 // sub-benchmark shards a stream of solves across goroutines with
 // b.SetParallelism, exercising the portfolio under concurrent callers as the
@@ -407,27 +369,6 @@ func BenchmarkPortfolio(b *testing.B) {
 			}
 		})
 	})
-}
-
-// BenchmarkParallelEach shards a batch of instances across the worker pool,
-// the experiment-scale throughput path of the solver subsystem.
-func BenchmarkParallelEach(b *testing.B) {
-	rng := rand.New(rand.NewSource(22))
-	var insts []*core.Instance
-	for i := 0; i < 32; i++ {
-		insts = append(insts, gen.Random(rng, 3, 8, 0.05, 1.0))
-	}
-	newSolver := func() solver.Solver { return solver.Adapt(greedybalance.New()) }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		outcomes := solver.ParallelEach(context.Background(), newSolver, insts, 0)
-		for _, out := range outcomes {
-			if out.Err != nil {
-				b.Fatal(out.Err)
-			}
-		}
-	}
 }
 
 // BenchmarkFingerprint hashes a mid-size instance into its canonical

@@ -1,6 +1,6 @@
-// Command crexp regenerates the paper-reproduction experiments (Figures 1-5
-// and the empirical validations E1-E8 listed in DESIGN.md) and prints their
-// tables. The recorded results in EXPERIMENTS.md were produced by this tool.
+// Command crexp regenerates the paper-reproduction experiments (Figures 1-5,
+// the empirical validations E1-E8 and the extensions E9-E13) and prints their
+// tables. `crexp -h` lists every experiment with its title.
 //
 // Usage:
 //

@@ -26,8 +26,8 @@
 //     member and returns the best schedule found (lowest makespan, ties by
 //     less waste). The exact-only variant cancels the losers as soon as one
 //     exact member finishes.
-//   - ParallelEach: shards a batch of instances across a worker pool
-//     (GOMAXPROCS by default) for experiment-scale throughput.
+//
+// Batches are sharded across a worker pool by engine.SolveEach (below).
 //
 // # Solve pipeline (internal/engine)
 //

@@ -1,12 +1,11 @@
 // Package algo defines the common interface implemented by every CRSharing
-// scheduling algorithm in this repository, together with a registry and an
-// evaluation envelope shared by the command-line tools, the experiment
-// harness and the tests.
+// scheduling algorithm in this repository, together with an evaluation
+// envelope shared by the experiment harness, the examples and the tests.
+// Name-based lookup lives in internal/solver's Registry.
 package algo
 
 import (
 	"fmt"
-	"sort"
 
 	"crsharing/internal/core"
 )
@@ -73,44 +72,4 @@ func Evaluate(s Scheduler, inst *core.Instance) (*Evaluation, error) {
 		ev.Ratio = 1
 	}
 	return ev, nil
-}
-
-// Registry maps algorithm names to constructors so the CLI tools can select
-// schedulers by name.
-type Registry struct {
-	factories map[string]func() Scheduler
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{factories: make(map[string]func() Scheduler)}
-}
-
-// Register adds a constructor under the scheduler's name. Registering the
-// same name twice panics: it is a programming error.
-func (r *Registry) Register(factory func() Scheduler) {
-	name := factory().Name()
-	if _, dup := r.factories[name]; dup {
-		panic(fmt.Sprintf("algo: duplicate registration of %q", name))
-	}
-	r.factories[name] = factory
-}
-
-// New returns a fresh scheduler instance by name.
-func (r *Registry) New(name string) (Scheduler, error) {
-	f, ok := r.factories[name]
-	if !ok {
-		return nil, fmt.Errorf("algo: unknown scheduler %q (available: %v)", name, r.Names())
-	}
-	return f(), nil
-}
-
-// Names returns the registered scheduler names in sorted order.
-func (r *Registry) Names() []string {
-	names := make([]string, 0, len(r.factories))
-	for n := range r.factories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

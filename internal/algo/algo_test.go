@@ -13,45 +13,6 @@ import (
 	"crsharing/internal/gen"
 )
 
-func newRegistry() *algo.Registry {
-	r := algo.NewRegistry()
-	r.Register(func() algo.Scheduler { return roundrobin.New() })
-	r.Register(func() algo.Scheduler { return greedybalance.New() })
-	r.Register(func() algo.Scheduler { return optres2.New() })
-	r.Register(func() algo.Scheduler { return optres2.NewPQ() })
-	r.Register(func() algo.Scheduler { return optresm.New() })
-	return r
-}
-
-func TestRegistryLookup(t *testing.T) {
-	r := newRegistry()
-	names := r.Names()
-	if len(names) != 5 {
-		t.Fatalf("expected 5 registered schedulers, got %v", names)
-	}
-	s, err := r.New("greedy-balance")
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if s.Name() != "greedy-balance" {
-		t.Fatalf("lookup returned %q", s.Name())
-	}
-	if _, err := r.New("does-not-exist"); err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
-		t.Fatalf("expected unknown-scheduler error, got %v", err)
-	}
-}
-
-func TestRegistryDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("duplicate registration must panic")
-		}
-	}()
-	r := algo.NewRegistry()
-	r.Register(func() algo.Scheduler { return roundrobin.New() })
-	r.Register(func() algo.Scheduler { return roundrobin.New() })
-}
-
 func TestEvaluateReportsRatioAndProperties(t *testing.T) {
 	inst := gen.Figure3(20)
 	ev, err := algo.Evaluate(greedybalance.New(), inst)

@@ -242,7 +242,7 @@ func TestSteadyStateAllocsPerNode(t *testing.T) {
 	}
 }
 
-// hardExactInstance mirrors the instance the top-level benchmarks use: the
+// hardExactInstance is the instance of the HardExact kernel benchmarks: the
 // greedy worst case forces a real search rather than an instant confirmation
 // of the seed.
 func hardExactInstance() *core.Instance {

@@ -29,18 +29,3 @@ func ExampleEvaluate() {
 	// greedy-balance: 11
 	// opt-res-assignment: 11
 }
-
-// ExampleRegistry shows how the command-line tools look schedulers up by
-// name.
-func ExampleRegistry() {
-	reg := algo.NewRegistry()
-	reg.Register(func() algo.Scheduler { return greedybalance.New() })
-	reg.Register(func() algo.Scheduler { return roundrobin.New() })
-
-	s, _ := reg.New("greedy-balance")
-	fmt.Println(s.Name())
-	fmt.Println(reg.Names())
-	// Output:
-	// greedy-balance
-	// [greedy-balance round-robin]
-}

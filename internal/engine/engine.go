@@ -410,8 +410,7 @@ func (a *admitted) Solve(ctx context.Context, inst *core.Instance) (*core.Schedu
 	return a.inner.Solve(ctx, inst)
 }
 
-// Outcome is the result of one instance of a SolveEach batch, mirroring
-// solver.Outcome with the engine's richer per-solve result attached.
+// Outcome is the result of one instance of a SolveEach batch.
 type Outcome struct {
 	// Index is the instance's position in the input batch.
 	Index int

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/core"
+	"crsharing/internal/gen"
 	"crsharing/internal/progress"
 	"crsharing/internal/solver"
 )
@@ -392,6 +394,54 @@ func TestSolveEachSkipsAfterCancellation(t *testing.T) {
 	}
 	if solved+failed+skipped != 4 {
 		t.Fatalf("accounting broken: %d/%d/%d", solved, failed, skipped)
+	}
+}
+
+// TestSolveEachMatchesSerialEvaluate shards a batch of random instances
+// across worker pools of several sizes (0 = MaxConcurrent, more workers than
+// instances) and checks that the outcomes are index-aligned and carry the
+// makespan a serial solver.Evaluate of the same solver finds. The engine is
+// uncached so every run really solves.
+func TestSolveEachMatchesSerialEvaluate(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	var insts []*core.Instance
+	for i := 0; i < 24; i++ {
+		insts = append(insts, gen.Random(rng, 2+rng.Intn(3), 2+rng.Intn(4), 0.05, 1.0))
+	}
+	reg := solver.Default()
+	want := make([]int, len(insts))
+	for i, inst := range insts {
+		s, err := reg.New("greedy-balance")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := solver.Evaluate(context.Background(), s, inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ev.Makespan
+	}
+
+	eng, err := New(Config{Registry: reg, DefaultSolver: "greedy-balance"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 1, 3, 64} {
+		outcomes := eng.SolveEach(context.Background(), "", "", insts, workers)
+		if len(outcomes) != len(insts) {
+			t.Fatalf("workers=%d: got %d outcomes, want %d", workers, len(outcomes), len(insts))
+		}
+		for i, out := range outcomes {
+			if out.Err != nil {
+				t.Fatalf("workers=%d instance %d: %v", workers, i, out.Err)
+			}
+			if out.Index != i {
+				t.Fatalf("workers=%d: outcome %d has index %d", workers, i, out.Index)
+			}
+			if got := out.Result.Evaluation.Makespan; got != want[i] {
+				t.Fatalf("workers=%d instance %d: makespan %d, want %d", workers, i, got, want[i])
+			}
+		}
 	}
 }
 

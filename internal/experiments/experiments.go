@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one experiment per
-// figure and per theorem-level claim of the paper (see DESIGN.md for the
-// index). Every experiment produces a table of rows that cmd/crexp prints and
-// that EXPERIMENTS.md records; bench_test.go at the repository root wraps the
-// same runners in testing.B benchmarks.
+// figure and per theorem-level claim of the paper (All lists them; `crexp -h`
+// prints the index). Every experiment produces a table of rows that cmd/crexp
+// prints; bench_test.go at the repository root wraps the same runners in
+// testing.B benchmarks.
 package experiments
 
 import (
@@ -21,8 +21,8 @@ type Config struct {
 	// Seed makes the randomised experiments reproducible.
 	Seed int64
 	// Quick reduces instance sizes and trial counts so the whole suite runs
-	// in well under a second (used by tests and short benchmarks). The full
-	// runs used for EXPERIMENTS.md set Quick to false.
+	// in well under a second (used by tests and short benchmarks). Full-size
+	// crexp runs set Quick to false.
 	Quick bool
 	// Timeout bounds every exact-optimum oracle call made through
 	// ExactMakespan (0 = no limit).
@@ -66,7 +66,7 @@ func (cfg Config) ExactMakespan(inst *core.Instance) (int, error) {
 
 // Result is the outcome of one experiment: a table plus free-form notes.
 type Result struct {
-	// ID is the experiment identifier from DESIGN.md (F1..F5, E1..E8).
+	// ID is the experiment identifier (F1..F5, E1..E13).
 	ID string
 	// Title is a one-line description.
 	Title string

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"crsharing/internal/core"
+	"crsharing/internal/engine"
 	"crsharing/internal/jobs"
 	"crsharing/internal/solver"
 )
@@ -14,11 +15,15 @@ import (
 // layer drives through POST /v1/jobs, GET /v1/jobs/{id}/events and
 // GET /v1/jobs/{id}.
 func Example() {
-	manager, err := jobs.New(jobs.Config{
+	eng, err := engine.New(engine.Config{
 		Registry: solver.Default(),
 		Cache:    solver.NewCache(4, 64),
-		Workers:  1,
 	})
+	if err != nil {
+		panic(err)
+	}
+	defer eng.Close()
+	manager, err := jobs.New(jobs.Config{Engine: eng, Workers: 1})
 	if err != nil {
 		panic(err)
 	}

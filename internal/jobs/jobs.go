@@ -33,7 +33,6 @@ import (
 	"crsharing/internal/core"
 	"crsharing/internal/engine"
 	"crsharing/internal/progress"
-	"crsharing/internal/solver"
 )
 
 // State is a job lifecycle state.
@@ -192,17 +191,10 @@ var (
 // Config configures a Manager. Zero values of optional fields take the
 // documented defaults.
 type Config struct {
-	// Engine, when non-nil, is the solve pipeline the workers submit to.
-	// Share one engine with the synchronous serving layer so job solves draw
-	// from the same global admission budget and memo cache. When nil, New
-	// builds a private engine from the legacy fields below.
+	// Engine is the solve pipeline the workers submit to; required. Share
+	// one engine with the synchronous serving layer so job solves draw from
+	// the same global admission budget and memo cache.
 	Engine *engine.Engine
-	// Registry resolves solver names; required when Engine is nil.
-	Registry *solver.Registry
-	// Cache, when non-nil, memoises evaluations and deduplicates identical
-	// concurrent solves. Ignored when Engine is set (the engine owns the
-	// cache).
-	Cache *solver.Cache
 	// DefaultSolver is used when a request names none (default: the
 	// engine's default solver).
 	DefaultSolver string
@@ -301,18 +293,7 @@ func (m *Manager) pendingOf(tenant string) int {
 // the worker pool.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Engine == nil {
-		if cfg.Registry == nil {
-			return nil, errors.New("jobs: Config.Engine or Config.Registry is required")
-		}
-		eng, err := engine.New(engine.Config{
-			Registry:      cfg.Registry,
-			Cache:         cfg.Cache,
-			DefaultSolver: cfg.DefaultSolver,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("jobs: %w", err)
-		}
-		cfg.Engine = eng
+		return nil, errors.New("jobs: Config.Engine is required")
 	}
 	if cfg.DefaultSolver == "" {
 		cfg.DefaultSolver = cfg.Engine.DefaultSolver()
@@ -470,13 +451,18 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 		m.mu.Unlock()
 		return Snapshot{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, m.cfg.QueueDepth)
 	}
+	// Count the job before a worker can see it: a worker that dequeues it
+	// at once decrements these, and a decrement that landed first would be
+	// clamped away, leaving a phantom pending job on the tenant's quota.
+	m.queued.Add(1)
+	m.pendingAdd(req.Tenant, 1)
 	select {
 	case m.queue <- j:
-		m.queued.Add(1)
-		m.pendingAdd(req.Tenant, 1)
 	default:
 		// The channel can lag the counter while cancelled-but-queued jobs
 		// wait for a worker to drain them.
+		m.queued.Add(-1)
+		m.pendingAdd(req.Tenant, -1)
 		m.mu.Unlock()
 		return Snapshot{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, m.cfg.QueueDepth)
 	}
@@ -581,8 +567,10 @@ func (m *Manager) run(j *job) {
 
 	counter.Add(1)
 	m.persist(j)
-	m.finish(j, Event{Type: EventState, JobID: snap.ID, State: snap.State, Telemetry: doneTelemetry, Error: snap.Error})
+	// Retention runs before finish releases waiters, so a caller whose Wait
+	// returned already sees the bounded record set.
 	m.evict()
+	m.finish(j, Event{Type: EventState, JobID: snap.ID, State: snap.State, Telemetry: doneTelemetry, Error: snap.Error})
 }
 
 // observe records a solver-reported incumbent on the job and fans it out.
@@ -751,8 +739,8 @@ func (m *Manager) Cancel(id string) (Snapshot, error) {
 		m.dropFromQueue(j)
 		m.cancelled.Add(1)
 		m.persist(j)
-		m.finish(j, Event{Type: EventState, JobID: snap.ID, State: StateCancelled, Error: snap.Error})
 		m.evict()
+		m.finish(j, Event{Type: EventState, JobID: snap.ID, State: StateCancelled, Error: snap.Error})
 		return snap, nil
 	case j.snap.State == StateRunning:
 		j.cancelRequested = true

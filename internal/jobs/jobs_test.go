@@ -2,13 +2,17 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/core"
+	"crsharing/internal/engine"
 	"crsharing/internal/progress"
 	"crsharing/internal/solver"
 )
@@ -49,6 +53,18 @@ func testInstance() *core.Instance {
 	return core.NewInstance([]float64{0.3, 0.7}, []float64{0.5})
 }
 
+// newTestEngine builds an engine over reg defaulting to the "stub" solver,
+// memoising into cache (nil: no cache), and closes it when the test ends.
+func newTestEngine(t *testing.T, reg *solver.Registry, cache *solver.Cache) *engine.Engine {
+	t.Helper()
+	eng, err := engine.New(engine.Config{Registry: reg, Cache: cache, DefaultSolver: "stub"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	return eng
+}
+
 // newTestManager builds a manager over a registry serving the stub as both
 // "stub" and the default solver.
 func newTestManager(t *testing.T, stub *stubSolver, mutate func(*Config)) *Manager {
@@ -56,8 +72,7 @@ func newTestManager(t *testing.T, stub *stubSolver, mutate func(*Config)) *Manag
 	reg := solver.NewRegistry()
 	reg.Register("stub", func() solver.Solver { return stub })
 	cfg := Config{
-		Registry:      reg,
-		Cache:         solver.NewCache(4, 64),
+		Engine:        newTestEngine(t, reg, solver.NewCache(4, 64)),
 		DefaultSolver: "stub",
 		Workers:       2,
 		QueueDepth:    8,
@@ -86,6 +101,14 @@ func waitDone(t *testing.T, m *Manager, id string) Snapshot {
 		t.Fatal(err)
 	}
 	return snap
+}
+
+// TestNewRequiresEngine pins that a manager cannot be built without the
+// shared solve pipeline.
+func TestNewRequiresEngine(t *testing.T) {
+	if _, err := New(Config{}); err == nil {
+		t.Fatal("New accepted a config without an Engine")
+	}
 }
 
 func TestLifecycleDone(t *testing.T) {
@@ -417,7 +440,7 @@ func TestRestartServesStoredResultWithoutResolving(t *testing.T) {
 	reg := solver.NewRegistry()
 	reg.Register("stub", func() solver.Solver { return stub })
 
-	m1, err := New(Config{Registry: reg, DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
+	m1, err := New(Config{Engine: newTestEngine(t, reg, nil), DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +463,7 @@ func TestRestartServesStoredResultWithoutResolving(t *testing.T) {
 	solves := stub.calls.Load()
 
 	// "Restart": a fresh manager over the same store (and a fresh cache).
-	m2, err := New(Config{Registry: reg, DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
+	m2, err := New(Config{Engine: newTestEngine(t, reg, nil), DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +499,7 @@ func TestRestartRequeuesPendingJobs(t *testing.T) {
 	stub1 := &stubSolver{name: "stub", block: block}
 	reg1 := solver.NewRegistry()
 	reg1.Register("stub", func() solver.Solver { return stub1 })
-	m1, err := New(Config{Registry: reg1, DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
+	m1, err := New(Config{Engine: newTestEngine(t, reg1, nil), DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +524,7 @@ func TestRestartRequeuesPendingJobs(t *testing.T) {
 	stub2 := &stubSolver{name: "stub"}
 	reg2 := solver.NewRegistry()
 	reg2.Register("stub", func() solver.Solver { return stub2 })
-	m2, err := New(Config{Registry: reg2, DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
+	m2, err := New(Config{Engine: newTestEngine(t, reg2, nil), DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +705,7 @@ func TestRestartQuarantinesRecordsWithoutInstance(t *testing.T) {
 	stub := &stubSolver{name: "stub"}
 	reg := solver.NewRegistry()
 	reg.Register("stub", func() solver.Solver { return stub })
-	m, err := New(Config{Registry: reg, DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
+	m, err := New(Config{Engine: newTestEngine(t, reg, nil), DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -714,5 +737,77 @@ func TestFileStoreRejectsUnsafeIDs(t *testing.T) {
 	err = store.Save(Record{Snapshot: Snapshot{ID: "../escape"}})
 	if err == nil {
 		t.Fatal("path-traversing id must be rejected")
+	}
+}
+
+// TestFileStoreRecordsArePrivateAndTempsIgnored checks the store's on-disk
+// contract: records are 0600 (they hold client requests), no temp file
+// survives a save, and a temp file a crash left behind — named the way
+// durable.WriteFile names them, with a decodable record inside — is not
+// loaded as a record.
+func TestFileStoreRecordsArePrivateAndTempsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := Record{Snapshot: Snapshot{ID: "abc123", State: StateDone, Submitted: time.Now().UTC()}}
+	if err := store.Save(rec); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(filepath.Join(dir, "abc123.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := info.Mode().Perm(); got != 0o600 {
+		t.Fatalf("record mode %o, want 600", got)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, ".*.tmp-*")); len(tmps) != 0 {
+		t.Fatalf("temp files survived the save: %v", tmps)
+	}
+
+	stray, err := json.Marshal(Record{Snapshot: Snapshot{ID: "def456", State: StateDone}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ".def456.json.tmp-123"), stray, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	records, err := store.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 1 || records[0].Snapshot.ID != "abc123" {
+		t.Fatalf("LoadAll = %+v, want only the saved record", records)
+	}
+}
+
+// TestPendingCountDrainsToZero keeps the queue busy with jobs that idle
+// workers dequeue the instant they are queued. Once all are done the
+// tenant's pending count must be zero again: a worker's decrement must never
+// be lost to a race with Submit's increment, or the phantom count would eat
+// into the tenant's job quota for good.
+func TestPendingCountDrainsToZero(t *testing.T) {
+	m := newTestManager(t, &stubSolver{name: "stub"}, func(c *Config) {
+		c.Workers = 4
+		c.QueueDepth = 64
+	})
+	var ids []string
+	for i := 0; i < 1000; i++ {
+		s, err := m.Submit(Request{Instance: testInstance()})
+		if errors.Is(err, ErrQueueFull) {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, s.ID)
+	}
+	for _, id := range ids {
+		waitDone(t, m, id)
+	}
+	if n := m.pendingOf(engine.DefaultTenant); n != 0 {
+		t.Fatalf("pending count %d after every job finished, want 0", n)
 	}
 }

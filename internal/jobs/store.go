@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"crsharing/internal/durable"
 )
 
 // Record is the persisted form of a job: the snapshot plus the originating
@@ -26,8 +28,9 @@ type Store interface {
 }
 
 // FileStore persists one JSON file per job under a directory. Writes go
-// through a temporary file and an atomic rename, so a crash mid-write never
-// corrupts an existing record.
+// through durable.WriteFile (temp file, fsync, atomic rename, directory
+// fsync), so a crash never corrupts an existing record or loses one Save
+// reported as written.
 type FileStore struct {
 	dir string
 }
@@ -55,19 +58,8 @@ func (s *FileStore) Save(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("jobs: encoding record %s: %w", rec.Snapshot.ID, err)
 	}
-	final := filepath.Join(s.dir, rec.Snapshot.ID+".json")
-	tmp, err := os.CreateTemp(s.dir, rec.Snapshot.ID+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("jobs: writing record %s: %w", rec.Snapshot.ID, err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: writing record %s: %w", rec.Snapshot.ID, firstErr(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
+	// 0600: records hold client requests.
+	if err := durable.WriteFile(s.dir, rec.Snapshot.ID+".json", data, 0o600); err != nil {
 		return fmt.Errorf("jobs: writing record %s: %w", rec.Snapshot.ID, err)
 	}
 	return nil
@@ -124,13 +116,4 @@ func validID(id string) bool {
 		}
 	}
 	return true
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

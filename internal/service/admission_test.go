@@ -59,16 +59,13 @@ func TestSharedAdmissionAcrossAllSurfaces(t *testing.T) {
 	stub := &gaugeSolver{block: make(chan struct{})}
 	reg := solver.NewRegistry()
 	reg.Register("gauge", func() solver.Solver { return stub })
-	eng, err := engine.New(engine.Config{
+	eng := newTestEngine(t, engine.Config{
 		Registry:       reg,
 		Cache:          solver.NewCache(4, 64),
 		DefaultSolver:  "gauge",
 		MaxConcurrent:  cap,
 		DefaultTimeout: 30 * time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	manager, err := jobs.New(jobs.Config{Engine: eng, Workers: 3, QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)

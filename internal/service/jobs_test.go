@@ -13,6 +13,7 @@ import (
 
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/core"
+	"crsharing/internal/engine"
 	"crsharing/internal/jobs"
 	"crsharing/internal/progress"
 	"crsharing/internal/solver"
@@ -54,8 +55,7 @@ func newJobsServer(t *testing.T, sv solver.Solver, store jobs.Store) (*jobs.Mana
 	reg.Register(sv.Name(), func() solver.Solver { return sv })
 	cache := solver.NewCache(4, 64)
 	manager, err := jobs.New(jobs.Config{
-		Registry:       reg,
-		Cache:          cache,
+		Engine:         newTestEngine(t, engine.Config{Registry: reg, Cache: cache, DefaultSolver: sv.Name()}),
 		DefaultSolver:  sv.Name(),
 		Workers:        2,
 		QueueDepth:     8,
@@ -71,13 +71,15 @@ func newJobsServer(t *testing.T, sv solver.Solver, store jobs.Store) (*jobs.Mana
 		manager.Close(ctx)
 	})
 	srv, err := New(Config{
-		Registry:       reg,
-		Cache:          cache,
-		DefaultSolver:  sv.Name(),
-		DefaultTimeout: 30 * time.Millisecond,
-		MaxTimeout:     30 * time.Millisecond,
-		Jobs:           manager,
-		Version:        "test",
+		Engine: newTestEngine(t, engine.Config{
+			Registry:       reg,
+			Cache:          cache,
+			DefaultSolver:  sv.Name(),
+			DefaultTimeout: 30 * time.Millisecond,
+			MaxTimeout:     30 * time.Millisecond,
+		}),
+		Jobs:    manager,
+		Version: "test",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,12 +357,13 @@ func TestJobRestartServedFromStore(t *testing.T) {
 	// solver that fails on contact proves nothing re-solves.
 	reg := solver.NewRegistry()
 	reg.Register("slow", func() solver.Solver { return failSolver{} })
-	manager2, err := jobs.New(jobs.Config{Registry: reg, DefaultSolver: "slow", Workers: 1, QueueDepth: 4, Store: store})
+	eng := newTestEngine(t, engine.Config{Registry: reg, DefaultSolver: "slow"})
+	manager2, err := jobs.New(jobs.Config{Engine: eng, DefaultSolver: "slow", Workers: 1, QueueDepth: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer manager2.Close(ctx)
-	srv2, err := New(Config{Registry: reg, DefaultSolver: "slow", Jobs: manager2, Version: "test"})
+	srv2, err := New(Config{Engine: eng, Jobs: manager2, Version: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +385,7 @@ func TestShutdownEndsOpenSSEStreams(t *testing.T) {
 
 	reg := solver.NewRegistry()
 	reg.Register("slow", func() solver.Solver { return sv })
-	srv, err := New(Config{Registry: reg, DefaultSolver: "slow", Jobs: manager, Version: "test"})
+	srv, err := New(Config{Engine: newTestEngine(t, engine.Config{Registry: reg, DefaultSolver: "slow"}), Jobs: manager, Version: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}

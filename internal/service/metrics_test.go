@@ -26,10 +26,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	reg := solver.NewRegistry()
 	stub := &stubSolver{name: "stub"}
 	reg.Register("stub", func() solver.Solver { return stub })
-	eng, err := engine.New(engine.Config{Registry: reg, Cache: solver.NewCache(4, 64), DefaultSolver: "stub"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newTestEngine(t, engine.Config{Registry: reg, Cache: solver.NewCache(4, 64), DefaultSolver: "stub"})
 	manager, err := jobs.New(jobs.Config{Engine: eng, Workers: 1, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -42,40 +42,16 @@ import (
 
 	"crsharing/internal/engine"
 	"crsharing/internal/jobs"
-	"crsharing/internal/solver"
 )
 
-// Config configures a Server. The zero value of every optional field is
-// replaced by the documented default in New.
+// Config configures a Server. Engine is required; the zero value of every
+// other field is replaced by the documented default in New.
 type Config struct {
-	// Engine, when non-nil, is the solve pipeline the server routes through.
+	// Engine is the solve pipeline the server routes through. It owns the
+	// registry, memo cache, default solver, deadlines and admission quotas.
 	// Share one engine between the server and the job manager so every
-	// surface draws from the same admission budget and memo cache. When nil,
-	// New builds a private engine from the legacy fields below.
+	// surface draws from the same admission budget and memo cache.
 	Engine *engine.Engine
-	// Registry resolves solver names; required when Engine is nil.
-	Registry *solver.Registry
-	// Cache is the memo cache; nil disables caching. Ignored when Engine is
-	// set (the engine owns the cache).
-	Cache *solver.Cache
-	// DefaultSolver is used when a request names none (default "portfolio").
-	// Ignored when Engine is set.
-	DefaultSolver string
-	// DefaultTimeout bounds solves that request no timeout (default 30s).
-	// Ignored when Engine is set.
-	DefaultTimeout time.Duration
-	// MaxTimeout clamps request-supplied timeouts (default 2m). Ignored when
-	// Engine is set.
-	MaxTimeout time.Duration
-	// MaxConcurrent caps the solves running at once across all surfaces
-	// (default 16). Ignored when Engine is set.
-	MaxConcurrent int
-	// Tenants are per-tenant admission quotas for the fair scheduler.
-	// Ignored when Engine is set.
-	Tenants map[string]engine.TenantConfig
-	// ShedRetryAfter is the back-off hint attached to quota sheds. Ignored
-	// when Engine is set.
-	ShedRetryAfter time.Duration
 	// MaxBatch caps the instances of one batch request (default 1024).
 	MaxBatch int
 	// MaxBodyBytes caps request body sizes (default 32 MiB).
@@ -117,25 +93,8 @@ type Server struct {
 
 // New validates the configuration, applies defaults and returns a Server.
 func New(cfg Config) (*Server, error) {
-	eng := cfg.Engine
-	if eng == nil {
-		if cfg.Registry == nil {
-			return nil, errors.New("service: Config.Engine or Config.Registry is required")
-		}
-		var err error
-		eng, err = engine.New(engine.Config{
-			Registry:       cfg.Registry,
-			Cache:          cfg.Cache,
-			DefaultSolver:  cfg.DefaultSolver,
-			DefaultTimeout: cfg.DefaultTimeout,
-			MaxTimeout:     cfg.MaxTimeout,
-			MaxConcurrent:  cfg.MaxConcurrent,
-			Tenants:        cfg.Tenants,
-			ShedRetryAfter: cfg.ShedRetryAfter,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
+	if cfg.Engine == nil {
+		return nil, errors.New("service: Config.Engine is required")
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1024
@@ -145,7 +104,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		eng:      eng,
+		eng:      cfg.Engine,
 		mux:      http.NewServeMux(),
 		started:  time.Now(),
 		shutdown: make(chan struct{}),

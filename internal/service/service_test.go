@@ -15,6 +15,7 @@ import (
 
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/core"
+	"crsharing/internal/engine"
 	"crsharing/internal/solver"
 )
 
@@ -46,23 +47,36 @@ func (s *stubSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Sche
 	return sched, solver.Stats{Solver: s.name, Elapsed: time.Microsecond}, err
 }
 
-// newTestServer builds a Server whose registry serves the given stub under
-// the name "stub" and returns it with its httptest frontend.
-func newTestServer(t *testing.T, stub *stubSolver, mutate func(*Config)) (*Server, *httptest.Server) {
+// newTestEngine builds an engine from cfg and closes it when the test ends.
+func newTestEngine(t *testing.T, cfg engine.Config) *engine.Engine {
+	t.Helper()
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	return eng
+}
+
+// newTestServer builds a Server over an engine whose registry serves the
+// given stub under the name "stub" and returns it with its httptest
+// frontend. mutate, when non-nil, adjusts both configs before they are used.
+func newTestServer(t *testing.T, stub *stubSolver, mutate func(*engine.Config, *Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	reg := solver.NewRegistry()
 	reg.Register("stub", func() solver.Solver { return stub })
-	cfg := Config{
+	ecfg := engine.Config{
 		Registry:       reg,
 		Cache:          solver.NewCache(4, 64),
 		DefaultSolver:  "stub",
 		DefaultTimeout: 5 * time.Second,
 		MaxTimeout:     10 * time.Second,
-		Version:        "test",
 	}
+	cfg := Config{Version: "test"}
 	if mutate != nil {
-		mutate(&cfg)
+		mutate(&ecfg, &cfg)
 	}
+	cfg.Engine = newTestEngine(t, ecfg)
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,6 +106,14 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 
 func testInstance() *core.Instance {
 	return core.NewInstance([]float64{0.3, 0.7}, []float64{0.5})
+}
+
+// TestNewRequiresEngine pins that a server cannot be built without the
+// shared solve pipeline.
+func TestNewRequiresEngine(t *testing.T) {
+	if _, err := New(Config{}); err == nil {
+		t.Fatal("New accepted a config without an Engine")
+	}
 }
 
 func TestSolveCacheHitMiss(t *testing.T) {
@@ -243,7 +265,7 @@ func TestBatchSolveRoundTrip(t *testing.T) {
 
 func TestBatchSolveDeadlineMarksCancelled(t *testing.T) {
 	stub := &stubSolver{name: "stub", block: make(chan struct{})} // never released
-	_, ts := newTestServer(t, stub, func(cfg *Config) { cfg.MaxConcurrent = 1 })
+	_, ts := newTestServer(t, stub, func(ecfg *engine.Config, _ *Config) { ecfg.MaxConcurrent = 1 })
 
 	insts := make([]*core.Instance, 4)
 	for i := range insts {
@@ -338,7 +360,7 @@ func TestSolveCachedScheduleForPermutedInstance(t *testing.T) {
 
 func TestBatchSolveRejectsOversizedBatch(t *testing.T) {
 	stub := &stubSolver{name: "stub"}
-	_, ts := newTestServer(t, stub, func(cfg *Config) { cfg.MaxBatch = 2 })
+	_, ts := newTestServer(t, stub, func(_ *engine.Config, cfg *Config) { cfg.MaxBatch = 2 })
 	insts := []*core.Instance{testInstance(), testInstance(), testInstance()}
 	if resp, body := postJSON(t, ts.URL+"/v1/batch-solve", BatchRequest{Instances: insts}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d (%s), want 400", resp.StatusCode, body)

@@ -51,7 +51,7 @@ func postJSONWith(t *testing.T, url string, headers map[string]string, body any)
 // the rejection of malformed names and unknown keys.
 func TestTenantIdentityExtraction(t *testing.T) {
 	stub := &stubSolver{name: "stub"}
-	srv, ts := newTestServer(t, stub, func(cfg *Config) {
+	srv, ts := newTestServer(t, stub, func(_ *engine.Config, cfg *Config) {
 		cfg.APIKeys = map[string]string{"sekrit": "gold"}
 	})
 
@@ -109,10 +109,10 @@ func TestParseAPIKeys(t *testing.T) {
 func shedServer(t *testing.T) (*Server, string, func()) {
 	t.Helper()
 	stub := &stubSolver{name: "stub", block: make(chan struct{})}
-	srv, ts := newTestServer(t, stub, func(cfg *Config) {
-		cfg.MaxConcurrent = 1
-		cfg.Tenants = map[string]engine.TenantConfig{"busy": {MaxQueued: 1}}
-		cfg.ShedRetryAfter = 2 * time.Second
+	srv, ts := newTestServer(t, stub, func(ecfg *engine.Config, _ *Config) {
+		ecfg.MaxConcurrent = 1
+		ecfg.Tenants = map[string]engine.TenantConfig{"busy": {MaxQueued: 1}}
+		ecfg.ShedRetryAfter = 2 * time.Second
 	})
 	insts := []*core.Instance{
 		core.NewInstance([]float64{0.2, 0.4}),
@@ -225,16 +225,13 @@ func TestJobSubmitShedReturns429(t *testing.T) {
 	defer close(stub.block)
 	reg := solver.NewRegistry()
 	reg.Register("stub", func() solver.Solver { return stub })
-	eng, err := engine.New(engine.Config{
+	eng := newTestEngine(t, engine.Config{
 		Registry:       reg,
 		Cache:          solver.NewCache(4, 64),
 		DefaultSolver:  "stub",
 		Tenants:        map[string]engine.TenantConfig{"capped": {MaxQueued: 2}},
 		ShedRetryAfter: 2 * time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	manager, err := jobs.New(jobs.Config{Engine: eng, Workers: 1, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"crsharing/internal/core"
+	"crsharing/internal/engine"
 	"crsharing/internal/gen"
 	"crsharing/internal/solver"
 )
@@ -18,14 +19,14 @@ import (
 // must accept it (telemetry warm_start="request", seed_makespan set) and the
 // answer must match a cold solve of the same mutant.
 func TestSolveWarmStartRoundTrip(t *testing.T) {
-	srv, err := New(Config{
+	eng := newTestEngine(t, engine.Config{
 		Registry:       solver.Default(),
 		Cache:          solver.NewCache(4, 64),
 		DefaultSolver:  "branch-and-bound",
 		DefaultTimeout: 10 * time.Second,
 		MaxTimeout:     20 * time.Second,
-		Version:        "test",
 	})
+	srv, err := New(Config{Engine: eng, Version: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"crsharing/internal/core"
+	"crsharing/internal/durable"
 )
 
 // persistRecord is the on-disk form of one positive cache entry. The
@@ -185,51 +186,16 @@ func (p *Persister) Flush() error {
 	return firstErr
 }
 
-// writeShard writes one shard file atomically AND durably: the temp file is
-// fsynced before the rename (so a crash right after the rename can never
-// expose a zero-length or partial snapshot) and the directory is fsynced
-// after it (so the rename itself survives a crash). os.CreateTemp creates
-// 0600 files; the snapshot is chmodded to 0644 so operators and sidecar
-// tooling can read it.
+// writeShard writes one shard file atomically and durably (durable.WriteFile
+// fsyncs the file and the directory). Snapshots are 0644 so operators and
+// sidecar tooling can read them.
 func (p *Persister) writeShard(i int, recs []persistRecord) error {
 	data, err := json.Marshal(shardFile{Version: persistVersion, Entries: recs})
 	if err != nil {
 		return fmt.Errorf("solver: encoding cache shard %d: %w", i, err)
 	}
-	final := filepath.Join(p.dir, fmt.Sprintf("shard-%03d.json", i))
-	tmp, err := os.CreateTemp(p.dir, "shard-tmp-*")
-	if err != nil {
+	if err := durable.WriteFile(p.dir, fmt.Sprintf("shard-%03d.json", i), data, 0o644); err != nil {
 		return fmt.Errorf("solver: writing cache shard %d: %w", i, err)
-	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if werr == nil {
-		werr = tmp.Chmod(0o644)
-	}
-	cerr := tmp.Close()
-	if werr == nil && cerr == nil {
-		if err := os.Rename(tmp.Name(), final); err == nil {
-			return syncDir(p.dir)
-		} else {
-			werr = err
-		}
-	}
-	os.Remove(tmp.Name())
-	return fmt.Errorf("solver: writing cache shard %d: %w", i, firstError(werr, cerr))
-}
-
-// syncDir fsyncs a directory so a just-completed rename inside it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("solver: syncing snapshot directory: %w", err)
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if err := firstError(serr, cerr); err != nil {
-		return fmt.Errorf("solver: syncing snapshot directory: %w", err)
 	}
 	return nil
 }
@@ -242,15 +208,6 @@ func (p *Persister) Close() error {
 	p.startOne.Do(func() { close(p.done) }) // never started: nothing to wait for
 	<-p.done
 	return p.Flush()
-}
-
-func firstError(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // exportShard snapshots shard i's positive entries, LRU first, unless its

@@ -209,15 +209,16 @@ func TestPersistSnapshotDurabilityAndListing(t *testing.T) {
 			t.Fatalf("%s mode = %o, want 644 (snapshots must not inherit CreateTemp's 0600)", f, got)
 		}
 	}
-	if tmps, _ := filepath.Glob(filepath.Join(dir, "shard-tmp-*")); len(tmps) != 0 {
+	if tmps, _ := filepath.Glob(filepath.Join(dir, ".shard-*.tmp-*")); len(tmps) != 0 {
 		t.Fatalf("temp files survived the flush: %v", tmps)
 	}
 
-	// Plant a quarantined file and a leftover temp: only *.json snapshots list.
+	// Plant a quarantined file and a leftover temp named the way
+	// durable.WriteFile names them: only *.json snapshots list.
 	if err := os.WriteFile(filepath.Join(dir, "shard-000.json.corrupt"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "shard-tmp-stray"), []byte("junk"), 0o600); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, ".shard-000.json.tmp-stray"), []byte("junk"), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	listed, err := p.SnapshotFiles()

@@ -1,9 +1,8 @@
 // Package solver unifies every scheduling algorithm of this repository behind
 // a single context-aware interface and adds the concurrency layer on top of
-// it: a registry the CLIs select solvers from, a parallel portfolio runner
-// that races several solvers on one instance and keeps the best schedule, and
-// a ParallelEach helper that shards a batch of instances across a worker
-// pool for experiment-scale throughput.
+// it: a registry the CLIs select solvers from, and a parallel portfolio
+// runner that races several solvers on one instance and keeps the best
+// schedule. Batches are sharded across workers by engine.SolveEach.
 //
 // The packages under internal/algo stay synchronous and single-purpose; this
 // package adapts them (algo.Scheduler -> Solver) and recognises the ones that

@@ -198,61 +198,6 @@ func TestPortfolioDeadline(t *testing.T) {
 	}
 }
 
-// TestParallelEach shards a batch across workers and checks the outcomes
-// against solving each instance serially.
-func TestParallelEach(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	var insts []*core.Instance
-	for i := 0; i < 24; i++ {
-		insts = append(insts, gen.Random(rng, 2+rng.Intn(3), 2+rng.Intn(4), 0.05, 1.0))
-	}
-	newSolver := func() Solver { return Adapt(greedybalance.New()) }
-
-	want := make([]int, len(insts))
-	for i, inst := range insts {
-		ev, err := Evaluate(context.Background(), newSolver(), inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = ev.Makespan
-	}
-
-	for _, workers := range []int{0, 1, 3, 64} {
-		outcomes := ParallelEach(context.Background(), newSolver, insts, workers)
-		if len(outcomes) != len(insts) {
-			t.Fatalf("workers=%d: got %d outcomes, want %d", workers, len(outcomes), len(insts))
-		}
-		for i, out := range outcomes {
-			if out.Err != nil {
-				t.Fatalf("workers=%d instance %d: %v", workers, i, out.Err)
-			}
-			if out.Index != i {
-				t.Fatalf("workers=%d: outcome %d has index %d", workers, i, out.Index)
-			}
-			if out.Makespan != want[i] {
-				t.Fatalf("workers=%d instance %d: makespan %d, want %d", workers, i, out.Makespan, want[i])
-			}
-		}
-	}
-}
-
-// TestParallelEachCancelled pre-cancels the context: every outcome must carry
-// the context error and the call must not hang.
-func TestParallelEachCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	insts := []*core.Instance{gen.Figure1(), gen.Figure2()}
-	outcomes := ParallelEach(ctx, func() Solver { return Adapt(greedybalance.New()) }, insts, 2)
-	for i, out := range outcomes {
-		if !errors.Is(out.Err, context.Canceled) {
-			t.Fatalf("instance %d: got %v, want context.Canceled", i, out.Err)
-		}
-		if !out.Skipped {
-			t.Fatalf("instance %d: fail-fast outcome must be marked Skipped", i)
-		}
-	}
-}
-
 // TestPortfolioTimeoutSemantics pins down the best-effort contract of
 // Portfolio.Solve: a member result obtained before the deadline is returned
 // with a nil error even though the parent context has expired by the time
