@@ -67,8 +67,6 @@ func main() {
 	cacheFlush := flag.Duration("cache-flush", 30*time.Second, "interval between periodic cache snapshots to -cache-dir")
 	negativeTTL := flag.Duration("negative-ttl", 0, "remember deterministic solve failures for this long and replay them without re-solving; 0 disables")
 	apiKeySpec := flag.String("api-keys", "", "API key to tenant mapping, key=tenant,... (keys arrive as X-API-Key or Authorization: Bearer)")
-	speculate := flag.Bool("speculate", false, "pre-solve single-mutation variants of hot fingerprint families into the memo cache under the low-priority speculation tenant (requires a cache)")
-	speculateBudget := flag.Int("speculate-budget", 0, "variants pre-solved per hot instance; 0 uses the engine default")
 	flag.Parse()
 
 	var tenants map[string]engine.TenantConfig
@@ -117,16 +115,14 @@ func main() {
 	// fan-out and the job workers all draw from this admission budget and
 	// memo cache, and all report into the same solve telemetry.
 	eng, err := engine.New(engine.Config{
-		Registry:        solver.Default(),
-		Cache:           cache,
-		DefaultSolver:   *defaultSolver,
-		DefaultTimeout:  *defaultTimeout,
-		MaxTimeout:      *maxTimeout,
-		MaxConcurrent:   *maxConcurrent,
-		Tenants:         tenants,
-		ShedRetryAfter:  *shedRetryAfter,
-		Speculate:       *speculate,
-		SpeculateBudget: *speculateBudget,
+		Registry:       solver.Default(),
+		Cache:          cache,
+		DefaultSolver:  *defaultSolver,
+		DefaultTimeout: *defaultTimeout,
+		MaxTimeout:     *maxTimeout,
+		MaxConcurrent:  *maxConcurrent,
+		Tenants:        tenants,
+		ShedRetryAfter: *shedRetryAfter,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -178,9 +174,6 @@ func main() {
 	log.Printf("crserved %s listening on %s (solver=%s cache=%d max-concurrent=%d workers=%d queue=%d store=%q)",
 		crsharing.Version, *addr, *defaultSolver, *cacheCapacity, *maxConcurrent, *workers, *queue, *storeDir)
 	runErr := srv.Run(ctx, *addr, *grace)
-	// Stop the speculation controller before the job manager: its in-flight
-	// pre-solves finish within their own short budgets.
-	eng.Close()
 	// Close the job manager even when the listener tear-down erred: running
 	// jobs must be cancelled and queued jobs checkpointed either way.
 	if manager != nil {

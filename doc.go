@@ -36,7 +36,7 @@
 // harness — submits an engine.Request to one shared engine.Engine, which
 // owns the request lifecycle end to end: solver resolution, deadline
 // clamping against the caller's limits, memo-cache routing, admission
-// through a global weighted FIFO semaphore (the one concurrency budget of
+// through a global weighted-fair scheduler (the one concurrency budget of
 // the process), incumbent-observer attachment, and telemetry. Each solve
 // yields a structured engine.Telemetry (cache source, elapsed and
 // admission-queue time, search nodes and incumbents counted by the kernels

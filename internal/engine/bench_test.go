@@ -119,14 +119,14 @@ func BenchmarkEngineSolveEachCacheHitPrehashed(b *testing.B) {
 // pair of the fair scheduler — the cost every fresh solve pays even when the
 // system is idle, gated by benchdiff in CI.
 func BenchmarkAdmissionUncontended(b *testing.B) {
-	sem := newFairScheduler(16, TenantConfig{}, nil, 0)
+	sem := newFairScheduler(16, nil, 0)
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := sem.Acquire(ctx, "", 1); err != nil {
+		if err := sem.Acquire(ctx, ""); err != nil {
 			b.Fatal(err)
 		}
-		sem.Release("", 1)
+		sem.Release("")
 	}
 }
 
@@ -134,17 +134,17 @@ func BenchmarkAdmissionUncontended(b *testing.B) {
 // pair when the request names a configured (non-default) tenant — the lookup
 // plus quota bookkeeping on top of the base path.
 func BenchmarkAdmissionMultiTenant(b *testing.B) {
-	sem := newFairScheduler(16, TenantConfig{}, map[string]TenantConfig{
+	sem := newFairScheduler(16, map[string]TenantConfig{
 		"gold": {Weight: 3, MaxInflight: 12},
 		"free": {Weight: 1, MaxInflight: 4, Priority: 1},
 	}, 0)
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := sem.Acquire(ctx, "gold", 1); err != nil {
+		if err := sem.Acquire(ctx, "gold"); err != nil {
 			b.Fatal(err)
 		}
-		sem.Release("gold", 1)
+		sem.Release("gold")
 	}
 }
 

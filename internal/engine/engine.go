@@ -10,8 +10,8 @@
 //     caller's limits (sync and job surfaces have different ceilings),
 //  3. cache routing — the request is answered from the shared memo cache or
 //     coalesced onto an identical in-flight solve when possible,
-//  4. admission — a fresh solve first acquires the global weighted
-//     semaphore, the one concurrency budget shared by every surface (before
+//  4. admission — a fresh solve first acquires a slot of the global fair
+//     scheduler, the one concurrency budget shared by every surface (before
 //     this package existed, batch shards and job workers bypassed the
 //     serving layer's semaphore entirely),
 //  5. progress — the caller's incumbent observer is attached to the solve
@@ -75,38 +75,26 @@ type Config struct {
 	// their own deadline policy (the job manager) override per request via
 	// Request.Limits.
 	MaxTimeout time.Duration
-	// MaxConcurrent is the global admission budget: the total weight of
-	// solves running at once across every surface (default 16).
+	// MaxConcurrent is the global admission budget: the number of solves
+	// running at once across every surface (default 16).
 	MaxConcurrent int
 	// Tenants configures per-tenant admission quotas by tenant name. Tenants
-	// not listed here run under TenantDefaults.
+	// not listed here run under the zero TenantConfig's defaults (weight 1,
+	// inflight quota = MaxConcurrent, queue bound 16x MaxConcurrent,
+	// priority 0).
 	Tenants map[string]TenantConfig
-	// TenantDefaults is the quota template applied to tenants absent from
-	// Tenants (zero value: weight 1, inflight quota = MaxConcurrent, queue
-	// bound 16x MaxConcurrent, priority 0).
-	TenantDefaults TenantConfig
 	// ShedRetryAfter is the back-off hint carried by ErrShed rejections
 	// (default 1s).
 	ShedRetryAfter time.Duration
-	// Speculate enables the speculation controller: the engine watches
-	// per-fingerprint request frequency and pre-solves single-mutation
-	// variants of hot instances into the memo cache, under the dedicated
-	// low-weight SpeculationTenant so speculation can never starve real
-	// traffic through the fair scheduler. Requires Cache.
-	Speculate bool
-	// SpeculateBudget caps how many variants are pre-solved per hot
-	// instance (default 8).
-	SpeculateBudget int
 }
 
 // Engine routes every solve of the process. Create one with New and share it
 // between the serving layer, the job manager and any other solve surface; it
 // is safe for concurrent use.
 type Engine struct {
-	cfg  Config
-	sem  *fairScheduler
-	met  *metrics
-	spec *speculator // nil unless Config.Speculate
+	cfg Config
+	sem *fairScheduler
+	met *metrics
 }
 
 // New validates the configuration, applies defaults and returns an Engine.
@@ -132,42 +120,17 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.ShedRetryAfter <= 0 {
 		cfg.ShedRetryAfter = time.Second
 	}
-	if cfg.Speculate {
-		if cfg.Cache == nil {
-			return nil, errors.New("engine: Config.Speculate requires Config.Cache")
-		}
-		if _, ok := cfg.Tenants[SpeculationTenant]; !ok {
-			// Register the speculation tenant without mutating the caller's
-			// map: minimal weight and inflight, deep best-effort priority, so
-			// the fair scheduler both serves it strictly last and sheds it
-			// whenever real traffic has the capacity covered.
-			tenants := make(map[string]TenantConfig, len(cfg.Tenants)+1)
-			for name, tc := range cfg.Tenants {
-				tenants[name] = tc
-			}
-			tenants[SpeculationTenant] = TenantConfig{Weight: 1, MaxInflight: 1, MaxQueued: 2, Priority: 9}
-			cfg.Tenants = tenants
-		}
-	}
-	e := &Engine{
+	return &Engine{
 		cfg: cfg,
-		sem: newFairScheduler(int64(cfg.MaxConcurrent), cfg.TenantDefaults, cfg.Tenants, cfg.ShedRetryAfter),
+		sem: newFairScheduler(int64(cfg.MaxConcurrent), cfg.Tenants, cfg.ShedRetryAfter),
 		met: newMetrics(),
-	}
-	if cfg.Speculate {
-		e.spec = newSpeculator(e, cfg.SpeculateBudget)
-	}
-	return e, nil
+	}, nil
 }
 
-// Close stops the engine's background work (the speculation controller).
-// In-flight solves are unaffected; call it after the serving surfaces have
-// drained. A nil-op when speculation is off.
-func (e *Engine) Close() {
-	if e.spec != nil {
-		e.spec.close()
-	}
-}
+// Close releases nothing: the engine runs no background work. It is kept so
+// callers can tear a stack down uniformly after its serving surfaces have
+// drained.
+func (e *Engine) Close() {}
 
 // Registry returns the engine's solver registry.
 func (e *Engine) Registry() *solver.Registry { return e.cfg.Registry }
@@ -245,9 +208,6 @@ type Request struct {
 	// is identical either way. When absent, the engine consults the cache's
 	// neighbor index for a hint on a miss.
 	WarmStart *core.Schedule
-	// Weight is the admission weight (default 1). Heavier requests may be
-	// given a larger share of the MaxConcurrent budget.
-	Weight int64
 	// Tenant is the tenant the request is admitted and accounted under;
 	// empty means DefaultTenant. Fairness, quotas and shedding are applied
 	// per tenant.
@@ -311,7 +271,7 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
-	adm := &admitted{eng: e, inner: sv, weight: req.Weight, tenant: tenant}
+	adm := &admitted{eng: e, inner: sv, tenant: tenant}
 	if req.WarmStart != nil {
 		// An explicit hint travels as a context value so it survives the
 		// cache's singleflight indirection and the solver adapters' counter
@@ -332,9 +292,6 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 	e.met.observe(tenant, src, ev, err, adm.queued)
 	if err != nil {
 		return nil, err
-	}
-	if e.spec != nil && tenant != SpeculationTenant {
-		e.spec.observe(name, req.Instance)
 	}
 	tel := newTelemetry(name, ev, src, req.Instance, adm.queued)
 	tel.Tenant = tenant
@@ -366,7 +323,6 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 type admitted struct {
 	eng    *Engine
 	inner  solver.Solver
-	weight int64
 	tenant string
 	// queued is the admission wait of this request's solve, read by the
 	// engine after the call. One admitted value serves one request, and the
@@ -390,12 +346,12 @@ func (a *admitted) Name() string { return a.inner.Name() }
 
 func (a *admitted) Solve(ctx context.Context, inst *core.Instance) (*core.Schedule, solver.Stats, error) {
 	start := time.Now()
-	if err := a.eng.sem.Acquire(ctx, a.tenant, a.weight); err != nil {
+	if err := a.eng.sem.Acquire(ctx, a.tenant); err != nil {
 		a.queued = time.Since(start)
 		return nil, solver.Stats{Solver: a.inner.Name()}, err
 	}
 	a.queued = time.Since(start)
-	defer a.eng.sem.Release(a.tenant, a.weight)
+	defer a.eng.sem.Release(a.tenant)
 	// This point is reached only by a true miss that won admission (cache
 	// hits and coalesced followers never get here), which is exactly where a
 	// neighbor hint pays: ask the cache's shape index for an adapted

@@ -445,78 +445,53 @@ func TestSolveEachMatchesSerialEvaluate(t *testing.T) {
 	}
 }
 
-func TestSchedulerWeights(t *testing.T) {
-	sem := newFairScheduler(4, TenantConfig{}, nil, 0)
-	ctx := context.Background()
-	if err := sem.Acquire(ctx, "", 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := sem.InUse(); got != 3 {
-		t.Fatalf("InUse = %d, want 3", got)
-	}
-	// Weight above capacity is clamped so it can still run alone.
-	done := make(chan error, 1)
-	go func() { done <- sem.Acquire(ctx, "", 99) }()
-	select {
-	case <-done:
-		t.Fatal("oversized acquire admitted while 3 units were held")
-	case <-time.After(20 * time.Millisecond):
-	}
-	sem.Release("", 3)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("clamped acquire never admitted")
-	}
-	sem.Release("", 99) // symmetric clamp
-	if got := sem.InUse(); got != 0 {
-		t.Fatalf("InUse = %d after full release, want 0", got)
-	}
-}
-
+// TestSchedulerCancelledWaiterUnblocksQueue: a queued waiter whose context
+// is cancelled leaves the queue, so the next release admits the waiter behind
+// it instead of granting the slot to the abandoned one.
 func TestSchedulerCancelledWaiterUnblocksQueue(t *testing.T) {
-	sem := newFairScheduler(2, TenantConfig{}, nil, 0)
+	sem := newFairScheduler(1, nil, 0)
 	ctx := context.Background()
-	if err := sem.Acquire(ctx, "", 2); err != nil {
+	if err := sem.Acquire(ctx, ""); err != nil {
 		t.Fatal(err)
 	}
-	// A heavy waiter queues first, then a light one behind it (same tenant).
-	heavyCtx, heavyCancel := context.WithCancel(ctx)
-	heavyErr := make(chan error, 1)
-	go func() { heavyErr <- sem.Acquire(heavyCtx, "", 2) }()
+	// One waiter queues first, then a second behind it (same tenant).
+	firstCtx, firstCancel := context.WithCancel(ctx)
+	firstErr := make(chan error, 1)
+	go func() { firstErr <- sem.Acquire(firstCtx, "") }()
 	for sem.Waiting() < 1 {
 		time.Sleep(time.Millisecond)
 	}
-	lightErr := make(chan error, 1)
-	go func() { lightErr <- sem.Acquire(ctx, "", 1) }()
+	secondErr := make(chan error, 1)
+	go func() { secondErr <- sem.Acquire(ctx, "") }()
 	for sem.Waiting() < 2 {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Free one unit: FIFO within the tenant keeps the heavy waiter first, so
-	// nobody runs yet.
-	sem.Release("", 1)
+	firstCancel()
+	if err := <-firstErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter err = %v", err)
+	}
+	if got := sem.Waiting(); got != 1 {
+		t.Fatalf("Waiting = %d after the cancellation, want 1", got)
+	}
 	select {
-	case <-lightErr:
-		t.Fatal("light waiter overtook the heavy one")
+	case <-secondErr:
+		t.Fatal("second waiter admitted while the slot was still held")
 	case <-time.After(20 * time.Millisecond):
 	}
-	// Cancelling the heavy waiter must re-sweep the queue and admit the
-	// light one with the already-free unit.
-	heavyCancel()
-	if err := <-heavyErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("heavy waiter err = %v", err)
-	}
+	// The freed slot must go to the waiter still queued.
+	sem.Release("")
 	select {
-	case err := <-lightErr:
+	case err := <-secondErr:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("light waiter not admitted after the heavy one left")
+		t.Fatal("second waiter not admitted after the first one left")
+	}
+	sem.Release("")
+	if inUse, waiting := sem.InUse(), sem.Waiting(); inUse != 0 || waiting != 0 {
+		t.Fatalf("InUse = %d, Waiting = %d after draining, want 0, 0", inUse, waiting)
 	}
 }
 

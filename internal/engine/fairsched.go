@@ -22,8 +22,8 @@ type TenantConfig struct {
 	// tenant with weight 3 is admitted three solves for every one of a
 	// weight-1 tenant. Values below 1 are raised to 1.
 	Weight int64
-	// MaxInflight caps the admission weight the tenant may hold at once;
-	// 0 or less means the global capacity (no per-tenant cap).
+	// MaxInflight caps the solves the tenant may have admitted at once; 0 or
+	// less means the global capacity (no per-tenant cap).
 	MaxInflight int64
 	// MaxQueued caps the tenant's wait queue: an acquire arriving with
 	// MaxQueued requests already queued for the tenant is shed with ErrShed
@@ -59,7 +59,7 @@ func (e *ErrShed) Shed() bool { return true }
 
 // TenantGauge is the live admission state of one tenant.
 type TenantGauge struct {
-	// Inflight is the admission weight the tenant holds right now.
+	// Inflight is the number of solves the tenant has admitted right now.
 	Inflight int64
 	// Queued is the number of requests waiting in the tenant's queue.
 	Queued int
@@ -79,15 +79,18 @@ type TenantGauge struct {
 //   - Strict priority across classes: while any class-p waiter is blocked on
 //     global capacity, no class-q>p waiter is admitted. A class blocked only
 //     on its own tenant quotas does not hold lower classes back.
-//   - No overtaking on capacity: like the old semaphore, the sweep stops at
-//     the first capacity-blocked waiter, so a heavy request is never starved
-//     by a stream of light ones; its tenant keeps accumulating deficit and is
-//     resumed first.
+//   - No overtaking on capacity: the sweep stops at the first
+//     capacity-blocked waiter and parks the round-robin cursor on its tenant,
+//     so the next release resumes that tenant first, without a second
+//     deficit top-up.
+//
+// Every request is one unit: it holds one slot of the global capacity and
+// one of its tenant's inflight quota while it runs.
 type fairScheduler struct {
 	capacity   int64
 	quantum    int64
 	retryAfter time.Duration
-	defaults   TenantConfig
+	defaults   TenantConfig // the normalised zero config of unlisted tenants
 	configured map[string]TenantConfig
 
 	mu      sync.Mutex
@@ -100,10 +103,10 @@ type fairScheduler struct {
 // schedTier is one priority class: the tenants of that class that currently
 // have waiters, in round-robin order.
 type schedTier struct {
-	priority     int
-	ring         []*tenantState
-	next         int
-	queuedWeight int64
+	priority int
+	ring     []*tenantState
+	next     int
+	queued   int
 	// resume marks the tenant a capacity-frozen sweep stopped on: it already
 	// received its deficit top-up for the interrupted visit, so the resuming
 	// sweep must not grant another one — otherwise the head tenant's deficit
@@ -116,16 +119,11 @@ type tenantState struct {
 	cfg      TenantConfig
 	inflight int64
 	deficit  int64
-	queue    []*schedWaiter
+	queue    []chan struct{} // waiters, each closed when granted
 	inRing   bool
 }
 
-type schedWaiter struct {
-	weight int64
-	ready  chan struct{} // closed when granted
-}
-
-func newFairScheduler(capacity int64, defaults TenantConfig, tenants map[string]TenantConfig, retryAfter time.Duration) *fairScheduler {
+func newFairScheduler(capacity int64, tenants map[string]TenantConfig, retryAfter time.Duration) *fairScheduler {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -136,7 +134,7 @@ func newFairScheduler(capacity int64, defaults TenantConfig, tenants map[string]
 		capacity:   capacity,
 		quantum:    1,
 		retryAfter: retryAfter,
-		defaults:   normalizeTenant(defaults, capacity),
+		defaults:   normalizeTenant(TenantConfig{}, capacity),
 		configured: make(map[string]TenantConfig, len(tenants)),
 		tenants:    make(map[string]*tenantState),
 	}
@@ -204,32 +202,18 @@ func (s *fairScheduler) tierLocked(priority int) *schedTier {
 	return t
 }
 
-// clampWeight bounds a request weight so it can be admitted at all: at least
-// 1, at most the tenant's inflight quota (which is itself at most the global
-// capacity). Acquire and Release apply the same clamp, so the books balance.
-func clampWeight(cfg TenantConfig, weight int64) int64 {
-	if weight < 1 {
-		weight = 1
-	}
-	if weight > cfg.MaxInflight {
-		weight = cfg.MaxInflight
-	}
-	return weight
-}
-
-// Acquire blocks until the tenant is granted weight units or ctx is done.
+// Acquire blocks until the tenant is granted one unit or ctx is done.
 // Over-quota work is rejected immediately with *ErrShed: a full tenant queue,
 // or a best-effort (priority > 0) request arriving while the backlog of
 // equally-or-more important queued work already exceeds the global capacity.
-func (s *fairScheduler) Acquire(ctx context.Context, tenant string, weight int64) error {
+func (s *fairScheduler) Acquire(ctx context.Context, tenant string) error {
 	s.mu.Lock()
 	ts := s.stateLocked(tenant)
-	weight = clampWeight(ts.cfg, weight)
 
-	// Fast path: nobody is waiting anywhere and both budgets fit.
-	if s.waiting == 0 && s.held+weight <= s.capacity && ts.inflight+weight <= ts.cfg.MaxInflight {
-		s.held += weight
-		ts.inflight += weight
+	// Fast path: nobody is waiting anywhere and both budgets have room.
+	if s.waiting == 0 && s.held < s.capacity && ts.inflight < ts.cfg.MaxInflight {
+		s.held++
+		ts.inflight++
 		s.mu.Unlock()
 		return nil
 	}
@@ -239,16 +223,16 @@ func (s *fairScheduler) Acquire(ctx context.Context, tenant string, weight int64
 		s.mu.Unlock()
 		return &ErrShed{Tenant: ts.name, Reason: "queue full", RetryAfter: s.retryAfter}
 	}
-	if ts.cfg.Priority > 0 && s.backlogAheadLocked(ts.cfg.Priority) >= s.capacity {
+	if ts.cfg.Priority > 0 && int64(s.backlogAheadLocked(ts.cfg.Priority)) >= s.capacity {
 		s.mu.Unlock()
 		return &ErrShed{Tenant: ts.name, Reason: "priority backlog", RetryAfter: s.retryAfter}
 	}
 
-	w := &schedWaiter{weight: weight, ready: make(chan struct{})}
-	ts.queue = append(ts.queue, w)
+	ready := make(chan struct{})
+	ts.queue = append(ts.queue, ready)
 	s.waiting++
 	tier := s.tierLocked(ts.cfg.Priority)
-	tier.queuedWeight += weight
+	tier.queued++
 	if !ts.inRing {
 		tier.ring = append(tier.ring, ts)
 		ts.inRing = true
@@ -259,19 +243,19 @@ func (s *fairScheduler) Acquire(ctx context.Context, tenant string, weight int64
 	s.mu.Unlock()
 
 	select {
-	case <-w.ready:
+	case <-ready:
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
 		select {
-		case <-w.ready:
+		case <-ready:
 			// Granted concurrently with the cancellation: keep the slot and
 			// report success; the caller releases it normally.
 			s.mu.Unlock()
 			return nil
 		default:
 		}
-		s.removeWaiterLocked(ts, w)
+		s.removeWaiterLocked(ts, ready)
 		// Removing a waiter can unblock the ones behind it, so re-sweep.
 		s.grantLocked()
 		s.mu.Unlock()
@@ -279,13 +263,13 @@ func (s *fairScheduler) Acquire(ctx context.Context, tenant string, weight int64
 	}
 }
 
-// backlogAheadLocked sums the queued weight of classes at least as important
-// as priority p (i.e. priority <= p).
-func (s *fairScheduler) backlogAheadLocked(p int) int64 {
-	var sum int64
+// backlogAheadLocked counts the queued requests of classes at least as
+// important as priority p (i.e. priority <= p).
+func (s *fairScheduler) backlogAheadLocked(p int) int {
+	sum := 0
 	for _, t := range s.tiers {
 		if t.priority <= p {
-			sum += t.queuedWeight
+			sum += t.queued
 		}
 	}
 	return sum
@@ -293,13 +277,13 @@ func (s *fairScheduler) backlogAheadLocked(p int) int64 {
 
 // removeWaiterLocked drops a cancelled waiter from its tenant queue and fixes
 // the tier accounting.
-func (s *fairScheduler) removeWaiterLocked(ts *tenantState, w *schedWaiter) {
+func (s *fairScheduler) removeWaiterLocked(ts *tenantState, ready chan struct{}) {
 	for i, q := range ts.queue {
-		if q == w {
+		if q == ready {
 			ts.queue = append(ts.queue[:i], ts.queue[i+1:]...)
 			s.waiting--
 			tier := s.tierLocked(ts.cfg.Priority)
-			tier.queuedWeight -= w.weight
+			tier.queued--
 			if len(ts.queue) == 0 {
 				s.ringRemoveLocked(tier, ts)
 			}
@@ -328,17 +312,15 @@ func (s *fairScheduler) ringRemoveLocked(t *schedTier, ts *tenantState) {
 	}
 }
 
-// Release returns weight units (as clamped by Acquire) and admits eligible
-// waiters.
-func (s *fairScheduler) Release(tenant string, weight int64) {
+// Release returns the unit granted by Acquire and admits eligible waiters.
+func (s *fairScheduler) Release(tenant string) {
 	s.mu.Lock()
 	ts := s.stateLocked(tenant)
-	weight = clampWeight(ts.cfg, weight)
-	s.held -= weight
-	ts.inflight -= weight
+	s.held--
+	ts.inflight--
 	if s.held < 0 || ts.inflight < 0 {
 		s.mu.Unlock()
-		panic(fmt.Sprintf("engine: scheduler released below zero (tenant %q weight %d)", tenant, weight))
+		panic(fmt.Sprintf("engine: scheduler released below zero (tenant %q)", tenant))
 	}
 	s.grantLocked()
 	s.mu.Unlock()
@@ -372,15 +354,13 @@ func (s *fairScheduler) sweepTierLocked(t *schedTier) (capacityBlocked bool) {
 			} else {
 				ts.deficit += ts.cfg.Weight * s.quantum
 				// Cap the deficit so an idle-but-queued (quota-blocked) tenant
-				// cannot bank an unbounded burst; the cap still covers the
-				// heaviest admissible waiter.
+				// cannot bank an unbounded burst.
 				if max := ts.cfg.Weight*s.quantum + s.capacity; ts.deficit > max {
 					ts.deficit = max
 				}
 			}
 			for len(ts.queue) > 0 {
-				w := ts.queue[0]
-				if ts.inflight+w.weight > ts.cfg.MaxInflight {
+				if ts.inflight >= ts.cfg.MaxInflight {
 					if s.held >= s.capacity {
 						// Quota-blocked in a saturated system: the spare
 						// capacity is zero, so skipping ahead would hand the
@@ -394,27 +374,28 @@ func (s *fairScheduler) sweepTierLocked(t *schedTier) (capacityBlocked bool) {
 					}
 					break // spare capacity: let other tenants use it
 				}
-				if ts.deficit < w.weight {
-					// Not yet earned: keep sweeping so the per-pass top-ups
-					// accumulate (the deficit cap covers any clamped weight,
-					// so this converges); rival tenants earn share meanwhile.
+				if ts.deficit < 1 {
+					// Not yet earned (a resumed visit gets no top-up): keep
+					// sweeping so the next pass tops the deficit up; rival
+					// tenants earn share meanwhile.
 					progress = true
 					break
 				}
-				if s.held+w.weight > s.capacity {
+				if s.held >= s.capacity {
 					// Global capacity: freeze the sweep with the cursor on
 					// this tenant so it is resumed first (without a second
 					// top-up).
 					t.resume = ts
 					return true
 				}
+				ready := ts.queue[0]
 				ts.queue = ts.queue[1:]
 				s.waiting--
-				t.queuedWeight -= w.weight
-				s.held += w.weight
-				ts.inflight += w.weight
-				ts.deficit -= w.weight
-				close(w.ready)
+				t.queued--
+				s.held++
+				ts.inflight++
+				ts.deficit--
+				close(ready)
 				progress = true
 			}
 			if len(ts.queue) == 0 {
@@ -427,7 +408,7 @@ func (s *fairScheduler) sweepTierLocked(t *schedTier) (capacityBlocked bool) {
 	return false
 }
 
-// InUse returns the currently held weight (for gauges).
+// InUse returns the number of admitted solves (for gauges).
 func (s *fairScheduler) InUse() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -441,7 +422,7 @@ func (s *fairScheduler) Waiting() int {
 	return s.waiting
 }
 
-// Gauges returns the per-tenant inflight weight and queue depth of every
+// Gauges returns the per-tenant inflight count and queue depth of every
 // tenant the scheduler has seen.
 func (s *fairScheduler) Gauges() map[string]TenantGauge {
 	s.mu.Lock()

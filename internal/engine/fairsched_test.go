@@ -14,16 +14,16 @@ import (
 // admitted within one round-robin pass, not after the whole backlog. The old
 // FIFO semaphore would have served all ten heavy arrivals first.
 func TestSchedulerTenantIsolation(t *testing.T) {
-	sem := newFairScheduler(1, TenantConfig{}, nil, 0)
+	sem := newFairScheduler(1, nil, 0)
 	ctx := context.Background()
-	if err := sem.Acquire(ctx, "heavy", 1); err != nil {
+	if err := sem.Acquire(ctx, "heavy"); err != nil {
 		t.Fatal(err)
 	}
 	const backlog = 10
 	heavyAdmitted := make(chan struct{}, backlog)
 	for i := 0; i < backlog; i++ {
 		go func() {
-			if err := sem.Acquire(ctx, "heavy", 1); err == nil {
+			if err := sem.Acquire(ctx, "heavy"); err == nil {
 				heavyAdmitted <- struct{}{}
 			}
 		}()
@@ -32,7 +32,7 @@ func TestSchedulerTenantIsolation(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	lightDone := make(chan error, 1)
-	go func() { lightDone <- sem.Acquire(ctx, "light", 1) }()
+	go func() { lightDone <- sem.Acquire(ctx, "light") }()
 	for sem.Waiting() < backlog+1 {
 		time.Sleep(time.Millisecond)
 	}
@@ -41,7 +41,7 @@ func TestSchedulerTenantIsolation(t *testing.T) {
 	// two grants despite ten heavy requests queued ahead of it in arrival
 	// order.
 	heavyGrants := 0
-	sem.Release("heavy", 1)
+	sem.Release("heavy")
 	for {
 		select {
 		case <-heavyAdmitted:
@@ -49,17 +49,17 @@ func TestSchedulerTenantIsolation(t *testing.T) {
 			if heavyGrants > 2 {
 				t.Fatalf("light tenant starved: %d heavy grants before it ran", heavyGrants)
 			}
-			sem.Release("heavy", 1)
+			sem.Release("heavy")
 		case err := <-lightDone:
 			if err != nil {
 				t.Fatal(err)
 			}
-			sem.Release("light", 1)
+			sem.Release("light")
 			// Drain the heavy backlog so no goroutine is left blocked.
 			for heavyGrants < backlog {
 				<-heavyAdmitted
 				heavyGrants++
-				sem.Release("heavy", 1)
+				sem.Release("heavy")
 			}
 			return
 		case <-time.After(5 * time.Second):
@@ -72,12 +72,12 @@ func TestSchedulerTenantIsolation(t *testing.T) {
 // weight-1 tenant and checks the deficit round-robin hands out grants in
 // (close to) a 3:1 ratio.
 func TestSchedulerWeightedShare(t *testing.T) {
-	sem := newFairScheduler(1, TenantConfig{}, map[string]TenantConfig{
+	sem := newFairScheduler(1, map[string]TenantConfig{
 		"gold": {Weight: 3},
 		"free": {Weight: 1},
 	}, 0)
 	ctx := context.Background()
-	if err := sem.Acquire(ctx, "warm", 1); err != nil {
+	if err := sem.Acquire(ctx, "warm"); err != nil {
 		t.Fatal(err)
 	}
 	const each = 12
@@ -88,7 +88,7 @@ func TestSchedulerWeightedShare(t *testing.T) {
 		// order is deterministic.
 		for i := 0; i < each; i++ {
 			go func() {
-				if err := sem.Acquire(ctx, tenant, 1); err == nil {
+				if err := sem.Acquire(ctx, tenant); err == nil {
 					admitted <- tenant
 				}
 			}()
@@ -107,7 +107,7 @@ func TestSchedulerWeightedShare(t *testing.T) {
 	}
 
 	counts := map[string]int{}
-	sem.Release("warm", 1)
+	sem.Release("warm")
 	for n := 0; n < 2*each; n++ {
 		select {
 		case tenant := <-admitted:
@@ -120,7 +120,7 @@ func TestSchedulerWeightedShare(t *testing.T) {
 					t.Fatalf("weighted share off after 8 grants: %v", counts)
 				}
 			}
-			sem.Release(tenant, 1)
+			sem.Release(tenant)
 		case <-time.After(5 * time.Second):
 			t.Fatalf("drain stalled after %d grants (%v)", n, counts)
 		}
@@ -135,17 +135,17 @@ func TestSchedulerWeightedShare(t *testing.T) {
 // carrying the tenant, a reason and the configured Retry-After.
 func TestSchedulerShedQueueFull(t *testing.T) {
 	retry := 7 * time.Second
-	sem := newFairScheduler(1, TenantConfig{}, map[string]TenantConfig{
+	sem := newFairScheduler(1, map[string]TenantConfig{
 		"busy": {MaxQueued: 2},
 	}, retry)
 	ctx := context.Background()
-	if err := sem.Acquire(ctx, "busy", 1); err != nil {
+	if err := sem.Acquire(ctx, "busy"); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			if err := sem.Acquire(ctx, "busy", 1); err == nil {
+			if err := sem.Acquire(ctx, "busy"); err == nil {
 				done <- struct{}{}
 			}
 		}()
@@ -153,7 +153,7 @@ func TestSchedulerShedQueueFull(t *testing.T) {
 	for sem.Waiting() < 2 {
 		time.Sleep(time.Millisecond)
 	}
-	err := sem.Acquire(ctx, "busy", 1)
+	err := sem.Acquire(ctx, "busy")
 	var shed *ErrShed
 	if !errors.As(err, &shed) {
 		t.Fatalf("over-quota acquire returned %v, want *ErrShed", err)
@@ -166,18 +166,18 @@ func TestSchedulerShedQueueFull(t *testing.T) {
 	// property), so drain the three waiters in whatever order they are
 	// granted — assuming busy goes first deadlocks on a single slot.
 	otherErr := make(chan error, 1)
-	go func() { otherErr <- sem.Acquire(ctx, "other", 1) }()
+	go func() { otherErr <- sem.Acquire(ctx, "other") }()
 	otherAdmitted := false
-	sem.Release("busy", 1)
+	sem.Release("busy")
 	for served := 0; served < 3; served++ {
 		select {
 		case <-done:
-			sem.Release("busy", 1)
+			sem.Release("busy")
 		case err := <-otherErr:
 			if err != nil {
 				t.Fatalf("other tenant shed alongside busy: %v", err)
 			}
-			sem.Release("other", 1)
+			sem.Release("other")
 			otherAdmitted = true
 		case <-time.After(5 * time.Second):
 			t.Fatalf("drain stalled after %d grants", served)
@@ -192,35 +192,35 @@ func TestSchedulerShedQueueFull(t *testing.T) {
 // best-effort work is shed outright while the more-important backlog exceeds
 // capacity, and when it does queue it is only served after the class above.
 func TestSchedulerPriorityShed(t *testing.T) {
-	sem := newFairScheduler(1, TenantConfig{}, map[string]TenantConfig{
+	sem := newFairScheduler(1, map[string]TenantConfig{
 		"fg": {Priority: 0},
 		"bg": {Priority: 1},
 	}, 0)
 	ctx := context.Background()
-	if err := sem.Acquire(ctx, "fg", 1); err != nil {
+	if err := sem.Acquire(ctx, "fg"); err != nil {
 		t.Fatal(err)
 	}
 	fgDone := make(chan error, 1)
-	go func() { fgDone <- sem.Acquire(ctx, "fg", 1) }()
+	go func() { fgDone <- sem.Acquire(ctx, "fg") }()
 	for sem.Waiting() < 1 {
 		time.Sleep(time.Millisecond)
 	}
-	// Priority-0 backlog (weight 1) >= capacity (1): best-effort work is
+	// Priority-0 backlog (one request) >= capacity (1): best-effort work is
 	// refused immediately.
 	var shed *ErrShed
-	if err := sem.Acquire(ctx, "bg", 1); !errors.As(err, &shed) {
+	if err := sem.Acquire(ctx, "bg"); !errors.As(err, &shed) {
 		t.Fatalf("best-effort acquire returned %v, want *ErrShed", err)
 	} else if shed.Reason != "priority backlog" {
 		t.Fatalf("shed reason = %q, want priority backlog", shed.Reason)
 	}
 	// Serve the fg waiter; with the backlog drained, bg queues normally and
 	// is admitted once fg releases.
-	sem.Release("fg", 1)
+	sem.Release("fg")
 	if err := <-fgDone; err != nil {
 		t.Fatal(err)
 	}
 	bgDone := make(chan error, 1)
-	go func() { bgDone <- sem.Acquire(ctx, "bg", 1) }()
+	go func() { bgDone <- sem.Acquire(ctx, "bg") }()
 	for sem.Waiting() < 1 {
 		time.Sleep(time.Millisecond)
 	}
@@ -229,11 +229,11 @@ func TestSchedulerPriorityShed(t *testing.T) {
 		t.Fatal("best-effort work admitted while priority 0 held the slot")
 	case <-time.After(20 * time.Millisecond):
 	}
-	sem.Release("fg", 1)
+	sem.Release("fg")
 	if err := <-bgDone; err != nil {
 		t.Fatal(err)
 	}
-	sem.Release("bg", 1)
+	sem.Release("bg")
 }
 
 // TestEngineShedAccounting checks the end-to-end split: quota sheds surface

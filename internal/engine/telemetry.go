@@ -252,8 +252,8 @@ type Snapshot struct {
 	IncumbentsTotal int64
 	// QueueSeconds is the total time requests spent waiting for admission.
 	QueueSeconds float64
-	// Inflight is the admission weight currently held; Waiting the queued
-	// acquirers.
+	// Inflight is the number of solves currently admitted; Waiting the
+	// queued acquirers.
 	Inflight int64
 	Waiting  int
 	// SolveSeconds / SolveNodes are the per-fresh-solve duration and
@@ -262,9 +262,6 @@ type Snapshot struct {
 	SolveNodes   Histogram
 	// Tenants is the per-tenant accounting, keyed by tenant name.
 	Tenants map[string]TenantSnapshot
-	// Speculation is the speculation controller's accounting (zero when
-	// speculation is off).
-	Speculation SpeculationStats
 }
 
 // solveSecondsBuckets spans sub-millisecond heuristic solves up to the 2m
@@ -366,12 +363,6 @@ func (e *Engine) Snapshot() Snapshot {
 		ts := snap.Tenants[name]
 		ts.Inflight, ts.Queued = g.Inflight, g.Queued
 		snap.Tenants[name] = ts
-	}
-	if e.spec != nil {
-		snap.Speculation = SpeculationStats{
-			Issued:  e.spec.issued.Load(),
-			Dropped: e.spec.dropped.Load(),
-		}
 	}
 	return snap
 }

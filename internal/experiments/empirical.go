@@ -74,7 +74,7 @@ func runE1(cfg Config) (*Result, error) {
 	res := &Result{
 		ID:      "E1",
 		Title:   "Observation 1 — work lower bound vs. every algorithm",
-		Headers: []string{"algorithm", "instances", "min ratio to LB", "violations"},
+		Headers: []string{"algorithm", "instances", "min ratio to LB"},
 	}
 	trials := 400
 	if cfg.Quick {
@@ -88,7 +88,6 @@ func runE1(cfg Config) (*Result, error) {
 		greedybalance.NewUnbalanced(greedybalance.LargerRemaining),
 	}
 	minRatio := make([]float64, len(schedulers))
-	violations := make([]int, len(schedulers))
 	for i := range minRatio {
 		minRatio[i] = math.Inf(1)
 	}
@@ -101,19 +100,18 @@ func runE1(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			ratio := float64(ev.Makespan) / float64(lb)
-			if ratio < minRatio[si] {
-				minRatio[si] = ratio
-			}
 			if ev.Makespan < lb {
-				violations[si]++
+				return nil, fmt.Errorf("Observation 1 violated: %s makespan %d is below the lower bound %d on %v", s.Name(), ev.Makespan, lb, inst)
+			}
+			if ratio := float64(ev.Makespan) / float64(lb); ratio < minRatio[si] {
+				minRatio[si] = ratio
 			}
 		}
 	}
 	for si, s := range schedulers {
-		res.AddRow(s.Name(), trials, minRatio[si], violations[si])
+		res.AddRow(s.Name(), trials, minRatio[si])
 	}
-	res.AddNote("a violation would mean a schedule beat the Observation 1 / chain lower bound, which is impossible")
+	res.AddNote("every schedule meets the Observation 1 / chain lower bound (a schedule beating it fails the run)")
 	return res, nil
 }
 
@@ -156,7 +154,7 @@ func runE2(cfg Config) (*Result, error) {
 				worst = ratio
 			}
 			if ratio > 2+1e-9 {
-				res.AddNote("VIOLATION: ratio %.3f exceeds 2 on %v", ratio, inst)
+				return nil, fmt.Errorf("Theorem 3 violated: RoundRobin/OPT ratio %.3f exceeds 2 on %v", ratio, inst)
 			}
 		}
 		res.AddRow(rg.name, trials, sum/float64(trials), worst, 2.0)
@@ -196,12 +194,11 @@ func runE3(cfg Config) (*Result, error) {
 		}
 		prev = denseTime
 		if dense != pq {
-			res.AddNote("MISMATCH at n=%d: dense %d vs PQ %d", n, dense, pq)
+			return nil, fmt.Errorf("Theorem 5 check failed at n=%d: dense DP %d vs PQ variant %d", n, dense, pq)
 		}
 		res.AddRow(n, dense, pq, denseTime.Round(time.Microsecond).String(), pqTime.Round(time.Microsecond).String(), growth)
 	}
 	// Cross-check against brute force on small instances.
-	agree := 0
 	checks := 40
 	if cfg.Quick {
 		checks = 15
@@ -216,11 +213,11 @@ func runE3(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if opt == bf {
-			agree++
+		if opt != bf {
+			return nil, fmt.Errorf("Theorem 5 check failed: dense DP %d vs brute force %d on %v", opt, bf, inst)
 		}
 	}
-	res.AddNote("brute-force cross-check: %d/%d small instances agree (doubling n should roughly quadruple the dense DP time)", agree, checks)
+	res.AddNote("brute-force cross-check: all %d small instances agree (doubling n should roughly quadruple the dense DP time)", checks)
 	return res, nil
 }
 
@@ -239,7 +236,6 @@ func runE4(cfg Config) (*Result, error) {
 		rows = []cfgRow{{2, 12, 4}, {3, 8, 3}, {4, 4, 2}}
 	}
 	for _, rc := range rows {
-		agree := 0
 		for trial := 0; trial < rc.trials; trial++ {
 			inst := gen.RandomUneven(rng, rc.m, 1, rc.maxJobs, 0.05, 1.0)
 			got, err := optresm.New().Makespan(inst)
@@ -255,13 +251,11 @@ func runE4(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if got == want {
-				agree++
-			} else {
-				res.AddNote("MISMATCH m=%d trial %d: optresm %d vs oracle %d", rc.m, trial, got, want)
+			if got != want {
+				return nil, fmt.Errorf("Theorem 6 check failed: m=%d trial %d: OptResAssignment2 %d vs oracle %d on %v", rc.m, trial, got, want, inst)
 			}
 		}
-		res.AddRow(rc.m, rc.trials, fmt.Sprintf("%d/%d", agree, rc.trials), rc.maxJobs)
+		res.AddRow(rc.m, rc.trials, fmt.Sprintf("%d/%d", rc.trials, rc.trials), rc.maxJobs)
 	}
 	return res, nil
 }
@@ -299,7 +293,7 @@ func runE5(cfg Config) (*Result, error) {
 			}
 			bound := 2 - 1.0/float64(rc.m)
 			if ratio > bound+1e-9 {
-				res.AddNote("VIOLATION: m=%d ratio %.3f exceeds %.3f on %v", rc.m, ratio, bound, inst)
+				return nil, fmt.Errorf("Theorems 7/8 violated: m=%d GreedyBalance/OPT ratio %.3f exceeds %.3f on %v", rc.m, ratio, bound, inst)
 			}
 		}
 		res.AddRow(rc.m, rc.trials, sum/float64(rc.trials), worst, 2-1.0/float64(rc.m))

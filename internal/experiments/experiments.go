@@ -2,7 +2,10 @@
 // figure and per theorem-level claim of the paper (All lists them; `crexp -h`
 // prints the index). Every experiment produces a table of rows that cmd/crexp
 // prints; bench_test.go at the repository root wraps the same runners in
-// testing.B benchmarks.
+// testing.B benchmarks. An experiment that checks a proven claim (a lower
+// bound, an approximation ratio, an exact algorithm against an oracle)
+// returns an error when the check fails, so a violated theorem fails RunAll
+// and makes crexp exit non-zero; conjectures are only reported.
 package experiments
 
 import (

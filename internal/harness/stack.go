@@ -13,7 +13,8 @@ import (
 )
 
 // StackConfig configures an in-process stack. Zero values take the
-// documented defaults, which mirror a small production deployment.
+// documented defaults, which mirror a small production deployment: a 16x4096
+// memo cache, no negative caching and no API keys.
 type StackConfig struct {
 	// DefaultSolver is used by requests that name none (default "portfolio").
 	DefaultSolver string
@@ -22,8 +23,6 @@ type StackConfig struct {
 	// the server, and a generous budget keeps queueing delay out of the
 	// measured latencies).
 	MaxConcurrent int
-	// CacheShards / CacheCapacity size the memo cache (defaults 16 / 4096).
-	CacheShards, CacheCapacity int
 	// Workers / QueueDepth size the job subsystem (defaults 4 / 1024).
 	Workers, QueueDepth int
 	// JobDefaultTimeout / JobMaxTimeout are the job deadline policy
@@ -32,34 +31,15 @@ type StackConfig struct {
 	// Version is reported by /healthz (default "harness").
 	Version string
 	// Tenants are per-tenant admission quotas for the engine's fair
-	// scheduler; empty leaves every tenant on TenantDefaults.
+	// scheduler; unlisted tenants get the engine's default quota.
 	Tenants map[string]engine.TenantConfig
-	// TenantDefaults is the admission policy of unconfigured tenants.
-	TenantDefaults engine.TenantConfig
-	// ShedRetryAfter is the back-off hint attached to quota sheds (default
-	// the engine's 1s).
-	ShedRetryAfter time.Duration
-	// APIKeys maps API keys to tenant names for requests that authenticate
-	// with X-API-Key instead of X-Tenant.
-	APIKeys map[string]string
 	// CacheDir, when set, persists the memo cache there: warm-loaded on
-	// start, flushed every CacheFlush (default 30s) and on Close.
+	// start, flushed every 30s and on Close.
 	CacheDir string
-	// CacheFlush is the periodic flush interval of the cache persister.
-	CacheFlush time.Duration
-	// NegativeTTL, when positive, remembers deterministic solve failures for
-	// that long and replays them without re-solving.
-	NegativeTTL time.Duration
-	// Speculate enables the engine's speculation controller: hot fingerprint
-	// families get their single-mutation variants pre-solved into the memo
-	// cache under the low-priority speculation tenant. SpeculateBudget caps
-	// the variants per hot instance (0 = engine default).
-	Speculate       bool
-	SpeculateBudget int
 }
 
 // Stack is the full production stack — one shared engine (registry, memo
-// cache, admission semaphore, telemetry), the job manager and the HTTP layer
+// cache, admission scheduler, telemetry), the job manager and the HTTP layer
 // — behind an httptest listener. It is what cmd/crload drives when no -addr
 // is given and what end-to-end tests wire up in one call.
 type Stack struct {
@@ -88,12 +68,6 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 64
 	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = 16
-	}
-	if cfg.CacheCapacity <= 0 {
-		cfg.CacheCapacity = 4096
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -110,14 +84,11 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		cfg.Version = "harness"
 	}
 
-	cache := solver.NewCache(cfg.CacheShards, cfg.CacheCapacity)
-	if cfg.NegativeTTL > 0 {
-		cache.SetNegativeTTL(cfg.NegativeTTL)
-	}
+	cache := solver.NewCache(16, 4096)
 	var persister *solver.Persister
 	var loadRep solver.LoadReport
 	if cfg.CacheDir != "" {
-		p, err := solver.NewPersister(cache, cfg.CacheDir, cfg.CacheFlush)
+		p, err := solver.NewPersister(cache, cfg.CacheDir, 0)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %w", err)
 		}
@@ -130,15 +101,11 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	}
 
 	eng, err := engine.New(engine.Config{
-		Registry:        solver.Default(),
-		Cache:           cache,
-		DefaultSolver:   cfg.DefaultSolver,
-		MaxConcurrent:   cfg.MaxConcurrent,
-		Tenants:         cfg.Tenants,
-		TenantDefaults:  cfg.TenantDefaults,
-		ShedRetryAfter:  cfg.ShedRetryAfter,
-		Speculate:       cfg.Speculate,
-		SpeculateBudget: cfg.SpeculateBudget,
+		Registry:      solver.Default(),
+		Cache:         cache,
+		DefaultSolver: cfg.DefaultSolver,
+		MaxConcurrent: cfg.MaxConcurrent,
+		Tenants:       cfg.Tenants,
 	})
 	if err != nil {
 		if persister != nil {
@@ -155,7 +122,6 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		MaxTimeout:     cfg.JobMaxTimeout,
 	})
 	if err != nil {
-		eng.Close()
 		if persister != nil {
 			_ = persister.Close()
 		}
@@ -165,10 +131,8 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		Engine:  eng,
 		Jobs:    manager,
 		Version: cfg.Version,
-		APIKeys: cfg.APIKeys,
 	})
 	if err != nil {
-		eng.Close()
 		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = manager.Close(cctx)
@@ -190,12 +154,10 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 }
 
 // Close tears the stack down in order: listener first (drains handlers),
-// then the engine (stops the speculation controller), then the job manager
-// (cancels running jobs), then the cache persister (final flush). It returns
-// the first error.
+// then the job manager (cancels running jobs), then the cache persister
+// (final flush). It returns the first error.
 func (s *Stack) Close() error {
 	s.listener.Close()
-	s.Engine.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	err := s.Manager.Close(ctx)

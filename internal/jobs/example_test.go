@@ -22,7 +22,6 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	defer eng.Close()
 	manager, err := jobs.New(jobs.Config{Engine: eng, Workers: 1})
 	if err != nil {
 		panic(err)

@@ -54,14 +54,13 @@ func testInstance() *core.Instance {
 }
 
 // newTestEngine builds an engine over reg defaulting to the "stub" solver,
-// memoising into cache (nil: no cache), and closes it when the test ends.
+// memoising into cache (nil: no cache).
 func newTestEngine(t *testing.T, reg *solver.Registry, cache *solver.Cache) *engine.Engine {
 	t.Helper()
 	eng, err := engine.New(engine.Config{Registry: reg, Cache: cache, DefaultSolver: "stub"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(eng.Close)
 	return eng
 }
 

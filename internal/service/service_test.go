@@ -47,14 +47,13 @@ func (s *stubSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Sche
 	return sched, solver.Stats{Solver: s.name, Elapsed: time.Microsecond}, err
 }
 
-// newTestEngine builds an engine from cfg and closes it when the test ends.
+// newTestEngine builds an engine from cfg, failing the test on error.
 func newTestEngine(t *testing.T, cfg engine.Config) *engine.Engine {
 	t.Helper()
 	eng, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(eng.Close)
 	return eng
 }
 

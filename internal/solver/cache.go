@@ -331,25 +331,6 @@ func (c *Cache) Contains(solverName string, fp core.Fingerprint) bool {
 	return ok
 }
 
-// Lookup returns the cached evaluation for the pair, if any, without ever
-// solving. It still refreshes the entry's LRU position, counts hits, and
-// remaps the schedule to inst's processor order like Evaluate does.
-func (c *Cache) Lookup(solverName string, inst *core.Instance) (*Evaluation, bool) {
-	key := CacheKey{Solver: solverName, Fingerprint: inst.Fingerprint()}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
-		sh.order.MoveToFront(el)
-		entry := el.Value.(*cacheEntry)
-		ev, stored := entry.ev, entry.inst
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		return remapEvaluation(stored, inst, ev), true
-	}
-	sh.mu.Unlock()
-	return nil, false
-}
-
 // insertLocked stores the evaluation, evicting from the LRU tail when the
 // shard is full. Callers hold the shard lock.
 func (s *cacheShard) insertLocked(key CacheKey, inst *core.Instance, ev *Evaluation, evictions *atomic.Uint64) {

@@ -192,11 +192,11 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("evictions = %d, want 3", st.Evictions)
 	}
 	// The most recent entry is resident.
-	if _, ok := c.Lookup("stub", core.NewInstance([]float64{0.5})); !ok {
+	if !c.Contains("stub", core.NewInstance([]float64{0.5}).Fingerprint()) {
 		t.Fatal("most recent entry should be resident")
 	}
 	// The oldest is gone.
-	if _, ok := c.Lookup("stub", core.NewInstance([]float64{0.1})); ok {
+	if c.Contains("stub", core.NewInstance([]float64{0.1}).Fingerprint()) {
 		t.Fatal("oldest entry should have been evicted")
 	}
 }

@@ -161,7 +161,11 @@ func TestWarmHintFromNeighborIndex(t *testing.T) {
 
 	// The hint must be owned by the caller, not an alias of the cached
 	// evaluation's schedule.
-	if ev, ok := cache.Lookup(s.Name(), base); ok && ev.Schedule == hint {
+	ev, src, err := cache.Evaluate(context.Background(), s, base)
+	if err != nil || src != SourceCache {
+		t.Fatalf("base re-solve: src=%v err=%v, want a cache hit", src, err)
+	}
+	if ev.Schedule == hint {
 		t.Fatal("WarmHint returned the cached schedule itself")
 	}
 }
