@@ -65,7 +65,6 @@ func main() {
 	shedRetryAfter := flag.Duration("shed-retry-after", time.Second, "Retry-After hint attached to quota sheds (429s)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent warm cache; empty keeps the memo cache in memory only")
 	cacheFlush := flag.Duration("cache-flush", 30*time.Second, "interval between periodic cache snapshots to -cache-dir")
-	negativeTTL := flag.Duration("negative-ttl", 0, "remember deterministic solve failures for this long and replay them without re-solving; 0 disables")
 	apiKeySpec := flag.String("api-keys", "", "API key to tenant mapping, key=tenant,... (keys arrive as X-API-Key or Authorization: Bearer)")
 	flag.Parse()
 
@@ -90,9 +89,6 @@ func main() {
 	var persister *solver.Persister
 	if *cacheCapacity > 0 {
 		cache = solver.NewCache(*cacheShards, *cacheCapacity)
-		if *negativeTTL > 0 {
-			cache.SetNegativeTTL(*negativeTTL)
-		}
 		if *cacheDir != "" {
 			p, err := solver.NewPersister(cache, *cacheDir, *cacheFlush)
 			if err != nil {

@@ -93,11 +93,10 @@
 // violation. A golden-corpus suite under internal/harness/testdata pins
 // every deterministic solver's makespan and waste inside `go test ./...`.
 //
-// The two hottest exact kernels are parallel internally as well:
-// branch-and-bound explores frontier subtrees on a worker pool with a shared
-// atomic incumbent bound and a bounded hand-off queue, and the configuration
-// enumeration fans each round's successor generation out in chunks. Both
-// poll their context and return promptly on cancellation.
+// The hottest exact kernel is parallel internally as well: branch-and-bound
+// explores frontier subtrees on a worker pool with a shared atomic
+// incumbent bound and a bounded hand-off queue, polls its context and
+// returns promptly on cancellation.
 //
 // The root package itself only carries this documentation and the benchmark
 // suite (bench_test.go) that regenerates every figure-level experiment under

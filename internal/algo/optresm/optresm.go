@@ -157,8 +157,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 			return nil, fmt.Errorf("optresm: internal error: no successor configurations at round %d", t+1)
 		}
 		// Every deduplicated configuration of the round counts as an explored
-		// node for solve telemetry; the serial and parallel schedulers generate
-		// identical rounds, so the tally is deterministic across both.
+		// node for solve telemetry.
 		progress.AddNodes(ctx, int64(len(next)))
 
 		// Check for a final configuration before pruning: any final
@@ -323,9 +322,8 @@ func derive(inst *core.Instance, c *config, finish []int, partial int, amount fl
 // is always sound). Each candidate is tested against the kept configurations
 // only, stopping at the first dominator, so rounds whose members are mostly
 // dominated by a few leaders cost far fewer comparisons than n². Survivors
-// are returned in their original order, which keeps the serial and the
-// parallel scheduler (which share this function) deterministic and
-// bit-identical to each other.
+// are returned in their original order, which keeps the scheduler
+// deterministic.
 func pruneDominated(ctx context.Context, configs []*config) ([]*config, error) {
 	n := len(configs)
 	if n <= 1 {

@@ -54,7 +54,8 @@ func (e *ErrShed) Error() string {
 }
 
 // Shed is a marker method: the solver cache treats errors with Shed() true as
-// transient (never negative-cached), without importing this package.
+// transient, so coalesced followers retry instead of inheriting the shed,
+// without importing this package.
 func (e *ErrShed) Shed() bool { return true }
 
 // TenantGauge is the live admission state of one tenant.

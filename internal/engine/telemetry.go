@@ -33,8 +33,8 @@ type Telemetry struct {
 	// Algorithm is the algorithm that produced the schedule; for a portfolio
 	// win it reads "member (via portfolio)".
 	Algorithm string `json:"algorithm"`
-	// Source reports how the result was obtained: "solve", "cache",
-	// "coalesced" or "negative" (a remembered infeasible/failed solve).
+	// Source reports how the result was obtained: "solve", "cache" or
+	// "coalesced".
 	Source string `json:"source"`
 	// ElapsedMS is the wall-clock of the solve that produced the result. For
 	// cache and coalesced answers it replays the original solve's duration.
@@ -178,7 +178,6 @@ type metrics struct {
 	sourceSolve     atomic.Uint64
 	sourceCache     atomic.Uint64
 	sourceCoalesced atomic.Uint64
-	sourceNegative  atomic.Uint64
 	errorsTotal     atomic.Uint64
 	shedTotal       atomic.Uint64
 	warmStarts      atomic.Uint64
@@ -231,12 +230,11 @@ type TenantSnapshot struct {
 
 // Snapshot is a point-in-time copy of the engine's aggregate telemetry.
 type Snapshot struct {
-	// SourceSolve / SourceCache / SourceCoalesced / SourceNegative count
-	// completed solve requests by where their answer came from.
+	// SourceSolve / SourceCache / SourceCoalesced count completed solve
+	// requests by where their answer came from.
 	SourceSolve     uint64
 	SourceCache     uint64
 	SourceCoalesced uint64
-	SourceNegative  uint64
 	// Errors counts failed solve requests (including deadline expiries but
 	// not sheds — those are counted under Shed, keeping quota rejections
 	// distinct from genuine failures).
@@ -297,12 +295,6 @@ func (m *metrics) observe(tenant string, src solver.Source, ev *solver.Evaluatio
 			tc.shed.Add(1)
 			return
 		}
-		if src == solver.SourceNegative {
-			// A negative-cache answer is a remembered failure: it is a served
-			// response, not a new error.
-			m.sourceNegative.Add(1)
-			return
-		}
 		m.errorsTotal.Add(1)
 		tc.errors.Add(1)
 		return
@@ -336,7 +328,6 @@ func (e *Engine) Snapshot() Snapshot {
 		SourceSolve:     e.met.sourceSolve.Load(),
 		SourceCache:     e.met.sourceCache.Load(),
 		SourceCoalesced: e.met.sourceCoalesced.Load(),
-		SourceNegative:  e.met.sourceNegative.Load(),
 		Errors:          e.met.errorsTotal.Load(),
 		Shed:            e.met.shedTotal.Load(),
 		WarmStarts:      e.met.warmStarts.Load(),

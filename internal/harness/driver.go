@@ -500,7 +500,10 @@ func (d *Driver) metricsURLs() []string {
 }
 
 // liveArrivals runs the open-loop generator: one arrival loop per tenant at
-// its own rate for the configured duration.
+// its own rate for the configured duration. Arrival k is due k/rate after
+// start; a loop that falls behind (a starved goroutine, a slow arrive) issues
+// the overdue arrivals at once instead of dropping them, so the run offers
+// exactly the rate it reports.
 func (d *Driver) liveArrivals(ctx context.Context, start time.Time, inflight chan struct{}, wg *sync.WaitGroup) {
 	items := d.cfg.Corpus.Items()
 	rng := rand.New(rand.NewSource(d.cfg.Corpus.Seed))
@@ -512,12 +515,6 @@ func (d *Driver) liveArrivals(ctx context.Context, start time.Time, inflight cha
 	if len(loads) == 0 {
 		loads = []TenantLoad{{Rate: d.cfg.Rate}}
 	}
-
-	// stop ends arrival generation at the deadline; requests already in
-	// flight still finish within their own timeouts.
-	stop := make(chan struct{})
-	stopper := time.AfterFunc(d.cfg.Duration, func() { close(stop) })
-	defer stopper.Stop()
 
 	var loops sync.WaitGroup // arrival loops
 	for ti, tl := range loads {
@@ -532,52 +529,58 @@ func (d *Driver) liveArrivals(ctx context.Context, start time.Time, inflight cha
 			if rate <= 0 {
 				rate = d.cfg.Rate
 			}
-			interval := time.Duration(float64(time.Second) / rate)
-			if interval <= 0 {
-				interval = time.Millisecond
-			}
-			ticker := time.NewTicker(interval)
-			defer ticker.Stop()
+			timer := time.NewTimer(0)
+			defer timer.Stop()
 			next := ti * 7
 			// Online-class chain state: the current instance, how many
 			// mutation steps it is from its base, and the base's family.
 			var online Item
 			onlineStep := onlineChainLen // start a fresh chain on first draw
-			for {
-				select {
-				case <-ctx.Done():
+			for k := 0; ; k++ {
+				// Requests already in flight at the deadline still finish
+				// within their own timeouts.
+				due := time.Duration(float64(k) * float64(time.Second) / rate)
+				if due >= d.cfg.Duration {
 					return
-				case <-stop:
-					return
-				case <-ticker.C:
-					class := d.cfg.Mix.pick(rng)
-					at := next
-					next++
-					var req []Item
-					switch class {
-					case ClassBatch:
-						req = make([]Item, 0, d.cfg.BatchSize)
-						for i := 0; i < d.cfg.BatchSize; i++ {
-							req = append(req, items[(at+i)%len(items)])
-						}
-					case ClassOnline:
-						// The chain's first arrival replays the base itself
-						// (warming the cache); each later arrival is one
-						// mutation of its predecessor, so consecutive
-						// instances are fingerprint-distinct but shape-near.
-						if onlineStep >= onlineChainLen {
-							online = items[at%len(items)]
-							onlineStep = 0
-						} else {
-							online.Inst = gen.Mutate(rng, online.Inst, gen.Mutations[onlineStep%len(gen.Mutations)])
-							onlineStep++
-						}
-						req = []Item{online}
-					default:
-						req = []Item{items[at%len(items)]}
-					}
-					d.arrive(ctx, start, inflight, wg, class, tl.Name, req)
 				}
+				if wait := due - time.Since(start); wait > 0 {
+					timer.Reset(wait)
+					select {
+					case <-ctx.Done():
+						return
+					case <-timer.C:
+					}
+				}
+				if ctx.Err() != nil {
+					return
+				}
+				class := d.cfg.Mix.pick(rng)
+				at := next
+				next++
+				var req []Item
+				switch class {
+				case ClassBatch:
+					req = make([]Item, 0, d.cfg.BatchSize)
+					for i := 0; i < d.cfg.BatchSize; i++ {
+						req = append(req, items[(at+i)%len(items)])
+					}
+				case ClassOnline:
+					// The chain's first arrival replays the base itself
+					// (warming the cache); each later arrival is one
+					// mutation of its predecessor, so consecutive
+					// instances are fingerprint-distinct but shape-near.
+					if onlineStep >= onlineChainLen {
+						online = items[at%len(items)]
+						onlineStep = 0
+					} else {
+						online.Inst = gen.Mutate(rng, online.Inst, gen.Mutations[onlineStep%len(gen.Mutations)])
+						onlineStep++
+					}
+					req = []Item{online}
+				default:
+					req = []Item{items[at%len(items)]}
+				}
+				d.arrive(ctx, start, inflight, wg, class, tl.Name, req)
 			}
 		}(ti, tl)
 	}

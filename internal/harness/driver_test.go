@@ -4,7 +4,10 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,6 +149,53 @@ func TestDriverCountsServerErrors(t *testing.T) {
 	}
 	if len(cs.ErrorSamples) == 0 {
 		t.Fatal("no error samples recorded")
+	}
+}
+
+// TestDriverKeepsRateUnderStarvation starves the arrival loop of CPU — one
+// P shared with four spinning goroutines — and checks the open-loop
+// generator still issues every arrival of its schedule (rate x duration),
+// catching up when late instead of dropping the arrivals it missed.
+func TestDriverKeepsRateUnderStarvation(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"stub"}`, http.StatusInternalServerError)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	d, err := NewDriver(Config{
+		BaseURL:     ts.URL,
+		Corpus:      BuildCorpus(1),
+		Mix:         Mix{Solve: 1},
+		Rate:        500,
+		Duration:    400 * time.Millisecond,
+		SkipMetrics: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var stop atomic.Bool
+	var spinners sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		spinners.Add(1)
+		go func() {
+			defer spinners.Done()
+			for !stop.Load() {
+			}
+		}()
+	}
+	rep, err := d.Run(context.Background())
+	stop.Store(true)
+	spinners.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 200 // 500/s for 400ms
+	if got := rep.Classes[ClassSolve].Requests + rep.Shed; got != want {
+		t.Fatalf("issued %d arrivals (%d completed, %d shed), want %d", got, rep.Classes[ClassSolve].Requests, rep.Shed, want)
 	}
 }
 

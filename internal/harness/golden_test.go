@@ -27,10 +27,11 @@ const goldenSeed = 1
 // random instances plus the paper's fixed constructions.
 var goldenFamilies = []string{FamilyTinyExact, FamilyPaperFigures}
 
-// goldenSolvers lists every registered solver with deterministic output —
-// the parallel kernels and the portfolio are excluded because ties between
-// equal-makespan schedules are broken by timing, which would make waste
-// values flap.
+// goldenSolvers lists every registered solver with deterministic output.
+// The parallel kernels are excluded: ties between equal-makespan schedules
+// are broken by timing, which would make waste values flap. The portfolio is
+// included: it breaks ties by (makespan, waste, member order), not by which
+// member finished first, so its answer is pinned like any other solver's.
 var goldenSolvers = []string{
 	"round-robin",
 	"greedy-balance",
@@ -40,6 +41,7 @@ var goldenSolvers = []string{
 	"branch-and-bound",
 	"chunked-exact-w2",
 	"chunked-exact-w3",
+	"portfolio",
 }
 
 // goldenEntry is one (instance, solver) observation. Makespan must match

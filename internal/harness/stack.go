@@ -14,7 +14,7 @@ import (
 
 // StackConfig configures an in-process stack. Zero values take the
 // documented defaults, which mirror a small production deployment: a 16x4096
-// memo cache, no negative caching and no API keys.
+// memo cache and no API keys.
 type StackConfig struct {
 	// DefaultSolver is used by requests that name none (default "portfolio").
 	DefaultSolver string

@@ -16,6 +16,9 @@ import (
 	"crsharing/internal/service"
 )
 
+// maxBodyBytes caps request body sizes, mirroring the backend's own cap.
+const maxBodyBytes = 32 << 20
+
 // Config configures a Router. Zero values of optional fields get the
 // documented defaults in New.
 type Config struct {
@@ -36,9 +39,6 @@ type Config struct {
 	// http.DefaultClient). Per-request deadlines come from the incoming
 	// request's context; probes use ProbeInterval as their own timeout.
 	Client *http.Client
-	// MaxBodyBytes caps request body sizes (default 32 MiB), mirroring the
-	// backend's own cap.
-	MaxBodyBytes int64
 	// Logf, when set, receives membership transitions (ejections,
 	// re-admissions, drains); nil is silent.
 	Logf func(format string, args ...any)
@@ -106,9 +106,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.Client == nil {
 		cfg.Client = http.DefaultClient
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 32 << 20
 	}
 	rt := &Router{
 		cfg:      cfg,
@@ -348,7 +345,7 @@ func (rt *Router) healthyBackends() []string {
 
 // readBody slurps and bounds the request body.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		rt.fail(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return nil, false

@@ -99,7 +99,6 @@ func (m *metrics) write(w io.Writer, eng *engine.Engine, jm *jobs.Manager, uptim
 	counter("crsharing_cache_served_total", "Solve requests answered from the cache or an in-flight solve.", snap.SourceCache+snap.SourceCoalesced)
 	counter("crsharing_engine_source_cache_total", "Solve requests answered from the memo cache.", snap.SourceCache)
 	counter("crsharing_engine_source_coalesced_total", "Solve requests coalesced onto an identical in-flight solve.", snap.SourceCoalesced)
-	counter("crsharing_engine_source_negative_total", "Solve requests answered by replaying a remembered deterministic failure.", snap.SourceNegative)
 	counter("crsharing_engine_errors_total", "Solve requests that failed (excluding quota sheds).", snap.Errors)
 	counter("crsharing_engine_shed_total", "Solve requests refused over a tenant quota (429 material, not errors).", snap.Shed)
 	counter("crsharing_engine_nodes_total", "Search nodes / configurations explored by fresh solves.", uint64(snap.NodesTotal))
@@ -140,8 +139,6 @@ func (m *metrics) write(w io.Writer, eng *engine.Engine, jm *jobs.Manager, uptim
 		counter("crsharing_cache_coalesced_total", "Requests coalesced onto an identical in-flight solve.", st.Coalesced)
 		counter("crsharing_cache_evictions_total", "LRU evictions.", st.Evictions)
 		gauge("crsharing_cache_entries", "Evaluations currently cached.", float64(st.Entries))
-		counter("crsharing_cache_negative_hits_total", "Requests answered from the negative cache (remembered failures).", st.NegativeHits)
-		gauge("crsharing_cache_negative_entries", "Remembered failures currently held (expiry is lazy).", float64(st.NegativeEntries))
 	}
 	if jm != nil {
 		st := jm.Stats()

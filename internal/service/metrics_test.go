@@ -127,10 +127,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"crsharing_requests_shed_total",
 		"crsharing_solves_total",
 		"crsharing_cache_entries",
-		"crsharing_cache_negative_hits_total",
-		"crsharing_cache_negative_entries",
 		"crsharing_engine_shed_total",
-		"crsharing_engine_source_negative_total",
 		`crsharing_tenant_requests_total{tenant="default"}`,
 		`crsharing_tenant_shed_total{tenant="default"}`,
 		`crsharing_tenant_errors_total{tenant="default"}`,

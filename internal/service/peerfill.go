@@ -29,19 +29,12 @@ const (
 	FillHeader = "X-CRFleet-Fill"
 )
 
-// peerClient returns the HTTP client used for peer cache fills.
-func (s *Server) peerClient() *http.Client {
-	if s.cfg.PeerClient != nil {
-		return s.cfg.PeerClient
-	}
-	return http.DefaultClient
-}
-
 // forwardFill relays a cache-miss solve to the owning peer backend and, on
 // success, streams the owner's response through verbatim (reporting true: the
 // request is finished). Any failure — transport error, non-2xx — reports
 // false and the caller falls back to solving locally, so a dead or draining
-// owner degrades to a cold-cache solve, never a failed request.
+// owner degrades to a cold-cache solve, never a failed request. The forward
+// runs under the original request's context, so it never outlives the client.
 func (s *Server) forwardFill(w http.ResponseWriter, r *http.Request, owner, tenant string, req *SolveRequest) bool {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -58,7 +51,7 @@ func (s *Server) forwardFill(w http.ResponseWriter, r *http.Request, owner, tena
 	if tenant != "" {
 		preq.Header.Set(TenantHeader, tenant)
 	}
-	resp, err := s.peerClient().Do(preq)
+	resp, err := http.DefaultClient.Do(preq)
 	if err != nil {
 		s.metrics.peerFillErrors.Add(1)
 		return false

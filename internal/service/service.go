@@ -44,6 +44,9 @@ import (
 	"crsharing/internal/jobs"
 )
 
+// maxBodyBytes caps request body sizes.
+const maxBodyBytes = 32 << 20
+
 // Config configures a Server. Engine is required; the zero value of every
 // other field is replaced by the documented default in New.
 type Config struct {
@@ -54,17 +57,10 @@ type Config struct {
 	Engine *engine.Engine
 	// MaxBatch caps the instances of one batch request (default 1024).
 	MaxBatch int
-	// MaxBodyBytes caps request body sizes (default 32 MiB).
-	MaxBodyBytes int64
 	// Jobs, when non-nil, enables the asynchronous job API (/v1/jobs*) for
 	// solves that outlast the synchronous deadline. The manager's lifecycle
 	// belongs to the caller: close it after the HTTP listener drains.
 	Jobs *jobs.Manager
-	// PeerClient is the HTTP client used to forward cache-miss solves to the
-	// owning peer backend in a routed fleet (see OwnerHeader); default
-	// http.DefaultClient. The forward runs under the original request's
-	// context, so it never outlives the client.
-	PeerClient *http.Client
 	// APIKeys maps API keys (sent as "Authorization: Bearer <key>" or in the
 	// X-API-Key header) to tenant names. Requests may also name their tenant
 	// directly with the X-Tenant header; with neither they run as the default
@@ -98,9 +94,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1024
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 32 << 20
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -389,7 +382,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // rejecting trailing garbage. It writes the error response itself and
 // reports whether decoding succeeded.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(dst); err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err))
 		return false

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"crsharing/internal/core"
 )
@@ -23,10 +22,6 @@ const (
 	// SourceCoalesced marks a call that waited on an identical in-flight
 	// solve instead of starting its own (singleflight deduplication).
 	SourceCoalesced Source = "coalesced"
-	// SourceNegative marks a hit on the negative cache: the same request
-	// failed deterministically before, and the remembered error is replayed
-	// without re-solving (or re-entering admission).
-	SourceNegative Source = "negative"
 )
 
 // CacheKey identifies a memoised evaluation: the same instance (by canonical
@@ -43,11 +38,6 @@ type CacheStats struct {
 	Coalesced uint64
 	Evictions uint64
 	Entries   int
-	// NegativeHits counts requests answered by replaying a remembered
-	// deterministic failure; NegativeEntries is the current number of
-	// remembered failures (expired entries are dropped lazily).
-	NegativeHits    uint64
-	NegativeEntries int
 }
 
 // Cache is a sharded LRU memo cache over solver evaluations with singleflight
@@ -64,15 +54,10 @@ type Cache struct {
 	// turns misses into warm-start hints; see neighbor.go.
 	neighbors *neighborIndex
 
-	// negTTL is the negative-cache lifetime in nanoseconds; 0 disables
-	// negative caching (the default).
-	negTTL atomic.Int64
-
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	coalesced atomic.Uint64
 	evictions atomic.Uint64
-	negHits   atomic.Uint64
 }
 
 type cacheShard struct {
@@ -81,19 +66,9 @@ type cacheShard struct {
 	entries  map[CacheKey]*list.Element
 	order    *list.List // front = most recently used; values are *cacheEntry
 	inflight map[CacheKey]*flight
-	// negative remembers deterministic solve failures until they expire; it
-	// is bounded by the shard capacity (arbitrary eviction when full —
-	// negative entries are cheap hints, not results).
-	negative map[CacheKey]negEntry
 	// gen counts positive mutations (inserts and their evictions) of the
 	// shard; the persistence layer flushes only shards whose gen moved.
 	gen uint64
-}
-
-// negEntry is one remembered failure.
-type negEntry struct {
-	msg     string
-	expires time.Time
 }
 
 type cacheEntry struct {
@@ -131,21 +106,9 @@ func NewCache(shards, capacity int) *Cache {
 			entries:  make(map[CacheKey]*list.Element),
 			order:    list.New(),
 			inflight: make(map[CacheKey]*flight),
-			negative: make(map[CacheKey]negEntry),
 		}
 	}
 	return c
-}
-
-// SetNegativeTTL enables negative caching: deterministic solve failures
-// (anything but context cancellation/expiry and admission sheds) are
-// remembered for ttl and replayed to identical requests without re-solving.
-// A ttl of 0 disables it. Safe to call concurrently with lookups.
-func (c *Cache) SetNegativeTTL(ttl time.Duration) {
-	if ttl < 0 {
-		ttl = 0
-	}
-	c.negTTL.Store(int64(ttl))
 }
 
 // shard picks the shard for a key, mixing the solver name into the
@@ -161,17 +124,15 @@ func (c *Cache) shard(key CacheKey) *cacheShard {
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
 	st := CacheStats{
-		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
-		Coalesced:    c.coalesced.Load(),
-		Evictions:    c.evictions.Load(),
-		NegativeHits: c.negHits.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Coalesced: c.coalesced.Load(),
+		Evictions: c.evictions.Load(),
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		st.Entries += s.order.Len()
-		st.NegativeEntries += len(s.negative)
 		s.mu.Unlock()
 	}
 	return st
@@ -207,14 +168,6 @@ func (c *Cache) EvaluateWithFingerprint(ctx context.Context, s Solver, inst *cor
 			c.hits.Add(1)
 			return remapEvaluation(stored, inst, ev), SourceCache, nil
 		}
-		if ne, ok := sh.negative[key]; ok {
-			if c.negTTL.Load() > 0 && time.Now().Before(ne.expires) {
-				sh.mu.Unlock()
-				c.negHits.Add(1)
-				return nil, SourceNegative, &CachedFailure{Msg: ne.msg}
-			}
-			delete(sh.negative, key) // expired (or negative caching turned off)
-		}
 		if fl, ok := sh.inflight[key]; ok {
 			sh.mu.Unlock()
 			select {
@@ -249,9 +202,6 @@ func (c *Cache) EvaluateWithFingerprint(ctx context.Context, s Solver, inst *cor
 		delete(sh.inflight, key)
 		if fl.err == nil {
 			sh.insertLocked(key, fl.inst, fl.ev, &c.evictions)
-			delete(sh.negative, key)
-		} else if ttl := time.Duration(c.negTTL.Load()); ttl > 0 && !transientError(fl.err) {
-			sh.storeNegativeLocked(key, fl.err, time.Now().Add(ttl))
 		}
 		sh.mu.Unlock()
 		if fl.err == nil {
@@ -264,44 +214,16 @@ func (c *Cache) EvaluateWithFingerprint(ctx context.Context, s Solver, inst *cor
 	}
 }
 
-// CachedFailure is the error a negative-cache hit replays: the message of
-// the original deterministic failure, answered without re-solving.
-type CachedFailure struct{ Msg string }
-
-func (e *CachedFailure) Error() string { return e.Msg }
-
 // transientError reports whether a solve error is tied to this caller rather
 // than the instance: context cancellation/expiry, or an admission shed
 // (detected structurally via a Shed() method so the engine's error type does
-// not have to be imported). Transient errors are never negative-cached, and
-// followers holding one retry as their own leader.
+// not have to be imported). Followers holding one retry as their own leader.
 func transientError(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return true
 	}
 	var shed interface{ Shed() bool }
 	return errors.As(err, &shed) && shed.Shed()
-}
-
-// storeNegativeLocked remembers a failure, keeping the negative map within
-// the shard capacity: expired entries are collected first, then arbitrary
-// ones — a dropped negative entry only costs a redundant future solve.
-func (s *cacheShard) storeNegativeLocked(key CacheKey, err error, expires time.Time) {
-	if len(s.negative) >= s.capacity {
-		now := time.Now()
-		for k, ne := range s.negative {
-			if !now.Before(ne.expires) {
-				delete(s.negative, k)
-			}
-		}
-		for k := range s.negative {
-			if len(s.negative) < s.capacity {
-				break
-			}
-			delete(s.negative, k)
-		}
-	}
-	s.negative[key] = negEntry{msg: err.Error(), expires: expires}
 }
 
 // remapEvaluation adapts a stored evaluation to the requesting instance:

@@ -16,16 +16,17 @@ import (
 // stubSolver counts its Solve calls and can block or fail on demand; when it
 // succeeds it delegates to greedy-balance so the schedule is valid.
 type stubSolver struct {
-	name  string
-	calls atomic.Int64
-	block chan struct{} // when non-nil, Solve waits for close(block) or ctx
-	fail  error
+	name      string
+	calls     atomic.Int64
+	block     chan struct{} // when non-nil, Solve waits for close(block) or ctx
+	fail      error
+	failFirst error // returned by the first call only
 }
 
 func (s *stubSolver) Name() string { return s.name }
 
 func (s *stubSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Schedule, Stats, error) {
-	s.calls.Add(1)
+	n := s.calls.Add(1)
 	if s.block != nil {
 		select {
 		case <-s.block:
@@ -35,6 +36,9 @@ func (s *stubSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Sche
 	}
 	if s.fail != nil {
 		return nil, Stats{Solver: s.name}, s.fail
+	}
+	if n == 1 && s.failFirst != nil {
+		return nil, Stats{Solver: s.name}, s.failFirst
 	}
 	sched, err := greedybalance.New().Schedule(inst)
 	return sched, Stats{Solver: s.name}, err
@@ -115,63 +119,110 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestCacheLeaderCancelDoesNotPoison cancels the in-flight leader and checks
+// shedLikeErr mimics the engine's quota shed without importing it.
+type shedLikeErr struct{}
+
+func (shedLikeErr) Error() string { return "quota shed" }
+func (shedLikeErr) Shed() bool    { return true }
+
+// waitingCtx is a never-cancelled context that closes waiting the first time
+// Done is called. Evaluate touches ctx.Done only when it parks on another
+// caller's in-flight solve, so waiting closing means the caller has joined
+// that flight as a follower.
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func newWaitingCtx() *waitingCtx {
+	return &waitingCtx{Context: context.Background(), waiting: make(chan struct{})}
+}
+
+func (c *waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestCacheLeaderCancelDoesNotPoison fails the in-flight leader with a
+// transient error (its own cancellation, or an admission shed) and checks
 // that a waiting follower retries under its own live context instead of
-// inheriting the leader's cancellation.
+// inheriting the leader's failure.
 func TestCacheLeaderCancelDoesNotPoison(t *testing.T) {
-	c := NewCache(1, 8)
-	s := &stubSolver{name: "stub", block: make(chan struct{})}
-	inst := core.NewInstance([]float64{0.3, 0.7})
+	for _, tc := range []struct {
+		name string
+		shed bool
+	}{{"cancel", false}, {"shed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCache(1, 8)
+			s := &stubSolver{name: "stub", block: make(chan struct{})}
+			if tc.shed {
+				s.failFirst = shedLikeErr{}
+			}
+			inst := core.NewInstance([]float64{0.3, 0.7})
 
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	leaderIn := make(chan struct{})
-	leaderOut := make(chan error, 1)
-	go func() {
-		close(leaderIn)
-		_, _, err := c.Evaluate(leaderCtx, s, inst)
-		leaderOut <- err
-	}()
-	<-leaderIn
-	for s.calls.Load() == 0 { // leader is inside Solve, blocked
-		runtime.Gosched()
-	}
+			leaderCtx, cancelLeader := context.WithCancel(context.Background())
+			defer cancelLeader()
+			leaderOut := make(chan error, 1)
+			go func() {
+				_, _, err := c.Evaluate(leaderCtx, s, inst)
+				leaderOut <- err
+			}()
+			for s.calls.Load() == 0 { // leader is inside Solve, blocked
+				runtime.Gosched()
+			}
 
-	followerOut := make(chan error, 1)
-	go func() {
-		ev, _, err := c.Evaluate(context.Background(), s, inst)
-		if err == nil && ev == nil {
-			err = errors.New("nil evaluation")
-		}
-		followerOut <- err
-	}()
+			followerCtx := newWaitingCtx()
+			followerOut := make(chan error, 1)
+			go func() {
+				ev, _, err := c.Evaluate(followerCtx, s, inst)
+				if err == nil && ev == nil {
+					err = errors.New("nil evaluation")
+				}
+				followerOut <- err
+			}()
+			<-followerCtx.waiting // the follower is parked on the leader's flight
 
-	cancelLeader()
-	if err := <-leaderOut; !errors.Is(err, context.Canceled) {
-		t.Fatalf("leader: err=%v, want context.Canceled", err)
-	}
-	close(s.block) // the follower's retry solve completes immediately
-	if err := <-followerOut; err != nil {
-		t.Fatalf("follower: %v, want success via retry", err)
-	}
-	if got := s.calls.Load(); got != 2 {
-		t.Fatalf("solver invoked %d times, want 2 (leader + follower retry)", got)
+			if tc.shed {
+				close(s.block) // the leader's solve returns the shed
+				if err := <-leaderOut; !errors.Is(err, shedLikeErr{}) {
+					t.Fatalf("leader: err=%v, want the shed", err)
+				}
+			} else {
+				cancelLeader()
+				if err := <-leaderOut; !errors.Is(err, context.Canceled) {
+					t.Fatalf("leader: err=%v, want context.Canceled", err)
+				}
+				close(s.block) // the follower's retry solve completes immediately
+			}
+			if err := <-followerOut; err != nil {
+				t.Fatalf("follower: %v, want success via retry", err)
+			}
+			if got := s.calls.Load(); got != 2 {
+				t.Fatalf("solver invoked %d times, want 2 (leader + follower retry)", got)
+			}
+		})
 	}
 }
 
+// TestCacheErrorsNotCached: no solve error is remembered, whether it refutes
+// the instance or is tied to the caller (cancellation, deadline, shed).
 func TestCacheErrorsNotCached(t *testing.T) {
-	c := NewCache(2, 16)
-	s := &stubSolver{name: "stub", fail: errors.New("boom")}
-	inst := core.NewInstance([]float64{0.3})
-	for i := 0; i < 2; i++ {
-		if _, _, err := c.Evaluate(context.Background(), s, inst); err == nil {
-			t.Fatal("expected solve error")
+	for _, fail := range []error{errors.New("boom"), context.Canceled, context.DeadlineExceeded, shedLikeErr{}} {
+		c := NewCache(2, 16)
+		s := &stubSolver{name: "stub", fail: fail}
+		inst := core.NewInstance([]float64{0.3})
+		for i := 0; i < 2; i++ {
+			if _, _, err := c.Evaluate(context.Background(), s, inst); !errors.Is(err, fail) {
+				t.Fatalf("%v: err=%v, want the solve error", fail, err)
+			}
 		}
-	}
-	if got := s.calls.Load(); got != 2 {
-		t.Fatalf("solver invoked %d times, want 2 (errors are not cached)", got)
-	}
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("entries = %d, want 0", st.Entries)
+		if got := s.calls.Load(); got != 2 {
+			t.Fatalf("%v: solver invoked %d times, want 2 (errors are not cached)", fail, got)
+		}
+		if st := c.Stats(); st.Entries != 0 {
+			t.Fatalf("%v: entries = %d, want 0", fail, st.Entries)
+		}
 	}
 }
 

@@ -49,8 +49,7 @@ type LoadReport struct {
 // Persister gives a Cache a disk life, following the jobs.FileStore pattern:
 // one JSON file per shard, written through a temporary file and an atomic
 // rename (a crash mid-flush never corrupts the previous snapshot), loaded on
-// start, flushed periodically and at shutdown. Negative entries are not
-// persisted — they are cheap, expiring hints.
+// start, flushed periodically and at shutdown.
 //
 // Load before Start; Close stops the flush loop and writes a final snapshot.
 type Persister struct {

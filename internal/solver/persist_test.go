@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -261,71 +260,5 @@ func TestPersistPeriodicFlush(t *testing.T) {
 			t.Fatal("no snapshot appeared within 5s of a 10ms flush interval")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestNegativeCacheReplayAndExpiry: a deterministic solver failure is
-// remembered for the TTL and replayed as SourceNegative without re-solving;
-// after expiry the solver runs again.
-func TestNegativeCacheReplayAndExpiry(t *testing.T) {
-	c := NewCache(2, 64)
-	c.SetNegativeTTL(80 * time.Millisecond)
-	inst := core.NewInstance([]float64{0.3, 0.7})
-	s := &stubSolver{name: "stub", fail: errors.New("deterministic failure")}
-
-	if _, _, err := c.Evaluate(context.Background(), s, inst); err == nil {
-		t.Fatal("failing solver reported success")
-	}
-	if got := s.calls.Load(); got != 1 {
-		t.Fatalf("solver calls = %d, want 1", got)
-	}
-	_, src, err := c.Evaluate(context.Background(), s, inst)
-	if src != SourceNegative {
-		t.Fatalf("replay source = %q, want %q (err %v)", src, SourceNegative, err)
-	}
-	var cf *CachedFailure
-	if !errors.As(err, &cf) || cf.Msg == "" {
-		t.Fatalf("replayed error = %v, want *CachedFailure", err)
-	}
-	if got := s.calls.Load(); got != 1 {
-		t.Fatalf("negative hit re-ran the solver (%d calls)", got)
-	}
-	st := c.Stats()
-	if st.NegativeHits != 1 || st.NegativeEntries != 1 {
-		t.Fatalf("negative stats wrong: %+v", st)
-	}
-
-	time.Sleep(100 * time.Millisecond)
-	if _, src, _ := c.Evaluate(context.Background(), s, inst); src == SourceNegative {
-		t.Fatal("negative entry served after its TTL")
-	}
-	if got := s.calls.Load(); got != 2 {
-		t.Fatalf("solver calls after expiry = %d, want 2", got)
-	}
-}
-
-// shedLikeErr mimics the engine's quota shed without importing it.
-type shedLikeErr struct{}
-
-func (shedLikeErr) Error() string { return "quota shed" }
-func (shedLikeErr) Shed() bool    { return true }
-
-// TestNegativeCacheSkipsTransientErrors: cancellations, deadline expiries and
-// quota sheds say nothing about the instance, so they are never remembered.
-func TestNegativeCacheSkipsTransientErrors(t *testing.T) {
-	for _, transient := range []error{context.Canceled, context.DeadlineExceeded, shedLikeErr{}} {
-		c := NewCache(2, 64)
-		c.SetNegativeTTL(time.Hour)
-		inst := core.NewInstance([]float64{0.4})
-		s := &stubSolver{name: "stub", fail: transient}
-		if _, _, err := c.Evaluate(context.Background(), s, inst); err == nil {
-			t.Fatalf("%v: expected the failure through", transient)
-		}
-		if _, src, _ := c.Evaluate(context.Background(), s, inst); src == SourceNegative {
-			t.Fatalf("%v was negative-cached", transient)
-		}
-		if got := s.calls.Load(); got != 2 {
-			t.Fatalf("%v: solver calls = %d, want 2 (no memoised failure)", transient, got)
-		}
 	}
 }

@@ -68,7 +68,8 @@ func (r *Registry) Names() []string {
 }
 
 // Default returns a registry holding every scheduler of the repository — the
-// seven algo packages plus the parallel kernels and the default portfolio.
+// seven algo packages plus the parallel branch-and-bound kernel and the
+// default portfolio.
 func Default() *Registry {
 	r := NewRegistry()
 	r.Register("round-robin", func() Solver { return Adapt(roundrobin.New()) })
@@ -78,7 +79,6 @@ func Default() *Registry {
 	r.Register("opt-res-assignment", func() Solver { return Adapt(optres2.New()) })
 	r.Register("opt-res-assignment-pq", func() Solver { return Adapt(optres2.NewPQ()) })
 	r.Register("opt-res-assignment-2", func() Solver { return Adapt(optresm.New()) })
-	r.Register("opt-res-assignment-2-parallel", func() Solver { return Adapt(optresm.NewParallel()) })
 	r.Register("branch-and-bound", func() Solver { return Adapt(branchbound.New()) })
 	r.Register("branch-and-bound-parallel", func() Solver { return Adapt(branchbound.NewParallel()) })
 	r.Register("chunked-exact-w2", func() Solver { return Adapt(chunked.New(2)) })
@@ -128,8 +128,6 @@ var (
 	_ ContextScheduler = (*branchbound.Scheduler)(nil)
 	_ ContextScheduler = (*branchbound.ParallelScheduler)(nil)
 	_ ContextScheduler = (*optresm.Scheduler)(nil)
-	_ ContextScheduler = (*optresm.ParallelScheduler)(nil)
 	_ ContextScheduler = (*chunked.Scheduler)(nil)
 	_ algo.Scheduler   = (*branchbound.ParallelScheduler)(nil)
-	_ algo.Scheduler   = (*optresm.ParallelScheduler)(nil)
 )

@@ -7,8 +7,8 @@
 // The packages under internal/algo stay synchronous and single-purpose; this
 // package adapts them (algo.Scheduler -> Solver) and recognises the ones that
 // natively support cooperative cancellation through a ScheduleContext method
-// (branch-and-bound, the configuration enumeration, the chunked heuristic and
-// their parallel variants).
+// (branch-and-bound and its parallel variant, the configuration enumeration
+// and the chunked heuristic).
 package solver
 
 import (

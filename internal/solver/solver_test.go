@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -268,13 +269,18 @@ func TestRegistry(t *testing.T) {
 	if len(names) < 10 {
 		t.Fatalf("expected at least 10 registered solvers, got %v", names)
 	}
-	for _, want := range []string{"greedy-balance", "branch-and-bound-parallel", "opt-res-assignment-2-parallel", "portfolio"} {
+	for _, want := range []string{"greedy-balance", "branch-and-bound-parallel", "opt-res-assignment-2", "portfolio"} {
 		if _, err := reg.New(want); err != nil {
 			t.Fatalf("missing %q: %v", want, err)
 		}
 	}
 	if _, err := reg.New("no-such-solver"); err == nil {
 		t.Fatal("expected error for unknown solver")
+	}
+	// The retired parallel twin of the Theorem-6 enumeration is an unknown
+	// name whose error points at the serial kernel that remains.
+	if _, err := reg.New("opt-res-assignment-2-parallel"); err == nil || !strings.Contains(err.Error(), `opt-res-assignment-2 `) {
+		t.Fatalf("retired opt-res-assignment-2-parallel: err=%v, want unknown solver listing opt-res-assignment-2", err)
 	}
 	defer func() {
 		if recover() == nil {
