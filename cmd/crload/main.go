@@ -71,7 +71,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "corpus seed; the same seed replays the byte-identical workload")
 	duration := flag.Duration("duration", 2*time.Second, "how long to generate arrivals")
 	rate := flag.Float64("rate", 200, "open-loop arrival rate in requests per second")
-	mixSpec := flag.String("mix", "", "traffic mix, e.g. solve=8,batch=1,jobs=1 (default); an online=N class replays seeded mutation chains that exercise warm starts")
+	mixSpec := flag.String("mix", "", "traffic mix, e.g. solve=8,batch=1,jobs=1 (default); an online=N class replays seeded mutation chains, each request sending the chain's latest answer as its warm start")
 	solverName := flag.String("solver", "", "solver to request; empty uses the server default")
 	solveTimeout := flag.Duration("solve-timeout", 2*time.Second, "deadline sent with sync and batch solves (the portfolio returns its best-effort result at the deadline)")
 	jobTimeout := flag.Duration("job-timeout", 10*time.Second, "solve budget sent with async job submissions")

@@ -131,8 +131,8 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 	// (the anytime tier is heuristic — returning the hint itself is fine).
 	// The hint is cloned because later candidates may be installed over it
 	// and hints are shared across portfolio members.
-	if h := progress.WarmStartFrom(ctx); h != nil && h.Schedule != nil {
-		if offer(h.Schedule.Clone(), nil) {
+	if h := progress.WarmStartFrom(ctx); h != nil {
+		if offer(h.Clone(), nil) {
 			progress.SetWarmSeed(ctx, int64(best.makespan))
 		}
 	}

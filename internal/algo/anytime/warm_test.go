@@ -23,7 +23,7 @@ func TestWarmHintBecomesIncumbent(t *testing.T) {
 
 	var ctr progress.Counters
 	ctx := progress.WithCounters(context.Background(), &ctr)
-	ctx = progress.WithWarmStart(ctx, &progress.WarmStart{Schedule: exact, Source: "test"})
+	ctx = progress.WithWarmStart(ctx, exact)
 	sched, err := New().ScheduleContext(ctx, inst)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestWarmHintInfeasibleIgnored(t *testing.T) {
 
 	var ctr progress.Counters
 	ctx := progress.WithCounters(context.Background(), &ctr)
-	ctx = progress.WithWarmStart(ctx, &progress.WarmStart{Schedule: bogus, Source: "test"})
+	ctx = progress.WithWarmStart(ctx, bogus)
 	sched, err := New().ScheduleContext(ctx, inst)
 	if err != nil {
 		t.Fatal(err)

@@ -73,10 +73,10 @@ type solver struct {
 // all.
 func acceptWarmStart(ctx context.Context, inst *core.Instance, greedyMakespan int) (*core.Schedule, int) {
 	h := progress.WarmStartFrom(ctx)
-	if h == nil || h.Schedule == nil {
+	if h == nil {
 		return nil, 0
 	}
-	res, err := core.Execute(inst, h.Schedule)
+	res, err := core.Execute(inst, h)
 	if err != nil || !res.Finished() {
 		return nil, 0
 	}
@@ -84,7 +84,7 @@ func acceptWarmStart(ctx context.Context, inst *core.Instance, greedyMakespan in
 	if hm >= greedyMakespan {
 		return nil, 0
 	}
-	repaired := nonWasting(inst, h.Schedule, res)
+	repaired := nonWasting(inst, h, res)
 	if check, err := core.Execute(inst, repaired); err != nil || !check.Finished() || check.Makespan() != hm {
 		return nil, 0
 	}

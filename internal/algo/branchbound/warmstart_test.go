@@ -33,10 +33,7 @@ type kernel interface {
 func solveCounted(t *testing.T, k kernel, inst *core.Instance, hint *core.Schedule) (*core.Schedule, int64, int64) {
 	t.Helper()
 	ctr := &progress.Counters{}
-	ctx := progress.WithCounters(context.Background(), ctr)
-	if hint != nil {
-		ctx = progress.WithWarmStart(ctx, &progress.WarmStart{Schedule: hint, Source: "test"})
-	}
+	ctx := progress.WithWarmStart(progress.WithCounters(context.Background(), ctr), hint)
 	sched, err := k.ScheduleContext(ctx, inst)
 	if err != nil {
 		t.Fatalf("ScheduleContext: %v", err)
@@ -294,7 +291,7 @@ func BenchmarkWarmStartChain(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		for _, s := range steps {
-			ctx := progress.WithWarmStart(context.Background(), &progress.WarmStart{Schedule: s.hint, Source: "bench"})
+			ctx := progress.WithWarmStart(context.Background(), s.hint)
 			if _, err := branchbound.New().ScheduleContext(ctx, s.inst); err != nil {
 				b.Fatal(err)
 			}

@@ -200,13 +200,13 @@ type Request struct {
 	// Observer, when non-nil, receives improving incumbents while the solve
 	// runs. Cache and coalesced answers produce no observations.
 	Observer progress.Func
-	// WarmStart, when non-nil, is a caller-supplied warm-start hint: a
-	// schedule believed feasible for Instance (typically the solution of a
-	// near-identical instance the caller solved earlier). The kernels
-	// validate it and use it only to tighten their pruning bound, so a bad
-	// hint costs nothing and a good one skips most of the search; the answer
-	// is identical either way. When absent, the engine consults the cache's
-	// neighbor index for a hint on a miss.
+	// WarmStart, when non-nil, is a caller-supplied warm-start hint: the
+	// schedule of a near-identical instance (typically the caller's last
+	// answer in an online chain). The engine adapts it to Instance
+	// (solver.AdaptSchedule) before the kernels see it; they validate it and
+	// use it only to tighten their pruning bound, so a bad hint costs
+	// nothing and a good one skips most of the search, and the answer is
+	// identical either way. The schedule is never mutated.
 	WarmStart *core.Schedule
 	// Tenant is the tenant the request is admitted and accounted under;
 	// empty means DefaultTenant. Fairness, quotas and shedding are applied
@@ -271,14 +271,18 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
-	adm := &admitted{eng: e, inner: sv, tenant: tenant}
-	if req.WarmStart != nil {
-		// An explicit hint travels as a context value so it survives the
-		// cache's singleflight indirection and the solver adapters' counter
-		// shadowing; it also preempts the neighbor-index lookup below.
-		ctx = progress.WithWarmStart(ctx, &progress.WarmStart{Schedule: req.WarmStart, Source: WarmSourceRequest})
-		adm.hintSource = WarmSourceRequest
+	if hint := req.WarmStart; hint != nil {
+		// Fit the hint to this instance once here, rather than in every
+		// kernel; one that cannot be adapted goes on raw, and the kernels'
+		// own validation drops it. It travels as a context value so it
+		// survives the cache's singleflight indirection and the solver
+		// adapters' counter shadowing.
+		if adapted, ok := solver.AdaptSchedule(req.Instance, hint); ok {
+			hint = adapted
+		}
+		ctx = progress.WithWarmStart(ctx, hint)
 	}
+	adm := &admitted{eng: e, inner: sv, tenant: tenant}
 	var (
 		ev  *solver.Evaluation
 		src solver.Source
@@ -299,10 +303,7 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 		// Warm-start telemetry describes this request's own solve; cache and
 		// coalesced answers replay another request's stats, so they do not
 		// claim its warm start.
-		tel.WarmStart = adm.hintSource
-		if tel.WarmStart == "" {
-			tel.WarmStart = WarmSourceRequest
-		}
+		tel.WarmStart = WarmSourceRequest
 		tel.SeedMakespan = ev.Stats.SeedMakespan
 		e.met.warmStarts.Add(1)
 	}
@@ -329,18 +330,11 @@ type admitted struct {
 	// cache invokes Solve at most once per request, so the field is not
 	// synchronised.
 	queued time.Duration
-	// hintSource records where this request's warm-start hint came from
-	// ("request" when the caller supplied one, "neighbor" when the cache's
-	// neighbor index produced one on the miss path); empty when no hint was
-	// attached. Written before/inside the single Solve call, read after.
-	hintSource string
 }
 
-// Warm-start hint sources, reported in Telemetry.WarmStart.
-const (
-	WarmSourceRequest  = "request"
-	WarmSourceNeighbor = "neighbor"
-)
+// WarmSourceRequest is Telemetry.WarmStart for a fresh solve that accepted
+// the request's warm-start hint.
+const WarmSourceRequest = "request"
 
 func (a *admitted) Name() string { return a.inner.Name() }
 
@@ -352,17 +346,6 @@ func (a *admitted) Solve(ctx context.Context, inst *core.Instance) (*core.Schedu
 	}
 	a.queued = time.Since(start)
 	defer a.eng.sem.Release(a.tenant)
-	// This point is reached only by a true miss that won admission (cache
-	// hits and coalesced followers never get here), which is exactly where a
-	// neighbor hint pays: ask the cache's shape index for an adapted
-	// schedule of a near-duplicate solved earlier. A request-supplied hint
-	// takes precedence.
-	if a.hintSource == "" && a.eng.cfg.Cache != nil {
-		if hint, ok := a.eng.cfg.Cache.WarmHint(a.inner.Name(), inst); ok {
-			ctx = progress.WithWarmStart(ctx, &progress.WarmStart{Schedule: hint, Source: WarmSourceNeighbor})
-			a.hintSource = WarmSourceNeighbor
-		}
-	}
 	return a.inner.Solve(ctx, inst)
 }
 

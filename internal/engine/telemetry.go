@@ -69,10 +69,10 @@ type Telemetry struct {
 	Wasted float64 `json:"wasted"`
 	// Properties lists the Section-4 structural properties of the schedule.
 	Properties string `json:"properties"`
-	// WarmStart names the source of the warm-start hint this request's solve
-	// accepted ("request" or "neighbor"); empty when the solve ran cold or
-	// the answer was replayed from the cache. SeedMakespan is the validated
-	// makespan of the accepted hint.
+	// WarmStart is "request" when this request's own solve accepted the
+	// request's warm-start hint; empty when the solve ran cold or the answer
+	// was replayed from the cache. SeedMakespan is the validated makespan of
+	// the accepted hint.
 	WarmStart    string `json:"warm_start,omitempty"`
 	SeedMakespan int    `json:"seed_makespan,omitempty"`
 }
@@ -241,8 +241,8 @@ type Snapshot struct {
 	Errors uint64
 	// Shed counts requests refused over quota with ErrShed.
 	Shed uint64
-	// WarmStarts counts fresh solves that accepted a warm-start hint
-	// (request-supplied or neighbor-index).
+	// WarmStarts counts fresh solves that accepted a request's warm-start
+	// hint.
 	WarmStarts uint64
 	// NodesTotal / IncumbentsTotal sum the per-solve search telemetry of
 	// fresh solves (cache replays are not double-counted).

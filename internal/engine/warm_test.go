@@ -1,11 +1,16 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"math/rand"
 	"testing"
+	"time"
 
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/core"
+	"crsharing/internal/gen"
 	"crsharing/internal/progress"
 	"crsharing/internal/solver"
 )
@@ -22,8 +27,8 @@ func (s *warmSolver) Name() string { return s.name }
 
 func (s *warmSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Schedule, solver.Stats, error) {
 	st := solver.Stats{Solver: s.name, Nodes: 1}
-	if h := progress.WarmStartFrom(ctx); h != nil && h.Schedule != nil {
-		if res, err := core.Execute(inst, h.Schedule); err == nil && res.Finished() {
+	if h := progress.WarmStartFrom(ctx); h != nil {
+		if res, err := core.Execute(inst, h); err == nil && res.Finished() {
 			st.WarmStart = true
 			st.SeedMakespan = res.Makespan()
 			progress.SetWarmSeed(ctx, int64(res.Makespan()))
@@ -98,10 +103,11 @@ func TestRequestWarmStartTelemetry(t *testing.T) {
 	}
 }
 
-// TestNeighborWarmStartTelemetry covers the miss-path neighbor lookup: after
-// a base instance is solved, a single-job mutant's fresh solve picks up an
-// adapted hint from the neighbor index and reports warm_start="neighbor".
-func TestNeighborWarmStartTelemetry(t *testing.T) {
+// TestRequestHintAdaptedForMutant covers the engine's adaptation of a
+// request hint: the base's schedule, sent raw for a mutant with an appended
+// job, runs out of steps on it, so the kernel (which only accepts finishing
+// schedules) takes it only once the engine has extended it.
+func TestRequestHintAdaptedForMutant(t *testing.T) {
 	eng := newWarmEngine(t)
 	ctx := context.Background()
 
@@ -110,23 +116,83 @@ func TestNeighborWarmStartTelemetry(t *testing.T) {
 		[]float64{0.2, 0.6},
 		[]float64{0.7, 0.1},
 	)
-	if _, err := eng.Solve(ctx, Request{Instance: base}); err != nil {
+	seeded, err := eng.Solve(ctx, Request{Instance: base})
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	mutant := base.Clone()
-	mutant.Procs[1] = mutant.Procs[1][1:] // drop one job
-	res, err := eng.Solve(ctx, Request{Instance: mutant})
+	mutant.Procs[2] = append(mutant.Procs[2], core.UnitJob(0.5))
+	if res, err := core.Execute(mutant, seeded.Evaluation.Schedule); err != nil || res.Finished() {
+		t.Fatalf("base schedule must run out of steps on the mutant (err %v)", err)
+	}
+	res, err := eng.Solve(ctx, Request{Instance: mutant, WarmStart: seeded.Evaluation.Schedule})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Source != solver.SourceSolve {
 		t.Fatalf("mutant answered from %q, want a fresh solve", res.Source)
 	}
-	if res.Telemetry.WarmStart != WarmSourceNeighbor {
-		t.Fatalf("warm_start = %q, want %q", res.Telemetry.WarmStart, WarmSourceNeighbor)
+	if res.Telemetry.WarmStart != WarmSourceRequest {
+		t.Fatalf("warm_start = %q, want %q", res.Telemetry.WarmStart, WarmSourceRequest)
 	}
 	if res.Telemetry.SeedMakespan <= 0 {
-		t.Fatalf("seed_makespan = %d for an accepted neighbor hint", res.Telemetry.SeedMakespan)
+		t.Fatalf("seed_makespan = %d for an adapted request hint", res.Telemetry.SeedMakespan)
+	}
+}
+
+// TestRequestHintThroughPortfolio sends a hint through the default
+// portfolio, whose anytime and branch-and-bound members read it
+// concurrently: the answer must equal a cold portfolio solve, and the
+// caller's schedule must come back untouched.
+func TestRequestHintThroughPortfolio(t *testing.T) {
+	eng, err := New(Config{Registry: solver.Default(), DefaultTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	base := gen.GreedyWorstCase(3, 3, 0.01)
+	seeded, err := eng.Solve(ctx, Request{Instance: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutant := gen.Mutate(rand.New(rand.NewSource(1)), base, gen.MutationAppend)
+
+	// The base's answer beats greedy on the mutant once extended, so the
+	// members accept the engine's adapted copy; a schedule narrower than
+	// the instance cannot be adapted and reaches the members raw.
+	for name, tc := range map[string]struct {
+		hint     *core.Schedule
+		accepted string
+	}{
+		"adapted": {seeded.Evaluation.Schedule.Clone(), WarmSourceRequest},
+		"raw":     {core.NewSchedule(2, mutant.NumProcessors()-1), ""},
+	} {
+		before, err := json.Marshal(tc.hint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := eng.Solve(ctx, Request{Instance: mutant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := eng.Solve(ctx, Request{Instance: mutant, WarmStart: tc.hint})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Evaluation.Makespan != cold.Evaluation.Makespan || warm.Evaluation.Wasted != cold.Evaluation.Wasted {
+			t.Fatalf("%s: hinted portfolio (makespan %d, waste %v) differs from cold (%d, %v)", name,
+				warm.Evaluation.Makespan, warm.Evaluation.Wasted, cold.Evaluation.Makespan, cold.Evaluation.Wasted)
+		}
+		if warm.Telemetry.WarmStart != tc.accepted {
+			t.Fatalf("%s: warm_start = %q, want %q", name, warm.Telemetry.WarmStart, tc.accepted)
+		}
+		after, err := json.Marshal(tc.hint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%s: solve mutated the caller's hint\nbefore %s\nafter  %s", name, before, after)
+		}
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // Mutation operators over instances: the harness's "online" workload class
 // replays seeded mutation chains of them as client traffic, exercising the
-// incremental-solving layer (neighbor-index warm starts). Every operator
+// incremental-solving layer (each request carries the chain's previous answer
+// as a warm start). Every operator
 // returns a fresh instance (the input is never modified) that stays inside
 // the model's domain, and preserves unit sizes when the input has them.
 

@@ -13,8 +13,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"crsharing/internal/core"
 	"crsharing/internal/engine"
 	"crsharing/internal/gen"
 	"crsharing/internal/jobs"
@@ -30,9 +32,10 @@ const (
 	// corpus instances verbatim, each arrival is one seeded mutation (swap,
 	// drop, append, nudge — gen.Mutate) of the previous arrival's instance, so
 	// the stream is a chain of near-duplicates the way an online scheduler
-	// sees them. It exercises the warm-start path end to end: the exact
-	// fingerprint misses, the neighbor index adapts the predecessor's cached
-	// schedule into a hint, and the report accounts how many solves it seeded.
+	// sees them. It exercises the warm-start path end to end: each arrival
+	// sends the chain's latest returned schedule as warm_start, the engine
+	// adapts it to the mutated instance, and the report accounts how many
+	// solves it seeded.
 	ClassOnline = "online"
 )
 
@@ -533,8 +536,12 @@ func (d *Driver) liveArrivals(ctx context.Context, start time.Time, inflight cha
 			defer timer.Stop()
 			next := ti * 7
 			// Online-class chain state: the current instance, how many
-			// mutation steps it is from its base, and the base's family.
-			var online Item
+			// mutation steps it is from its base, and the chain's latest
+			// answer, which the next arrival sends as its warm start.
+			var (
+				online     Item
+				onlineHint *atomic.Pointer[core.Schedule]
+			)
 			onlineStep := onlineChainLen // start a fresh chain on first draw
 			for k := 0; ; k++ {
 				// Requests already in flight at the deadline still finish
@@ -557,7 +564,10 @@ func (d *Driver) liveArrivals(ctx context.Context, start time.Time, inflight cha
 				class := d.cfg.Mix.pick(rng)
 				at := next
 				next++
-				var req []Item
+				var (
+					req  []Item
+					hint *atomic.Pointer[core.Schedule]
+				)
 				switch class {
 				case ClassBatch:
 					req = make([]Item, 0, d.cfg.BatchSize)
@@ -569,18 +579,22 @@ func (d *Driver) liveArrivals(ctx context.Context, start time.Time, inflight cha
 					// (warming the cache); each later arrival is one
 					// mutation of its predecessor, so consecutive
 					// instances are fingerprint-distinct but shape-near.
+					// A new chain gets a new hint holder, so a late answer
+					// from the old chain never seeds it.
 					if onlineStep >= onlineChainLen {
 						online = items[at%len(items)]
+						onlineHint = new(atomic.Pointer[core.Schedule])
 						onlineStep = 0
 					} else {
 						online.Inst = gen.Mutate(rng, online.Inst, gen.Mutations[onlineStep%len(gen.Mutations)])
 						onlineStep++
 					}
 					req = []Item{online}
+					hint = onlineHint
 				default:
 					req = []Item{items[at%len(items)]}
 				}
-				d.arrive(ctx, start, inflight, wg, class, tl.Name, req)
+				d.arrive(ctx, start, inflight, wg, class, tl.Name, req, hint)
 			}
 		}(ti, tl)
 	}
@@ -605,14 +619,15 @@ func (d *Driver) replayArrivals(ctx context.Context, start time.Time, inflight c
 		if ctx.Err() != nil {
 			return
 		}
-		d.arrive(ctx, start, inflight, wg, e.Class, e.Tenant, e.items())
+		d.arrive(ctx, start, inflight, wg, e.Class, e.Tenant, e.items(), nil)
 	}
 }
 
 // arrive admits one arrival: it records it, sheds it when the inflight cap is
 // full (keeping the loop open), and otherwise issues the request on its own
-// goroutine.
-func (d *Driver) arrive(ctx context.Context, start time.Time, inflight chan struct{}, wg *sync.WaitGroup, class, tenant string, req []Item) {
+// goroutine. hint, set only for live online arrivals, is the chain's holder
+// of its latest answer (see doSolve); the recording does not carry it.
+func (d *Driver) arrive(ctx context.Context, start time.Time, inflight chan struct{}, wg *sync.WaitGroup, class, tenant string, req []Item, hint *atomic.Pointer[core.Schedule]) {
 	seq := -1
 	if d.cfg.Recorder != nil {
 		seq = d.cfg.Recorder.arrive(time.Since(start), class, tenant, req)
@@ -638,7 +653,7 @@ func (d *Driver) arrive(ctx context.Context, start time.Time, inflight chan stru
 		var outcome string
 		switch class {
 		case ClassSolve, ClassOnline:
-			outcome = d.doSolve(rctx, class, tenant, req[0])
+			outcome = d.doSolve(rctx, class, tenant, req[0], hint)
 		case ClassBatch:
 			outcome = d.doBatch(rctx, tenant, req)
 		case ClassJobs:
@@ -781,15 +796,21 @@ func outcomeOf(err error) string {
 // doSolve fires one synchronous solve, revalidates the returned schedule and
 // returns the request outcome. It serves both the solve class and the online
 // class (whose arrivals are mutation-chain instances): class only decides
-// which report bucket the outcome lands in.
-func (d *Driver) doSolve(ctx context.Context, class, tenant string, item Item) string {
+// which report bucket the outcome lands in. A non-nil hint holds the online
+// chain's latest answer: it is sent as the request's warm_start, and a
+// validated answer replaces it.
+func (d *Driver) doSolve(ctx context.Context, class, tenant string, item Item, hint *atomic.Pointer[core.Schedule]) string {
 	var resp service.SolveResponse
-	err := d.post(ctx, tenant, "/v1/solve", service.SolveRequest{
+	req := service.SolveRequest{
 		Solver:          d.cfg.Solver,
 		Instance:        item.Inst,
 		Timeout:         d.cfg.SolveTimeout.String(),
 		IncludeSchedule: true,
-	}, &resp)
+	}
+	if hint != nil {
+		req.WarmStart = hint.Load()
+	}
+	err := d.post(ctx, tenant, "/v1/solve", req, &resp)
 	if err != nil {
 		d.countError(class, tenant, err)
 		return outcomeOf(err)
@@ -807,6 +828,9 @@ func (d *Driver) doSolve(ctx context.Context, class, tenant string, item Item) s
 	if err := d.oracle.CheckSchedule(label, item.Inst, resp.Schedule, resp.Makespan, resp.Wasted); err != nil {
 		d.countError(class, tenant, err)
 		return OutcomeError
+	}
+	if hint != nil {
+		hint.Store(resp.Schedule)
 	}
 	return OutcomeOK
 }

@@ -392,3 +392,66 @@ func TestScrapeMetrics(t *testing.T) {
 		t.Fatalf("cache accounting %+v", acc)
 	}
 }
+
+// TestDriverOnlineClass drives the online class against the exact kernel:
+// each chain arrival sends the chain's latest answer as warm_start, so some
+// fresh solves must report a warm start, and every schedule must revalidate.
+// Replaying a recording of the run, whose entries carry no hint, must
+// revalidate just as cleanly. The low rate leaves each answer time to come
+// back before the chain's next arrival, even under -race on a loaded host;
+// corpus seed 7 starts chains on instances where greedy is not optimal, so
+// an adapted hint beats the kernel's own seed.
+func TestDriverOnlineClass(t *testing.T) {
+	stack := newHarnessServer(t)
+	rec := NewRecorder()
+	d, err := NewDriver(Config{
+		BaseURL:  stack.URL,
+		Corpus:   BuildCorpus(7),
+		Mix:      Mix{Online: 1},
+		Solver:   "branch-and-bound",
+		Rate:     10,
+		Duration: 4 * time.Second,
+		Recorder: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := d.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	online := rep.Classes[ClassOnline]
+	if online.Requests == 0 {
+		t.Fatal("online class saw no traffic")
+	}
+	if rep.WarmStarted < 1 {
+		t.Fatalf("no fresh solve accepted a chain hint (%d online requests)", online.Requests)
+	}
+	if rep.ViolationCount != 0 {
+		t.Fatalf("invariant violations (%d): %v", rep.ViolationCount, rep.Violations)
+	}
+
+	// A fresh stack, so the replay solves rather than hits the cache.
+	replay, err := NewDriver(Config{
+		BaseURL:     newHarnessServer(t).URL,
+		Solver:      "branch-and-bound",
+		Replay:      rec.Recording(7),
+		ReplaySpeed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rrep, err := replay.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rrep.Replayed || rrep.Requests != rep.Requests {
+		t.Fatalf("replay issued %d requests (replayed=%v), want %d", rrep.Requests, rrep.Replayed, rep.Requests)
+	}
+	if rrep.ViolationCount != 0 {
+		t.Fatalf("replay invariant violations (%d): %v", rrep.ViolationCount, rrep.Violations)
+	}
+	if rrep.WarmStarted != 0 {
+		t.Fatalf("replay warm-started %d solves, but recordings carry no hint", rrep.WarmStarted)
+	}
+}

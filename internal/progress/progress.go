@@ -117,36 +117,27 @@ func Report(ctx context.Context, inc Incumbent) {
 
 type warmStartKey struct{}
 
-// WarmStart is an optional hint for an exact or anytime solve: a schedule
-// believed feasible for the instance about to be solved, typically adapted
-// from a neighboring solved instance. Kernels must treat it as untrusted —
-// validate it with core.Execute against their own instance, derive the
-// makespan themselves, and ignore it entirely when it is infeasible,
-// unfinished, or no better than their own seed. A hint may only tighten a
-// kernel's pruning bound; it must never change the returned optimum.
-type WarmStart struct {
-	// Schedule is the candidate schedule. The kernel must not mutate it:
-	// hints are shared across portfolio members and parallel workers.
-	Schedule *core.Schedule
-	// Source describes where the hint came from (for example "request" or
-	// "neighbor"), for telemetry only.
-	Source string
-}
-
-// WithWarmStart returns a context carrying hint for downstream kernels.
-// Unlike counters, warm-start hints are plain context values: solver
-// adapters that shadow the counter set still pass the hint through.
-// Attaching a nil hint or a hint with no schedule returns ctx unchanged.
-func WithWarmStart(ctx context.Context, hint *WarmStart) context.Context {
-	if hint == nil || hint.Schedule == nil {
+// WithWarmStart returns a context carrying hint for downstream exact and
+// anytime kernels: a schedule believed feasible for the instance about to be
+// solved, typically the caller's answer for a neighboring instance. Kernels
+// must treat it as untrusted — validate it with core.Execute against their
+// own instance, derive the makespan themselves, and ignore it entirely when
+// it is infeasible, unfinished, or no better than their own seed. A hint may
+// only tighten a kernel's pruning bound; it must never change the returned
+// optimum, and it must never be mutated: portfolio members and parallel
+// workers share it. Unlike counters, the hint is a plain context value, so
+// solver adapters that shadow the counter set still pass it through.
+// Attaching a nil hint returns ctx unchanged.
+func WithWarmStart(ctx context.Context, hint *core.Schedule) context.Context {
+	if hint == nil {
 		return ctx
 	}
 	return context.WithValue(ctx, warmStartKey{}, hint)
 }
 
 // WarmStartFrom returns the warm-start hint attached to ctx, or nil.
-func WarmStartFrom(ctx context.Context) *WarmStart {
-	h, _ := ctx.Value(warmStartKey{}).(*WarmStart)
+func WarmStartFrom(ctx context.Context) *core.Schedule {
+	h, _ := ctx.Value(warmStartKey{}).(*core.Schedule)
 	return h
 }
 

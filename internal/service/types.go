@@ -20,10 +20,10 @@ type SolveRequest struct {
 	// response; it is omitted by default because schedules are large.
 	IncludeSchedule bool `json:"include_schedule,omitempty"`
 	// WarmStart is an optional hint: a schedule solved for a near-identical
-	// instance (typically the previous step of a mutation chain). The kernel
-	// validates it against this request's instance and uses it only to seed
-	// its initial incumbent, so a stale or infeasible hint costs one
-	// validation and changes nothing. An accepted hint is reported in
+	// instance (typically the previous step of a mutation chain). The engine
+	// adapts it to this request's instance, and the kernel validates it and
+	// uses it only to seed its initial incumbent, so a stale or infeasible
+	// hint costs one validation and changes nothing. An accepted hint is reported in
 	// telemetry as warm_start="request" with its seed_makespan.
 	WarmStart *core.Schedule `json:"warm_start,omitempty"`
 }

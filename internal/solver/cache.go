@@ -50,10 +50,6 @@ type CacheStats struct {
 type Cache struct {
 	shards []cacheShard
 
-	// neighbors is the coarse shape-key index over solved instances that
-	// turns misses into warm-start hints; see neighbor.go.
-	neighbors *neighborIndex
-
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	coalesced atomic.Uint64
@@ -98,7 +94,7 @@ func NewCache(shards, capacity int) *Cache {
 	if capacity < shards {
 		capacity = shards
 	}
-	c := &Cache{shards: make([]cacheShard, shards), neighbors: newNeighborIndex()}
+	c := &Cache{shards: make([]cacheShard, shards)}
 	per := (capacity + shards - 1) / shards
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
@@ -204,11 +200,6 @@ func (c *Cache) EvaluateWithFingerprint(ctx context.Context, s Solver, inst *cor
 			sh.insertLocked(key, fl.inst, fl.ev, &c.evictions)
 		}
 		sh.mu.Unlock()
-		if fl.err == nil {
-			// File the fresh solve in the neighbor index (its own lock) so
-			// near-duplicate future misses can warm-start from it.
-			c.rememberNeighbor(key.Solver, fl.inst, fl.ev)
-		}
 		close(fl.done)
 		return fl.ev, SourceSolve, fl.err
 	}

@@ -245,7 +245,6 @@ func (c *Cache) seed(solverName string, inst *core.Instance, ev *Evaluation) {
 	sh.mu.Lock()
 	sh.insertLocked(key, inst, ev, &c.evictions)
 	sh.mu.Unlock()
-	c.rememberNeighbor(solverName, inst, ev)
 }
 
 // SnapshotFiles lists the snapshot file names currently in dir (sorted);
