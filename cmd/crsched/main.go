@@ -130,6 +130,8 @@ func main() {
 	}
 	for _, c := range ev.Stats.Candidates {
 		switch {
+		case errors.Is(c.Err, solver.ErrRaceSettled):
+			fmt.Printf("  candidate %-32s stopped: race settled by %s\n", c.Solver, ev.Stats.Winner)
 		case c.Err != nil:
 			fmt.Printf("  candidate %-32s error: %v\n", c.Solver, c.Err)
 		case c.Nodes > 0:

@@ -24,8 +24,10 @@
 //     cancellation uniformly.
 //   - Portfolio: races a set of solvers on one instance on a goroutine per
 //     member and returns the best schedule found (lowest makespan, ties by
-//     less waste). The exact-only variant cancels the losers as soon as one
-//     exact member finishes.
+//     less waste, then member order). It stops the members after a
+//     certified answer — zero waste at the lower bound or at an exact
+//     member's optimum — since none of them can win. The exact-only variant
+//     cancels the losers as soon as one exact member finishes.
 //
 // Batches are sharded across a worker pool by engine.SolveEach (below).
 //

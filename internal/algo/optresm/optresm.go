@@ -97,9 +97,10 @@ func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
 	return s.ScheduleContext(context.Background(), inst)
 }
 
-// ScheduleContext is Schedule with cooperative cancellation: the round loop
-// polls ctx once per round, so cancellation and deadlines take effect after
-// at most one round of configuration enumeration.
+// ScheduleContext is Schedule with cooperative cancellation: ctx is polled
+// before every parent whose successors a round generates, and every 64
+// configurations while the round is pruned, so cancellation and deadlines
+// take effect within a slice of a round, not after the whole round.
 func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*core.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -129,6 +130,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 
 	rounds := [][]*config{{root}}
 	totalConfigs := 1
+	done := ctx.Done()
 
 	for t := 0; ; t++ {
 		if err := ctx.Err(); err != nil {
@@ -139,14 +141,20 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 		seen := make(map[string]int)
 
 		for parentIdx, c := range current {
-			succ := successors(inst, c)
-			for _, nc := range succ {
+			// One parent at m=10-12 yields thousands of successors, so the
+			// round polls before every parent; a receive on the done
+			// channel costs far less than the generation it guards.
+			select {
+			case <-done:
+				return nil, ctx.Err()
+			default:
+			}
+			for _, nc := range successors(inst, c) {
 				nc.parent = parentIdx
 				k := nc.key()
-				if prev, ok := seen[k]; ok {
+				if _, ok := seen[k]; ok {
 					// Identical configuration already generated this round;
 					// keep the existing one (same state, same time).
-					_ = prev
 					continue
 				}
 				seen[k] = len(next)

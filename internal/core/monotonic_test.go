@@ -8,7 +8,9 @@ import (
 
 // TestExecuteMonotoneInResource checks a basic sanity property of the
 // progress law: granting a processor at least as much resource in every step
-// never delays any of its jobs' completions.
+// never delays any of its jobs' completions. Along the way it checks that
+// every executed schedule has non-negative waste and that every finishing
+// one respects the makespan lower bound.
 func TestExecuteMonotoneInResource(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -47,6 +49,16 @@ func TestExecuteMonotoneInResource(t *testing.T) {
 		resBoost, err := Execute(inst, boosted)
 		if err != nil {
 			return false
+		}
+		// The invariants the portfolio's early settle rests on: waste is
+		// never negative, and no finishing schedule beats the lower bound.
+		for _, res := range []*Result{resBase, resBoost} {
+			if res.Wasted() < 0 {
+				return false
+			}
+			if res.Finished() && res.Makespan() < LowerBounds(inst).Best() {
+				return false
+			}
 		}
 		for i := 0; i < m; i++ {
 			for j := 0; j < inst.NumJobs(i); j++ {

@@ -43,6 +43,10 @@ func FuzzPortfolioAgainstBruteforce(f *testing.F) {
 		if !res.Finished() {
 			t.Fatalf("portfolio schedule incomplete\n%v", inst)
 		}
+		if res.Wasted() < 0 || res.Makespan() < core.LowerBounds(inst).Best() {
+			t.Fatalf("portfolio schedule breaks the settle invariants: waste %g, makespan %d, lower bound %d\n%v",
+				res.Wasted(), res.Makespan(), core.LowerBounds(inst).Best(), inst)
+		}
 		if got := res.Makespan(); got != want {
 			t.Fatalf("portfolio (winner %s) makespan %d, bruteforce optimum %d\n%v",
 				stats.Winner, got, want, inst)

@@ -19,8 +19,17 @@ import (
 // result deterministic). Members that return an error are skipped; the
 // portfolio fails only when every member fails.
 //
+// The race settles early once its answer is certified. The portfolio keeps a
+// makespan bound B no schedule can beat: the instance's lower bound, raised
+// to the makespan of any exact member that succeeds. As soon as members
+// 0..i have all finished and member i holds makespan B with zero waste, no
+// later member can win: it can at best tie, waste is never negative, and
+// ties go to the lower index. Those later members are cancelled with cause
+// ErrRaceSettled, which their Candidate.Err carries. The returned answer is
+// the one a race run to completion would pick.
+//
 // Solve always waits for every member goroutine to return before it returns
-// itself, so a cancelled portfolio leaves no goroutines behind.
+// itself, so a cancelled or settled portfolio leaves no goroutines behind.
 type Portfolio struct {
 	// Members are raced in order; the slice is not modified.
 	Members []Solver
@@ -29,6 +38,10 @@ type Portfolio struct {
 	// arrive. Heuristic members never trigger the cancellation.
 	RaceExact bool
 }
+
+// ErrRaceSettled is the cancellation cause of portfolio members stopped
+// because an earlier member already holds a certified answer.
+var ErrRaceSettled = errors.New("race settled")
 
 // NewPortfolio returns a portfolio over the given members.
 func NewPortfolio(members ...Solver) *Portfolio {
@@ -64,8 +77,8 @@ func (p *Portfolio) Solve(ctx context.Context, inst *core.Instance) (*core.Sched
 		return nil, Stats{Solver: p.Name()}, fmt.Errorf("portfolio: no members")
 	}
 
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	cctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 
 	// bestSeen tracks the best makespan any member has produced so far, so
 	// finishing members report (strictly) improving incumbents to the
@@ -79,7 +92,29 @@ func (p *Portfolio) Solve(ctx context.Context, inst *core.Instance) (*core.Sched
 	// stats), so Stats.Incumbents covers both levels.
 	var ownReports atomic.Int64
 
+	// The settle state (see the type comment) is guarded by mu; results[i]
+	// is written under it as member i finishes.
+	var (
+		mu      sync.Mutex
+		done    = make([]bool, len(p.Members))
+		bound   = core.LowerBounds(inst).Best()
+		settled bool
+	)
 	results := make([]memberResult, len(p.Members))
+	finish := func(idx int, r memberResult, exact bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		results[idx], done[idx] = r, true
+		if r.err == nil && exact && r.makespan > bound {
+			bound = r.makespan // an exact member's makespan is the optimum
+		}
+		for i := 0; !settled && i < len(done) && done[i]; i++ {
+			if results[i].err == nil && results[i].makespan == bound && results[i].wasted == 0 {
+				settled = true
+				cancel(ErrRaceSettled)
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	for idx, member := range p.Members {
 		wg.Add(1)
@@ -88,6 +123,9 @@ func (p *Portfolio) Solve(ctx context.Context, inst *core.Instance) (*core.Sched
 			mstart := time.Now()
 			sched, mstats, err := member.Solve(cctx, inst)
 			r := memberResult{elapsed: time.Since(mstart), stats: mstats, err: err}
+			if errors.Is(err, context.Canceled) && errors.Is(context.Cause(cctx), ErrRaceSettled) {
+				r.err = fmt.Errorf("%s: %w", member.Name(), ErrRaceSettled)
+			}
 			if err == nil {
 				res, execErr := core.Execute(inst, sched)
 				switch {
@@ -101,7 +139,8 @@ func (p *Portfolio) Solve(ctx context.Context, inst *core.Instance) (*core.Sched
 					r.wasted = res.Wasted()
 				}
 			}
-			results[idx] = r
+			exact := isExact(member)
+			finish(idx, r, exact)
 			if r.err == nil {
 				for {
 					cur := bestSeen.Load()
@@ -115,8 +154,8 @@ func (p *Portfolio) Solve(ctx context.Context, inst *core.Instance) (*core.Sched
 					}
 				}
 			}
-			if r.err == nil && p.RaceExact && isExact(member) {
-				cancel()
+			if r.err == nil && p.RaceExact && exact {
+				cancel(nil)
 			}
 		}(idx, member)
 	}

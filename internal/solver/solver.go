@@ -63,7 +63,9 @@ type Candidate struct {
 	Wasted   float64
 	Elapsed  time.Duration
 	Nodes    int64
-	Err      error
+	// Err is the member's failure; it wraps ErrRaceSettled when the member
+	// was stopped because the race had already settled.
+	Err error
 }
 
 // Solver computes a feasible schedule for a CRSharing instance under a
