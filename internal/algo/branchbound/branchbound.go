@@ -13,12 +13,16 @@
 // byte arena, so a steady-state solve allocates nothing per node. States that
 // differ only by permuting processors with identical job sequences share one
 // canonical visited key (symmetry breaking), which collapses the symmetric
-// copies of every subtree.
+// copies of every subtree. Expanding a node with k active processors costs
+// one pass over the 2^k finishing subsets — one addition per subset, plus a
+// test of the processors outside each subset that leaves room for a partial
+// share — and O(successors) to derive the moves and counting-sort them.
 package branchbound
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/core"
@@ -35,6 +39,24 @@ type Scheduler struct {
 // DefaultMaxNodes bounds the search so that pathological instances fail fast
 // instead of hanging.
 const DefaultMaxNodes = 20_000_000
+
+// MaxProcessors bounds the supported processor count. Expanding a node scans
+// every subset of its active processors through a table of 2^k subset sums,
+// so each search scratch holds up to 2^m floats (8 MiB at the bound) and every
+// node costs at least 2^k steps; beyond the bound the search is hopeless and
+// ScheduleContext returns an error instead of exhausting memory.
+const MaxProcessors = 20
+
+// checkSupported rejects instances the search cannot handle.
+func checkSupported(inst *core.Instance) error {
+	if !inst.IsUnitSize() {
+		return fmt.Errorf("branchbound: requires unit size jobs")
+	}
+	if m := inst.NumProcessors(); m > MaxProcessors {
+		return fmt.Errorf("branchbound: %d processors exceeds the supported maximum of %d", m, MaxProcessors)
+	}
+	return nil
+}
 
 // New returns a branch-and-bound solver with default limits.
 func New() *Scheduler { return &Scheduler{} }
@@ -142,8 +164,8 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	if !inst.IsUnitSize() {
-		return nil, fmt.Errorf("branchbound: requires unit size jobs")
+	if err := checkSupported(inst); err != nil {
+		return nil, err
 	}
 	if inst.TotalJobs() == 0 {
 		return &core.Schedule{}, nil
@@ -334,8 +356,15 @@ func (sv *solver) copyIncumbent(depth int) {
 // state (done, rem) into buf, ordered so that moves finishing more jobs come
 // first (good incumbent updates early make the bound prune more). The
 // enumeration and its ordering are exactly those of the original
-// allocation-per-move implementation; only the storage changed. It is shared
-// by the serial and the parallel solver.
+// allocation-per-move implementation; only the storage and the cost changed.
+// For k active processors a node costs one O(2^k) scan over the finishing
+// subsets plus O(successors) to derive and order the moves: each subset's
+// work sum is its predecessor's (the subset without its highest bit) plus one
+// term, which adds the terms in ascending bit order exactly as a from-scratch
+// sum does, so every tolerance decision sees the same float. A subset that
+// fits the unit budget with room to spare also checks each processor outside
+// it for a partial share of the leftover. It is shared by the serial and the
+// parallel solver.
 func expandInto(inst *core.Instance, sc *searchScratch, done []int, rem []float64, buf *expandBuf) {
 	m := inst.NumProcessors()
 	buf.reset(m)
@@ -361,14 +390,12 @@ func expandInto(inst *core.Instance, sc *searchScratch, done []int, rem []float6
 		copy(d, done)
 		copy(r, rem)
 		cnt := base
-		for bit := 0; bit < k; bit++ {
-			if finishMask&(1<<bit) != 0 {
-				i := active[bit]
-				a[i] = rem[i]
-				d[i]++
-				r[i] = work(inst, i, d[i])
-				cnt++
-			}
+		for f := finishMask; f != 0; f &= f - 1 {
+			i := active[bits.TrailingZeros(uint(f))]
+			a[i] = rem[i]
+			d[i]++
+			r[i] = work(inst, i, d[i])
+			cnt++
 		}
 		if partial >= 0 {
 			a[partial] = amount
@@ -386,13 +413,14 @@ func expandInto(inst *core.Instance, sc *searchScratch, done []int, rem []float6
 		return
 	}
 
+	sums := resizeFloats(sc.sums, 1<<k, &sc.allocs)
+	sc.sums = sums
+	sums[0] = 0
+	full := 1<<k - 1
 	for mask := 1; mask < 1<<k; mask++ {
-		var sum float64
-		for bit := 0; bit < k; bit++ {
-			if mask&(1<<bit) != 0 {
-				sum += rem[active[bit]]
-			}
-		}
+		hb := bits.Len(uint(mask)) - 1
+		sum := sums[mask&^(1<<hb)] + rem[active[hb]]
+		sums[mask] = sum
 		if numeric.Greater(sum, 1) {
 			continue
 		}
@@ -401,12 +429,11 @@ func expandInto(inst *core.Instance, sc *searchScratch, done []int, rem []float6
 			derive(mask, -1, 0)
 			continue
 		}
-		for bit := 0; bit < k; bit++ {
-			p := active[bit]
-			if mask&(1<<bit) != 0 || !numeric.Greater(rem[p], leftover) {
-				continue
+		for c := full &^ mask; c != 0; c &= c - 1 {
+			bit := bits.TrailingZeros(uint(c))
+			if p := active[bit]; numeric.Greater(rem[p], leftover) {
+				derive(mask, p, leftover)
 			}
-			derive(mask, p, leftover)
 		}
 	}
 	buf.order(&sc.allocs)

@@ -98,6 +98,39 @@ func TestRejectsNonUnitSizes(t *testing.T) {
 	}
 }
 
+// wideGadget is the Partition gadget over m even elements (2, ..., 2, plus a
+// 4 in last place when m is even) that sum to twice an odd A: no subset of
+// even elements reaches A, so it is a NO-instance that greedy cannot certify.
+func wideGadget(t *testing.T, m int) *core.Instance {
+	t.Helper()
+	elems := make([]int64, m)
+	for i := range elems {
+		elems[i] = 2
+	}
+	if m%2 == 0 {
+		elems[m-1] = 4
+	}
+	inst, err := gen.PartitionGadget(elems, 0.5/float64(m))
+	if err != nil {
+		t.Fatalf("PartitionGadget(m=%d): %v", m, err)
+	}
+	return inst
+}
+
+// TestRejectsTooManyProcessors checks that both kernels turn down instances
+// beyond MaxProcessors with an error, before sizing any per-subset table.
+func TestRejectsTooManyProcessors(t *testing.T) {
+	for _, m := range []int{MaxProcessors + 1, 40, 63, 64, 65} {
+		inst := wideGadget(t, m)
+		if _, err := New().Schedule(inst); err == nil {
+			t.Errorf("serial, m=%d: expected a processor-count error", m)
+		}
+		if _, err := NewParallel().Schedule(inst); err == nil {
+			t.Errorf("parallel, m=%d: expected a processor-count error", m)
+		}
+	}
+}
+
 func TestNodeLimit(t *testing.T) {
 	// The Figure 5 construction keeps GreedyBalance far from the lower bound,
 	// so the root is not pruned and the search must actually expand nodes —

@@ -58,7 +58,8 @@ const benchMaxNodes = 200_000
 
 // BenchmarkSerialWideManyProc measures serial kernel node throughput on a
 // wide instance (8 processors); the per-node cost here is dominated by the
-// successor enumeration and the canonical visited key.
+// successor enumeration — an O(2^k) subset scan plus O(successors) to derive
+// and order the moves — and the canonical visited key.
 func BenchmarkSerialWideManyProc(b *testing.B) {
 	s := &Scheduler{MaxNodes: benchMaxNodes}
 	benchNodeThroughput(b, wideManyProcInstance(), s.ScheduleContext)

@@ -55,6 +55,33 @@ type task struct {
 	moves [][]float64
 }
 
+// newTask deep-copies a successor state and the path that reached it —
+// the rows of path followed by last — into a task. The remaining work and
+// every row share one float backing, so a task costs three allocations
+// however deep it starts.
+func newTask(done []int, rem []float64, path [][]float64, last []float64) task {
+	m := len(rem)
+	depth := len(path)
+	floats := make([]float64, m*(depth+2))
+	t := task{
+		done:  append([]int(nil), done...),
+		rem:   floats[:m:m],
+		depth: depth + 1,
+		moves: make([][]float64, depth+1),
+	}
+	copy(t.rem, rem)
+	for d := range t.moves {
+		row := floats[m*(d+1) : m*(d+2) : m*(d+2)]
+		if d < depth {
+			copy(row, path[d])
+		} else {
+			copy(row, last)
+		}
+		t.moves[d] = row
+	}
+	return t
+}
+
 // shared is the state visible to every worker.
 type shared struct {
 	inst     *core.Instance
@@ -86,8 +113,8 @@ func (s *ParallelScheduler) ScheduleContext(ctx context.Context, inst *core.Inst
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	if !inst.IsUnitSize() {
-		return nil, fmt.Errorf("branchbound: requires unit size jobs")
+	if err := checkSupported(inst); err != nil {
+		return nil, err
 	}
 	if inst.TotalJobs() == 0 {
 		return &core.Schedule{}, nil
@@ -157,15 +184,7 @@ func (s *ParallelScheduler) ScheduleContext(ctx context.Context, inst *core.Inst
 		expandInto(inst, seedSc, t.done, t.rem, buf)
 		for oi := 0; oi < buf.n; oi++ {
 			i := buf.ord[oi]
-			moves := make([][]float64, t.depth+1)
-			copy(moves, t.moves)
-			moves[t.depth] = append([]float64(nil), buf.allocRow(i)...)
-			frontier = append(frontier, task{
-				done:  append([]int(nil), buf.doneRow(i)...),
-				rem:   append([]float64(nil), buf.remRow(i)...),
-				depth: t.depth + 1,
-				moves: moves,
-			})
+			frontier = append(frontier, newTask(buf.doneRow(i), buf.remRow(i), t.moves, buf.allocRow(i)))
 		}
 	}
 	sh.allocs.Add(seedSc.allocs)
@@ -338,16 +357,7 @@ func (sh *shared) dfs(ctx context.Context, sc *searchScratch, done []int, rem []
 		// than feeding an already-full queue.
 		if oi > 0 && len(sh.queue) < sh.hungry {
 			sh.pending.Add(1)
-			handoff := task{
-				done:  append([]int(nil), buf.doneRow(i)...),
-				rem:   append([]float64(nil), buf.remRow(i)...),
-				depth: depth + 1,
-				moves: make([][]float64, depth+1),
-			}
-			for d := 0; d < depth; d++ {
-				handoff.moves[d] = append([]float64(nil), sc.path[d]...)
-			}
-			handoff.moves[depth] = append([]float64(nil), buf.allocRow(i)...)
+			handoff := newTask(buf.doneRow(i), buf.remRow(i), sc.path[:depth], buf.allocRow(i))
 			sc.allocs++
 			select {
 			case sh.queue <- handoff:

@@ -12,15 +12,25 @@ import (
 )
 
 // TestParallelMatchesSerial checks that the parallel solver finds the same
-// optimal makespan as the serial solver on random instances, and that its
-// schedule is feasible and complete.
+// optimal makespan as the serial solver, and that its schedule is feasible
+// and complete. Both kernels share expandInto, so besides small random
+// instances the sweep covers the widths where the subset enumeration is
+// large: the m=10 Partition-gadget nudge chain and Partition gadgets at
+// m=8–12 (random wide instances would not do: greedy meets their lower bound
+// and the search stops at the root).
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(20140623))
+	var insts []*core.Instance
 	for trial := 0; trial < 40; trial++ {
 		m := 2 + rng.Intn(3)
 		jobs := 2 + rng.Intn(4)
-		inst := gen.Random(rng, m, jobs, 0.05, 1.0)
-
+		insts = append(insts, gen.Random(rng, m, jobs, 0.05, 1.0))
+	}
+	insts = append(insts, nudgeChain(t, 6)...)
+	for m := 8; m <= 12; m++ {
+		insts = append(insts, drawGadget(t, rng, m), drawGadget(t, rng, m))
+	}
+	for trial, inst := range insts {
 		want, err := New().Makespan(inst)
 		if err != nil {
 			t.Fatalf("trial %d: serial: %v", trial, err)

@@ -39,10 +39,11 @@ type searchScratch struct {
 	groupRep []int
 	hasSym   bool
 
-	active []int   // scratch for the active-processor list during expand
-	keyBuf []byte  // scratch for the canonical state key
-	pairD  []int   // scratch (done half) for sorting one symmetry group
-	pairR  []int64 // scratch (rounded-rem half) for the same
+	active []int     // scratch for the active-processor list during expand
+	sums   []float64 // scratch for the subset work sums during expand, 2^k
+	keyBuf []byte    // scratch for the canonical state key
+	pairD  []int     // scratch (done half) for sorting one symmetry group
+	pairR  []int64   // scratch (rounded-rem half) for the same
 
 	rootDone []int
 	rootRem  []float64
@@ -333,22 +334,36 @@ func (b *expandBuf) doneRow(i int) []int      { return b.done[i*b.m : (i+1)*b.m]
 func (b *expandBuf) remRow(i int) []float64   { return b.rem[i*b.m : (i+1)*b.m] }
 func (b *expandBuf) allocRow(i int) []float64 { return b.alloc[i*b.m : (i+1)*b.m] }
 
-// order rebuilds ord as the stable insertion sort of the successors by
-// finished-job count descending — the exact ordering rule of the original
-// []move implementation.
+// order rebuilds ord as the successors sorted by finished-job count
+// descending, ties in insertion order — the exact ordering rule of the
+// original []move implementation. A node's counts span at most k+1 values
+// (base..base+k for k active processors), so a stable counting sort does it
+// in O(successors + k).
 func (b *expandBuf) order(allocs *int64) {
-	if cap(b.ord) < b.n {
-		*allocs++
-		b.ord = make([]int, b.n)
+	b.ord = resizeInts(b.ord, b.n, allocs)
+	if b.n == 0 {
+		return
 	}
-	b.ord = b.ord[:b.n]
-	for i := 0; i < b.n; i++ {
-		b.ord[i] = i
+	lo, hi := b.cnt[0], b.cnt[0]
+	for _, c := range b.cnt[:b.n] {
+		lo, hi = min(lo, c), max(hi, c)
 	}
-	for a := 1; a < b.n; a++ {
-		for x := a; x > 0 && b.cnt[b.ord[x]] > b.cnt[b.ord[x-1]]; x-- {
-			b.ord[x], b.ord[x-1] = b.ord[x-1], b.ord[x]
-		}
+	// buckets[hi-c] is first the number of successors with count c, then the
+	// next free position for them in ord; higher counts come first. The span
+	// is at most k+1 ≤ MaxProcessors+1, so the buckets live on the stack.
+	var local [MaxProcessors + 1]int
+	buckets := local[:hi-lo+1]
+	for _, c := range b.cnt[:b.n] {
+		buckets[hi-c]++
+	}
+	pos := 0
+	for v, n := range buckets {
+		buckets[v] = pos
+		pos += n
+	}
+	for i, c := range b.cnt[:b.n] {
+		b.ord[buckets[hi-c]] = i
+		buckets[hi-c]++
 	}
 }
 

@@ -209,36 +209,57 @@ func FuzzEpsilonBoundary(f *testing.F) {
 // nodes it explores — zero allocations per node, up to measurement noise from
 // GC-cleared pools.
 func TestSteadyStateAllocsPerNode(t *testing.T) {
-	inst := hardExactInstance()
 	for name, kernel := range map[string]func(context.Context, *core.Instance) (*core.Schedule, error){
 		"serial":   New().ScheduleContext,
 		"parallel": NewParallel().ScheduleContext,
 	} {
-		t.Run(name, func(t *testing.T) {
-			// Warm the scratch pool and record the search size once.
-			var ctr progress.Counters
-			ctx := progress.WithCounters(context.Background(), &ctr)
-			if _, err := kernel(ctx, inst); err != nil {
-				t.Fatal(err)
+		t.Run(name, func(t *testing.T) { assertNoAllocsPerNode(t, hardExactInstance(), kernel) })
+	}
+	// The m=10 Partition-gadget root fills a 2^10-entry subset-sum table and
+	// orders about a thousand successors; once warm, expanding it again must
+	// not allocate. A whole gadget solve cannot show this: it runs the subset
+	// scan at the root only, next to ~120 fixed allocations per solve.
+	t.Run("partition-chain", func(t *testing.T) {
+		for step, inst := range nudgeChain(t, 6) {
+			sc := getScratch(inst)
+			buf := sc.level(0)
+			expand := func() { expandInto(inst, sc, sc.rootDone, sc.rootRem, buf) }
+			expand()
+			if buf.n < 100 {
+				t.Fatalf("step %d: root has only %d successors; too few to exercise the expansion", step, buf.n)
 			}
-			nodes := ctr.Nodes.Load()
-			if nodes < 10_000 {
-				t.Fatalf("instance explores only %d nodes; too easy to measure steady-state allocations", nodes)
+			if allocs := testing.AllocsPerRun(20, expand); allocs != 0 {
+				t.Errorf("step %d: a warm root expansion allocates %.1f times, want 0", step, allocs)
 			}
-			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := kernel(context.Background(), inst); err != nil {
-					t.Error(err)
-				}
-			})
-			// The bound is deliberately generous: the GC may clear the scratch
-			// pool between runs, forcing one full re-allocation of the arenas.
-			// What it must exclude is any per-node allocation (the pre-rewrite
-			// kernels sat above 4 allocs/node).
-			if perNode := allocs / float64(nodes); perNode > 0.02 {
-				t.Errorf("steady state allocates %.1f times per run over %d nodes = %.4f allocs/node, want ~0",
-					allocs, nodes, perNode)
-			}
-		})
+			putScratch(sc)
+		}
+	})
+}
+
+func assertNoAllocsPerNode(t *testing.T, inst *core.Instance, kernel func(context.Context, *core.Instance) (*core.Schedule, error)) {
+	t.Helper()
+	// Warm the scratch pool and record the search size once.
+	var ctr progress.Counters
+	ctx := progress.WithCounters(context.Background(), &ctr)
+	if _, err := kernel(ctx, inst); err != nil {
+		t.Fatal(err)
+	}
+	nodes := ctr.Nodes.Load()
+	if nodes < 10_000 {
+		t.Fatalf("instance explores only %d nodes; too easy to measure steady-state allocations", nodes)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := kernel(context.Background(), inst); err != nil {
+			t.Error(err)
+		}
+	})
+	// The bound is deliberately generous: the GC may clear the scratch pool
+	// between runs, forcing one full re-allocation of the arenas. What it
+	// must exclude is any per-node allocation (the pre-rewrite kernels sat
+	// above 4 allocs/node).
+	if perNode := allocs / float64(nodes); perNode > 0.02 {
+		t.Errorf("steady state allocates %.1f times per run over %d nodes = %.4f allocs/node, want ~0",
+			allocs, nodes, perNode)
 	}
 }
 

@@ -85,30 +85,12 @@ func dropFirst(inst *core.Instance, p int) *core.Instance {
 	return out
 }
 
-// nudgeDown shaves delta off one job's requirement — the online workload's
-// "requirement nudge" mutation. The previous instance's optimal schedule
-// stays feasible (shares may over-provision, never under-provision), so the
-// adapted hint ties the new optimum.
-func nudgeDown(inst *core.Instance, p, j int, delta float64) *core.Instance {
-	out := inst.Clone()
-	out.Procs[p][j].Req -= delta
-	return out
-}
-
-// chainBase is a Partition-reduction gadget (Theorem 4): the optimum needs
-// the hidden partition, which GreedyBalance does not find, so every cold
-// solve pays for the subset hunt while a warm start that carries the
-// previous optimum prunes it away at the root. This is the regime warm
-// starts are for: near-duplicate arrivals of an instance whose exact solve
-// is genuinely expensive.
-func chainBase(t testing.TB) *core.Instance {
-	t.Helper()
-	inst, err := gen.PartitionGadget([]int64{17, 23, 29, 31, 41, 17, 23, 29, 31, 41}, 0.01)
-	if err != nil {
-		t.Fatalf("PartitionGadget: %v", err)
-	}
-	return inst
-}
+// The Partition-gadget chain helpers live in the internal test package,
+// which shares them with the serial/parallel parity test.
+var (
+	chainBase = branchbound.ChainBase
+	nudgeDown = branchbound.NudgeDown
+)
 
 func TestWarmStartChainNodeReduction(t *testing.T) {
 	base := chainBase(t)

@@ -336,3 +336,30 @@ func TestAdapterForwardsContext(t *testing.T) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
 }
+
+// TestDefaultPortfolioAnswersWideGadget races the default portfolio on
+// Partition gadgets wider than every exact member supports: those members
+// reject the instance with an error and the heuristics still answer.
+func TestDefaultPortfolioAnswersWideGadget(t *testing.T) {
+	for _, m := range []int{branchbound.MaxProcessors + 1, 40, 64} {
+		elems := make([]int64, m)
+		for i := range elems {
+			elems[i] = 2
+		}
+		if m%2 == 0 {
+			elems[m-1] = 4
+		}
+		inst, err := gen.PartitionGadget(elems, 0.5/float64(m))
+		if err != nil {
+			t.Fatalf("PartitionGadget(m=%d): %v", m, err)
+		}
+		sched, _, err := NewDefaultPortfolio().Solve(context.Background(), inst)
+		if err != nil {
+			t.Fatalf("m=%d: %v", m, err)
+		}
+		res, err := core.Execute(inst, sched)
+		if err != nil || !res.Finished() {
+			t.Fatalf("m=%d: invalid schedule (err=%v)", m, err)
+		}
+	}
+}
