@@ -4,27 +4,26 @@
 // and optresm) but prunes with the Observation-1 work bound, the per-processor
 // chain bound and an incumbent obtained from GreedyBalance. It is not part of
 // the paper; it exists as a practically faster exact solver for mid-size
-// instances and as a third, independently implemented optimum oracle for the
-// test suite.
+// instances. Its moves come from package moves, the enumerator optresm also
+// expands with, so the test suite's optimum oracles independent of that code
+// are package bruteforce and the m=2 dynamic program of package optres2.
 //
 // Both solvers run on pooled scratch memory (see scratch.go): the search path
 // is an explicit stack truncated on backtrack, successors live in flat
-// per-depth buffers, and the visited set is an open-addressing table over a
-// byte arena, so a steady-state solve allocates nothing per node. States that
-// differ only by permuting processors with identical job sequences share one
-// canonical visited key (symmetry breaking), which collapses the symmetric
-// copies of every subtree. Expanding a node with k active processors costs
-// one pass over the 2^k finishing subsets — one addition per subset, plus a
-// test of the processors outside each subset that leaves room for a partial
-// share — and O(successors) to derive the moves and counting-sort them.
+// per-depth move buffers visited in the enumerator's move order (more
+// finished jobs first), and the visited set is an open-addressing table over
+// a byte arena, so a steady-state solve allocates nothing per node. States
+// that differ only by permuting processors with identical job sequences share
+// one canonical visited key (symmetry breaking), which collapses the
+// symmetric copies of every subtree.
 package branchbound
 
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"crsharing/internal/algo/greedybalance"
+	"crsharing/internal/algo/moves"
 	"crsharing/internal/core"
 	"crsharing/internal/numeric"
 	"crsharing/internal/progress"
@@ -40,12 +39,10 @@ type Scheduler struct {
 // instead of hanging.
 const DefaultMaxNodes = 20_000_000
 
-// MaxProcessors bounds the supported processor count. Expanding a node scans
-// every subset of its active processors through a table of 2^k subset sums,
-// so each search scratch holds up to 2^m floats (8 MiB at the bound) and every
-// node costs at least 2^k steps; beyond the bound the search is hopeless and
-// ScheduleContext returns an error instead of exhausting memory.
-const MaxProcessors = 20
+// MaxProcessors bounds the supported processor count: the successor
+// enumerator's bound (see moves.MaxProcessors). Beyond it ScheduleContext
+// returns an error instead of exhausting memory.
+const MaxProcessors = moves.MaxProcessors
 
 // checkSupported rejects instances the search cannot handle.
 func checkSupported(inst *core.Instance) error {
@@ -241,13 +238,6 @@ func (s *Scheduler) Makespan(inst *core.Instance) (int, error) {
 	return res.Makespan(), nil
 }
 
-func work(inst *core.Instance, p, done int) float64 {
-	if done >= inst.NumJobs(p) {
-		return 0
-	}
-	return inst.Job(p, done).Work()
-}
-
 // suffixWork caches, per processor, the total work of every job suffix:
 // suffixWork[i][k] = Σ_{j ≥ k} work(i, j). It is computed once per solve so
 // the bound below runs in O(m) per search node instead of re-walking every
@@ -330,11 +320,10 @@ func (sv *solver) search(done []int, rem []float64, depth int) error {
 	}
 
 	buf := sv.sc.level(depth)
-	expandInto(sv.inst, sv.sc, done, rem, buf)
-	for oi := 0; oi < buf.n; oi++ {
-		i := buf.ord[oi]
-		sv.sc.pathRow(depth, buf.allocRow(i))
-		if err := sv.search(buf.doneRow(i), buf.remRow(i), depth+1); err != nil {
+	moves.Expand(sv.inst, &sv.sc.expand, done, rem, buf, &sv.sc.allocs)
+	for _, i := range buf.Order() {
+		sv.sc.pathRow(depth, buf.AllocRow(i))
+		if err := sv.search(buf.DoneRow(i), buf.RemRow(i), depth+1); err != nil {
 			return err
 		}
 	}
@@ -350,93 +339,6 @@ func (sv *solver) copyIncumbent(depth int) {
 	for t := 0; t < depth; t++ {
 		copy(sv.bestMoves[t], sv.sc.path[t])
 	}
-}
-
-// expandInto enumerates the non-wasting, progressive one-step moves from the
-// state (done, rem) into buf, ordered so that moves finishing more jobs come
-// first (good incumbent updates early make the bound prune more). The
-// enumeration and its ordering are exactly those of the original
-// allocation-per-move implementation; only the storage and the cost changed.
-// For k active processors a node costs one O(2^k) scan over the finishing
-// subsets plus O(successors) to derive and order the moves: each subset's
-// work sum is its predecessor's (the subset without its highest bit) plus one
-// term, which adds the terms in ascending bit order exactly as a from-scratch
-// sum does, so every tolerance decision sees the same float. A subset that
-// fits the unit budget with room to spare also checks each processor outside
-// it for a partial share of the leftover. It is shared by the serial and the
-// parallel solver.
-func expandInto(inst *core.Instance, sc *searchScratch, done []int, rem []float64, buf *expandBuf) {
-	m := inst.NumProcessors()
-	buf.reset(m)
-	active := sc.active[:0]
-	base := 0
-	var total float64
-	for i := 0; i < m; i++ {
-		base += done[i]
-		if done[i] < inst.NumJobs(i) {
-			if cap(active) == len(active) {
-				sc.allocs++
-			}
-			active = append(active, i)
-			total += rem[i]
-		}
-	}
-	sc.active = active
-	k := len(active)
-
-	derive := func(finishMask int, partial int, amount float64) {
-		idx := buf.add(&sc.allocs)
-		d, r, a := buf.doneRow(idx), buf.remRow(idx), buf.allocRow(idx)
-		copy(d, done)
-		copy(r, rem)
-		cnt := base
-		for f := finishMask; f != 0; f &= f - 1 {
-			i := active[bits.TrailingZeros(uint(f))]
-			a[i] = rem[i]
-			d[i]++
-			r[i] = work(inst, i, d[i])
-			cnt++
-		}
-		if partial >= 0 {
-			a[partial] = amount
-			r[partial] -= amount
-			if r[partial] < 0 {
-				r[partial] = 0
-			}
-		}
-		buf.cnt[idx] = cnt
-	}
-
-	if numeric.Leq(total, 1) {
-		derive(1<<k-1, -1, 0)
-		buf.order(&sc.allocs)
-		return
-	}
-
-	sums := resizeFloats(sc.sums, 1<<k, &sc.allocs)
-	sc.sums = sums
-	sums[0] = 0
-	full := 1<<k - 1
-	for mask := 1; mask < 1<<k; mask++ {
-		hb := bits.Len(uint(mask)) - 1
-		sum := sums[mask&^(1<<hb)] + rem[active[hb]]
-		sums[mask] = sum
-		if numeric.Greater(sum, 1) {
-			continue
-		}
-		leftover := 1 - sum
-		if numeric.Leq(leftover, 0) {
-			derive(mask, -1, 0)
-			continue
-		}
-		for c := full &^ mask; c != 0; c &= c - 1 {
-			bit := bits.TrailingZeros(uint(c))
-			if p := active[bit]; numeric.Greater(rem[p], leftover) {
-				derive(mask, p, leftover)
-			}
-		}
-	}
-	buf.order(&sc.allocs)
 }
 
 func allocRows(s *core.Schedule) [][]float64 {

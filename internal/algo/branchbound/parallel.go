@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"crsharing/internal/algo/greedybalance"
+	"crsharing/internal/algo/moves"
 	"crsharing/internal/core"
 	"crsharing/internal/progress"
 )
@@ -181,10 +182,11 @@ func (s *ParallelScheduler) ScheduleContext(ctx context.Context, inst *core.Inst
 			continue
 		}
 		buf := seedSc.level(0)
-		expandInto(inst, seedSc, t.done, t.rem, buf)
-		for oi := 0; oi < buf.n; oi++ {
-			i := buf.ord[oi]
-			frontier = append(frontier, newTask(buf.doneRow(i), buf.remRow(i), t.moves, buf.allocRow(i)))
+		moves.Expand(inst, &seedSc.expand, t.done, t.rem, buf, &seedSc.allocs)
+		for _, i := range buf.Order() {
+			// Each seeded task is a deep copy, counted like a worker handoff.
+			frontier = append(frontier, newTask(buf.DoneRow(i), buf.RemRow(i), t.moves, buf.AllocRow(i)))
+			seedSc.allocs++
 		}
 	}
 	sh.allocs.Add(seedSc.allocs)
@@ -347,9 +349,8 @@ func (sh *shared) dfs(ctx context.Context, sc *searchScratch, done []int, rem []
 	}
 
 	buf := sc.level(depth)
-	expandInto(sh.inst, sc, done, rem, buf)
-	for oi := 0; oi < buf.n; oi++ {
-		i := buf.ord[oi]
+	moves.Expand(sh.inst, &sc.expand, done, rem, buf, &sc.allocs)
+	for oi, i := range buf.Order() {
 		// Keep the most promising successor (order index 0) local; offer the
 		// rest to idle workers, but only while the queue is close to empty —
 		// a handoff deep-copies the whole path, so once every worker has
@@ -357,7 +358,7 @@ func (sh *shared) dfs(ctx context.Context, sc *searchScratch, done []int, rem []
 		// than feeding an already-full queue.
 		if oi > 0 && len(sh.queue) < sh.hungry {
 			sh.pending.Add(1)
-			handoff := newTask(buf.doneRow(i), buf.remRow(i), sc.path[:depth], buf.allocRow(i))
+			handoff := newTask(buf.DoneRow(i), buf.RemRow(i), sc.path[:depth], buf.AllocRow(i))
 			sc.allocs++
 			select {
 			case sh.queue <- handoff:
@@ -366,8 +367,8 @@ func (sh *shared) dfs(ctx context.Context, sc *searchScratch, done []int, rem []
 				sh.pending.Add(-1)
 			}
 		}
-		sc.pathRow(depth, buf.allocRow(i))
-		if err := sh.dfs(ctx, sc, buf.doneRow(i), buf.remRow(i), depth+1); err != nil {
+		sc.pathRow(depth, buf.AllocRow(i))
+		if err := sh.dfs(ctx, sc, buf.DoneRow(i), buf.RemRow(i), depth+1); err != nil {
 			return err
 		}
 	}

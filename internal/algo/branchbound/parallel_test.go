@@ -7,13 +7,15 @@ import (
 	"testing"
 	"time"
 
+	"crsharing/internal/algo/moves"
 	"crsharing/internal/core"
 	"crsharing/internal/gen"
+	"crsharing/internal/progress"
 )
 
 // TestParallelMatchesSerial checks that the parallel solver finds the same
 // optimal makespan as the serial solver, and that its schedule is feasible
-// and complete. Both kernels share expandInto, so besides small random
+// and complete. Both kernels share the move enumerator, so besides small random
 // instances the sweep covers the widths where the subset enumeration is
 // large: the m=10 Partition-gadget nudge chain and Partition gadgets at
 // m=8–12 (random wide instances would not do: greedy meets their lower bound
@@ -124,5 +126,28 @@ func TestSerialContextCancellation(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("serial solver took %v to honour the deadline", elapsed)
+	}
+}
+
+// TestParallelCountsSeededTasks checks that the frontier seeding reports its
+// task copies in kernel_allocs, one event per seeded task like a worker
+// handoff. With two workers the seeding stops after the root of the m=10
+// Partition gadget, whose every successor becomes a task, so the solve must
+// report at least one allocation event per root successor.
+func TestParallelCountsSeededTasks(t *testing.T) {
+	inst := ChainBase(t)
+	sc := getScratch(inst)
+	buf := sc.level(0)
+	moves.Expand(inst, &sc.expand, sc.rootDone, sc.rootRem, buf, &sc.allocs)
+	seeded := int64(buf.Len())
+	putScratch(sc)
+
+	var ctr progress.Counters
+	ctx := progress.WithCounters(context.Background(), &ctr)
+	if _, err := (&ParallelScheduler{Workers: 2}).ScheduleContext(ctx, inst); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctr.Allocs.Load(); got < seeded {
+		t.Fatalf("parallel solve reports %d kernel allocation events, fewer than the %d tasks it seeded", got, seeded)
 	}
 }

@@ -2,9 +2,9 @@ package branchbound
 
 import (
 	"bytes"
-	"math"
 	"sync"
 
+	"crsharing/internal/algo/moves"
 	"crsharing/internal/core"
 )
 
@@ -27,7 +27,7 @@ type searchScratch struct {
 	// levels holds one successor buffer per search depth. A buffer at depth
 	// d is only mutated while depth d is being expanded, never by the deeper
 	// recursion, so the rows it hands out stay valid for the whole loop.
-	levels []*expandBuf
+	levels []*moves.Buf
 
 	visited visitedTable
 
@@ -39,11 +39,10 @@ type searchScratch struct {
 	groupRep []int
 	hasSym   bool
 
-	active []int     // scratch for the active-processor list during expand
-	sums   []float64 // scratch for the subset work sums during expand, 2^k
-	keyBuf []byte    // scratch for the canonical state key
-	pairD  []int     // scratch (done half) for sorting one symmetry group
-	pairR  []int64   // scratch (rounded-rem half) for the same
+	expand moves.Scratch // temporaries of moves.Expand
+	keyBuf []byte        // scratch for the canonical state key
+	pairD  []int         // scratch (done half) for sorting one symmetry group
+	pairR  []int64       // scratch (rounded-rem half) for the same
 
 	rootDone []int
 	rootRem  []float64
@@ -67,11 +66,11 @@ func (sc *searchScratch) prepare(inst *core.Instance) {
 	m := inst.NumProcessors()
 	sc.m = m
 	sc.allocs = 0
-	sc.rootDone = resizeInts(sc.rootDone, m, &sc.allocs)
-	sc.rootRem = resizeFloats(sc.rootRem, m, &sc.allocs)
+	sc.rootDone = moves.ResizeInts(sc.rootDone, m, &sc.allocs)
+	sc.rootRem = moves.ResizeFloats(sc.rootRem, m, &sc.allocs)
 	for i := 0; i < m; i++ {
 		sc.rootDone[i] = 0
-		sc.rootRem[i] = work(inst, i, 0)
+		sc.rootRem[i] = moves.Work(inst, i, 0)
 	}
 	sc.computeGroups(inst)
 	sc.visited.reset(&sc.allocs)
@@ -90,12 +89,12 @@ func (sc *searchScratch) pathRow(depth int, row []float64) {
 
 // level returns the successor buffer for the given depth, growing the ladder
 // on first descent.
-func (sc *searchScratch) level(depth int) *expandBuf {
+func (sc *searchScratch) level(depth int) *moves.Buf {
 	for len(sc.levels) <= depth {
 		if cap(sc.levels) == len(sc.levels) {
 			sc.allocs++
 		}
-		sc.levels = append(sc.levels, new(expandBuf))
+		sc.levels = append(sc.levels, new(moves.Buf))
 	}
 	return sc.levels[depth]
 }
@@ -104,7 +103,7 @@ func (sc *searchScratch) level(depth int) *expandBuf {
 // job sequences. Quadratic in m, run once per solve; m is small.
 func (sc *searchScratch) computeGroups(inst *core.Instance) {
 	m := inst.NumProcessors()
-	sc.groupRep = resizeInts(sc.groupRep, m, &sc.allocs)
+	sc.groupRep = moves.ResizeInts(sc.groupRep, m, &sc.allocs)
 	sc.hasSym = false
 	for i := 0; i < m; i++ {
 		sc.groupRep[i] = i
@@ -131,18 +130,16 @@ func sameJobs(inst *core.Instance, a, b int) bool {
 	return true
 }
 
-// stateKey encodes (done, rem) into the scratch key buffer. Remaining work is
-// rounded to 1e-9 resolution exactly as the previous string key did. With
-// symmetric processors present, the pairs of each symmetry group are sorted
-// before encoding, so permuting identical processors yields the same key and
-// the visited prune removes the redundant subtrees.
+// stateKey encodes (done, rem) into the scratch key buffer as the packed key
+// of package moves. With symmetric processors present, the pairs of each
+// symmetry group are sorted before encoding, so permuting identical
+// processors yields the same key and the visited prune removes the redundant
+// subtrees.
 func (sc *searchScratch) stateKey(done []int, rem []float64) []byte {
 	buf := sc.keyBuf[:0]
 	prevCap := cap(buf)
 	if !sc.hasSym {
-		for i := 0; i < sc.m; i++ {
-			buf = appendPair(buf, done[i], roundRem(rem[i]))
-		}
+		buf = moves.AppendKey(buf, done, rem)
 	} else {
 		for i := 0; i < sc.m; i++ {
 			if sc.groupRep[i] != i {
@@ -152,7 +149,7 @@ func (sc *searchScratch) stateKey(done []int, rem []float64) []byte {
 			for j := i; j < sc.m; j++ {
 				if sc.groupRep[j] == i {
 					pd = append(pd, done[j])
-					pr = append(pr, roundRem(rem[j]))
+					pr = append(pr, moves.RoundRem(rem[j]))
 				}
 			}
 			// Canonical order within the group: (done, rem) ascending.
@@ -163,7 +160,7 @@ func (sc *searchScratch) stateKey(done []int, rem []float64) []byte {
 				}
 			}
 			for p := range pd {
-				buf = appendPair(buf, pd[p], pr[p])
+				buf = moves.AppendPair(buf, pd[p], pr[p])
 			}
 			if cap(pd) > cap(sc.pairD) {
 				sc.pairD, sc.pairR = pd, pr
@@ -176,15 +173,6 @@ func (sc *searchScratch) stateKey(done []int, rem []float64) []byte {
 	}
 	sc.keyBuf = buf
 	return buf
-}
-
-func roundRem(r float64) int64 { return int64(math.Round(r * 1e9)) }
-
-func appendPair(buf []byte, done int, rr int64) []byte {
-	return append(buf,
-		byte(done), byte(done>>8), byte(done>>16), byte(done>>24),
-		byte(rr), byte(rr>>8), byte(rr>>16), byte(rr>>24),
-		byte(rr>>32), byte(rr>>40), byte(rr>>48), byte(rr>>56))
 }
 
 // visitedTable is an open-addressing hash table from canonical state keys to
@@ -275,110 +263,4 @@ func fnv64(b []byte) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// expandBuf stores the successors of one expanded node in flat row-major
-// arrays (successor i occupies [i*m, (i+1)*m) of each array), replacing the
-// per-move state and allocation-slice churn of the original implementation.
-type expandBuf struct {
-	n     int // successors stored
-	m     int // row width
-	done  []int
-	rem   []float64
-	alloc []float64
-	cnt   []int // total finished jobs in the successor, for move ordering
-	ord   []int // iteration order: cnt descending, stable
-}
-
-func (b *expandBuf) reset(m int) {
-	b.n = 0
-	b.m = m
-}
-
-// add appends one zeroed successor row and returns its index. Growth is
-// geometric and preserves the rows already stored, which callers may still
-// hold slices into.
-func (b *expandBuf) add(allocs *int64) int {
-	idx := b.n
-	need := (idx + 1) * b.m
-	if cap(b.done) < need {
-		*allocs++
-		grow := 2 * cap(b.done)
-		if grow < need {
-			grow = need
-		}
-		nd := make([]int, grow)
-		nr := make([]float64, grow)
-		na := make([]float64, grow)
-		copy(nd, b.done[:idx*b.m])
-		copy(nr, b.rem[:idx*b.m])
-		copy(na, b.alloc[:idx*b.m])
-		b.done, b.rem, b.alloc = nd, nr, na
-	}
-	b.done = b.done[:need]
-	b.rem = b.rem[:need]
-	b.alloc = b.alloc[:need]
-	row := b.alloc[idx*b.m : need]
-	for i := range row {
-		row[i] = 0
-	}
-	if cap(b.cnt) <= idx {
-		*allocs++
-	}
-	b.cnt = append(b.cnt[:idx], 0)
-	b.n++
-	return idx
-}
-
-func (b *expandBuf) doneRow(i int) []int      { return b.done[i*b.m : (i+1)*b.m] }
-func (b *expandBuf) remRow(i int) []float64   { return b.rem[i*b.m : (i+1)*b.m] }
-func (b *expandBuf) allocRow(i int) []float64 { return b.alloc[i*b.m : (i+1)*b.m] }
-
-// order rebuilds ord as the successors sorted by finished-job count
-// descending, ties in insertion order — the exact ordering rule of the
-// original []move implementation. A node's counts span at most k+1 values
-// (base..base+k for k active processors), so a stable counting sort does it
-// in O(successors + k).
-func (b *expandBuf) order(allocs *int64) {
-	b.ord = resizeInts(b.ord, b.n, allocs)
-	if b.n == 0 {
-		return
-	}
-	lo, hi := b.cnt[0], b.cnt[0]
-	for _, c := range b.cnt[:b.n] {
-		lo, hi = min(lo, c), max(hi, c)
-	}
-	// buckets[hi-c] is first the number of successors with count c, then the
-	// next free position for them in ord; higher counts come first. The span
-	// is at most k+1 ≤ MaxProcessors+1, so the buckets live on the stack.
-	var local [MaxProcessors + 1]int
-	buckets := local[:hi-lo+1]
-	for _, c := range b.cnt[:b.n] {
-		buckets[hi-c]++
-	}
-	pos := 0
-	for v, n := range buckets {
-		buckets[v] = pos
-		pos += n
-	}
-	for i, c := range b.cnt[:b.n] {
-		b.ord[buckets[hi-c]] = i
-		buckets[hi-c]++
-	}
-}
-
-func resizeInts(s []int, n int, allocs *int64) []int {
-	if cap(s) < n {
-		*allocs++
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func resizeFloats(s []float64, n int, allocs *int64) []float64 {
-	if cap(s) < n {
-		*allocs++
-		return make([]float64, n)
-	}
-	return s[:n]
 }

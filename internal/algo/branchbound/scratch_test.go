@@ -9,6 +9,7 @@ import (
 
 	"crsharing/internal/algo/bruteforce"
 	"crsharing/internal/algo/greedybalance"
+	"crsharing/internal/algo/moves"
 	"crsharing/internal/core"
 	"crsharing/internal/gen"
 	"crsharing/internal/progress"
@@ -70,11 +71,12 @@ func TestScheduleSurvivesScratchReuse(t *testing.T) {
 			}
 			sc := getScratch(inst)
 			for _, lvl := range sc.levels {
-				for i := range lvl.alloc {
-					lvl.alloc[i] = 99
-				}
-				for i := range lvl.rem {
-					lvl.rem[i] = 99
+				for i := 0; i < lvl.Len(); i++ {
+					for _, row := range [][]float64{lvl.AllocRow(i), lvl.RemRow(i)} {
+						for p := range row {
+							row[p] = 99
+						}
+					}
 				}
 			}
 			for d := range sc.path {
@@ -223,10 +225,10 @@ func TestSteadyStateAllocsPerNode(t *testing.T) {
 		for step, inst := range nudgeChain(t, 6) {
 			sc := getScratch(inst)
 			buf := sc.level(0)
-			expand := func() { expandInto(inst, sc, sc.rootDone, sc.rootRem, buf) }
+			expand := func() { moves.Expand(inst, &sc.expand, sc.rootDone, sc.rootRem, buf, &sc.allocs) }
 			expand()
-			if buf.n < 100 {
-				t.Fatalf("step %d: root has only %d successors; too few to exercise the expansion", step, buf.n)
+			if buf.Len() < 100 {
+				t.Fatalf("step %d: root has only %d successors; too few to exercise the expansion", step, buf.Len())
 			}
 			if allocs := testing.AllocsPerRun(20, expand); allocs != 0 {
 				t.Errorf("step %d: a warm root expansion allocates %.1f times, want 0", step, allocs)

@@ -1,10 +1,41 @@
 package bruteforce
 
 import (
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"crsharing/internal/core"
 )
+
+// TestOracleSharesNoSolverCode keeps the oracle independent: it must not
+// import any other solver package, in particular not the move enumerator
+// that optresm and branch-and-bound share, or a defect there would be
+// invisible to every test that compares a kernel against the oracle.
+func TestOracleSharesNoSolverCode(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value) // the parser accepted the literal
+			if strings.HasPrefix(path, "crsharing/internal/algo/") {
+				t.Errorf("%s imports %s; the oracle must share no code with the solvers it checks", name, path)
+			}
+		}
+	}
+}
 
 func TestMakespanSingleProcessor(t *testing.T) {
 	// One processor, three unit jobs: one job per step regardless of

@@ -22,8 +22,6 @@ type Scheduler struct {
 	// Window is the number of job columns solved exactly at a time; values
 	// below 1 are treated as 1.
 	Window int
-	// MaxConfigs is forwarded to the per-window exact solver (0 = default).
-	MaxConfigs int
 }
 
 // New returns a chunked scheduler with the given window.
@@ -57,7 +55,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 	m := inst.NumProcessors()
 	n := inst.MaxJobs()
 	w := s.window()
-	exact := &optresm.Scheduler{MaxConfigs: s.MaxConfigs}
+	exact := optresm.New()
 
 	out := &core.Schedule{}
 	for start := 0; start < n; start += w {

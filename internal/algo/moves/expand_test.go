@@ -1,4 +1,4 @@
-package branchbound
+package moves
 
 import (
 	"fmt"
@@ -7,16 +7,15 @@ import (
 	"testing"
 
 	"crsharing/internal/core"
-	"crsharing/internal/gen"
 	"crsharing/internal/numeric"
 )
 
 // referenceExpand is the original successor enumeration, kept verbatim as
-// the oracle for expandInto: every subset sum is re-added bit by bit in
+// the oracle for Expand: every subset sum is re-added bit by bit in
 // ascending bit order, and the moves are ordered by a stable insertion sort.
-func referenceExpand(inst *core.Instance, done []int, rem []float64) *expandBuf {
+func referenceExpand(inst *core.Instance, done []int, rem []float64) *Buf {
 	var allocs int64
-	buf := new(expandBuf)
+	buf := new(Buf)
 	m := inst.NumProcessors()
 	buf.reset(m)
 	var active []int
@@ -33,7 +32,7 @@ func referenceExpand(inst *core.Instance, done []int, rem []float64) *expandBuf 
 
 	derive := func(finishMask int, partial int, amount float64) {
 		idx := buf.add(&allocs)
-		d, r, a := buf.doneRow(idx), buf.remRow(idx), buf.allocRow(idx)
+		d, r, a := buf.DoneRow(idx), buf.RemRow(idx), buf.AllocRow(idx)
 		copy(d, done)
 		copy(r, rem)
 		cnt := base
@@ -42,7 +41,7 @@ func referenceExpand(inst *core.Instance, done []int, rem []float64) *expandBuf 
 				i := active[bit]
 				a[i] = rem[i]
 				d[i]++
-				r[i] = work(inst, i, d[i])
+				r[i] = Work(inst, i, d[i])
 				cnt++
 			}
 		}
@@ -102,12 +101,13 @@ func referenceOrder(cnt []int) []int {
 	return ord
 }
 
-// expandMatchesReference expands (done, rem) with expandInto on sc and with
-// the reference, and fails unless both yield the same successors in the same
+// expandMatchesReference expands (done, rem) with Expand on sc and with the
+// reference, and fails unless both yield the same successors in the same
 // order with bit-identical rows.
-func expandMatchesReference(t testing.TB, inst *core.Instance, sc *searchScratch, buf *expandBuf, done []int, rem []float64) {
+func expandMatchesReference(t testing.TB, inst *core.Instance, sc *Scratch, buf *Buf, done []int, rem []float64) {
 	t.Helper()
-	expandInto(inst, sc, done, rem, buf)
+	var allocs int64
+	Expand(inst, sc, done, rem, buf, &allocs)
 	want := referenceExpand(inst, done, rem)
 	if buf.n != want.n {
 		t.Fatalf("state done=%v rem=%v: %d successors, reference %d", done, rem, buf.n, want.n)
@@ -121,9 +121,9 @@ func expandMatchesReference(t testing.TB, inst *core.Instance, sc *searchScratch
 		if buf.cnt[i] != want.cnt[i] {
 			t.Fatalf("successor %d: cnt %d, reference %d", i, buf.cnt[i], want.cnt[i])
 		}
-		gd, wd := buf.doneRow(i), want.doneRow(i)
-		gr, wr := buf.remRow(i), want.remRow(i)
-		ga, wa := buf.allocRow(i), want.allocRow(i)
+		gd, wd := buf.DoneRow(i), want.DoneRow(i)
+		gr, wr := buf.RemRow(i), want.RemRow(i)
+		ga, wa := buf.AllocRow(i), want.AllocRow(i)
 		for p := range gd {
 			if gd[p] != wd[p] ||
 				math.Float64bits(gr[p]) != math.Float64bits(wr[p]) ||
@@ -136,13 +136,13 @@ func expandMatchesReference(t testing.TB, inst *core.Instance, sc *searchScratch
 	}
 }
 
-// checkSubtree compares expandInto with the reference at (done, rem) and, up
+// checkSubtree compares Expand with the reference at (done, rem) and, up
 // to depth more levels below it, at the first, the last and one random
 // successor of every expanded state. The successor rows are copied before
 // descending, because the deeper expansions reuse the scratch.
-func checkSubtree(t testing.TB, rng *rand.Rand, inst *core.Instance, sc *searchScratch, done []int, rem []float64, depth int) int {
+func checkSubtree(t testing.TB, rng *rand.Rand, inst *core.Instance, sc *Scratch, done []int, rem []float64, depth int) int {
 	t.Helper()
-	buf := new(expandBuf)
+	buf := new(Buf)
 	expandMatchesReference(t, inst, sc, buf, done, rem)
 	states := 1
 	if depth == 0 || buf.n == 0 {
@@ -150,8 +150,8 @@ func checkSubtree(t testing.TB, rng *rand.Rand, inst *core.Instance, sc *searchS
 	}
 	picks := []int{buf.ord[0], buf.ord[buf.n-1], buf.ord[rng.Intn(buf.n)]}
 	for _, i := range picks {
-		d := append([]int(nil), buf.doneRow(i)...)
-		r := append([]float64(nil), buf.remRow(i)...)
+		d := append([]int(nil), buf.DoneRow(i)...)
+		r := append([]float64(nil), buf.RemRow(i)...)
 		states += checkSubtree(t, rng, inst, sc, d, r, depth-1)
 	}
 	return states
@@ -160,32 +160,19 @@ func checkSubtree(t testing.TB, rng *rand.Rand, inst *core.Instance, sc *searchS
 // TestExpandIntoMatchesReference pins the incremental subset sums and the
 // counting-sort move order to the original enumeration: on random, uneven,
 // Partition-gadget and epsilon-boundary instances, at the root and up to
-// three levels below it, expandInto must produce the same successors in the
+// three levels below it, Expand must produce the same successors in the
 // same order, with bit-identical rows.
 func TestExpandIntoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260101))
-	var insts []*core.Instance
-	for m := 2; m <= 12; m++ {
-		insts = append(insts,
-			gen.Random(rng, m, 1+rng.Intn(4), 0.05, 0.95),
-			gen.Random(rng, m, 3, 0.01, 0.3),
-			gen.RandomUneven(rng, m, 1, 5, 0.05, 0.95))
-	}
-	for c := 0; c < 3; c++ {
-		insts = append(insts, gen.MutateChain(rng, drawGadget(t, rng, 10), 11)...)
-	}
-	insts = append(insts, nudgeChain(t, 6)...)
-	for _, a := range epsilonBoundaryValues {
-		for _, b := range epsilonBoundaryValues {
-			insts = append(insts, core.NewInstance([]float64{a, b}, []float64{b, a}))
-		}
-	}
+	insts := corpus(t, rng)
 
+	// One scratch for every instance, so stale active lists and sum tables
+	// from a previous, wider instance are exercised too.
+	sc := new(Scratch)
 	states := 0
 	for _, inst := range insts {
-		sc := getScratch(inst)
-		states += checkSubtree(t, rng, inst, sc, sc.rootDone, sc.rootRem, 3)
-		putScratch(sc)
+		done, rem := rootState(inst)
+		states += checkSubtree(t, rng, inst, sc, done, rem, 3)
 	}
 	t.Logf("%d instances, %d states compared", len(insts), states)
 }
@@ -220,7 +207,7 @@ func TestOrderMatchesStableInsertionSort(t *testing.T) {
 
 	// One buffer for every case, so stale bucket and ord contents from a
 	// previous sort are exercised too.
-	var b expandBuf
+	var b Buf
 	for name, cnt := range cases {
 		b.cnt = append(b.cnt[:0], cnt...)
 		b.n = len(cnt)
@@ -238,7 +225,7 @@ func TestOrderMatchesStableInsertionSort(t *testing.T) {
 	}
 }
 
-// FuzzExpandInto compares expandInto with the reference enumeration on up to
+// FuzzExpandInto compares Expand with the reference enumeration on up to
 // eight fuzzed remaining-work values in (0, 1]. finished marks processors
 // whose jobs are all done, so the active list skips them. The seeds sit
 // within numeric.Eps of the boundaries where a subset's sum, or a leftover
@@ -279,8 +266,6 @@ func FuzzExpandInto(f *testing.F) {
 				rem[p] = vals[p]
 			}
 		}
-		sc := getScratch(inst)
-		defer putScratch(sc)
-		expandMatchesReference(t, inst, sc, new(expandBuf), done, rem)
+		expandMatchesReference(t, inst, new(Scratch), new(Buf), done, rem)
 	})
 }

@@ -8,19 +8,22 @@
 // of resource already invested into its active job. Successor configurations
 // are generated only for non-wasting, progressive steps: a subset of active
 // jobs is completed and at most one further active job receives the leftover
-// resource. Dominated configurations (Lemma 4 / the domination relation of
-// Section 7) are pruned after every round, which keeps the number of live
-// configurations polynomial for fixed m.
+// resource. These steps come from package moves, the enumerator the
+// branch-and-bound kernel also expands with: a round expands each of its
+// configurations into one reused buffer, walks the successors in enumeration
+// order and keeps the first configuration generated for each packed state key
+// (done counts, remaining work rounded to 1e-9). Dominated configurations
+// (Lemma 4 / the domination relation of Section 7) are pruned after every
+// round, which keeps the number of live configurations polynomial for fixed
+// m.
 package optresm
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
-	"strconv"
-	"strings"
 
+	"crsharing/internal/algo/moves"
 	"crsharing/internal/core"
 	"crsharing/internal/numeric"
 	"crsharing/internal/progress"
@@ -59,20 +62,6 @@ type config struct {
 
 	parent int       // index into the previous round's slice; -1 for the root
 	alloc  []float64 // allocation of the step that produced this configuration
-}
-
-// key returns a canonical string used to deduplicate identical
-// configurations. Remaining amounts are rounded to 1e-9 to collapse
-// floating-point dust.
-func (c *config) key() string {
-	var b strings.Builder
-	for i, d := range c.done {
-		b.WriteString(strconv.Itoa(d))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(int64(math.Round(c.rem[i]*1e9)), 36))
-		b.WriteByte('|')
-	}
-	return b.String()
 }
 
 // dominates reports whether configuration a is at least as advanced as b on
@@ -122,7 +111,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 
 	root := &config{done: make([]int, m), rem: make([]float64, m), parent: -1}
 	for i := 0; i < m; i++ {
-		root.rem[i] = work(inst, i, 0)
+		root.rem[i] = moves.Work(inst, i, 0)
 	}
 	if isFinal(inst, root) {
 		return &core.Schedule{}, nil
@@ -131,6 +120,13 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 	rounds := [][]*config{{root}}
 	totalConfigs := 1
 	done := ctx.Done()
+	var (
+		sc     moves.Scratch
+		buf    moves.Buf
+		allocs int64 // growth events of sc and buf; optresm reports none
+		key    []byte
+		seen   = make(map[string]struct{})
+	)
 
 	for t := 0; ; t++ {
 		if err := ctx.Err(); err != nil {
@@ -138,7 +134,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 		}
 		current := rounds[t]
 		var next []*config
-		seen := make(map[string]int)
+		clear(seen)
 
 		for parentIdx, c := range current {
 			// One parent at m=10-12 yields thousands of successors, so the
@@ -149,16 +145,23 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 				return nil, ctx.Err()
 			default:
 			}
-			for _, nc := range successors(inst, c) {
-				nc.parent = parentIdx
-				k := nc.key()
-				if _, ok := seen[k]; ok {
-					// Identical configuration already generated this round;
-					// keep the existing one (same state, same time).
+			// Successors are visited in enumeration order, not in the
+			// branch-and-bound move order, and deduplicated by the exact
+			// packed key: the first configuration generated for a state is
+			// the one kept (same state, same time).
+			moves.Expand(inst, &sc, c.done, c.rem, &buf, &allocs)
+			for i := 0; i < buf.Len(); i++ {
+				key = moves.AppendKey(key[:0], buf.DoneRow(i), buf.RemRow(i))
+				if _, ok := seen[string(key)]; ok {
 					continue
 				}
-				seen[k] = len(next)
-				next = append(next, nc)
+				seen[string(key)] = struct{}{}
+				next = append(next, &config{
+					done:   append([]int(nil), buf.DoneRow(i)...),
+					rem:    append([]float64(nil), buf.RemRow(i)...),
+					parent: parentIdx,
+					alloc:  append([]float64(nil), buf.AllocRow(i)...),
+				})
 			}
 		}
 		if len(next) == 0 {
@@ -205,13 +208,6 @@ func (s *Scheduler) Makespan(inst *core.Instance) (int, error) {
 	return res.Makespan(), nil
 }
 
-func work(inst *core.Instance, p, done int) float64 {
-	if done >= inst.NumJobs(p) {
-		return 0
-	}
-	return inst.Job(p, done).Work()
-}
-
 func isFinal(inst *core.Instance, c *config) bool {
 	for i := range c.done {
 		if c.done[i] < inst.NumJobs(i) {
@@ -219,102 +215,6 @@ func isFinal(inst *core.Instance, c *config) bool {
 		}
 	}
 	return true
-}
-
-// successors enumerates all non-wasting, progressive one-step transitions
-// from configuration c.
-func successors(inst *core.Instance, c *config) []*config {
-	m := inst.NumProcessors()
-	var active []int
-	var totalDemand numeric.KahanAdder
-	for i := 0; i < m; i++ {
-		if c.done[i] < inst.NumJobs(i) {
-			active = append(active, i)
-			totalDemand.Add(c.rem[i])
-		}
-	}
-	if len(active) == 0 {
-		return nil
-	}
-
-	// Case 1: everything fits — the unique non-wasting choice finishes every
-	// active job.
-	if numeric.Leq(totalDemand.Sum(), 1) {
-		nc := derive(inst, c, active, -1, 0)
-		return []*config{nc}
-	}
-
-	// Case 2: enumerate subsets F of active processors whose jobs finish this
-	// step, plus at most one processor receiving the leftover.
-	var out []*config
-	k := len(active)
-	for mask := 0; mask < 1<<k; mask++ {
-		var sum numeric.KahanAdder
-		var finish []int
-		for bit := 0; bit < k; bit++ {
-			if mask&(1<<bit) != 0 {
-				finish = append(finish, active[bit])
-				sum.Add(c.rem[active[bit]])
-			}
-		}
-		if numeric.Greater(sum.Sum(), 1) {
-			continue
-		}
-		leftover := 1 - sum.Sum()
-		if leftover <= numeric.Eps {
-			if len(finish) > 0 {
-				out = append(out, derive(inst, c, finish, -1, 0))
-			}
-			continue
-		}
-		// The leftover must go to exactly one unfinished active job whose
-		// remaining demand strictly exceeds it (otherwise that job belongs in
-		// F and the same successor arises from a different mask).
-		for _, p := range active {
-			if contains(finish, p) {
-				continue
-			}
-			if numeric.Greater(c.rem[p], leftover) {
-				out = append(out, derive(inst, c, finish, p, leftover))
-			}
-		}
-	}
-	return out
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// derive builds the successor configuration in which the processors in
-// `finish` complete their active jobs, and processor `partial` (if >= 0)
-// receives `amount` of resource without finishing. It also records the
-// allocation row of the step.
-func derive(inst *core.Instance, c *config, finish []int, partial int, amount float64) *config {
-	m := inst.NumProcessors()
-	nc := &config{
-		done:  append([]int(nil), c.done...),
-		rem:   append([]float64(nil), c.rem...),
-		alloc: make([]float64, m),
-	}
-	for _, i := range finish {
-		nc.alloc[i] = c.rem[i]
-		nc.done[i]++
-		nc.rem[i] = work(inst, i, nc.done[i])
-	}
-	if partial >= 0 {
-		nc.alloc[partial] = amount
-		nc.rem[partial] -= amount
-		if nc.rem[partial] < 0 {
-			nc.rem[partial] = 0
-		}
-	}
-	return nc
 }
 
 // pruneDominated removes every configuration dominated by another one in the
