@@ -371,17 +371,6 @@ func BenchmarkPortfolio(b *testing.B) {
 	})
 }
 
-// BenchmarkFingerprint hashes a mid-size instance into its canonical
-// fingerprint, the memo-cache key computed on every serving-layer request.
-func BenchmarkFingerprint(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	inst := gen.Random(rng, 8, 64, 0.05, 1.0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = inst.Fingerprint()
-	}
-}
-
 // BenchmarkCacheEvaluate measures the serving hot path: the first iteration
 // pays for one real solve, every further iteration is a fingerprint plus a
 // sharded-LRU hit, which is what a production cache mostly does.

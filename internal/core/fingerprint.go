@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Fingerprint is a canonical, order-normalized identity of an instance: two
@@ -33,22 +35,41 @@ func (f Fingerprint) Uint64() uint64 { return binary.BigEndian.Uint64(f[:8]) }
 // which is what makes the memo-cache tier partitionable by instance identity.
 func (f Fingerprint) Shard(n int) int { return int(f.Uint64() % uint64(n)) }
 
-// procBlobs serializes each processor's job sequence into a comparable byte
-// string: 16 bytes per job (requirement and size as little-endian IEEE 754
-// bits), with negative zeros normalized to positive zero so that instances
-// Equal up to the sign of zero serialize identically.
-func (in *Instance) procBlobs() []string {
-	blobs := make([]string, len(in.Procs))
-	var buf []byte
-	for i, js := range in.Procs {
-		buf = buf[:0]
-		for _, j := range js {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(j.Req+0))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(j.Size+0))
+// rowKey is a float's sort key within a processor row: its IEEE 754 bits,
+// with negative zero normalized to positive zero (so that instances Equal up
+// to the sign of zero order and hash identically), byte-reversed so that
+// comparing keys as integers orders values exactly as comparing their
+// little-endian encodings byte by byte does.
+func rowKey(x float64) uint64 { return bits.ReverseBytes64(math.Float64bits(x + 0)) }
+
+// compareRows orders two processors' job sequences by their canonical
+// serialization — 16 bytes per job, requirement then size as little-endian
+// IEEE 754 bits — compared byte-wise, a proper prefix first. It compares in
+// place, without building the serializations.
+func compareRows(a, b []Job) int {
+	for k := range min(len(a), len(b)) {
+		if c := cmp.Compare(rowKey(a[k].Req), rowKey(b[k].Req)); c != 0 {
+			return c
 		}
-		blobs[i] = string(buf)
+		if c := cmp.Compare(rowKey(a[k].Size), rowKey(b[k].Size)); c != 0 {
+			return c
+		}
 	}
-	return blobs
+	return cmp.Compare(len(a), len(b))
+}
+
+// sortProcs fills order with the processor indices sorted by compareRows,
+// ties by index.
+func (in *Instance) sortProcs(order []int) {
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := compareRows(in.Procs[a], in.Procs[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // CanonicalProcOrder returns the instance's processor indices sorted by
@@ -57,12 +78,8 @@ func (in *Instance) procBlobs() []string {
 // identical job sequences under this order, which is what makes schedules
 // transferable between them — see RemapScheduleProcs.
 func (in *Instance) CanonicalProcOrder() []int {
-	blobs := in.procBlobs()
-	order := make([]int, len(blobs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return blobs[order[a]] < blobs[order[b]] })
+	order := make([]int, len(in.Procs))
+	in.sortProcs(order)
 	return order
 }
 
@@ -92,9 +109,11 @@ func RemapScheduleProcs(from, to *Instance, sched *Schedule) *Schedule {
 // Fingerprint computes the instance's canonical fingerprint.
 //
 // Each processor's job sequence is serialized in order (job order on a
-// processor is part of the problem), the per-processor blobs are sorted
-// byte-wise to normalize processor order, and the sorted, length-framed
-// concatenation is hashed with SHA-256.
+// processor is part of the problem): 16 bytes per job, requirement then size
+// as little-endian IEEE 754 bits with negative zeros normalized. The
+// serializations are sorted byte-wise to normalize processor order (compared
+// in place, see compareRows), and their length-framed concatenation, led by
+// the processor count, is hashed with SHA-256 from one buffer.
 //
 // The result is memoised on the instance (instances are immutable once
 // built), so repeated calls — cache key, response field, batch shards,
@@ -109,19 +128,27 @@ func (in *Instance) Fingerprint() Fingerprint {
 }
 
 func (in *Instance) fingerprint() Fingerprint {
-	blobs := in.procBlobs()
-	sort.Strings(blobs)
-
-	h := sha256.New()
-	var frame [8]byte
-	binary.LittleEndian.PutUint64(frame[:], uint64(len(blobs)))
-	h.Write(frame[:])
-	for _, b := range blobs {
-		binary.LittleEndian.PutUint64(frame[:], uint64(len(b)))
-		h.Write(frame[:])
-		h.Write([]byte(b))
+	m := len(in.Procs)
+	var orderStack [32]int
+	order := orderStack[:min(m, len(orderStack))]
+	if m > len(orderStack) {
+		order = make([]int, m)
 	}
-	var f Fingerprint
-	h.Sum(f[:0])
-	return f
+	in.sortProcs(order)
+
+	var bufStack [2048]byte
+	buf := bufStack[:0]
+	if size := 8 + 8*m + 16*in.TotalJobs(); size > len(bufStack) {
+		buf = make([]byte, 0, size)
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m))
+	for _, i := range order {
+		js := in.Procs[i]
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(16*len(js)))
+		for _, j := range js {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(j.Req+0))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(j.Size+0))
+		}
+	}
+	return sha256.Sum256(buf)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -131,5 +132,56 @@ func TestRemapScheduleProcs(t *testing.T) {
 	// Identical ordering returns the schedule unchanged (same pointer).
 	if RemapScheduleProcs(from, from.Clone(), sched) != sched {
 		t.Fatal("equal instances must short-circuit the remap")
+	}
+}
+
+// TestFingerprintDoesNotAllocate pins the in-place comparison and the stack
+// buffers: hashing an instance of up to 32 processors and 2 KiB of
+// serialization allocates nothing.
+func TestFingerprintDoesNotAllocate(t *testing.T) {
+	inst := gridInstance(6, 4)
+	var sink Fingerprint
+	if allocs := testing.AllocsPerRun(100, func() { sink = inst.fingerprint() }); allocs != 0 {
+		t.Fatalf("fingerprint of a 6x4 instance allocates %.0f times, want 0", allocs)
+	}
+	if sink != inst.Fingerprint() {
+		t.Fatal("fingerprint() and Fingerprint() disagree")
+	}
+}
+
+// gridInstance builds an m x n unit-size instance with distinct rows.
+func gridInstance(m, n int) *Instance {
+	reqs := make([][]float64, m)
+	for i := range reqs {
+		for j := 0; j < n; j++ {
+			reqs[i] = append(reqs[i], float64((i*7+j*3)%10+1)/11)
+		}
+	}
+	return NewInstance(reqs...)
+}
+
+// BenchmarkFingerprint hashes an instance into its canonical fingerprint on
+// every iteration (bypassing the per-instance memo): the cost every serving
+// request pays once, at the size servebench's pool draws (6x4) and at a
+// larger size (8x64).
+func BenchmarkFingerprint(b *testing.B) {
+	for _, sz := range []struct{ m, n int }{{6, 4}, {8, 64}} {
+		inst := gridInstance(sz.m, sz.n)
+		b.Run(fmt.Sprintf("m=%d/n=%d", sz.m, sz.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = inst.fingerprint()
+			}
+		})
+	}
+}
+
+// BenchmarkCanonicalProcOrder measures the in-place row sort the cache's
+// processor remap runs twice per permuted hit.
+func BenchmarkCanonicalProcOrder(b *testing.B) {
+	inst := gridInstance(6, 4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = inst.CanonicalProcOrder()
 	}
 }

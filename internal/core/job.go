@@ -16,7 +16,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -255,26 +254,4 @@ func (in *Instance) String() string {
 		s += "\n"
 	}
 	return s
-}
-
-// MarshalJSON implements json.Marshaler.
-func (in *Instance) MarshalJSON() ([]byte, error) {
-	type alias Instance
-	return json.Marshal((*alias)(in))
-}
-
-// UnmarshalJSON implements json.Unmarshaler and validates the decoded
-// instance.
-func (in *Instance) UnmarshalJSON(data []byte) error {
-	type wire struct {
-		Procs [][]Job `json:"procs"`
-	}
-	var w wire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	in.Procs = w.Procs
-	in.bounds.Store(nil) // decoding replaces the jobs; drop any stale memo
-	in.fp.Store(nil)
-	return in.Validate()
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -116,16 +115,4 @@ func (s *Schedule) String() string {
 		fmt.Fprintf(&b, "  (Σ=%6.2f)\n", numeric.Sum(row)*100)
 	}
 	return b.String()
-}
-
-// MarshalJSON implements json.Marshaler.
-func (s *Schedule) MarshalJSON() ([]byte, error) {
-	type alias Schedule
-	return json.Marshal((*alias)(s))
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (s *Schedule) UnmarshalJSON(data []byte) error {
-	type alias Schedule
-	return json.Unmarshal(data, (*alias)(s))
 }

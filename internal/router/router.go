@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -345,12 +345,43 @@ func (rt *Router) healthyBackends() []string {
 
 // readBody slurps and bounds the request body.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readSized(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	if err != nil {
 		rt.fail(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return nil, false
 	}
 	return body, true
+}
+
+// maxPrealloc bounds how far readSized allocates ahead of the bytes that
+// have arrived, so a lying Content-Length cannot make the router reserve a
+// large buffer for a body that never comes.
+const maxPrealloc = 1 << 20
+
+// readSized reads r to EOF into one buffer sized from the declared length
+// (Content-Length; negative when unknown), capped at maxPrealloc. A body of
+// its declared length fills the buffer exactly: net/http reports EOF with
+// the last bytes, so the buffer never grows. Longer or undeclared bodies
+// grow it as io.ReadAll does.
+func readSized(r io.Reader, declared int64) ([]byte, error) {
+	size := int64(512)
+	if declared > 0 {
+		size = min(declared, maxPrealloc)
+	}
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // proxyHeaders copies the client's headers for a proxied request, stripping
@@ -401,8 +432,23 @@ func (rt *Router) passthrough(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	buf := copyBufs.Get().(*[]byte)
+	io.CopyBuffer(writerOnly{w}, resp.Body, *buf)
+	copyBufs.Put(buf)
 }
+
+// copyBufs pools passthrough's copy buffers. io.Copy into the
+// ResponseWriter itself would take its ReadFrom, which for a response with a
+// Content-Length hands the body to the TCP connection's generic ReadFrom,
+// and that allocates a fresh 32 KiB buffer per response.
+var copyBufs = sync.Pool{New: func() any {
+	buf := make([]byte, 32<<10)
+	return &buf
+}}
+
+// writerOnly hides a writer's ReadFrom, so io.CopyBuffer uses the buffer it
+// is given.
+type writerOnly struct{ io.Writer }
 
 // route proxies a fingerprint-keyed request: it sends to the ring target
 // (with the owner header when target and owner differ) and, on a transport
@@ -448,10 +494,6 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		rt.fail(w, http.StatusBadRequest, errors.New("parsing request: missing or invalid instance"))
 		return
 	}
-	if err := req.Instance.Validate(); err != nil {
-		rt.fail(w, http.StatusBadRequest, err)
-		return
-	}
 	rt.route(w, r, req.Instance.Fingerprint().Uint64(), body)
 }
 
@@ -467,157 +509,7 @@ func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		rt.fail(w, http.StatusBadRequest, errors.New("parsing request: missing or invalid instance"))
 		return
 	}
-	if err := req.Instance.Validate(); err != nil {
-		rt.fail(w, http.StatusBadRequest, err)
-		return
-	}
 	rt.route(w, r, req.Instance.Fingerprint().Uint64(), body)
-}
-
-// handleBatch splits a batch by ring owner, solves the sub-batches on their
-// backends concurrently, and re-merges the results under the original
-// indices. A sub-batch whose backend fails outright degrades to per-instance
-// errors; the batch is answered 429 only when EVERY sub-response was a full
-// quota shed, mirroring the single-backend semantics.
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	rt.m.requests.Add(1)
-	rt.m.routedBatch.Add(1)
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req service.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil || len(req.Instances) == 0 {
-		rt.fail(w, http.StatusBadRequest, errors.New("parsing request: missing instances"))
-		return
-	}
-	for i, inst := range req.Instances {
-		if inst == nil {
-			rt.fail(w, http.StatusBadRequest, fmt.Errorf("instance %d is null", i))
-			return
-		}
-		if err := inst.Validate(); err != nil {
-			rt.fail(w, http.StatusBadRequest, fmt.Errorf("instance %d: %w", i, err))
-			return
-		}
-	}
-
-	// Group the original indices by routed backend.
-	groups := make(map[string][]int)
-	var order []string
-	for i, inst := range req.Instances {
-		target, _ := rt.pick(inst.Fingerprint().Uint64(), "")
-		if target == "" {
-			rt.m.errors.Add(1)
-			rt.fail(w, http.StatusServiceUnavailable, errors.New("no healthy backends"))
-			return
-		}
-		if _, seen := groups[target]; !seen {
-			order = append(order, target)
-		}
-		groups[target] = append(groups[target], i)
-	}
-	if len(groups) == 1 {
-		rt.route(w, r, req.Instances[0].Fingerprint().Uint64(), body)
-		return
-	}
-	rt.m.batchSplits.Add(1)
-
-	type subOutcome struct {
-		backend    string
-		indices    []int
-		resp       *service.BatchResponse
-		status     int
-		retryAfter string
-		err        error
-	}
-	outs := make([]subOutcome, len(order))
-	var wg sync.WaitGroup
-	for gi, backend := range order {
-		wg.Add(1)
-		go func(gi int, backend string) {
-			defer wg.Done()
-			indices := groups[backend]
-			sub := service.BatchRequest{Solver: req.Solver, Timeout: req.Timeout}
-			for _, idx := range indices {
-				sub.Instances = append(sub.Instances, req.Instances[idx])
-			}
-			raw, err := json.Marshal(sub)
-			out := subOutcome{backend: backend, indices: indices, err: err}
-			if err == nil {
-				resp, err := rt.send(r.Context(), http.MethodPost, backend, "/v1/batch-solve", r.Header, "", raw)
-				if err != nil {
-					out.err = err
-				} else {
-					data, rerr := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					out.status = resp.StatusCode
-					out.retryAfter = resp.Header.Get("Retry-After")
-					var br service.BatchResponse
-					if rerr == nil {
-						rerr = json.Unmarshal(data, &br)
-					}
-					if rerr != nil {
-						out.err = fmt.Errorf("backend %s: %v", backend, rerr)
-					} else {
-						out.resp = &br
-					}
-				}
-			}
-			outs[gi] = out
-		}(gi, backend)
-	}
-	wg.Wait()
-
-	merged := service.BatchResponse{
-		Count:   len(req.Instances),
-		Results: make([]service.BatchResult, len(req.Instances)),
-	}
-	allShed := true
-	retryAfter := 0
-	for _, out := range outs {
-		switch {
-		case out.err != nil:
-			rt.m.errors.Add(1)
-			allShed = false
-			for _, idx := range out.indices {
-				merged.Failed++
-				merged.Results[idx] = service.BatchResult{
-					Index: idx,
-					Error: fmt.Sprintf("backend %s: %v", out.backend, out.err),
-				}
-			}
-		default:
-			merged.Solver = out.resp.Solver
-			if out.status != http.StatusTooManyRequests || out.resp.Shed != len(out.indices) {
-				allShed = false
-			}
-			if secs, err := strconv.Atoi(out.retryAfter); err == nil && secs > retryAfter {
-				retryAfter = secs
-			}
-			merged.Solved += out.resp.Solved
-			merged.Failed += out.resp.Failed
-			merged.Cancelled += out.resp.Cancelled
-			merged.Shed += out.resp.Shed
-			for _, res := range out.resp.Results {
-				if res.Index < 0 || res.Index >= len(out.indices) {
-					continue // a malformed backend response cannot corrupt others
-				}
-				orig := out.indices[res.Index]
-				res.Index = orig
-				merged.Results[orig] = res
-			}
-		}
-	}
-	if allShed {
-		if retryAfter < 1 {
-			retryAfter = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		rt.respond(w, http.StatusTooManyRequests, merged)
-		return
-	}
-	rt.respond(w, http.StatusOK, merged)
 }
 
 // handleAny proxies a keyless GET (e.g. /v1/solvers) to the first healthy

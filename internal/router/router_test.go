@@ -47,7 +47,7 @@ func (b *backendFixture) freshSolves() uint64 { return b.eng.Snapshot().SourceSo
 
 // newBackend builds a full backend (engine + memo cache + service layer,
 // optionally the job manager) behind an httptest listener.
-func newBackend(t *testing.T, withJobs bool) *backendFixture {
+func newBackend(t testing.TB, withJobs bool) *backendFixture {
 	t.Helper()
 	stub := &countSolver{}
 	reg := solver.NewRegistry()
@@ -85,7 +85,7 @@ func newBackend(t *testing.T, withJobs bool) *backendFixture {
 }
 
 // newRouter fronts the fixtures with a Router behind its own listener.
-func newRouter(t *testing.T, cfg Config, backends ...*backendFixture) (*Router, *httptest.Server) {
+func newRouter(t testing.TB, cfg Config, backends ...*backendFixture) (*Router, *httptest.Server) {
 	t.Helper()
 	for _, b := range backends {
 		cfg.Backends = append(cfg.Backends, b.ts.URL)

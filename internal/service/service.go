@@ -31,6 +31,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -180,12 +181,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
+	// Instance.UnmarshalJSON validates, so a decoded instance is in the
+	// model's domain.
 	if req.Instance == nil {
 		s.fail(w, http.StatusBadRequest, errors.New("missing instance"))
-		return
-	}
-	if err := req.Instance.Validate(); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	name, err := s.eng.ResolveSolver(req.Solver)
@@ -281,10 +280,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, inst := range req.Instances {
 		if inst == nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("instance %d is null", i))
-			return
-		}
-		if err := inst.Validate(); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("instance %d: %w", i, err))
 			return
 		}
 	}
@@ -394,13 +389,44 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
+// respBuf is a pooled response encoder: its buffer and the json.Encoder
+// writing into it live as long as the pool keeps them, so encoding a
+// response allocates nothing of its own.
+type respBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledResponse caps the buffers returned to the pool, so one huge
+// response (a long schedule, a big job listing) is not pinned for good.
+const maxPooledResponse = 64 << 10
+
+var respBufs = sync.Pool{New: func() any {
+	rb := new(respBuf)
+	rb.enc = json.NewEncoder(&rb.buf)
+	return rb
+}}
+
+// respond writes body as JSON with its Content-Length, so a router in front
+// can size its read of the response in one allocation.
 func (s *Server) respond(w http.ResponseWriter, status int, body any) {
+	rb := respBufs.Get().(*respBuf)
+	defer func() {
+		if rb.buf.Cap() <= maxPooledResponse {
+			rb.buf.Reset()
+			respBufs.Put(rb)
+		}
+	}()
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(body); err != nil {
-		// The status line is out; nothing more to do than note the failure.
+	if err := rb.enc.Encode(body); err != nil {
+		// Nothing to send but the status line; note the failure.
+		w.WriteHeader(status)
 		s.metrics.errorsTotal.Add(1)
+		return
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(rb.buf.Len()))
+	w.WriteHeader(status)
+	w.Write(rb.buf.Bytes())
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, err error) {

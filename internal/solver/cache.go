@@ -192,7 +192,8 @@ func (c *Cache) EvaluateWithFingerprint(ctx context.Context, s Solver, inst *cor
 		sh.mu.Unlock()
 
 		c.misses.Add(1)
-		fl.ev, fl.err = Evaluate(ctx, s, inst)
+		ev, err := Evaluate(ctx, s, inst)
+		fl.ev, fl.err = withoutCandidates(ev), err
 
 		sh.mu.Lock()
 		delete(sh.inflight, key)
@@ -201,8 +202,22 @@ func (c *Cache) EvaluateWithFingerprint(ctx context.Context, s Solver, inst *cor
 		}
 		sh.mu.Unlock()
 		close(fl.done)
-		return fl.ev, SourceSolve, fl.err
+		return ev, SourceSolve, err
 	}
+}
+
+// withoutCandidates is the evaluation as the cache stores and shares it:
+// without the portfolio's per-member race records, which only the leader's
+// caller reads and which would otherwise dominate the cache's live heap
+// (each holds its member's wrapped error chain). The snapshot export drops
+// them the same way.
+func withoutCandidates(ev *Evaluation) *Evaluation {
+	if ev == nil || ev.Stats.Candidates == nil {
+		return ev
+	}
+	out := *ev
+	out.Stats.Candidates = nil
+	return &out
 }
 
 // transientError reports whether a solve error is tied to this caller rather

@@ -300,3 +300,70 @@ func TestCacheDistinctSolversDistinctEntries(t *testing.T) {
 		t.Fatalf("calls = %s, want 1 1", got)
 	}
 }
+
+// gatedSolver holds every Solve until gate closes, then delegates.
+type gatedSolver struct {
+	Solver
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Schedule, Stats, error) {
+	close(g.entered)
+	<-g.gate
+	return g.Solver.Solve(ctx, inst)
+}
+
+// TestCacheStoresNoRaceRecords: the leader of a portfolio miss gets the
+// per-member race records, but the stored entry — what hits and coalesced
+// followers share — holds none.
+func TestCacheStoresNoRaceRecords(t *testing.T) {
+	c := NewCache(1, 8)
+	p := &gatedSolver{Solver: NewDefaultPortfolio(), entered: make(chan struct{}), gate: make(chan struct{})}
+	members := len(NewDefaultPortfolio().Members)
+	inst := core.NewInstance([]float64{0.3, 0.7}, []float64{0.5, 0.2})
+
+	type outcome struct {
+		ev  *Evaluation
+		src Source
+		err error
+	}
+	leader := make(chan outcome, 1)
+	go func() {
+		ev, src, err := c.Evaluate(context.Background(), p, inst)
+		leader <- outcome{ev, src, err}
+	}()
+	<-p.entered
+	followerCtx := newWaitingCtx()
+	follower := make(chan outcome, 1)
+	go func() {
+		ev, src, err := c.Evaluate(followerCtx, p, core.NewInstance([]float64{0.5, 0.2}, []float64{0.3, 0.7}))
+		follower <- outcome{ev, src, err}
+	}()
+	<-followerCtx.waiting
+	close(p.gate)
+
+	lo, fo := <-leader, <-follower
+	if lo.err != nil || lo.src != SourceSolve {
+		t.Fatalf("leader: src=%v err=%v, want a fresh solve", lo.src, lo.err)
+	}
+	if got := len(lo.ev.Stats.Candidates); got != members {
+		t.Fatalf("leader got %d race records, want %d", got, members)
+	}
+	if fo.err != nil || fo.src != SourceCoalesced {
+		t.Fatalf("follower: src=%v err=%v, want coalesced", fo.src, fo.err)
+	}
+	if fo.ev.Stats.Candidates != nil {
+		t.Fatalf("coalesced follower got %d race records, want none", len(fo.ev.Stats.Candidates))
+	}
+	hit, src, err := c.Evaluate(context.Background(), p, inst)
+	if err != nil || src != SourceCache {
+		t.Fatalf("repeat: src=%v err=%v, want a hit", src, err)
+	}
+	if hit.Stats.Candidates != nil {
+		t.Fatalf("cache hit got %d race records, want none", len(hit.Stats.Candidates))
+	}
+	if hit.Makespan != lo.ev.Makespan || hit.Stats.Winner != lo.ev.Stats.Winner {
+		t.Fatalf("hit %d by %q, leader %d by %q", hit.Makespan, hit.Stats.Winner, lo.ev.Makespan, lo.ev.Stats.Winner)
+	}
+}

@@ -211,9 +211,9 @@ func (p *Persister) Close() error {
 
 // exportShard snapshots shard i's positive entries, LRU first, unless its
 // generation still equals since (no change). The entries' evaluations are
-// shared immutable values; the persist copy drops the portfolio candidate
-// breakdown (its per-member errors do not survive JSON) but keeps the
-// winner/nodes/elapsed stats that telemetry replays on warm hits.
+// shared immutable values, stored without the portfolio candidate breakdown
+// (see withoutCandidates) but with the winner/nodes/elapsed stats that
+// telemetry replays on warm hits.
 func (c *Cache) exportShard(i int, since uint64) (recs []persistRecord, gen uint64, changed bool) {
 	s := &c.shards[i]
 	s.mu.Lock()
@@ -224,12 +224,10 @@ func (c *Cache) exportShard(i int, since uint64) (recs []persistRecord, gen uint
 	recs = make([]persistRecord, 0, s.order.Len())
 	for el := s.order.Back(); el != nil; el = el.Prev() {
 		entry := el.Value.(*cacheEntry)
-		ev := *entry.ev
-		ev.Stats.Candidates = nil
 		recs = append(recs, persistRecord{
 			Solver:     entry.key.Solver,
 			Instance:   entry.inst,
-			Evaluation: &ev,
+			Evaluation: entry.ev,
 		})
 	}
 	return recs, s.gen, true
@@ -243,7 +241,7 @@ func (c *Cache) seed(solverName string, inst *core.Instance, ev *Evaluation) {
 	key := CacheKey{Solver: solverName, Fingerprint: inst.Fingerprint()}
 	sh := c.shard(key)
 	sh.mu.Lock()
-	sh.insertLocked(key, inst, ev, &c.evictions)
+	sh.insertLocked(key, inst, withoutCandidates(ev), &c.evictions)
 	sh.mu.Unlock()
 }
 
