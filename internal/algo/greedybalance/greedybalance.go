@@ -11,7 +11,7 @@ package greedybalance
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"crsharing/internal/core"
 	"crsharing/internal/numeric"
@@ -81,43 +81,24 @@ func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
 		return nil, err
 	}
 	b := core.NewBuilder(inst)
+	// One order and one shares buffer serve every step of the build: the
+	// builder copies each step's shares into its own row.
+	order := make([]int, 0, inst.NumProcessors())
+	shares := make([]float64, inst.NumProcessors())
 	sched := b.BuildGreedy(func(b *core.Builder) []float64 {
-		return s.allocateStep(b)
+		order = s.allocateStep(b, order, shares)
+		return shares
 	})
 	sched.Trim()
 	return sched, nil
 }
 
 // allocateStep computes the allocation of a single time step from the
-// builder's current state.
-func (s *Scheduler) allocateStep(b *core.Builder) []float64 {
-	m := b.NumProcessors()
-	var order []int
-	for i := 0; i < m; i++ {
-		if b.Active(i) {
-			order = append(order, i)
-		}
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		a, c := order[x], order[y]
-		if s.BalanceFirst && b.RemainingJobs(a) != b.RemainingJobs(c) {
-			return b.RemainingJobs(a) > b.RemainingJobs(c)
-		}
-		ra, rc := b.RemainingWork(a), b.RemainingWork(c)
-		switch s.Tie {
-		case LargerRemaining:
-			if !numeric.Eq(ra, rc) {
-				return ra > rc
-			}
-		case SmallerRemaining:
-			if !numeric.Eq(ra, rc) {
-				return ra < rc
-			}
-		}
-		return a < c
-	})
-
-	shares := make([]float64, m)
+// builder's current state into shares, using order's backing array for the
+// priority order, which it returns.
+func (s *Scheduler) allocateStep(b *core.Builder, order []int, shares []float64) []int {
+	order = s.priority(b, order[:0])
+	clear(shares)
 	avail := 1.0
 	for _, i := range order {
 		if avail <= numeric.Eps {
@@ -127,32 +108,52 @@ func (s *Scheduler) allocateStep(b *core.Builder) []float64 {
 		shares[i] = give
 		avail -= give
 	}
-	return shares
+	return order
 }
 
 // StepPriority exposes the priority order the scheduler would use for the
 // builder's current state; it is used by tests that verify the balanced
 // property directly against the definition.
 func (s *Scheduler) StepPriority(b *core.Builder) []int {
-	m := b.NumProcessors()
-	var order []int
-	for i := 0; i < m; i++ {
+	return s.priority(b, nil)
+}
+
+// priority appends the active processors to order, highest priority first:
+// more remaining jobs first (when BalanceFirst), then the tie-break rule,
+// then the lower index. The sort is stable, like sort.SliceStable, and the
+// comparator only ever answers "before" or "not before", so the order is
+// the same even where numeric.Eq's tolerance makes the tie-break
+// intransitive.
+func (s *Scheduler) priority(b *core.Builder, order []int) []int {
+	for i := 0; i < b.NumProcessors(); i++ {
 		if b.Active(i) {
 			order = append(order, i)
 		}
 	}
-	sort.SliceStable(order, func(x, y int) bool {
-		a, c := order[x], order[y]
-		if s.BalanceFirst && b.RemainingJobs(a) != b.RemainingJobs(c) {
-			return b.RemainingJobs(a) > b.RemainingJobs(c)
+	slices.SortStableFunc(order, func(a, c int) int {
+		if s.before(b, a, c) {
+			return -1
 		}
-		if s.Tie == LargerRemaining && !numeric.Eq(b.RemainingWork(a), b.RemainingWork(c)) {
-			return b.RemainingWork(a) > b.RemainingWork(c)
-		}
-		if s.Tie == SmallerRemaining && !numeric.Eq(b.RemainingWork(a), b.RemainingWork(c)) {
-			return b.RemainingWork(a) < b.RemainingWork(c)
-		}
-		return a < c
+		return 1
 	})
 	return order
+}
+
+// before reports whether processor a is served before processor c.
+func (s *Scheduler) before(b *core.Builder, a, c int) bool {
+	if s.BalanceFirst && b.RemainingJobs(a) != b.RemainingJobs(c) {
+		return b.RemainingJobs(a) > b.RemainingJobs(c)
+	}
+	ra, rc := b.RemainingWork(a), b.RemainingWork(c)
+	switch s.Tie {
+	case LargerRemaining:
+		if !numeric.Eq(ra, rc) {
+			return ra > rc
+		}
+	case SmallerRemaining:
+		if !numeric.Eq(ra, rc) {
+			return ra < rc
+		}
+	}
+	return a < c
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"crsharing/internal/numeric"
 )
@@ -19,6 +20,10 @@ type Builder struct {
 	remWork  []float64 // remaining work of the active job (resource units)
 	remVol   []float64 // remaining volume of the active job (volume units)
 	finished int       // number of fully finished processors
+	// slab is the free tail the next rows of sched are carved from. Once
+	// used up it is replaced by one with as many rows as were built so far
+	// (at least 8); the rows already carved keep the old one.
+	slab []float64
 }
 
 // NewBuilder returns a Builder for the given instance positioned at time
@@ -102,12 +107,17 @@ func (b *Builder) TotalDemandThisStep() float64 {
 // AppendStep appends one time step assigning shares[i] to processor i and
 // advances the internal execution state. Shares beyond the instance's
 // processor count are ignored; a nil or short slice is padded with zeros.
+// The builder copies shares, so the caller may reuse the slice.
 func (b *Builder) AppendStep(shares []float64) {
 	m := b.NumProcessors()
-	row := make([]float64, m)
-	for i := 0; i < m && i < len(shares); i++ {
-		row[i] = shares[i]
+	if len(b.slab) < m {
+		rows := max(b.Step(), 8)
+		b.slab = make([]float64, rows*m)
+		b.sched.Alloc = slices.Grow(b.sched.Alloc, rows)
 	}
+	row := b.slab[:m:m]
+	b.slab = b.slab[m:]
+	copy(row, shares)
 	b.sched.Alloc = append(b.sched.Alloc, row)
 
 	for i := 0; i < m; i++ {
@@ -146,7 +156,10 @@ func (b *Builder) advance(i int) {
 }
 
 // Schedule finalises and returns the constructed schedule. The builder can
-// continue to be used afterwards; the returned schedule is a snapshot copy.
+// continue to be used afterwards; the returned schedule is a snapshot copy,
+// sized exactly to the steps built. The builder's own rows are carved from
+// slabs with room to spare, and a cached schedule holding them would pin
+// that spare room for as long as it stays cached.
 func (b *Builder) Schedule() *Schedule { return b.sched.Clone() }
 
 // BuildGreedy appends steps until all jobs are finished (or the safety cap of

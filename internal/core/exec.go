@@ -12,28 +12,36 @@ import (
 // makespan, and accounting of wasted resource. All step indices are
 // zero-based; a completion step of t means the job finished during step t
 // (the paper's step t+1).
+//
+// The trajectory is stored flat, in two slabs whatever the schedule's
+// length: one of ints holds the per-job start and completion steps, one of
+// floats the remaining work indexed t*m+i. Everything else a Result reports
+// is derived from those. A processor finishes its jobs in
+// order and at most one per step, so the jobs it has completed by step t
+// are the prefix whose completion steps lie below t; whether it progressed
+// during step t is the progress law's own test, recomputed from the share,
+// the active job and its remaining work.
 type Result struct {
 	inst  *Instance
 	sched *Schedule
+	m     int
 
-	// start[i][j] is the first step in which job (i,j) received resource (or
-	// made progress, for jobs with zero requirement); -1 if it never started.
-	start [][]int
-	// completion[i][j] is the step in which job (i,j) finished; -1 if it
-	// never finished within the schedule's horizon.
-	completion [][]int
-	// remaining[t][i] is the remaining work (alternative-model units) of the
+	// off[i] is the offset of processor i's first job in start and
+	// completion: job (i,j) lives at off[i]+j. off has m+1 entries.
+	off []int
+	// start[off[i]+j] is the first step in which job (i,j) received resource
+	// (or made progress, for jobs with zero requirement); -1 if it never
+	// started.
+	start []int
+	// completion[off[i]+j] is the step in which job (i,j) finished; -1 if it
+	// never finished within the schedule's horizon. Finished jobs form a
+	// prefix of each processor's sequence with strictly increasing steps.
+	completion []int
+	// remaining[t*m+i] is the remaining work (alternative-model units) of the
 	// active job of processor i at the START of step t; zero when the
-	// processor has no unfinished jobs. Indexed 0..steps (inclusive), so
-	// remaining[steps] is the state after the whole schedule ran.
-	remaining [][]float64
-	// jobsDone[t][i] is j_i(t): the number of jobs processor i has completed
-	// at the START of step t. Indexed 0..steps (inclusive).
-	jobsDone [][]int
-	// progressed[t][i] reports whether processor i made progress on a job
-	// during step t (needed to decide whether a zero-requirement job or a
-	// zero-share step "runs" a job).
-	progressed [][]bool
+	// processor has no unfinished jobs. Indexed 0..steps (inclusive), so row
+	// steps is the state after the whole schedule ran.
+	remaining []float64
 
 	makespan int
 	finished bool
@@ -73,32 +81,38 @@ func Execute(inst *Instance, s *Schedule) (*Result, error) {
 
 	m := inst.NumProcessors()
 	steps := s.Steps()
+	jobs := inst.TotalJobs()
+
+	// ints: off (m+1), start (jobs), completion (jobs), next (m).
+	ints := make([]int, m+1+2*jobs+m)
+	off, ints := ints[:m+1], ints[m+1:]
+	times, next := ints[:2*jobs], ints[2*jobs:]
+	for i := range times {
+		times[i] = -1
+	}
+	for i := 0; i < m; i++ {
+		off[i+1] = off[i] + inst.NumJobs(i)
+	}
+	// floats: the trajectory rows 0..steps, then the remaining volume of
+	// each processor's active job (volume units).
+	floats := make([]float64, (steps+1)*m+m)
+	remaining, remVol := floats[:(steps+1)*m], floats[(steps+1)*m:]
 
 	res := &Result{
 		inst:       inst,
 		sched:      s,
-		start:      make([][]int, m),
-		completion: make([][]int, m),
-		remaining:  make([][]float64, steps+1),
-		jobsDone:   make([][]int, steps+1),
-		progressed: make([][]bool, steps),
+		m:          m,
+		off:        off,
+		start:      times[:jobs:jobs],
+		completion: times[jobs:],
+		remaining:  remaining,
 		makespan:   0,
 		finished:   true,
 	}
-	for i := 0; i < m; i++ {
-		ni := inst.NumJobs(i)
-		res.start[i] = make([]int, ni)
-		res.completion[i] = make([]int, ni)
-		for j := range res.start[i] {
-			res.start[i][j] = -1
-			res.completion[i][j] = -1
-		}
-	}
 
-	// Per-processor dynamic state.
-	next := make([]int, m)        // index of first unfinished job
-	remWork := make([]float64, m) // remaining work of that job (resource units)
-	remVol := make([]float64, m)  // remaining volume of that job (volume units)
+	// remWork is the row of the step being built: it starts as a copy of
+	// the previous row and is updated in place.
+	remWork := remaining[:m]
 	for i := 0; i < m; i++ {
 		if inst.NumJobs(i) > 0 {
 			remWork[i] = inst.Job(i, 0).Work()
@@ -106,17 +120,10 @@ func Execute(inst *Instance, s *Schedule) (*Result, error) {
 		}
 	}
 
-	snapshot := func(t int) {
-		res.remaining[t] = append([]float64(nil), remWork...)
-		done := make([]int, m)
-		copy(done, next)
-		res.jobsDone[t] = done
-	}
-	snapshot(0)
-
 	var wasted numeric.KahanAdder
 	for t := 0; t < steps; t++ {
-		res.progressed[t] = make([]bool, m)
+		remWork = remaining[(t+1)*m : (t+2)*m]
+		copy(remWork, remaining[t*m:(t+1)*m])
 		for i := 0; i < m; i++ {
 			share := s.Share(t, i)
 			if next[i] >= inst.NumJobs(i) {
@@ -125,17 +132,17 @@ func Execute(inst *Instance, s *Schedule) (*Result, error) {
 				continue
 			}
 			job := inst.Job(i, next[i])
-			if res.start[i][next[i]] == -1 && (share > numeric.Eps || job.Req <= numeric.Eps) {
-				res.start[i][next[i]] = t
+			k := off[i] + next[i]
+			if res.start[k] == -1 && (share > numeric.Eps || job.Req <= numeric.Eps) {
+				res.start[k] = t
 			}
 			if job.Req <= numeric.Eps {
 				// Zero-requirement job: full speed regardless of share.
 				remVol[i] -= 1
 				remWork[i] = 0
-				res.progressed[t][i] = true
 				wasted.Add(share)
 				if remVol[i] <= numeric.Eps {
-					res.completion[i][next[i]] = t
+					res.completion[k] = t
 					res.makespan = t + 1
 					advance(inst, i, next, remWork, remVol)
 				}
@@ -144,21 +151,17 @@ func Execute(inst *Instance, s *Schedule) (*Result, error) {
 			// Progress limited by both the share and the per-step speed cap.
 			useful := math.Min(share, job.Req)
 			useful = math.Min(useful, remWork[i])
-			if useful > numeric.Eps {
-				res.progressed[t][i] = true
-			}
 			wasted.Add(share - useful)
 			remWork[i] -= useful
 			remVol[i] -= useful / job.Req
 			if remWork[i] <= numeric.Eps {
 				remWork[i] = 0
 				remVol[i] = 0
-				res.completion[i][next[i]] = t
+				res.completion[k] = t
 				res.makespan = t + 1
 				advance(inst, i, next, remWork, remVol)
 			}
 		}
-		snapshot(t + 1)
 	}
 
 	for i := 0; i < m; i++ {
@@ -203,21 +206,35 @@ func (r *Result) Wasted() float64 { return r.wasted }
 
 // StartStep returns the zero-based step in which job (i,j) first received
 // resource, or -1 if it never started.
-func (r *Result) StartStep(i, j int) int { return r.start[i][j] }
+func (r *Result) StartStep(i, j int) int { return r.start[r.off[i]:r.off[i+1]][j] }
 
 // CompletionStep returns the zero-based step in which job (i,j) completed, or
 // -1 if it never completed within the schedule's horizon.
-func (r *Result) CompletionStep(i, j int) int { return r.completion[i][j] }
+func (r *Result) CompletionStep(i, j int) int { return r.completion[r.off[i]:r.off[i+1]][j] }
 
 // JobsDone returns j_i(t): the number of jobs processor i has completed at
 // the start of zero-based step t (t may equal Steps(), giving the final
 // state).
-func (r *Result) JobsDone(t, i int) int { return r.jobsDone[t][i] }
+func (r *Result) JobsDone(t, i int) int {
+	// The finished jobs are a prefix with strictly increasing completion
+	// steps, so the jobs done before t are found by binary search.
+	comp := r.completion[r.off[i]:r.off[i+1]]
+	lo, hi := 0, len(comp)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if c := comp[h]; c >= 0 && c < t {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
 
 // RemainingJobs returns n_i(t): the number of unfinished jobs of processor i
 // at the start of zero-based step t.
 func (r *Result) RemainingJobs(t, i int) int {
-	return r.inst.NumJobs(i) - r.jobsDone[t][i]
+	return r.inst.NumJobs(i) - r.JobsDone(t, i)
 }
 
 // Active reports whether processor i is active (has unfinished jobs) at the
@@ -227,40 +244,63 @@ func (r *Result) Active(t, i int) bool { return r.RemainingJobs(t, i) > 0 }
 // ActiveJob returns the index of the job processor i works on at the start of
 // zero-based step t and true, or (-1, false) if the processor is idle.
 func (r *Result) ActiveJob(t, i int) (int, bool) {
-	if !r.Active(t, i) {
-		return -1, false
+	if j := r.JobsDone(t, i); j < r.inst.NumJobs(i) {
+		return j, true
 	}
-	return r.jobsDone[t][i], true
+	return -1, false
 }
 
 // RemainingWork returns the remaining work (alternative-model units) of the
 // active job on processor i at the start of zero-based step t; zero if the
 // processor is idle.
-func (r *Result) RemainingWork(t, i int) float64 { return r.remaining[t][i] }
+func (r *Result) RemainingWork(t, i int) float64 { return r.remaining[t*r.m : (t+1)*r.m][i] }
 
 // Progressed reports whether processor i made progress on a job during
 // zero-based step t.
 func (r *Result) Progressed(t, i int) bool {
-	if t < 0 || t >= len(r.progressed) {
+	if t < 0 || t >= r.Steps() {
 		return false
 	}
-	return r.progressed[t][i]
+	j, ok := r.ActiveJob(t, i)
+	return ok && r.progressed(t, i, j)
+}
+
+// progressed reports whether job (i,j), active at the start of step t,
+// progressed during t: Execute's own test, min(R_i(t), r_ij, remaining
+// work) > Eps, and always for a zero-requirement job.
+func (r *Result) progressed(t, i, j int) bool {
+	req := r.inst.Job(i, j).Req
+	if req <= numeric.Eps {
+		return true
+	}
+	useful := math.Min(r.sched.Share(t, i), req)
+	return math.Min(useful, r.remaining[t*r.m+i]) > numeric.Eps
 }
 
 // FinishedJobDuring reports whether processor i completed a job during
 // zero-based step t.
 func (r *Result) FinishedJobDuring(t, i int) bool {
-	if t < 0 || t+1 >= len(r.jobsDone) {
+	if t < 0 || t >= r.Steps() {
 		return false
 	}
-	return r.jobsDone[t+1][i] > r.jobsDone[t][i]
+	_, finishes := r.stepState(t, i)
+	return finishes
+}
+
+// stepState returns n_i(t) and whether processor i finishes a job during
+// step t (0 <= t <= Steps()), with one search of its completion steps: at
+// most one job finishes per step, the one active at its start.
+func (r *Result) stepState(t, i int) (left int, finishes bool) {
+	comp := r.completion[r.off[i]:r.off[i+1]]
+	j := r.JobsDone(t, i)
+	return len(comp) - j, j < len(comp) && comp[j] == t
 }
 
 // Steps returns the number of steps of the executed schedule.
 func (r *Result) Steps() int { return r.sched.Steps() }
 
 // NumProcessors returns the instance's processor count.
-func (r *Result) NumProcessors() int { return r.inst.NumProcessors() }
+func (r *Result) NumProcessors() int { return r.m }
 
 // ActiveJobs returns the identifiers of all jobs active at the start of
 // zero-based step t (the edge e_{t+1} of the scheduling hypergraph).
@@ -278,8 +318,8 @@ func (r *Result) ActiveJobs(t int) []JobID {
 // processor then position). Jobs that never completed are excluded.
 func (r *Result) CompletionOrder() []JobID {
 	var ids []JobID
-	for i := range r.completion {
-		for j, c := range r.completion[i] {
+	for i := 0; i < r.m; i++ {
+		for j, c := range r.completion[r.off[i]:r.off[i+1]] {
 			if c >= 0 {
 				ids = append(ids, JobID{Proc: i, Pos: j})
 			}
@@ -290,7 +330,7 @@ func (r *Result) CompletionOrder() []JobID {
 	// through package sort in the algorithms themselves.
 	for a := 1; a < len(ids); a++ {
 		for b := a; b > 0; b-- {
-			cb, cp := r.completion[ids[b].Proc][ids[b].Pos], r.completion[ids[b-1].Proc][ids[b-1].Pos]
+			cb, cp := r.CompletionStep(ids[b].Proc, ids[b].Pos), r.CompletionStep(ids[b-1].Proc, ids[b-1].Pos)
 			if cb < cp || (cb == cp && less(ids[b], ids[b-1])) {
 				ids[b], ids[b-1] = ids[b-1], ids[b]
 			} else {

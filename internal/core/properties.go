@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"crsharing/internal/numeric"
 )
@@ -18,23 +19,35 @@ type Properties struct {
 
 // String renders the property set compactly, e.g. "non-wasting progressive nested".
 func (p Properties) String() string {
-	s := ""
-	add := func(ok bool, name string) {
+	k := 0
+	for bit, ok := range [...]bool{p.NonWasting, p.Progressive, p.Nested, p.Balanced} {
 		if ok {
-			if s != "" {
-				s += " "
-			}
-			s += name
+			k |= 1 << bit
 		}
 	}
-	add(p.NonWasting, "non-wasting")
-	add(p.Progressive, "progressive")
-	add(p.Nested, "nested")
-	add(p.Balanced, "balanced")
-	if s == "" {
-		return "none"
-	}
-	return s
+	return propertyNames[k]
+}
+
+// propertyNames holds String's 16 renderings, indexed by the property bits
+// NonWasting=1, Progressive=2, Nested=4, Balanced=8: String runs on every
+// response and must not build the string each time.
+var propertyNames = [16]string{
+	"none",
+	"non-wasting",
+	"progressive",
+	"non-wasting progressive",
+	"nested",
+	"non-wasting nested",
+	"progressive nested",
+	"non-wasting progressive nested",
+	"balanced",
+	"non-wasting balanced",
+	"progressive balanced",
+	"non-wasting progressive balanced",
+	"nested balanced",
+	"non-wasting nested balanced",
+	"progressive nested balanced",
+	"non-wasting progressive nested balanced",
 }
 
 // CheckProperties evaluates all four structural properties for the executed
@@ -57,7 +70,7 @@ func IsNonWasting(r *Result) bool {
 			continue
 		}
 		for i := 0; i < r.NumProcessors(); i++ {
-			if r.Active(t, i) && !r.FinishedJobDuring(t, i) {
+			if left, finishes := r.stepState(t, i); left > 0 && !finishes {
 				return false
 			}
 		}
@@ -72,10 +85,11 @@ func IsProgressive(r *Result) bool {
 	for t := 0; t < r.Steps(); t++ {
 		partial := 0
 		for i := 0; i < r.NumProcessors(); i++ {
-			if !r.Active(t, i) {
+			left, finishes := r.stepState(t, i)
+			if left == 0 {
 				continue
 			}
-			if r.Schedule().Share(t, i) > numeric.Eps && !r.FinishedJobDuring(t, i) {
+			if r.Schedule().Share(t, i) > numeric.Eps && !finishes {
 				partial++
 			}
 		}
@@ -93,43 +107,28 @@ func IsProgressive(r *Result) bool {
 // preferred and completed first, so job lifetimes form a laminar (nested)
 // family.
 func IsNested(r *Result) bool {
-	type span struct {
-		id   JobID
-		s, c int
-	}
-	var spans []span
-	for i := 0; i < r.NumProcessors(); i++ {
-		for j := 0; j < r.Instance().NumJobs(i); j++ {
-			s, c := r.StartStep(i, j), r.CompletionStep(i, j)
-			if s < 0 || c < 0 {
+	for ai := 0; ai < r.m; ai++ {
+		for ka := r.off[ai]; ka < r.off[ai+1]; ka++ { // candidate (i,j)
+			as, ac := r.start[ka], r.completion[ka]
+			if as < 0 || ac < 0 {
 				// Jobs that never started or never finished cannot witness a
 				// violation within the executed horizon.
 				continue
 			}
-			spans = append(spans, span{id: JobID{Proc: i, Pos: j}, s: s, c: c})
-		}
-	}
-	running := func(id JobID, t int) bool {
-		// A job is "running" in step t if it is the active job of its
-		// processor and receives a positive share (or is a zero-requirement
-		// job making progress).
-		j, ok := r.ActiveJob(t, id.Proc)
-		if !ok || j != id.Pos {
-			return false
-		}
-		return r.Progressed(t, id.Proc)
-	}
-	for _, a := range spans { // candidate (i,j)
-		for _, b := range spans { // candidate (i',j')
-			if a.id == b.id {
-				continue
-			}
-			if !(a.s < b.s && b.s < a.c) {
-				continue
-			}
-			for t := b.s; t < b.c; t++ {
-				if t >= a.s && running(a.id, t) {
-					return false
+			for kb, bs := range r.start { // candidate (i',j')
+				bc := r.completion[kb]
+				if bs < 0 || bc < 0 || !(as < bs && bs < ac) {
+					continue
+				}
+				// (i,j) is its processor's active job from its start (or
+				// earlier) through its completion step ac, and as < bs, so
+				// of the steps in [bs, bc) it is active in those up to ac.
+				// It runs in one when it progresses there: it receives a
+				// positive share, or is a zero-requirement job.
+				for t := bs; t < min(bc, ac+1); t++ {
+					if r.progressed(t, ai, ka-r.off[ai]) {
+						return false
+					}
 				}
 			}
 		}
@@ -142,15 +141,19 @@ func IsNested(r *Result) bool {
 // job during step t.
 func IsBalanced(r *Result) bool {
 	for t := 0; t < r.Steps(); t++ {
+		// Some processor that finishes a job must have fewer remaining jobs
+		// than some processor that does not: compare the fewest among the
+		// former with the most among the latter.
+		fewestFinishing, mostUnfinishing := math.MaxInt, -1
 		for i := 0; i < r.NumProcessors(); i++ {
-			if !r.FinishedJobDuring(t, i) {
-				continue
+			if left, finishes := r.stepState(t, i); finishes {
+				fewestFinishing = min(fewestFinishing, left)
+			} else {
+				mostUnfinishing = max(mostUnfinishing, left)
 			}
-			for k := 0; k < r.NumProcessors(); k++ {
-				if r.RemainingJobs(t, k) > r.RemainingJobs(t, i) && !r.FinishedJobDuring(t, k) {
-					return false
-				}
-			}
+		}
+		if mostUnfinishing > fewestFinishing {
+			return false
 		}
 	}
 	return true
@@ -167,11 +170,19 @@ func IsBalanced(r *Result) bool {
 // IsBalanced first.
 func CheckProposition1(r *Result) error {
 	m := r.NumProcessors()
+	// left[i] is n_i(t); the array keeps it off the heap up to 64
+	// processors.
+	var buf [64]int
+	left := buf[:0]
 	for t := 0; t <= r.Steps(); t++ {
+		left = left[:0]
+		for i := 0; i < m; i++ {
+			left = append(left, r.RemainingJobs(t, i))
+		}
 		for i1 := 0; i1 < m; i1++ {
 			for i2 := 0; i2 < m; i2++ {
 				n1, n2 := r.Instance().NumJobs(i1), r.Instance().NumJobs(i2)
-				r1, r2 := r.Instance().NumJobs(i1)-r.JobsDone(t, i1), r.Instance().NumJobs(i2)-r.JobsDone(t, i2)
+				r1, r2 := left[i1], left[i2]
 				if n1 >= n2 && !(r1 >= r2-1) {
 					return fmt.Errorf("core: Proposition 1(a) violated at t=%d for processors %d,%d: n_%d(t)=%d < n_%d(t)-1=%d",
 						t+1, i1+1, i2+1, i1+1, r1, i2+1, r2-1)
@@ -192,14 +203,23 @@ func CheckProposition1(r *Result) error {
 // active at step t. Job indices in the proposition are one-based; the
 // zero-based code converts accordingly.
 func CheckProposition2(r *Result) error {
+	m := r.NumProcessors()
 	for t := 0; t < r.Steps(); t++ {
-		for i := 0; i < r.NumProcessors(); i++ {
+		// M_{j+1} holds an idle processor exactly when the most jobs of
+		// any idle processor is at least j+1.
+		mostIdle := 0
+		for other := 0; other < m; other++ {
+			if !r.Active(t, other) {
+				mostIdle = max(mostIdle, r.Instance().NumJobs(other))
+			}
+		}
+		for i := 0; i < m; i++ {
 			j, ok := r.ActiveJob(t, i)
-			if !ok || r.RemainingJobs(t, i) <= 1 {
+			if !ok || r.RemainingJobs(t, i) <= 1 || mostIdle < j+1 {
 				continue
 			}
-			for _, other := range r.Instance().ProcsWithAtLeast(j + 1) {
-				if !r.Active(t, other) {
+			for other := 0; other < m; other++ {
+				if r.Instance().NumJobs(other) >= j+1 && !r.Active(t, other) {
 					return fmt.Errorf("core: Proposition 2 violated at t=%d: job (%d,%d) active with n_%d(t)>1 but processor %d idle",
 						t+1, i+1, j+1, i+1, other+1)
 				}

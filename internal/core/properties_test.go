@@ -174,6 +174,42 @@ func TestPropertiesString(t *testing.T) {
 	}
 }
 
+// refPropertiesString is the closure-based String that the precomputed
+// table replaced, kept verbatim as its reference.
+func refPropertiesString(p Properties) string {
+	s := ""
+	add := func(ok bool, name string) {
+		if ok {
+			if s != "" {
+				s += " "
+			}
+			s += name
+		}
+	}
+	add(p.NonWasting, "non-wasting")
+	add(p.Progressive, "progressive")
+	add(p.Nested, "nested")
+	add(p.Balanced, "balanced")
+	if s == "" {
+		return "none"
+	}
+	return s
+}
+
+// TestPropertiesStringAllCombinations compares String with the reference
+// on all 16 property sets, and checks that it does not allocate.
+func TestPropertiesStringAllCombinations(t *testing.T) {
+	for k := 0; k < 16; k++ {
+		p := Properties{NonWasting: k&1 != 0, Progressive: k&2 != 0, Nested: k&4 != 0, Balanced: k&8 != 0}
+		if got, want := p.String(), refPropertiesString(p); got != want {
+			t.Fatalf("%+v renders %q, reference %q", p, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = p.String() }); allocs != 0 {
+			t.Fatalf("%+v: String made %v allocations", p, allocs)
+		}
+	}
+}
+
 // randomInstance draws a unit-size instance without importing internal/gen
 // (which would create an import cycle for this package's tests).
 func randomInstance(rng *rand.Rand, m, jobs int, lo, hi float64) *Instance {

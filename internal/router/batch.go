@@ -48,8 +48,10 @@ func (ri *rawInstance) UnmarshalJSON(data []byte) error {
 
 // subResponse is a backend's batch response (service.BatchResponse) decoded
 // at the envelope only: the counts the merge sums, and every result as the
-// backend's bytes.
+// backend's bytes. Error is set instead when the backend refused the
+// sub-batch (service.ErrorResponse).
 type subResponse struct {
+	Error     string    `json:"error"`
 	Solver    string    `json:"solver"`
 	Solved    int       `json:"solved"`
 	Failed    int       `json:"failed"`
@@ -103,9 +105,14 @@ type resultSlot struct {
 	rest  []byte
 }
 
-// missingResult is the slot of an instance no backend answered for: the
-// zero service.BatchResult, {"index":0}, as the typed merge always wrote it.
-var missingResult = resultSlot{rest: []byte("}")}
+// errorSlot is the slot of a failed result: {"index":index,"error":msg}.
+// (The value holds only an integer and a string, so marshalling cannot
+// fail.)
+func errorSlot(index int, msg string) resultSlot {
+	enc, _ := json.Marshal(service.BatchResult{Index: index, Error: msg})
+	_, rest, _ := splitResult(enc)
+	return resultSlot{index: index, rest: rest}
+}
 
 // subOutcome is one sub-batch's round trip.
 type subOutcome struct {
@@ -117,11 +124,27 @@ type subOutcome struct {
 	err        error
 }
 
+// refusal returns the error text of a sub-batch the backend answered but
+// did not solve: a non-2xx status other than a 429 that shed every
+// instance. It is the backend's error message, or the status text when the
+// body carried none, and empty for a sub-batch the backend solved.
+func (out *subOutcome) refusal() string {
+	if out.status/100 == 2 || out.status == http.StatusTooManyRequests && out.resp.Shed == len(out.indices) {
+		return ""
+	}
+	if out.resp.Error != "" {
+		return out.resp.Error
+	}
+	return fmt.Sprintf("status %d %s", out.status, http.StatusText(out.status))
+}
+
 // handleBatch splits a batch by ring owner, solves the sub-batches on their
 // backends concurrently, and re-merges the results under the original
-// indices. A sub-batch whose backend fails outright degrades to per-instance
-// errors; the batch is answered 429 only when EVERY sub-response was a full
-// quota shed, mirroring the single-backend semantics.
+// indices. A sub-batch whose backend fails outright or refuses it degrades
+// to per-instance errors; the batch is answered 429 only when EVERY
+// sub-response was a full quota shed, and with a backend's 4xx only when
+// every backend refused its sub-batch with it, mirroring the single-backend
+// semantics.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rt.m.requests.Add(1)
 	rt.m.routedBatch.Add(1)
@@ -256,30 +279,51 @@ func (env batchEnvelope) body(insts []rawInstance, indices []int) []byte {
 	return append(b, '}')
 }
 
+// sameRefusal returns the status and the first error text when every
+// sub-batch was refused with the same 4xx status, and 0 otherwise.
+func sameRefusal(outs []subOutcome) (status int, msg string) {
+	if len(outs) == 0 {
+		return 0, ""
+	}
+	for _, out := range outs {
+		if out.err != nil || out.status/100 != 4 || out.status != outs[0].status || out.refusal() == "" {
+			return 0, ""
+		}
+	}
+	return outs[0].status, outs[0].refusal()
+}
+
 // mergeBatch merges the sub-batch outcomes into the body of a
 // service.BatchResponse for a batch of n instances, byte for byte what
 // encoding it with json.Encoder gives, and returns the status to answer
 // with: 429, with the largest Retry-After seen, when every sub-response was
-// a full quota shed, else 200. (The marshalled values hold only strings and
-// integers, so marshalling cannot fail.)
+// a full quota shed; the backends' own 4xx, with the first one's error as a
+// service.ErrorResponse body, when every sub-batch was refused with that
+// same status, as the single-owner path passes it through; else 200.
+//
+// A sub-batch that failed in transport or was refused fails each of its
+// instances with the error, and counts them as failed. An instance its
+// backend returned no well-formed result for gets an error of its own; the
+// counts stay the backend's, which already counted it. (The marshalled
+// values hold only strings and integers, so marshalling cannot fail.)
 func mergeBatch(n int, outs []subOutcome) (body []byte, status, retryAfter int) {
+	if status, msg := sameRefusal(outs); status != 0 {
+		enc, _ := json.Marshal(service.ErrorResponse{Error: msg})
+		return append(enc, '\n'), status, 0
+	}
 	head := service.BatchResponse{Count: n}
 	slots := make([]resultSlot, n)
-	for i := range slots {
-		slots[i] = missingResult
-	}
 	allShed := true
 	for _, out := range outs {
+		msg := out.refusal()
 		if out.err != nil {
+			msg = fmt.Sprint(out.err)
+		}
+		if msg != "" {
 			allShed = false
 			for _, idx := range out.indices {
 				head.Failed++
-				failed, _ := json.Marshal(service.BatchResult{
-					Index: idx,
-					Error: fmt.Sprintf("backend %s: %v", out.backend, out.err),
-				})
-				_, rest, _ := splitResult(failed)
-				slots[idx] = resultSlot{index: idx, rest: rest}
+				slots[idx] = errorSlot(idx, fmt.Sprintf("backend %s: %s", out.backend, msg))
 			}
 			continue
 		}
@@ -301,6 +345,14 @@ func mergeBatch(n int, outs []subOutcome) (body []byte, status, retryAfter int) 
 			}
 			orig := out.indices[sub]
 			slots[orig] = resultSlot{index: orig, rest: rest}
+		}
+	}
+	// The sub-batches partition the batch, so this fills every slot left.
+	for _, out := range outs {
+		for _, idx := range out.indices {
+			if slots[idx].rest == nil {
+				slots[idx] = errorSlot(idx, fmt.Sprintf("backend %s: no result for this instance", out.backend))
+			}
 		}
 	}
 

@@ -162,8 +162,10 @@ func postBatch(t *testing.T, url string, req service.BatchRequest) []byte {
 // TestMergeMatchesTypedMerge holds the spliced merge to the typed
 // decode/re-encode merge, byte for byte, on real backend responses and on
 // synthetic ones that exercise every result field, HTML-escaped and
-// non-ASCII strings, float formats, duplicate, out-of-range and missing
-// results, transport failures and full sheds.
+// non-ASCII strings, float formats, duplicate and out-of-range results,
+// transport failures and full sheds. The two cases where the merge departs
+// from the typed one, refused sub-batches and missing results, have tests
+// of their own below.
 func TestMergeMatchesTypedMerge(t *testing.T) {
 	a := newBackend(t, false)
 	insts := testInstances(6)
@@ -186,6 +188,7 @@ func TestMergeMatchesTypedMerge(t *testing.T) {
 			{Index: 1, Makespan: 9}, // a duplicate: the later one wins
 			{Index: 9, Makespan: 4}, // out of range: dropped
 			{Index: -1},             // out of range: dropped
+			{Index: 4, Makespan: 5},
 		},
 	})
 
@@ -220,11 +223,120 @@ func TestMergeMatchesTypedMerge(t *testing.T) {
 		{indices: []int{2}, body: shed(1), status: http.StatusTooManyRequests, retryAfter: "2"},
 		{indices: []int{0, 1}, body: shed(2), status: http.StatusOK},
 	})
-	// An error body: no results at all.
-	mergeBoth(t, 3, []subFixture{
-		{indices: []int{2}, body: encodeResponse(t, service.BatchResponse{}), status: http.StatusBadRequest},
-		{indices: []int{0, 1}, body: []byte(`{"error":"unknown solver"}` + "\n"), status: http.StatusBadRequest},
+}
+
+// mergeFixtures merges sub-batch round trips the way handleBatch does.
+func mergeFixtures(t *testing.T, n int, subs []subFixture) (service.BatchResponse, []byte, int) {
+	t.Helper()
+	outs := make([]subOutcome, len(subs))
+	for i, sub := range subs {
+		outs[i] = subOutcome{backend: fmt.Sprintf("http://backend-%d", i), indices: sub.indices, status: sub.status, retryAfter: sub.retryAfter, err: sub.err}
+		if sub.err == nil {
+			if err := json.Unmarshal(sub.body, &outs[i].resp); err != nil {
+				t.Fatalf("sub-response %d: %v", i, err)
+			}
+		}
+	}
+	body, status, _ := mergeBatch(n, outs)
+	var br service.BatchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatalf("merged body is not valid JSON: %v\n%s", err, body)
+	}
+	return br, body, status
+}
+
+// TestMergeRefusedSubBatches: a sub-batch its backend answered with a
+// non-2xx status (other than a 429 that shed all of it) fails each of its
+// instances under its own index with the backend's error, like a transport
+// failure, and when every sub-batch was refused with the same 4xx the
+// batch is answered with that status and error, as a batch one backend
+// owns is.
+func TestMergeRefusedSubBatches(t *testing.T) {
+	unknown := []byte(`{"error":"unknown solver \"nope\""}` + "\n")
+	ok := encodeResponse(t, service.BatchResponse{Solver: "stub", Count: 1, Solved: 1,
+		Results: []service.BatchResult{{Index: 0, Makespan: 3}}})
+
+	_, body, status := mergeFixtures(t, 3, []subFixture{
+		{indices: []int{2}, body: unknown, status: http.StatusBadRequest},
+		{indices: []int{0, 1}, body: unknown, status: http.StatusBadRequest},
 	})
+	if status != http.StatusBadRequest || string(body) != string(unknown) {
+		t.Fatalf("all refused 400: status %d body %s, want 400 %s", status, body, unknown)
+	}
+	// A refusal without an error message still answers its status.
+	_, body, status = mergeFixtures(t, 3, []subFixture{
+		{indices: []int{2}, body: []byte(`{}`), status: http.StatusForbidden},
+		{indices: []int{0, 1}, body: []byte(`{}`), status: http.StatusForbidden},
+	})
+	if status != http.StatusForbidden || !strings.Contains(string(body), `"error":"status 403 Forbidden"`) {
+		t.Fatalf("all refused 403: status %d body %s", status, body)
+	}
+
+	for name, subs := range map[string][]subFixture{
+		"one refused": {
+			{indices: []int{2, 0}, body: unknown, status: http.StatusBadRequest},
+			{indices: []int{1}, body: ok, status: http.StatusOK},
+		},
+		"different statuses": {
+			{indices: []int{2, 0}, body: unknown, status: http.StatusBadRequest},
+			{indices: []int{1}, body: []byte(`{"error":"draining"}`), status: http.StatusServiceUnavailable},
+		},
+		"all 5xx": {
+			{indices: []int{2, 0}, body: unknown, status: http.StatusInternalServerError},
+			{indices: []int{1}, body: unknown, status: http.StatusInternalServerError},
+		},
+		"a partial shed answered 429": {
+			{indices: []int{2, 0}, body: encodeResponse(t, service.BatchResponse{Solver: "stub", Count: 2, Shed: 1, Solved: 1}), status: http.StatusTooManyRequests},
+			{indices: []int{1}, body: ok, status: http.StatusOK},
+		},
+	} {
+		br, body, status := mergeFixtures(t, 3, subs)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200\n%s", name, status, body)
+		}
+		failed := 0
+		for i, res := range br.Results {
+			if res.Index != i {
+				t.Fatalf("%s: result %d carries index %d\n%s", name, i, res.Index, body)
+			}
+			if i != 1 && !strings.HasPrefix(res.Error, "backend http://backend-0: ") {
+				t.Fatalf("%s: result %d error %q, want the refusing backend's\n%s", name, i, res.Error, body)
+			}
+			if res.Error != "" {
+				failed++
+			}
+		}
+		if br.Failed != failed {
+			t.Fatalf("%s: failed %d, want %d\n%s", name, br.Failed, failed, body)
+		}
+	}
+}
+
+// TestMergeMissingResult: an instance no result came back for carries its
+// own index and an error naming its backend, not the zero result's
+// {"index":0}.
+func TestMergeMissingResult(t *testing.T) {
+	partial := encodeResponse(t, service.BatchResponse{Solver: "stub", Count: 2, Solved: 2,
+		Results: []service.BatchResult{{Index: 1, Makespan: 4}}})
+	ok := encodeResponse(t, service.BatchResponse{Solver: "stub", Count: 1, Solved: 1,
+		Results: []service.BatchResult{{Index: 0, Makespan: 3}}})
+	br, body, status := mergeFixtures(t, 3, []subFixture{
+		{indices: []int{2, 1}, body: partial, status: http.StatusOK},
+		{indices: []int{0}, body: ok, status: http.StatusOK},
+	})
+	if status != http.StatusOK || br.Solved != 3 {
+		t.Fatalf("status %d, counts %+v", status, br)
+	}
+	want := []service.BatchResult{
+		{Index: 0, Makespan: 3},
+		{Index: 1, Makespan: 4},
+		{Index: 2, Error: "backend http://backend-0: no result for this instance"},
+	}
+	for i := range want {
+		if br.Results[i] != want[i] {
+			t.Fatalf("result %d = %+v, want %+v\n%s", i, br.Results[i], want[i], body)
+		}
+	}
 }
 
 // TestBatchResultLeadsWithIndex pins the encoding contract the splice relies
@@ -289,11 +401,11 @@ func TestMalformedResultCannotCorruptSiblings(t *testing.T) {
 		{Index: 0, Makespan: 11}, // the bad sub-batch's one well-formed result
 		{Index: 1, Makespan: 20},
 		{Index: 2, Makespan: 21},
-		{}, // instance 3's only results were malformed
+		{Index: 3, Error: "backend : no result for this instance"}, // its only results were malformed
 	}
 	for i := range want {
 		got := br.Results[i]
-		if got.Index != want[i].Index || got.Makespan != want[i].Makespan {
+		if got.Index != want[i].Index || got.Makespan != want[i].Makespan || got.Error != want[i].Error {
 			t.Fatalf("slot %d = %+v, want %+v\n%s", i, got, want[i], merged)
 		}
 	}
@@ -394,6 +506,38 @@ func TestRouterBatchForwardsInstanceBytes(t *testing.T) {
 		}
 	}
 	if a.freshSolves() == 0 || b.freshSolves() == 0 {
+		t.Fatal("the batch did not split across both backends")
+	}
+}
+
+// TestRouterBatchUnknownSolver: a batch that splits across backends which
+// all refuse its solver is answered as a backend answers it whole: 400 with
+// the backend's error, not 200 with empty results.
+func TestRouterBatchUnknownSolver(t *testing.T) {
+	a, b := newBackend(t, false), newBackend(t, false)
+	rt, rts := newRouter(t, Config{}, a, b)
+	raw, err := json.Marshal(service.BatchRequest{Solver: "nope", Instances: testInstances(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(url string) (int, string) {
+		resp, err := http.Post(url+"/v1/batch-solve", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(data)
+	}
+	status, body := post(rts.URL)
+	directStatus, directBody := post(a.ts.URL)
+	if directStatus != http.StatusBadRequest || !strings.Contains(directBody, "unknown solver") {
+		t.Fatalf("backend answered %d %s, want 400 unknown solver", directStatus, directBody)
+	}
+	if status != directStatus || body != directBody {
+		t.Fatalf("router answered %d %s, backend %d %s", status, body, directStatus, directBody)
+	}
+	if rt.m.batchSplits.Load() == 0 {
 		t.Fatal("the batch did not split across both backends")
 	}
 }
