@@ -2,8 +2,8 @@ package core
 
 import (
 	"encoding/json"
-	"math"
-	"strconv"
+
+	"crsharing/internal/wire"
 )
 
 // The JSON wire codec of Instance and Schedule. Every request to the serving
@@ -19,7 +19,8 @@ import (
 // Any other input — case-folded, unknown or duplicate keys, null rows, keys
 // out of order, invalid or out-of-range numbers — is handed to encoding/json,
 // so every decoded value and every error message is the one encoding/json
-// gives.
+// gives. DecodeInstance and DecodeSchedule parse the same shapes in place
+// inside a larger document, for the serving tier's envelope parsers.
 
 // MarshalJSON implements json.Marshaler.
 func (in *Instance) MarshalJSON() ([]byte, error) {
@@ -46,9 +47,9 @@ func (in *Instance) MarshalJSON() ([]byte, error) {
 				b = append(b, ',')
 			}
 			b = append(b, `{"req":`...)
-			b = appendFloat(b, job.Req)
+			b = wire.AppendFloat(b, job.Req)
 			b = append(b, `,"size":`...)
-			b = appendFloat(b, job.Size)
+			b = wire.AppendFloat(b, job.Size)
 			b = append(b, '}')
 		}
 		b = append(b, ']')
@@ -59,8 +60,10 @@ func (in *Instance) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON implements json.Unmarshaler and validates the decoded
 // instance.
 func (in *Instance) UnmarshalJSON(data []byte) error {
-	procs, ok := parseProcs(data)
-	if !ok {
+	sc := wire.NewScanner(data)
+	procs, ok := parseProcs(&sc)
+	if !ok || !sc.End() {
+		// The type keeps its name: encoding/json puts it into its errors.
 		type wire struct {
 			Procs [][]Job `json:"procs"`
 		}
@@ -76,16 +79,44 @@ func (in *Instance) UnmarshalJSON(data []byte) error {
 	return in.Validate()
 }
 
+// DecodeInstance parses a canonical instance at the scanner's position and
+// returns it when it also passes Validate — what UnmarshalJSON gives for
+// the same bytes. On false the position is unspecified and the caller
+// should decode the whole document with encoding/json instead.
+func DecodeInstance(sc *wire.Scanner) (*Instance, bool) {
+	procs, ok := parseProcs(sc)
+	if !ok {
+		return nil, false
+	}
+	in := &Instance{Procs: procs}
+	if in.Validate() != nil {
+		return nil, false
+	}
+	return in, true
+}
+
 // MarshalJSON implements json.Marshaler.
 func (s *Schedule) MarshalJSON() ([]byte, error) {
+	if s != nil {
+		if b, ok := s.AppendJSON(make([]byte, 0, 12+3*len(s.Alloc)+20*len(s.Alloc)*s.NumProcessors())); ok {
+			return b, nil
+		}
+	}
 	type alias Schedule
-	if s == nil || !finiteRows(s.Alloc) {
-		return json.Marshal((*alias)(s)) // null, or encoding/json's own error
+	return json.Marshal((*alias)(s)) // null, or encoding/json's own error
+}
+
+// AppendJSON appends the schedule's JSON encoding to b, byte for byte what
+// MarshalJSON returns. ok is false, with b returned unchanged, when a share
+// is NaN or infinite: encoding/json refuses those, and the caller should
+// let it produce its error.
+func (s *Schedule) AppendJSON(b []byte) (_ []byte, ok bool) {
+	if !finiteRows(s.Alloc) {
+		return b, false
 	}
 	if s.Alloc == nil {
-		return []byte(`{"alloc":null}`), nil
+		return append(b, `{"alloc":null}`...), true
 	}
-	b := make([]byte, 0, 12+3*len(s.Alloc)+20*len(s.Alloc)*s.NumProcessors())
 	b = append(b, `{"alloc":[`...)
 	for t, row := range s.Alloc {
 		if t > 0 {
@@ -100,16 +131,17 @@ func (s *Schedule) MarshalJSON() ([]byte, error) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendFloat(b, x)
+			b = wire.AppendFloat(b, x)
 		}
 		b = append(b, ']')
 	}
-	return append(b, "]}"...), nil
+	return append(b, "]}"...), true
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (s *Schedule) UnmarshalJSON(data []byte) error {
-	if alloc, ok := parseAlloc(data); ok {
+	sc := wire.NewScanner(data)
+	if alloc, ok := parseAlloc(&sc); ok && sc.End() {
 		s.Alloc = alloc
 		return nil
 	}
@@ -117,30 +149,21 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 	return json.Unmarshal(data, (*alias)(s))
 }
 
-// appendFloat appends f as encoding/json encodes a float64: the shortest
-// round-trip decimal, in exponent form only below 1e-6 or from 1e21 up, with
-// a two-digit negative exponent shortened (e-09 becomes e-9).
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+// DecodeSchedule parses a canonical schedule at the scanner's position. On
+// false the position is unspecified and the caller should decode the whole
+// document with encoding/json instead.
+func DecodeSchedule(sc *wire.Scanner) (*Schedule, bool) {
+	alloc, ok := parseAlloc(sc)
+	if !ok {
+		return nil, false
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
+	return &Schedule{Alloc: alloc}, true
 }
-
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func finiteJobs(procs [][]Job) bool {
 	for _, js := range procs {
 		for _, j := range js {
-			if !finite(j.Req) || !finite(j.Size) {
+			if !wire.Finite(j.Req) || !wire.Finite(j.Size) {
 				return false
 			}
 		}
@@ -151,7 +174,7 @@ func finiteJobs(procs [][]Job) bool {
 func finiteRows(rows [][]float64) bool {
 	for _, row := range rows {
 		for _, x := range row {
-			if !finite(x) {
+			if !wire.Finite(x) {
 				return false
 			}
 		}
@@ -159,53 +182,53 @@ func finiteRows(rows [][]float64) bool {
 	return true
 }
 
-// parseProcs decodes the canonical instance shape. ok is false for any other
-// input, valid or not.
-func parseProcs(data []byte) (procs [][]Job, ok bool) {
+// parseProcs decodes the canonical instance shape at the scanner's
+// position, leaving it just past the closing brace. ok is false for any
+// other input, valid or not.
+func parseProcs(sc *wire.Scanner) (procs [][]Job, ok bool) {
 	var jobBuf [64]Job
 	var endBuf [16]int
 	jobs, ends := jobBuf[:0], endBuf[:0]
-	sc := scanner{data: data}
-	if !sc.token(`{"procs":[`) {
+	if !sc.Token(`{"procs":[`) {
 		return nil, false
 	}
-	if !sc.token(`]`) {
+	if !sc.Token(`]`) {
 		for {
-			if !sc.token(`[`) {
+			if !sc.Token(`[`) {
 				return nil, false
 			}
-			if !sc.token(`]`) {
+			if !sc.Token(`]`) {
 				for {
-					if !sc.token(`{"req":`) {
+					if !sc.Token(`{"req":`) {
 						return nil, false
 					}
-					req, ok := sc.number()
-					if !ok || !sc.token(`,"size":`) {
+					req, ok := sc.Number()
+					if !ok || !sc.Token(`,"size":`) {
 						return nil, false
 					}
-					size, ok := sc.number()
-					if !ok || !sc.token(`}`) {
+					size, ok := sc.Number()
+					if !ok || !sc.Token(`}`) {
 						return nil, false
 					}
 					jobs = append(jobs, Job{Req: req, Size: size})
-					if sc.token(`]`) {
+					if sc.Token(`]`) {
 						break
 					}
-					if !sc.token(`,`) {
+					if !sc.Token(`,`) {
 						return nil, false
 					}
 				}
 			}
 			ends = append(ends, len(jobs))
-			if sc.token(`]`) {
+			if sc.Token(`]`) {
 				break
 			}
-			if !sc.token(`,`) {
+			if !sc.Token(`,`) {
 				return nil, false
 			}
 		}
 	}
-	if !sc.token(`}`) || !sc.end() {
+	if !sc.Token(`}`) {
 		return nil, false
 	}
 	backing := make([]Job, len(jobs)) // non-nil even when empty, as decoded rows are
@@ -219,46 +242,46 @@ func parseProcs(data []byte) (procs [][]Job, ok bool) {
 	return procs, true
 }
 
-// parseAlloc decodes the canonical schedule shape. ok is false for any other
-// input, valid or not.
-func parseAlloc(data []byte) (alloc [][]float64, ok bool) {
+// parseAlloc decodes the canonical schedule shape at the scanner's
+// position, leaving it just past the closing brace. ok is false for any
+// other input, valid or not.
+func parseAlloc(sc *wire.Scanner) (alloc [][]float64, ok bool) {
 	var cellBuf [128]float64
 	var endBuf [32]int
 	cells, ends := cellBuf[:0], endBuf[:0]
-	sc := scanner{data: data}
-	if !sc.token(`{"alloc":[`) {
+	if !sc.Token(`{"alloc":[`) {
 		return nil, false
 	}
-	if !sc.token(`]`) {
+	if !sc.Token(`]`) {
 		for {
-			if !sc.token(`[`) {
+			if !sc.Token(`[`) {
 				return nil, false
 			}
-			if !sc.token(`]`) {
+			if !sc.Token(`]`) {
 				for {
-					x, ok := sc.number()
+					x, ok := sc.Number()
 					if !ok {
 						return nil, false
 					}
 					cells = append(cells, x)
-					if sc.token(`]`) {
+					if sc.Token(`]`) {
 						break
 					}
-					if !sc.token(`,`) {
+					if !sc.Token(`,`) {
 						return nil, false
 					}
 				}
 			}
 			ends = append(ends, len(cells))
-			if sc.token(`]`) {
+			if sc.Token(`]`) {
 				break
 			}
-			if !sc.token(`,`) {
+			if !sc.Token(`,`) {
 				return nil, false
 			}
 		}
 	}
-	if !sc.token(`}`) || !sc.end() {
+	if !sc.Token(`}`) {
 		return nil, false
 	}
 	backing := make([]float64, len(cells))
@@ -270,99 +293,4 @@ func parseAlloc(data []byte) (alloc [][]float64, ok bool) {
 		start = end
 	}
 	return alloc, true
-}
-
-// scanner is a cursor over JSON input for the two canonical shapes.
-type scanner struct {
-	data []byte
-	pos  int
-}
-
-func (sc *scanner) skipSpace() {
-	for sc.pos < len(sc.data) {
-		switch sc.data[sc.pos] {
-		case ' ', '\t', '\n', '\r':
-			sc.pos++
-		default:
-			return
-		}
-	}
-}
-
-// token consumes tok if it comes next, allowing JSON whitespace before each
-// of its structural characters and quoted keys but not inside a key.
-func (sc *scanner) token(tok string) bool {
-	pos, inKey := sc.pos, false
-	for i := 0; i < len(tok); i++ {
-		if !inKey {
-			sc.skipSpace()
-		}
-		if sc.pos >= len(sc.data) || sc.data[sc.pos] != tok[i] {
-			sc.pos = pos
-			return false
-		}
-		sc.pos++
-		if tok[i] == '"' {
-			inKey = !inKey
-		}
-	}
-	return true
-}
-
-// end reports whether only whitespace is left.
-func (sc *scanner) end() bool {
-	sc.skipSpace()
-	return sc.pos == len(sc.data)
-}
-
-// number consumes a JSON number literal and parses it as encoding/json does
-// for a float64 field. It fails, consuming nothing, on anything that is not
-// a valid literal or does not fit a float64.
-func (sc *scanner) number() (float64, bool) {
-	sc.skipSpace()
-	d, i := sc.data, sc.pos
-	start := i
-	if i < len(d) && d[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(d) && d[i] == '0':
-		i++
-	case i < len(d) && '1' <= d[i] && d[i] <= '9':
-		i = skipDigits(d, i)
-	default:
-		return 0, false
-	}
-	if i < len(d) && d[i] == '.' {
-		i++
-		if i >= len(d) || !isDigit(d[i]) {
-			return 0, false
-		}
-		i = skipDigits(d, i)
-	}
-	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
-		i++
-		if i < len(d) && (d[i] == '+' || d[i] == '-') {
-			i++
-		}
-		if i >= len(d) || !isDigit(d[i]) {
-			return 0, false
-		}
-		i = skipDigits(d, i)
-	}
-	f, err := strconv.ParseFloat(string(d[start:i]), 64)
-	if err != nil {
-		return 0, false
-	}
-	sc.pos = i
-	return f, true
-}
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-func skipDigits(d []byte, i int) int {
-	for i < len(d) && isDigit(d[i]) {
-		i++
-	}
-	return i
 }

@@ -105,7 +105,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.DefaultSolver == "" {
 		cfg.DefaultSolver = "portfolio"
 	}
-	if _, err := cfg.Registry.New(cfg.DefaultSolver); err != nil {
+	if err := cfg.Registry.Lookup(cfg.DefaultSolver); err != nil {
 		return nil, fmt.Errorf("engine: default solver: %w", err)
 	}
 	if cfg.DefaultTimeout <= 0 {
@@ -173,7 +173,7 @@ func (e *Engine) ResolveSolver(name string) (string, error) {
 	if name == "" {
 		name = e.cfg.DefaultSolver
 	}
-	if _, err := e.cfg.Registry.New(name); err != nil {
+	if err := e.cfg.Registry.Lookup(name); err != nil {
 		return "", err
 	}
 	return name, nil

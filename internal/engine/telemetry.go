@@ -3,12 +3,14 @@ package engine
 import (
 	"errors"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"crsharing/internal/core"
 	"crsharing/internal/solver"
+	"crsharing/internal/wire"
 )
 
 func floatBits(v float64) uint64 { return math.Float64bits(v) }
@@ -75,6 +77,66 @@ type Telemetry struct {
 	// the accepted hint.
 	WarmStart    string `json:"warm_start,omitempty"`
 	SeedMakespan int    `json:"seed_makespan,omitempty"`
+}
+
+// AppendJSON appends the telemetry's JSON encoding to b, byte for byte
+// what encoding/json produces for it. ok is false, with b returned
+// unchanged, when a float is NaN or infinite: encoding/json refuses those,
+// and the caller should let it produce its error.
+func (t *Telemetry) AppendJSON(b []byte) (_ []byte, ok bool) {
+	if !wire.Finite(t.ElapsedMS) || !wire.Finite(t.QueueMS) || !wire.Finite(t.AllocsPerNode) ||
+		!wire.Finite(t.Ratio) || !wire.Finite(t.Wasted) {
+		return b, false
+	}
+	b = append(b, `{"solver":`...)
+	b = wire.AppendString(b, t.Solver)
+	if t.Tenant != "" {
+		b = append(b, `,"tenant":`...)
+		b = wire.AppendString(b, t.Tenant)
+	}
+	if t.Winner != "" {
+		b = append(b, `,"winner":`...)
+		b = wire.AppendString(b, t.Winner)
+	}
+	b = append(b, `,"algorithm":`...)
+	b = wire.AppendString(b, t.Algorithm)
+	b = append(b, `,"source":`...)
+	b = wire.AppendString(b, t.Source)
+	b = append(b, `,"elapsed_ms":`...)
+	b = wire.AppendFloat(b, t.ElapsedMS)
+	b = append(b, `,"queue_ms":`...)
+	b = wire.AppendFloat(b, t.QueueMS)
+	b = append(b, `,"nodes":`...)
+	b = strconv.AppendInt(b, t.Nodes, 10)
+	b = append(b, `,"incumbents":`...)
+	b = strconv.AppendInt(b, t.Incumbents, 10)
+	b = append(b, `,"kernel_allocs":`...)
+	b = strconv.AppendInt(b, t.KernelAllocs, 10)
+	b = append(b, `,"allocs_per_node":`...)
+	b = wire.AppendFloat(b, t.AllocsPerNode)
+	b = append(b, `,"makespan":`...)
+	b = strconv.AppendInt(b, int64(t.Makespan), 10)
+	b = append(b, `,"lower_bound":`...)
+	b = strconv.AppendInt(b, int64(t.LowerBound), 10)
+	b = append(b, `,"lower_bound_kind":`...)
+	b = wire.AppendString(b, t.LowerBoundKind)
+	b = append(b, `,"ratio":`...)
+	b = wire.AppendFloat(b, t.Ratio)
+	b = append(b, `,"steps":`...)
+	b = strconv.AppendInt(b, int64(t.Steps), 10)
+	b = append(b, `,"wasted":`...)
+	b = wire.AppendFloat(b, t.Wasted)
+	b = append(b, `,"properties":`...)
+	b = wire.AppendString(b, t.Properties)
+	if t.WarmStart != "" {
+		b = append(b, `,"warm_start":`...)
+		b = wire.AppendString(b, t.WarmStart)
+	}
+	if t.SeedMakespan != 0 {
+		b = append(b, `,"seed_makespan":`...)
+		b = strconv.AppendInt(b, int64(t.SeedMakespan), 10)
+	}
+	return append(b, '}'), true
 }
 
 // newTelemetry assembles the telemetry of one finished solve.

@@ -10,6 +10,7 @@ import (
 
 	"crsharing/internal/core"
 	"crsharing/internal/service"
+	"crsharing/internal/wire"
 )
 
 // The batch path moves each instance through the router once: the router
@@ -46,6 +47,68 @@ func (ri *rawInstance) UnmarshalJSON(data []byte) error {
 	return ri.inst.UnmarshalJSON(data)
 }
 
+// decodeCanonical decodes a canonical batch body (the form
+// service.BatchRequest.DecodeCanonical takes) in one pass and reports
+// whether it did; req is left as it was when it did not, and the caller
+// then decodes the body with json.Unmarshal.
+func (req *batchRequest) decodeCanonical(body []byte) bool {
+	var out batchRequest
+	var seen [3]bool // solver, instances, timeout
+	first := func(i int) bool {
+		ok := !seen[i]
+		seen[i] = true
+		return ok
+	}
+	sc := wire.NewScanner(body)
+	ok := sc.Object(func(key []byte) bool {
+		var ok bool
+		switch string(key) {
+		case "solver":
+			out.Solver, ok = sc.PlainString()
+			return ok && first(0)
+		case "instances":
+			out.Instances, ok = parseRawInstances(&sc, body)
+			return ok && first(1)
+		case "timeout":
+			out.Timeout, ok = sc.PlainString()
+			return ok && first(2)
+		}
+		return false
+	}) && sc.End()
+	if ok {
+		*req = out
+	}
+	return ok
+}
+
+// parseRawInstances parses an array of canonical instances, keeping each
+// one's bytes; an empty array decodes to an empty, non-nil slice, as
+// encoding/json decodes it.
+func parseRawInstances(sc *wire.Scanner, body []byte) ([]rawInstance, bool) {
+	if !sc.Token("[") {
+		return nil, false
+	}
+	insts := []rawInstance{}
+	if sc.Token("]") {
+		return insts, true
+	}
+	for {
+		sc.SkipSpace()
+		start := sc.Pos()
+		inst, ok := core.DecodeInstance(sc)
+		if !ok {
+			return nil, false
+		}
+		insts = append(insts, rawInstance{raw: body[start:sc.Pos()], inst: inst})
+		if sc.Token("]") {
+			return insts, true
+		}
+		if !sc.Token(",") {
+			return nil, false
+		}
+	}
+}
+
 // subResponse is a backend's batch response (service.BatchResponse) decoded
 // at the envelope only: the counts the merge sums, and every result as the
 // backend's bytes. Error is set instead when the backend refused the
@@ -67,6 +130,83 @@ type rawSpan []byte
 func (s *rawSpan) UnmarshalJSON(data []byte) error {
 	*s = data
 	return nil
+}
+
+// decodeCanonical decodes a backend's batch response in one pass when it
+// holds only the keys service.BatchResponse and service.ErrorResponse
+// encode, exactly cased and none twice, with plain strings, integer counts
+// and no null, and reports whether it did; resp is left as it was when it
+// did not, and the caller then decodes the body with json.Unmarshal.
+func (resp *subResponse) decodeCanonical(data []byte) bool {
+	var out subResponse
+	var seen [8]bool // error, solver, count, solved, failed, cancelled, shed, results
+	first := func(i int) bool {
+		ok := !seen[i]
+		seen[i] = true
+		return ok
+	}
+	sc := wire.NewScanner(data)
+	ok := sc.Object(func(key []byte) bool {
+		var ok bool
+		switch string(key) {
+		case "error":
+			out.Error, ok = sc.PlainString()
+			return ok && first(0)
+		case "solver":
+			out.Solver, ok = sc.PlainString()
+			return ok && first(1)
+		case "count":
+			_, ok = sc.Int()
+			return ok && first(2)
+		case "solved":
+			out.Solved, ok = sc.Int()
+			return ok && first(3)
+		case "failed":
+			out.Failed, ok = sc.Int()
+			return ok && first(4)
+		case "cancelled":
+			out.Cancelled, ok = sc.Int()
+			return ok && first(5)
+		case "shed":
+			out.Shed, ok = sc.Int()
+			return ok && first(6)
+		case "results":
+			out.Results, ok = parseSpans(&sc, data)
+			return ok && first(7)
+		}
+		return false
+	}) && sc.End()
+	if ok {
+		*resp = out
+	}
+	return ok
+}
+
+// parseSpans parses an array of any JSON values, keeping each one's bytes;
+// an empty array decodes to an empty, non-nil slice, as encoding/json
+// decodes it.
+func parseSpans(sc *wire.Scanner, data []byte) ([]rawSpan, bool) {
+	if !sc.Token("[") {
+		return nil, false
+	}
+	spans := []rawSpan{}
+	if sc.Token("]") {
+		return spans, true
+	}
+	for {
+		sc.SkipSpace()
+		start := sc.Pos()
+		if !sc.Skip() {
+			return nil, false
+		}
+		spans = append(spans, data[start:sc.Pos()])
+		if sc.Token("]") {
+			return spans, true
+		}
+		if !sc.Token(",") {
+			return nil, false
+		}
+	}
 }
 
 // resultPrefix opens every encoded service.BatchResult: Index is its first
@@ -105,12 +245,13 @@ type resultSlot struct {
 	rest  []byte
 }
 
-// errorSlot is the slot of a failed result: {"index":index,"error":msg}.
-// (The value holds only an integer and a string, so marshalling cannot
-// fail.)
+// errorSlot is the slot of a failed result: {"index":index,"error":msg},
+// encoded as encoding/json encodes a service.BatchResult.
 func errorSlot(index int, msg string) resultSlot {
-	enc, _ := json.Marshal(service.BatchResult{Index: index, Error: msg})
-	_, rest, _ := splitResult(enc)
+	rest := []byte{'}'}
+	if msg != "" {
+		rest = append(wire.AppendString([]byte(`,"error":`), msg), '}')
+	}
 	return resultSlot{index: index, rest: rest}
 }
 
@@ -153,7 +294,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := json.Unmarshal(body, &req); err != nil || len(req.Instances) == 0 {
+	if !req.decodeCanonical(body) && json.Unmarshal(body, &req) != nil || len(req.Instances) == 0 {
 		rt.fail(w, http.StatusBadRequest, errors.New("parsing request: missing instances"))
 		return
 	}
@@ -222,11 +363,11 @@ func (rt *Router) sendSubBatch(r *http.Request, backend string, indices []int, b
 		out.err = err
 		return out
 	}
-	data, err := readSized(resp.Body, resp.ContentLength)
+	data, err := wire.ReadSized(nil, resp.Body, resp.ContentLength)
 	resp.Body.Close()
 	out.status = resp.StatusCode
 	out.retryAfter = resp.Header.Get("Retry-After")
-	if err == nil {
+	if err == nil && !out.resp.decodeCanonical(data) {
 		err = json.Unmarshal(data, &out.resp)
 	}
 	if err != nil {
@@ -242,17 +383,14 @@ type batchEnvelope struct {
 }
 
 // subBatchEnvelope encodes the fields service.BatchRequest sends besides the
-// instances, with the same omitempty rules. (Marshalling a string cannot
-// fail.)
+// instances, with the same omitempty rules.
 func subBatchEnvelope(solver, timeout string) batchEnvelope {
 	var env batchEnvelope
 	if solver != "" {
-		enc, _ := json.Marshal(solver)
-		env.solver = append(append([]byte(`"solver":`), enc...), ',')
+		env.solver = append(wire.AppendString([]byte(`"solver":`), solver), ',')
 	}
 	if timeout != "" {
-		enc, _ := json.Marshal(timeout)
-		env.timeout = append([]byte(`,"timeout":`), enc...)
+		env.timeout = wire.AppendString([]byte(`,"timeout":`), timeout)
 	}
 	return env
 }
@@ -304,12 +442,10 @@ func sameRefusal(outs []subOutcome) (status int, msg string) {
 // A sub-batch that failed in transport or was refused fails each of its
 // instances with the error, and counts them as failed. An instance its
 // backend returned no well-formed result for gets an error of its own; the
-// counts stay the backend's, which already counted it. (The marshalled
-// values hold only strings and integers, so marshalling cannot fail.)
+// counts stay the backend's, which already counted it.
 func mergeBatch(n int, outs []subOutcome) (body []byte, status, retryAfter int) {
 	if status, msg := sameRefusal(outs); status != 0 {
-		enc, _ := json.Marshal(service.ErrorResponse{Error: msg})
-		return append(enc, '\n'), status, 0
+		return append(wire.AppendString([]byte(`{"error":`), msg), "}\n"...), status, 0
 	}
 	head := service.BatchResponse{Count: n}
 	slots := make([]resultSlot, n)
@@ -357,8 +493,8 @@ func mergeBatch(n int, outs []subOutcome) (body []byte, status, retryAfter int) 
 	}
 
 	// Encode the envelope with no results, then splice them in where its
-	// "results":null stands.
-	enc, _ := json.Marshal(head)
+	// "results":null stands. (It holds no float, so encoding cannot fail.)
+	enc, _ := head.AppendJSON(nil)
 	const nullResults = `null}`
 	enc = enc[:len(enc)-len(nullResults)]
 	size := len(enc) + len("[]}\n")

@@ -14,6 +14,7 @@ import (
 
 	"crsharing/internal/engine"
 	"crsharing/internal/service"
+	"crsharing/internal/wire"
 )
 
 // refOutcome is a sub-batch outcome as the typed merge held it: the whole
@@ -416,31 +417,31 @@ func TestMalformedResultCannotCorruptSiblings(t *testing.T) {
 
 // TestReadSizedBoundsPreallocation: a body of its declared length lands in
 // one exactly sized buffer; a lying Content-Length reserves at most
-// maxPrealloc; undeclared and over-long bodies are read whole.
+// wire.MaxPrealloc; undeclared and over-long bodies are read whole.
 func TestReadSizedBoundsPreallocation(t *testing.T) {
 	body := bytes.Repeat([]byte("0123456789"), 1000)
 	// net/http's bodies report EOF with their last bytes, as DataErrReader does.
-	exact, err := readSized(iotest.DataErrReader(iotest.HalfReader(bytes.NewReader(body))), int64(len(body)))
+	exact, err := wire.ReadSized(nil, iotest.DataErrReader(iotest.HalfReader(bytes.NewReader(body))), int64(len(body)))
 	if err != nil || !bytes.Equal(exact, body) {
 		t.Fatalf("exact: err=%v, %d bytes", err, len(exact))
 	}
 	if cap(exact) != len(body) {
 		t.Fatalf("exact: cap %d for a %d-byte body, want one exactly sized buffer", cap(exact), len(body))
 	}
-	lying, err := readSized(bytes.NewReader(body[:10]), 32<<20)
+	lying, err := wire.ReadSized(nil, bytes.NewReader(body[:10]), 32<<20)
 	if err != nil || !bytes.Equal(lying, body[:10]) {
 		t.Fatalf("lying: err=%v, %q", err, lying)
 	}
-	if cap(lying) > maxPrealloc {
-		t.Fatalf("lying: a 32 MiB Content-Length reserved %d bytes, want at most %d", cap(lying), maxPrealloc)
+	if cap(lying) > wire.MaxPrealloc {
+		t.Fatalf("lying: a 32 MiB Content-Length reserved %d bytes, want at most %d", cap(lying), wire.MaxPrealloc)
 	}
 	for _, declared := range []int64{-1, 0, 100} {
-		got, err := readSized(iotest.OneByteReader(bytes.NewReader(body)), declared)
+		got, err := wire.ReadSized(nil, iotest.OneByteReader(bytes.NewReader(body)), declared)
 		if err != nil || !bytes.Equal(got, body) {
 			t.Fatalf("declared %d: err=%v, %d of %d bytes", declared, err, len(got), len(body))
 		}
 	}
-	if _, err := readSized(iotest.ErrReader(io.ErrUnexpectedEOF), 10); err != io.ErrUnexpectedEOF {
+	if _, err := wire.ReadSized(nil, iotest.ErrReader(io.ErrUnexpectedEOF), 10); err != io.ErrUnexpectedEOF {
 		t.Fatalf("read error %v, want it passed through", err)
 	}
 }

@@ -8,12 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"crsharing/internal/service"
+	"crsharing/internal/wire"
 )
 
 // maxBodyBytes caps request body sizes, mirroring the backend's own cap.
@@ -345,43 +345,12 @@ func (rt *Router) healthyBackends() []string {
 
 // readBody slurps and bounds the request body.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := readSized(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	body, err := wire.ReadSized(nil, http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	if err != nil {
 		rt.fail(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return nil, false
 	}
 	return body, true
-}
-
-// maxPrealloc bounds how far readSized allocates ahead of the bytes that
-// have arrived, so a lying Content-Length cannot make the router reserve a
-// large buffer for a body that never comes.
-const maxPrealloc = 1 << 20
-
-// readSized reads r to EOF into one buffer sized from the declared length
-// (Content-Length; negative when unknown), capped at maxPrealloc. A body of
-// its declared length fills the buffer exactly: net/http reports EOF with
-// the last bytes, so the buffer never grows. Longer or undeclared bodies
-// grow it as io.ReadAll does.
-func readSized(r io.Reader, declared int64) ([]byte, error) {
-	size := int64(512)
-	if declared > 0 {
-		size = min(declared, maxPrealloc)
-	}
-	buf := make([]byte, 0, size)
-	for {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, 512)
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
 }
 
 // proxyHeaders copies the client's headers for a proxied request, stripping
@@ -490,7 +459,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.SolveRequest
-	if err := json.Unmarshal(body, &req); err != nil || req.Instance == nil {
+	if !req.DecodeCanonical(body) && json.Unmarshal(body, &req) != nil || req.Instance == nil {
 		rt.fail(w, http.StatusBadRequest, errors.New("parsing request: missing or invalid instance"))
 		return
 	}
@@ -505,7 +474,7 @@ func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.JobRequest
-	if err := json.Unmarshal(body, &req); err != nil || req.Instance == nil {
+	if !req.DecodeCanonical(body) && json.Unmarshal(body, &req) != nil || req.Instance == nil {
 		rt.fail(w, http.StatusBadRequest, errors.New("parsing request: missing or invalid instance"))
 		return
 	}

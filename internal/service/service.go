@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -43,6 +44,7 @@ import (
 
 	"crsharing/internal/engine"
 	"crsharing/internal/jobs"
+	"crsharing/internal/wire"
 )
 
 // maxBodyBytes caps request body sizes.
@@ -86,6 +88,9 @@ type Server struct {
 	// for active handlers and does not cancel their request contexts.
 	shutdown     chan struct{}
 	shutdownOnce sync.Once
+	// jsonOnly sends every request body through encoding/json, skipping
+	// the canonical decoders; tests set it to compare the two paths.
+	jsonOnly bool
 }
 
 // New validates the configuration, applies defaults and returns a Server.
@@ -254,7 +259,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if req.IncludeSchedule {
 		resp.Schedule = ev.Schedule
 	}
-	s.respond(w, http.StatusOK, resp)
+	s.respond(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -344,10 +349,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		s.metrics.shedTotal.Add(1)
-		s.respond(w, http.StatusTooManyRequests, resp)
+		s.respond(w, http.StatusTooManyRequests, &resp)
 		return
 	}
-	s.respond(w, http.StatusOK, resp)
+	s.respond(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
@@ -373,21 +378,60 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.write(w, s.eng, s.cfg.Jobs, time.Since(s.started))
 }
 
+// canonicalDecoder is a request body with a one-pass decoder for its
+// canonical form (see codec.go).
+type canonicalDecoder interface {
+	DecodeCanonical(data []byte) bool
+}
+
 // decode reads the JSON request body into dst, bounding its size and
-// rejecting trailing garbage. It writes the error response itself and
-// reports whether decoding succeeded.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// rejecting anything but whitespace after the value. A canonical body
+// decodes in one pass; any other goes through encoding/json. It writes the
+// error response itself and reports whether decoding succeeded.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst canonicalDecoder) bool {
+	bp := reqBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*bp) <= maxPooledRequest {
+			reqBufs.Put(bp)
+		}
+	}()
+	body, err := wire.ReadSized(*bp, http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	*bp = body
+	if err != nil {
+		// Report what encoding/json reports on the bytes that did arrive: a
+		// syntax error it finds before the read failed, else the read error.
+		dec := json.NewDecoder(io.MultiReader(bytes.NewReader(body), errReader{err}))
+		if derr := dec.Decode(dst); derr != nil {
+			err = derr
+		}
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err))
+		return false
+	}
+	if !s.jsonOnly && dst.DecodeCanonical(body) {
+		return true
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	if err := dec.Decode(dst); err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err))
 		return false
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
 		s.fail(w, http.StatusBadRequest, errors.New("trailing data after request body"))
 		return false
 	}
 	return true
 }
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// maxPooledRequest caps the request buffers returned to the pool, so one
+// huge body is not pinned for good.
+const maxPooledRequest = 64 << 10
+
+var reqBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // respBuf is a pooled response encoder: its buffer and the json.Encoder
 // writing into it live as long as the pool keeps them, so encoding a
@@ -407,8 +451,28 @@ var respBufs = sync.Pool{New: func() any {
 	return rb
 }}
 
+// appendEncoder is a response body that appends its own JSON encoding,
+// byte for byte what json.Encoder writes; ok is false for a value
+// encoding/json refuses (a NaN or an infinity).
+type appendEncoder interface {
+	AppendJSON(b []byte) (_ []byte, ok bool)
+}
+
+// encode writes body and a newline into the buffer, as json.Encoder does.
+func (rb *respBuf) encode(body any) error {
+	if a, ok := body.(appendEncoder); ok {
+		if b, ok := a.AppendJSON(rb.buf.AvailableBuffer()); ok {
+			rb.buf.Write(append(b, '\n'))
+			return nil
+		}
+	}
+	return rb.enc.Encode(body)
+}
+
 // respond writes body as JSON with its Content-Length, so a router in front
-// can size its read of the response in one allocation.
+// can size its read of the response in one allocation. Solve and batch
+// responses append themselves; any other body, and one holding a value
+// encoding/json refuses, goes through json.Encoder.
 func (s *Server) respond(w http.ResponseWriter, status int, body any) {
 	rb := respBufs.Get().(*respBuf)
 	defer func() {
@@ -418,7 +482,7 @@ func (s *Server) respond(w http.ResponseWriter, status int, body any) {
 		}
 	}()
 	w.Header().Set("Content-Type", "application/json")
-	if err := rb.enc.Encode(body); err != nil {
+	if err := rb.encode(body); err != nil {
 		// Nothing to send but the status line; note the failure.
 		w.WriteHeader(status)
 		s.metrics.errorsTotal.Add(1)

@@ -48,7 +48,7 @@ func (s *stubSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Sche
 }
 
 // newTestEngine builds an engine from cfg, failing the test on error.
-func newTestEngine(t *testing.T, cfg engine.Config) *engine.Engine {
+func newTestEngine(t testing.TB, cfg engine.Config) *engine.Engine {
 	t.Helper()
 	eng, err := engine.New(cfg)
 	if err != nil {
@@ -60,7 +60,7 @@ func newTestEngine(t *testing.T, cfg engine.Config) *engine.Engine {
 // newTestServer builds a Server over an engine whose registry serves the
 // given stub under the name "stub" and returns it with its httptest
 // frontend. mutate, when non-nil, adjusts both configs before they are used.
-func newTestServer(t *testing.T, stub *stubSolver, mutate func(*engine.Config, *Config)) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, stub *stubSolver, mutate func(*engine.Config, *Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	reg := solver.NewRegistry()
 	reg.Register("stub", func() solver.Solver { return stub })

@@ -46,13 +46,28 @@ func (r *Registry) Register(name string, factory func() Solver) {
 
 // New returns a fresh solver instance by name.
 func (r *Registry) New(name string) (Solver, error) {
+	f, err := r.factory(name)
+	if err != nil {
+		return nil, err
+	}
+	return f(), nil
+}
+
+// Lookup reports whether name is registered, with New's error when it is
+// not, without building a solver.
+func (r *Registry) Lookup(name string) error {
+	_, err := r.factory(name)
+	return err
+}
+
+func (r *Registry) factory(name string) (func() Solver, error) {
 	r.mu.RLock()
 	f, ok := r.factories[name]
 	r.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("solver: unknown solver %q (available: %v)", name, r.Names())
 	}
-	return f(), nil
+	return f, nil
 }
 
 // Names returns the registered solver names in sorted order.

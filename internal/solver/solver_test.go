@@ -305,9 +305,10 @@ func TestRegistryNamesMatchSolvers(t *testing.T) {
 	}
 }
 
-// TestRegistryIsLazy confirms Register stores the factory without invoking
-// it: building a solver per registration was the bug that made Default()
-// construct and discard a full portfolio.
+// TestRegistryIsLazy confirms Register and Lookup leave the factory
+// uninvoked: building a solver per registration was the bug that made
+// Default() construct and discard a full portfolio. Lookup fails exactly as
+// New does.
 func TestRegistryIsLazy(t *testing.T) {
 	reg := NewRegistry()
 	built := 0
@@ -318,11 +319,18 @@ func TestRegistryIsLazy(t *testing.T) {
 	if built != 0 {
 		t.Fatalf("factory invoked %d times during registration, want 0", built)
 	}
+	if err := reg.Lookup("lazy"); err != nil || built != 0 {
+		t.Fatalf("Lookup = %v after %d factory calls, want nil after 0", err, built)
+	}
 	if _, err := reg.New("lazy"); err != nil {
 		t.Fatal(err)
 	}
 	if built != 1 {
 		t.Fatalf("factory invoked %d times after New, want 1", built)
+	}
+	_, newErr := reg.New("no-such-solver")
+	if err := reg.Lookup("no-such-solver"); err == nil || newErr == nil || err.Error() != newErr.Error() {
+		t.Fatalf("Lookup of an unknown name = %v, want New's error %v", err, newErr)
 	}
 }
 

@@ -1,0 +1,41 @@
+package wire
+
+import (
+	"io"
+	"slices"
+)
+
+// MaxPrealloc bounds how far ReadSized allocates ahead of the bytes that
+// have arrived, so a lying Content-Length cannot make a server reserve a
+// large buffer for a body that never comes.
+const MaxPrealloc = 1 << 20
+
+// ReadSized reads r to EOF into buf[:0], first replacing buf with one
+// buffer sized from the declared length (Content-Length; negative when
+// unknown, capped at MaxPrealloc) when buf is smaller. A body of its
+// declared length then fits without growing the buffer: net/http reports
+// EOF with the last bytes. Longer or undeclared bodies grow it as
+// io.ReadAll does.
+func ReadSized(buf []byte, r io.Reader, declared int64) ([]byte, error) {
+	size := int64(512)
+	if declared > 0 {
+		size = min(declared, MaxPrealloc)
+	}
+	if int64(cap(buf)) < size {
+		buf = make([]byte, 0, size)
+	}
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
