@@ -68,12 +68,53 @@ type solver struct {
 	ctx       context.Context
 	inst      *core.Instance
 	name      string
-	suffix    suffixWork
 	sc        *searchScratch
 	best      int         // incumbent makespan
-	bestMoves [][]float64 // allocation rows of the incumbent (owned deep copies)
+	bestMoves [][]float64 // allocation rows of the incumbent (the seed's own rows, overwritten on improvement)
 	nodes     int
 	maxNodes  int
+}
+
+// seedSearch builds the first incumbent of a search on inst, shared by the
+// serial and the parallel kernel: the GreedyBalance schedule (a
+// (2-1/m)-approximation, Theorem 7), or the warm-start hint attached to ctx
+// when acceptWarmStart takes it. The returned schedule is owned by the
+// solve: the search overwrites its rows as the incumbent improves, and
+// finish returns it unchanged when it never does. Every execution runs on
+// the scratch's Result.
+func seedSearch(ctx context.Context, inst *core.Instance, sc *searchScratch) (*core.Schedule, int, error) {
+	seed, err := greedybalance.New().Schedule(inst)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := core.ExecuteInto(&sc.res, inst, seed)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !res.Finished() {
+		return nil, 0, fmt.Errorf("branchbound: internal error: incumbent schedule incomplete")
+	}
+	makespan := res.Makespan()
+	if hint, hm := acceptWarmStart(ctx, inst, makespan, &sc.res); hint != nil {
+		// The hint replaces the greedy seed as the initial incumbent.
+		return hint, hm, nil
+	}
+	return seed, makespan, nil
+}
+
+// finish returns the schedule a search ends with. An incumbent the search
+// never improved is the seed itself, returned as it is; an improved one
+// lives in the first best rows of the seed's, and is copied out to an
+// exact-size schedule so the answer pins none of the seed's longer rows.
+func finish(seed *core.Schedule, seedMakespan, best int, rows [][]float64, m int) *core.Schedule {
+	if best == seedMakespan {
+		return seed
+	}
+	sched := core.NewSchedule(best, m)
+	for t := range sched.Alloc {
+		copy(sched.Alloc[t], rows[t])
+	}
+	return sched
 }
 
 // acceptWarmStart resolves the warm-start hint attached to ctx: when the hint
@@ -90,13 +131,14 @@ type solver struct {
 // different instance, or no better than the greedy seed is dropped — the
 // solve then proceeds cold, byte-for-byte identical to a run with no hint at
 // all.
-func acceptWarmStart(ctx context.Context, inst *core.Instance, greedyMakespan int) (*core.Schedule, int) {
+//
+// Both executions run on res, which the caller owns and reuses.
+func acceptWarmStart(ctx context.Context, inst *core.Instance, greedyMakespan int, res *core.Result) (*core.Schedule, int) {
 	h := progress.WarmStartFrom(ctx)
 	if h == nil {
 		return nil, 0
 	}
-	res, err := core.Execute(inst, h)
-	if err != nil || !res.Finished() {
+	if _, err := core.ExecuteInto(res, inst, h); err != nil || !res.Finished() {
 		return nil, 0
 	}
 	hm := res.Makespan()
@@ -104,7 +146,7 @@ func acceptWarmStart(ctx context.Context, inst *core.Instance, greedyMakespan in
 		return nil, 0
 	}
 	repaired := nonWasting(inst, h, res)
-	if check, err := core.Execute(inst, repaired); err != nil || !check.Finished() || check.Makespan() != hm {
+	if _, err := core.ExecuteInto(res, inst, repaired); err != nil || !res.Finished() || res.Makespan() != hm {
 		return nil, 0
 	}
 	progress.SetWarmSeed(ctx, int64(hm))
@@ -168,40 +210,25 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 		return &core.Schedule{}, nil
 	}
 
-	// Incumbent: the GreedyBalance schedule (a (2-1/m)-approximation), which
-	// both seeds the upper bound and guarantees we always have a feasible
-	// answer to return.
-	gbSched, err := greedybalance.New().Schedule(inst)
-	if err != nil {
-		return nil, err
-	}
-	gbRes, err := core.Execute(inst, gbSched)
-	if err != nil {
-		return nil, err
-	}
-	if !gbRes.Finished() {
-		return nil, fmt.Errorf("branchbound: internal error: incumbent schedule incomplete")
-	}
-
+	// The seed both sets the upper bound and guarantees we always have a
+	// feasible answer to return.
 	sc := getScratch(inst)
 	defer putScratch(sc)
+	seed, seedMakespan, err := seedSearch(ctx, inst, sc)
+	if err != nil {
+		return nil, err
+	}
 	sv := &solver{
-		ctx:      ctx,
-		inst:     inst,
-		name:     s.Name(),
-		suffix:   newSuffixWork(inst),
-		sc:       sc,
-		best:     gbRes.Makespan(),
-		maxNodes: s.MaxNodes,
+		ctx:       ctx,
+		inst:      inst,
+		name:      s.Name(),
+		sc:        sc,
+		best:      seedMakespan,
+		bestMoves: seed.Alloc,
+		maxNodes:  s.MaxNodes,
 	}
 	if sv.maxNodes <= 0 {
 		sv.maxNodes = DefaultMaxNodes
-	}
-	sv.bestMoves = allocRows(gbSched)
-	if hint, hm := acceptWarmStart(ctx, inst, sv.best); hint != nil {
-		// The hint replaces the greedy seed as the initial incumbent.
-		sv.best = hm
-		sv.bestMoves = allocRows(hint)
 	}
 	// The seed — greedy, or the warm-start hint when one was accepted — is the
 	// first incumbent: report it so observers see a feasible bound even before
@@ -214,12 +241,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 	if err != nil {
 		return nil, err
 	}
-
-	sched := core.NewSchedule(len(sv.bestMoves), inst.NumProcessors())
-	for t, row := range sv.bestMoves {
-		copy(sched.Alloc[t], row)
-	}
-	return sched, nil
+	return finish(seed, seedMakespan, sv.best, sv.bestMoves, inst.NumProcessors()), nil
 }
 
 // Makespan returns the optimal makespan.
@@ -239,22 +261,10 @@ func (s *Scheduler) Makespan(inst *core.Instance) (int, error) {
 }
 
 // suffixWork caches, per processor, the total work of every job suffix:
-// suffixWork[i][k] = Σ_{j ≥ k} work(i, j). It is computed once per solve so
-// the bound below runs in O(m) per search node instead of re-walking every
-// remaining job; it is shared by the serial and the parallel solver.
+// suffixWork[i][k] = Σ_{j ≥ k} work(i, j). Each scratch computes it when it
+// is prepared for an instance, so the bound below runs in O(m) per search
+// node instead of re-walking every remaining job.
 type suffixWork [][]float64
-
-func newSuffixWork(inst *core.Instance) suffixWork {
-	sw := make(suffixWork, inst.NumProcessors())
-	for i := range sw {
-		n := inst.NumJobs(i)
-		sw[i] = make([]float64, n+1)
-		for j := n - 1; j >= 0; j-- {
-			sw[i][j] = sw[i][j+1] + inst.Job(i, j).Work()
-		}
-	}
-	return sw
-}
 
 // lowerBound returns a lower bound on the number of additional steps needed
 // from the state (done, rem): the maximum of the remaining chain length and
@@ -309,7 +319,7 @@ func (sv *solver) search(done []int, rem []float64, depth int) error {
 		}
 		return nil
 	}
-	if b := depth + lowerBound(sv.inst, sv.suffix, done, rem); b >= sv.best {
+	if b := depth + lowerBound(sv.inst, sv.sc.suffix, done, rem); b >= sv.best {
 		// Classic incumbent cut. A warm start needs no clause of its own: an
 		// accepted hint was installed as the initial incumbent, so its bound
 		// prunes here from the very first node.
@@ -332,19 +342,11 @@ func (sv *solver) search(done []int, rem []float64, depth int) error {
 
 // copyIncumbent deep-copies the first depth rows of the scratch path stack
 // into bestMoves. The incumbent only ever shrinks (depth < sv.best before
-// every call), so the rows of the initial greedy incumbent are reused and the
-// copy allocates nothing.
+// every call), so the rows of the seed are reused and the copy allocates
+// nothing.
 func (sv *solver) copyIncumbent(depth int) {
 	sv.bestMoves = sv.bestMoves[:depth]
 	for t := 0; t < depth; t++ {
 		copy(sv.bestMoves[t], sv.sc.path[t])
 	}
-}
-
-func allocRows(s *core.Schedule) [][]float64 {
-	rows := make([][]float64, s.Steps())
-	for t := range rows {
-		rows[t] = append([]float64(nil), s.Alloc[t]...)
-	}
-	return rows
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/algo/moves"
 	"crsharing/internal/core"
 	"crsharing/internal/progress"
@@ -87,14 +86,16 @@ func newTask(done []int, rem []float64, path [][]float64, last []float64) task {
 type shared struct {
 	inst     *core.Instance
 	name     string
-	suffix   suffixWork
 	best     atomic.Int64 // incumbent makespan
 	nodes    atomic.Int64 // total explored nodes
 	allocs   atomic.Int64 // scratch-growth and handoff allocation events
 	maxNodes int64
 
+	seed         *core.Schedule // the first incumbent, owned by the solve
+	seedMakespan int
+
 	mu        sync.Mutex  // guards bestMoves
-	bestMoves [][]float64 // allocation rows of the incumbent (owned deep copies)
+	bestMoves [][]float64 // allocation rows of the incumbent (the seed's own rows, overwritten on improvement)
 
 	queue     chan task
 	hungry    int          // offload watermark: hand off only when len(queue) is below it
@@ -121,17 +122,12 @@ func (s *ParallelScheduler) ScheduleContext(ctx context.Context, inst *core.Inst
 		return &core.Schedule{}, nil
 	}
 
-	// Incumbent: GreedyBalance, as in the serial solver.
-	gbSched, err := greedybalance.New().Schedule(inst)
+	// Incumbent: the seed of the serial solver.
+	seedSc := getScratch(inst)
+	seed, seedMakespan, err := seedSearch(ctx, inst, seedSc)
 	if err != nil {
+		putScratch(seedSc)
 		return nil, err
-	}
-	gbRes, err := core.Execute(inst, gbSched)
-	if err != nil {
-		return nil, err
-	}
-	if !gbRes.Finished() {
-		return nil, fmt.Errorf("branchbound: internal error: incumbent schedule incomplete")
 	}
 
 	workers := s.Workers
@@ -139,22 +135,17 @@ func (s *ParallelScheduler) ScheduleContext(ctx context.Context, inst *core.Inst
 		workers = runtime.GOMAXPROCS(0)
 	}
 	sh := &shared{
-		inst:      inst,
-		name:      s.Name(),
-		suffix:    newSuffixWork(inst),
-		bestMoves: allocRows(gbSched),
-		maxNodes:  int64(s.MaxNodes),
+		inst:         inst,
+		name:         s.Name(),
+		seed:         seed,
+		seedMakespan: seedMakespan,
+		bestMoves:    seed.Alloc,
+		maxNodes:     int64(s.MaxNodes),
 	}
 	if sh.maxNodes <= 0 {
 		sh.maxNodes = DefaultMaxNodes
 	}
-	sh.best.Store(int64(gbRes.Makespan()))
-	if hint, hm := acceptWarmStart(ctx, inst, gbRes.Makespan()); hint != nil {
-		// As in the serial solver, an accepted hint replaces the greedy seed
-		// as the initial incumbent.
-		sh.best.Store(int64(hm))
-		sh.bestMoves = allocRows(hint)
-	}
+	sh.best.Store(int64(seedMakespan))
 	// The seed — greedy, or the warm-start hint when one was accepted — is the
 	// first incumbent: report it so observers see a feasible bound even before
 	// the search improves on it.
@@ -164,7 +155,6 @@ func (s *ParallelScheduler) ScheduleContext(ctx context.Context, inst *core.Inst
 	// the pool busy. Small instances may be solved entirely during seeding;
 	// seeded expansions count as explored nodes so telemetry stays non-zero
 	// even then.
-	seedSc := getScratch(inst)
 	frontier := []task{{
 		done: append([]int(nil), seedSc.rootDone...),
 		rem:  append([]float64(nil), seedSc.rootRem...),
@@ -178,7 +168,7 @@ func (s *ParallelScheduler) ScheduleContext(ctx context.Context, inst *core.Inst
 			sh.offerSolution(ctx, t.depth, t.moves)
 			continue
 		}
-		if b := t.depth + lowerBound(inst, sh.suffix, t.done, t.rem); int64(b) >= sh.best.Load() {
+		if b := t.depth + lowerBound(inst, seedSc.suffix, t.done, t.rem); int64(b) >= sh.best.Load() {
 			continue
 		}
 		buf := seedSc.level(0)
@@ -262,7 +252,7 @@ func (sh *shared) offerSolution(ctx context.Context, depth int, moves [][]float6
 	improved := int64(depth) < sh.best.Load()
 	if improved {
 		sh.best.Store(int64(depth))
-		// The incumbent only ever shrinks (the greedy seed rows are the
+		// The incumbent only ever shrinks (the seed's rows are the
 		// longest), so truncate and reuse the existing rows.
 		sh.bestMoves = sh.bestMoves[:depth]
 		for t := 0; t < depth; t++ {
@@ -275,15 +265,11 @@ func (sh *shared) offerSolution(ctx context.Context, depth int, moves [][]float6
 	}
 }
 
-// schedule materialises the incumbent.
+// schedule materialises the incumbent (see finish).
 func (sh *shared) schedule() *core.Schedule {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sched := core.NewSchedule(len(sh.bestMoves), sh.inst.NumProcessors())
-	for t, row := range sh.bestMoves {
-		copy(sched.Alloc[t], row)
-	}
-	return sched
+	return finish(sh.seed, sh.seedMakespan, int(sh.best.Load()), sh.bestMoves, sh.inst.NumProcessors())
 }
 
 // fail records the first error; later errors are dropped. Once failed, every
@@ -338,7 +324,7 @@ func (sh *shared) dfs(ctx context.Context, sc *searchScratch, done []int, rem []
 		sh.offerSolution(ctx, depth, sc.path[:depth])
 		return nil
 	}
-	if b := depth + lowerBound(sh.inst, sh.suffix, done, rem); int64(b) >= sh.best.Load() {
+	if b := depth + lowerBound(sh.inst, sc.suffix, done, rem); int64(b) >= sh.best.Load() {
 		// Incumbent cut; an accepted warm start was installed as the initial
 		// incumbent, so its bound is already part of best (see the serial
 		// solver).

@@ -10,8 +10,9 @@ import (
 
 // searchScratch bundles every reusable buffer one branch-and-bound search
 // needs: the explicit path stack, the per-depth successor buffers, the
-// open-addressing visited table with its byte-key arena, and the symmetry
-// grouping of identical processors. Scratches are pooled so a steady-state
+// open-addressing visited table with its byte-key arena, the symmetry
+// grouping of identical processors, the suffix-work table, and the Result
+// the seed executes into. Scratches are pooled so a steady-state
 // solve performs no heap allocations on the search path; the scratch counts
 // its own growth events in allocs, which the solvers report through
 // progress.AddAllocs.
@@ -47,9 +48,25 @@ type searchScratch struct {
 	rootDone []int
 	rootRem  []float64
 
+	// suffix is the instance's suffix-work table (see suffixWork), its rows
+	// carved from suffixSlab.
+	suffix     suffixWork
+	suffixSlab []float64
+
+	// res is the Result the seed and an offered warm-start hint execute
+	// into (see seedSearch).
+	res core.Result
+
 	allocs int64 // heap-growth events recorded during the current solve
 }
 
+// scratchPool keeps the scratches between solves. A sync.Pool drops them at
+// GC cycles, so a busy server regrows some scratch every few tens of
+// milliseconds. A free list that never drops them was measured on
+// servebench's online-chain workload: it saved another 2.2 KiB of the
+// ~27 KiB allocated per request, but the live heap rose from 7.6 MiB to
+// 15.5-21 MiB, since every scratch ever grown stays at its largest size.
+// The pool stays.
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
 // getScratch returns a pooled scratch prepared for the instance.
@@ -72,8 +89,31 @@ func (sc *searchScratch) prepare(inst *core.Instance) {
 		sc.rootDone[i] = 0
 		sc.rootRem[i] = moves.Work(inst, i, 0)
 	}
+	sc.fillSuffix(inst)
 	sc.computeGroups(inst)
 	sc.visited.reset(&sc.allocs)
+}
+
+// fillSuffix builds the suffix-work table of inst in the scratch.
+func (sc *searchScratch) fillSuffix(inst *core.Instance) {
+	m := inst.NumProcessors()
+	sc.suffixSlab = moves.ResizeFloats(sc.suffixSlab, inst.TotalJobs()+m, &sc.allocs)
+	if cap(sc.suffix) < m {
+		sc.allocs++
+		sc.suffix = make(suffixWork, m)
+	}
+	sc.suffix = sc.suffix[:m]
+	slab := sc.suffixSlab
+	for i := range sc.suffix {
+		n := inst.NumJobs(i)
+		row := slab[: n+1 : n+1]
+		slab = slab[n+1:]
+		row[n] = 0
+		for j := n - 1; j >= 0; j-- {
+			row[j] = row[j+1] + inst.Job(i, j).Work()
+		}
+		sc.suffix[i] = row
+	}
 }
 
 // pathRow records row as the allocation chosen at the given depth.

@@ -26,6 +26,11 @@ type Result struct {
 	sched *Schedule
 	m     int
 
+	// ints and floats are the two slabs every slice below is carved from;
+	// ExecuteInto reuses them.
+	ints   []int
+	floats []float64
+
 	// off[i] is the offset of processor i's first job in start and
 	// completion: job (i,j) lives at off[i]+j. off has m+1 entries.
 	off []int
@@ -65,7 +70,15 @@ type Result struct {
 //     active job's remaining need is wasted, it does not spill into the next
 //     job;
 //   - share assigned to a processor with no unfinished jobs is wasted.
-func Execute(inst *Instance, s *Schedule) (*Result, error) {
+func Execute(inst *Instance, s *Schedule) (*Result, error) { return ExecuteInto(nil, inst, s) }
+
+// ExecuteInto is Execute writing into dst: it reuses dst's two slabs when
+// they are large enough and returns dst, so a caller that keeps only the
+// makespan, the waste or the properties of an execution can run many on one
+// Result. A nil dst allocates a fresh Result, exactly as Execute does. The
+// returned Result reports the execution of s on inst alone, whatever dst
+// held before; on an error dst is left unchanged and may be reused.
+func ExecuteInto(dst *Result, inst *Instance, s *Schedule) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -83,25 +96,39 @@ func Execute(inst *Instance, s *Schedule) (*Result, error) {
 	steps := s.Steps()
 	jobs := inst.TotalJobs()
 
-	// ints: off (m+1), start (jobs), completion (jobs), next (m).
-	ints := make([]int, m+1+2*jobs+m)
-	off, ints := ints[:m+1], ints[m+1:]
-	times, next := ints[:2*jobs], ints[2*jobs:]
+	res := dst
+	if res == nil {
+		res = new(Result)
+	}
+	// ints: off (m+1), start (jobs), completion (jobs), next (m). off[0]
+	// is zero in every layout and never written, so a reused slab needs no
+	// reset there.
+	ints := reuse(res.ints, m+1+2*jobs+m)
+	off, rest := ints[:m+1], ints[m+1:]
+	times, next := rest[:2*jobs], rest[2*jobs:]
 	for i := range times {
 		times[i] = -1
 	}
+	clear(next)
 	for i := 0; i < m; i++ {
 		off[i+1] = off[i] + inst.NumJobs(i)
 	}
 	// floats: the trajectory rows 0..steps, then the remaining volume of
 	// each processor's active job (volume units).
-	floats := make([]float64, (steps+1)*m+m)
+	// Every row after the first is copied from its predecessor before it
+	// is updated, so only row 0 needs clearing: its entries for processors
+	// without jobs stay zero. remVol is set for a processor whenever it
+	// takes a job, before it is read.
+	floats := reuse(res.floats, (steps+1)*m+m)
 	remaining, remVol := floats[:(steps+1)*m], floats[(steps+1)*m:]
+	clear(remaining[:m])
 
-	res := &Result{
+	*res = Result{
 		inst:       inst,
 		sched:      s,
 		m:          m,
+		ints:       ints,
+		floats:     floats,
 		off:        off,
 		start:      times[:jobs:jobs],
 		completion: times[jobs:],
@@ -171,6 +198,15 @@ func Execute(inst *Instance, s *Schedule) (*Result, error) {
 	}
 	res.wasted = wasted.Sum()
 	return res, nil
+}
+
+// reuse returns buf resliced to n elements when its capacity allows, and a
+// fresh slice otherwise. The contents are stale; callers initialise them.
+func reuse[T int | float64](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // advance moves processor i to its next job and initialises the remaining

@@ -19,23 +19,44 @@ import (
 // checkExecParity executes sched on inst with Execute and with the
 // reference, and fails unless both agree on the error, every Result
 // accessor (floats bit for bit), every property and both propositions'
-// verdicts and messages.
-func checkExecParity(t *testing.T, inst *core.Instance, sched *core.Schedule) {
+// verdicts and messages. It then executes sched again with ExecuteInto on
+// reused, a Result the caller carries across cases, and holds that to the
+// same reference, so a reused Result matches a fresh Execute exactly.
+func checkExecParity(t *testing.T, reused *core.Result, inst *core.Instance, sched *core.Schedule) {
 	t.Helper()
-	if err := execParity(inst, sched); err != nil {
+	if err := execParity(inst, sched, reused); err != nil {
 		t.Fatalf("%v\n%v\n%v", err, inst, sched)
 	}
 }
 
-func execParity(inst *core.Instance, sched *core.Schedule) error {
+func execParity(inst *core.Instance, sched *core.Schedule, reused *core.Result) error {
 	want, wantErr := refExecute(inst, sched)
 	got, gotErr := core.Execute(inst, sched)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		return fmt.Errorf("error %v, reference %v", gotErr, wantErr)
 	}
+	into, intoErr := core.ExecuteInto(reused, inst, sched)
+	if fmt.Sprint(intoErr) != fmt.Sprint(wantErr) {
+		return fmt.Errorf("reused: error %v, reference %v", intoErr, wantErr)
+	}
 	if wantErr != nil {
 		return nil
 	}
+	if into != reused {
+		return fmt.Errorf("ExecuteInto returned a new Result instead of reusing its destination")
+	}
+	if err := resultParity(inst, sched, got, want); err != nil {
+		return err
+	}
+	if err := resultParity(inst, sched, into, want); err != nil {
+		return fmt.Errorf("reused: %w", err)
+	}
+	return nil
+}
+
+// resultParity compares every accessor, property verdict and proposition
+// message of got with the reference's.
+func resultParity(inst *core.Instance, sched *core.Schedule, got *core.Result, want *refResult) error {
 	if got.Instance() != inst || got.Schedule() != sched {
 		return fmt.Errorf("result does not keep its instance and schedule")
 	}
@@ -143,14 +164,16 @@ func corpusSchedules(t *testing.T, inst *core.Instance) []*core.Schedule {
 	return out
 }
 
-// TestExecuteParityCorpus holds Execute and the Section-4 checks to the
-// reference on the load harness's corpus, seeds 1-3.
+// TestExecuteParityCorpus holds Execute, ExecuteInto on one reused Result,
+// and the Section-4 checks to the reference on the load harness's corpus,
+// seeds 1-3.
 func TestExecuteParityCorpus(t *testing.T) {
 	cases := 0
+	reused := new(core.Result)
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, item := range harness.BuildCorpus(seed).Items() {
 			for _, sched := range corpusSchedules(t, item.Inst) {
-				checkExecParity(t, item.Inst, sched)
+				checkExecParity(t, reused, item.Inst, sched)
 				cases++
 			}
 		}
@@ -160,19 +183,20 @@ func TestExecuteParityCorpus(t *testing.T) {
 	}
 }
 
-// TestExecuteParityRandom holds Execute and the Section-4 checks to the
-// reference on random instances and schedules built to hit the progress
+// TestExecuteParityRandom holds Execute, ExecuteInto on one reused Result,
+// and the Section-4 checks to the reference on random instances and schedules built to hit the progress
 // law's edges.
 func TestExecuteParityRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
+	reused := new(core.Result)
 	for n := 0; n < 5000; n++ {
 		inst, sched := edgeCase(rng)
-		checkExecParity(t, inst, sched)
+		checkExecParity(t, reused, inst, sched)
 	}
 }
 
-// FuzzExecute holds Execute and the Section-4 checks to the reference on
-// instances and schedules drawn from the fuzzer's bytes.
+// FuzzExecute holds Execute, ExecuteInto on one reused Result, and the
+// Section-4 checks to the reference on instances and schedules drawn from the fuzzer's bytes.
 func FuzzExecute(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	for n := 0; n < 16; n++ {
@@ -180,9 +204,12 @@ func FuzzExecute(f *testing.F) {
 		rng.Read(seed)
 		f.Add(seed)
 	}
+	// One Result serves every input, so each case reuses slabs sized by
+	// earlier cases with other processor counts, job counts and steps.
+	reused := new(core.Result)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inst, sched := edgeCase(&byteSource{data: data})
-		checkExecParity(t, inst, sched)
+		checkExecParity(t, reused, inst, sched)
 	})
 }
 

@@ -83,6 +83,10 @@ func (id JobID) String() string { return fmt.Sprintf("(%d,%d)", id.Proc+1, id.Po
 // The zero value is an empty instance with no processors. Instances are
 // treated as immutable once built: the solvers, the memo cache and the
 // per-instance bound memo below all rely on Procs not changing afterwards.
+// In particular Procs, and every job sequence it holds, is never mutated
+// once the instance reaches the engine: the memo cache stores a view
+// sharing the request's Procs instead of a deep copy. Code that wants a
+// variant of an instance builds it from Clone.
 type Instance struct {
 	// Procs[i] is the ordered job sequence of processor i.
 	Procs [][]Job `json:"procs"`

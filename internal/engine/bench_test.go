@@ -2,9 +2,11 @@ package engine
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"crsharing/internal/core"
+	"crsharing/internal/gen"
 	"crsharing/internal/solver"
 )
 
@@ -41,6 +43,50 @@ func BenchmarkEngineSolveFresh(b *testing.B) {
 		if _, err := eng.Solve(ctx, Request{Instance: inst}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEngineSolveChain measures fresh branch-and-bound solves through a
+// cached engine in online-chain's shape: each op solves one 12-instance
+// gen.MutateChain of a 10-element Partition gadget (Theorem 4). Two chains
+// alternate in a 12-entry cache, so each chain evicts the other and every
+// request misses: the op is 12 cache misses, 12 kernel solves, 12
+// evaluations and 12 cache inserts.
+func BenchmarkEngineSolveChain(b *testing.B) {
+	eng, err := New(Config{
+		Registry:      solver.Default(),
+		Cache:         solver.NewCache(1, 12),
+		DefaultSolver: "branch-and-bound",
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var chains [2][]*core.Instance
+	for c := range chains {
+		base, err := gen.PartitionGadget([]int64{17 + int64(c), 23, 29, 31, 41, 17, 23, 29, 31, 41 + int64(c)}, 0.01)
+		if err != nil {
+			b.Fatal(err)
+		}
+		chains[c] = gen.MutateChain(rng, base, 11)
+	}
+	ctx := context.Background()
+	solveChain := func(chain []*core.Instance) {
+		for _, inst := range chain {
+			res, err := eng.Solve(ctx, Request{Instance: inst})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Source != solver.SourceSolve {
+				b.Fatalf("source %q, want a fresh solve", res.Source)
+			}
+		}
+	}
+	solveChain(chains[1]) // warm the kernels' scratch pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solveChain(chains[i%2])
 	}
 }
 

@@ -5,7 +5,8 @@
 // registry or the memo cache directly. The engine owns, in order, the full
 // lifecycle of a solve request:
 //
-//  1. resolution — the solver name is resolved against the registry,
+//  1. resolution — the solver name is resolved to the engine's one solver
+//     of that name, built from the registry on first use,
 //  2. deadline clamping — the requested budget is resolved against the
 //     caller's limits (sync and job surfaces have different ceilings),
 //  3. cache routing — the request is answered from the shared memo cache or
@@ -28,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"crsharing/internal/core"
@@ -95,6 +97,13 @@ type Engine struct {
 	cfg Config
 	sem *fairScheduler
 	met *metrics
+
+	// solvers maps each solver name resolved so far to the one solver the
+	// engine runs for it. Solvers hold no per-solve state (a portfolio's
+	// members are read-only, an adapted kernel holds only its settings), so
+	// one solver serves concurrent requests.
+	solversMu sync.Mutex
+	solvers   map[string]solver.Solver
 }
 
 // New validates the configuration, applies defaults and returns an Engine.
@@ -121,9 +130,10 @@ func New(cfg Config) (*Engine, error) {
 		cfg.ShedRetryAfter = time.Second
 	}
 	return &Engine{
-		cfg: cfg,
-		sem: newFairScheduler(int64(cfg.MaxConcurrent), cfg.Tenants, cfg.ShedRetryAfter),
-		met: newMetrics(),
+		cfg:     cfg,
+		sem:     newFairScheduler(int64(cfg.MaxConcurrent), cfg.Tenants, cfg.ShedRetryAfter),
+		met:     newMetrics(),
+		solvers: make(map[string]solver.Solver),
 	}, nil
 }
 
@@ -168,15 +178,35 @@ func (e *Engine) Limits() Limits {
 }
 
 // ResolveSolver maps an optional solver name to its registry entry's name,
-// failing for unknown solvers. The empty name resolves to the default.
+// failing with the registry's error for unknown solvers. The empty name
+// resolves to the default. It shares Solve's resolution, so the first
+// request naming a solver builds the one solver every later request runs.
 func (e *Engine) ResolveSolver(name string) (string, error) {
+	name, _, err := e.resolve(name)
+	return name, err
+}
+
+// resolve maps an optional solver name to its registry name and the
+// engine's solver for it, building the solver with Registry.New the first
+// time the name is seen. Unknown names are never stored; each returns New's
+// error.
+func (e *Engine) resolve(name string) (string, solver.Solver, error) {
 	if name == "" {
 		name = e.cfg.DefaultSolver
 	}
-	if err := e.cfg.Registry.Lookup(name); err != nil {
-		return "", err
+	// The factory runs under the lock, so concurrent first requests for a
+	// name build one solver between them.
+	e.solversMu.Lock()
+	defer e.solversMu.Unlock()
+	if sv, ok := e.solvers[name]; ok {
+		return name, sv, nil
 	}
-	return name, nil
+	sv, err := e.cfg.Registry.New(name)
+	if err != nil {
+		return "", nil, err
+	}
+	e.solvers[name] = sv
+	return name, sv, nil
 }
 
 // Request describes one solve.
@@ -238,11 +268,7 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 	if err := req.Instance.Validate(); err != nil {
 		return nil, err
 	}
-	name := req.Solver
-	if name == "" {
-		name = e.cfg.DefaultSolver
-	}
-	sv, err := e.cfg.Registry.New(name)
+	name, sv, err := e.resolve(req.Solver)
 	if err != nil {
 		return nil, err
 	}

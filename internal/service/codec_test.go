@@ -337,32 +337,57 @@ func TestTrailingDataRejected(t *testing.T) {
 	}
 }
 
-// TestCacheHitBuildsOneSolver: resolving the request's solver name builds
-// no solver, so a cache-hit solve invokes the registry factory at most once
-// (the engine's own).
+// TestCacheHitBuildsOneSolver: the engine resolves each solver name to one
+// solver, built on first use, so over a run of mixed cache hits and fresh
+// solves under two names each factory runs exactly once. An unknown name is
+// never stored and is refused with the registry's own error every time.
 func TestCacheHitBuildsOneSolver(t *testing.T) {
-	var built atomic.Int64
-	stub := &stubSolver{name: "stub"}
-	_, ts := newTestServer(t, stub, func(ecfg *engine.Config, _ *Config) {
-		reg := solver.NewRegistry()
+	var builtA, builtB atomic.Int64
+	var reg *solver.Registry
+	_, ts := newTestServer(t, &stubSolver{name: "stub"}, func(ecfg *engine.Config, _ *Config) {
+		reg = solver.NewRegistry()
 		reg.Register("stub", func() solver.Solver {
-			built.Add(1)
-			return stub
+			builtA.Add(1)
+			return &stubSolver{name: "stub"}
+		})
+		reg.Register("other", func() solver.Solver {
+			builtB.Add(1)
+			return &stubSolver{name: "other"}
 		})
 		ecfg.Registry = reg
 	})
-	req := SolveRequest{Instance: testInstance()}
-	if resp, body := postJSON(t, ts.URL+"/v1/solve", req); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	sources := map[string]int{}
+	for n := 0; n < 20; n++ {
+		// Every third request is a new instance; the rest repeat one of the
+		// first two, so the run mixes fresh solves and cache hits.
+		req := SolveRequest{Instance: core.NewInstance([]float64{0.3, 0.7}, []float64{float64(n%2+1) / 10})}
+		if n%3 == 2 {
+			req.Instance = core.NewInstance([]float64{0.3, 0.7}, []float64{0.5, float64(n) / 40})
+		}
+		if n%4 >= 2 {
+			req.Solver = "other"
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/solve", req)
+		var out SolveResponse
+		if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d (%v): %s", n, resp.StatusCode, err, body)
+		}
+		sources[out.Source]++
 	}
-	built.Store(0)
-	resp, body := postJSON(t, ts.URL+"/v1/solve", req)
-	var out SolveResponse
-	if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK || out.Source != "cache" {
-		t.Fatalf("status %d source %q (%v), want a 200 cache hit", resp.StatusCode, out.Source, err)
+	if sources["cache"] == 0 || sources["solve"] == 0 {
+		t.Fatalf("sources %v, want both cache hits and fresh solves", sources)
 	}
-	if n := built.Load(); n > 1 {
-		t.Fatalf("a cache-hit solve built %d solvers, want at most 1", n)
+	if a, b := builtA.Load(), builtB.Load(); a != 1 || b != 1 {
+		t.Fatalf("factories ran %d (stub) and %d (other) times over 20 requests, want once each", a, b)
+	}
+
+	_, wantErr := reg.New("nope")
+	for n := 0; n < 2; n++ {
+		resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Instance: testInstance(), Solver: "nope"})
+		var got ErrorResponse
+		if err := json.Unmarshal(body, &got); err != nil || resp.StatusCode != http.StatusBadRequest || got.Error != wantErr.Error() {
+			t.Fatalf("unknown solver: status %d error %q (%v), want 400 %q", resp.StatusCode, got.Error, err, wantErr)
+		}
 	}
 }
 

@@ -187,7 +187,12 @@ func (c *Cache) EvaluateWithFingerprint(ctx context.Context, s Solver, inst *cor
 			c.coalesced.Add(1)
 			return nil, SourceCoalesced, fl.err
 		}
-		fl := &flight{done: make(chan struct{}), inst: inst.Clone()}
+		// The flight, and the entry after it, keep a view of the request's
+		// processors rather than a deep clone: instances are never mutated
+		// once they reach the cache (see core.Instance). The view carries no
+		// memo fields, so the stored entry does not pin the request's
+		// memoised bounds and fingerprint.
+		fl := &flight{done: make(chan struct{}), inst: &core.Instance{Procs: inst.Procs}}
 		sh.inflight[key] = fl
 		sh.mu.Unlock()
 

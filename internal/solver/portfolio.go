@@ -127,7 +127,8 @@ func (p *Portfolio) Solve(ctx context.Context, inst *core.Instance) (*core.Sched
 				r.err = fmt.Errorf("%s: %w", member.Name(), ErrRaceSettled)
 			}
 			if err == nil {
-				res, execErr := core.Execute(inst, sched)
+				res := resultPool.Get().(*core.Result)
+				_, execErr := core.ExecuteInto(res, inst, sched)
 				switch {
 				case execErr != nil:
 					r.err = fmt.Errorf("%s: produced invalid schedule: %w", member.Name(), execErr)
@@ -138,6 +139,7 @@ func (p *Portfolio) Solve(ctx context.Context, inst *core.Instance) (*core.Sched
 					r.makespan = res.Makespan()
 					r.wasted = res.Wasted()
 				}
+				resultPool.Put(res)
 			}
 			exact := isExact(member)
 			finish(idx, r, exact)

@@ -14,6 +14,7 @@ package solver
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"crsharing/internal/algo"
@@ -160,6 +161,11 @@ type Evaluation struct {
 	Stats      Stats
 }
 
+// resultPool holds the Results that Evaluate and the portfolio members
+// execute answers into: they keep only the makespan, the waste and the
+// properties, so the execution's slabs serve the next answer.
+var resultPool = sync.Pool{New: func() any { return new(core.Result) }}
+
 // Evaluate runs the solver on the instance under the context, executes the
 // resulting schedule and returns the evaluation. It fails if the solver errs,
 // the schedule is infeasible, or it does not finish all jobs.
@@ -168,8 +174,9 @@ func Evaluate(ctx context.Context, s Solver, inst *core.Instance) (*Evaluation, 
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Execute(inst, sched)
-	if err != nil {
+	res := resultPool.Get().(*core.Result)
+	defer resultPool.Put(res)
+	if _, err := core.ExecuteInto(res, inst, sched); err != nil {
 		return nil, fmt.Errorf("%s: produced invalid schedule: %w", s.Name(), err)
 	}
 	if !res.Finished() {
