@@ -6,9 +6,9 @@
 // per-class latency distributions, throughput and the cache-hit accounting
 // scraped from /metrics.
 //
-// With no -addr it spins up the full stack in-process (registry, sharded
-// memo cache, job manager, HTTP layer) behind an httptest listener, so a
-// single command is a complete end-to-end smoke:
+// With no -addr it builds crserved's backend in-process (service.Build: the
+// sharded memo cache, engine, job manager and HTTP layer) on a loopback
+// listener, so a single command is a complete end-to-end smoke:
 //
 //	crload -seed 1 -duration 2s
 //	crload -seed 7 -duration 10s -rate 500 -mix solve=6,batch=2,jobs=2 -json BENCH_load.json
@@ -40,6 +40,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/signal"
@@ -50,6 +52,7 @@ import (
 	"crsharing/internal/engine"
 	"crsharing/internal/harness"
 	"crsharing/internal/router"
+	"crsharing/internal/service"
 )
 
 // Exit codes of the crload process.
@@ -60,12 +63,24 @@ const (
 	exitSLO       = 4 // declarative SLO gate failed
 )
 
-func fatal(err error) {
+// inProcessMaxConcurrent is the admission budget of the in-process backend,
+// the one crserved default crload overrides: the driver deliberately
+// saturates the server, and a generous budget keeps queueing delay out of
+// the measured latencies.
+const inProcessMaxConcurrent = 64
+
+// setupFailed reports err and returns the setup exit code.
+func setupFailed(err error) int {
 	fmt.Fprintln(os.Stderr, err)
-	os.Exit(exitSetup)
+	return exitSetup
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run drives one crload invocation and returns its exit code. It returns
+// instead of exiting so the deferred tear-downs run on every path; the
+// in-process backend's takes the warm cache's final snapshot.
+func run() int {
 	addr := flag.String("addr", "", "base URL of a running crserved (e.g. http://127.0.0.1:8080); empty drives an in-process server")
 	addrsSpec := flag.String("addrs", "", "comma-separated base URLs of the crserved backends behind a router; every backend's /metrics joins the fleet accounting, and without -addr an in-process crrouter is spun up over them")
 	seed := flag.Int64("seed", 1, "corpus seed; the same seed replays the byte-identical workload")
@@ -96,23 +111,22 @@ func main() {
 	if *sloPath != "" {
 		var err error
 		if slo, err = harness.LoadSLO(*sloPath); err != nil {
-			fatal(err)
+			return setupFailed(err)
 		}
 	}
 
 	if *mergeSpec != "" {
-		mergeReports(*mergeSpec, *jsonOut, slo, *minCacheHits)
-		return
+		return mergeReports(*mergeSpec, *jsonOut, slo, *minCacheHits)
 	}
 
 	mix, err := harness.ParseMix(*mixSpec)
 	if err != nil {
-		fatal(err)
+		return setupFailed(err)
 	}
 	var tenantLoads []harness.TenantLoad
 	if *tenantSpec != "" {
 		if tenantLoads, err = harness.ParseTenantLoads(*tenantSpec); err != nil {
-			fatal(err)
+			return setupFailed(err)
 		}
 	}
 
@@ -131,7 +145,7 @@ func main() {
 	if *replayPath != "" {
 		recording, err := harness.LoadRecording(*replayPath)
 		if err != nil {
-			fatal(err)
+			return setupFailed(err)
 		}
 		fmt.Fprintf(os.Stderr, "crload: replaying %d recorded arrivals from %s (speed %gx)\n",
 			len(recording.Entries), *replayPath, *replaySpeed)
@@ -141,7 +155,7 @@ func main() {
 	} else {
 		corpus := harness.BuildCorpus(*seed)
 		if err := corpus.Validate(); err != nil {
-			fatal(err)
+			return setupFailed(err)
 		}
 		cfg.Corpus = corpus
 	}
@@ -166,7 +180,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "crload: "+format+"\n", args...)
 		}})
 		if err != nil {
-			fatal(err)
+			return setupFailed(err)
 		}
 		rt.Start()
 		defer rt.Close()
@@ -176,32 +190,40 @@ func main() {
 		fmt.Fprintf(os.Stderr, "crload: driving in-process router at %s over %d backends\n", base, len(backendAddrs))
 	}
 	if base == "" {
-		// The full production stack — one shared engine (registry, memo
-		// cache, admission scheduler, telemetry), job manager, HTTP layer —
-		// behind an httptest listener. The driver deliberately saturates the
-		// server; the stack's generous default admission budget keeps
-		// queueing delay out of the measured latencies.
-		scfg := harness.StackConfig{Version: "crload", CacheDir: *cacheDir}
+		// crserved's backend, built from crserved's defaults.
+		o := service.DefaultOptions()
+		o.MaxConcurrent = inProcessMaxConcurrent
+		o.CacheDir = *cacheDir
 		if len(tenantLoads) > 0 {
-			scfg.Tenants = make(map[string]engine.TenantConfig, len(tenantLoads))
+			o.Tenants = make(map[string]engine.TenantConfig, len(tenantLoads))
 			for _, tl := range tenantLoads {
-				scfg.Tenants[tl.Name] = engine.TenantConfig{Weight: tl.Weight}
+				o.Tenants[tl.Name] = engine.TenantConfig{Weight: tl.Weight}
 			}
 		}
-		stack, err := harness.NewStack(scfg)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			fatal(err)
+			return setupFailed(err)
+		}
+		backend, err := service.Build(o, ln)
+		if err != nil {
+			return setupFailed(err)
 		}
 		defer func() {
-			if err := stack.Close(); err != nil {
+			// crserved's default -grace.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			// A connection the driver dialled but never sent a request on
+			// would hold http.Server.Shutdown for five seconds.
+			http.DefaultClient.CloseIdleConnections()
+			if err := backend.Close(ctx); err != nil {
 				fmt.Fprintf(os.Stderr, "crload: shutdown: %v\n", err)
 			}
 		}()
-		base = stack.URL
+		base = backend.URL
 		fmt.Fprintf(os.Stderr, "crload: driving in-process server at %s\n", base)
 		if *cacheDir != "" {
 			fmt.Fprintf(os.Stderr, "crload: warm cache: restored %d evaluations from %s (%d corrupt files quarantined)\n",
-				stack.CacheLoad.Restored, *cacheDir, stack.CacheLoad.Quarantined)
+				backend.CacheLoad.Restored, *cacheDir, backend.CacheLoad.Quarantined)
 		}
 	}
 	cfg.BaseURL = base
@@ -218,7 +240,7 @@ func main() {
 	defer stop()
 	report, err := harness.RunFleet(ctx, cfg, *shards)
 	if err != nil {
-		fatal(err)
+		return setupFailed(err)
 	}
 
 	if recorder != nil {
@@ -228,13 +250,15 @@ func main() {
 		}
 		recording := recorder.Recording(recSeed)
 		if err := recording.WriteFile(*recordPath); err != nil {
-			fatal(err)
+			return setupFailed(err)
 		}
 		fmt.Fprintf(os.Stderr, "crload: recorded %d arrivals to %s\n", len(recording.Entries), *recordPath)
 	}
 
 	fmt.Print(report.Text())
-	writeJSON(report, *jsonOut)
+	if err := writeJSON(report, *jsonOut); err != nil {
+		return setupFailed(err)
+	}
 
 	code := exitOK
 	if n := report.ViolationCount; n > 0 {
@@ -267,13 +291,13 @@ func main() {
 	if code == exitOK {
 		fmt.Fprintf(os.Stderr, "crload: OK: %d responses validated, zero invariant violations\n", report.Validated)
 	}
-	os.Exit(code)
+	return code
 }
 
 // mergeReports pools previously written report JSON files (the cross-process
 // half of distributed drive), re-renders, and applies the same gates a live
 // run would.
-func mergeReports(spec, jsonOut string, slo *harness.SLO, minCacheHits int) {
+func mergeReports(spec, jsonOut string, slo *harness.SLO, minCacheHits int) int {
 	var reports []*harness.Report
 	for _, path := range strings.Split(spec, ",") {
 		path = strings.TrimSpace(path)
@@ -282,21 +306,23 @@ func mergeReports(spec, jsonOut string, slo *harness.SLO, minCacheHits int) {
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
-			fatal(err)
+			return setupFailed(err)
 		}
 		r, err := harness.ParseReport(data)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
+			return setupFailed(fmt.Errorf("%s: %w", path, err))
 		}
 		reports = append(reports, r)
 	}
 	merged, err := harness.MergeReports(reports...)
 	if err != nil {
-		fatal(err)
+		return setupFailed(err)
 	}
 	fmt.Fprintf(os.Stderr, "crload: merged %d reports (%d shards)\n", len(reports), merged.Shards)
 	fmt.Print(merged.Text())
-	writeJSON(merged, jsonOut)
+	if err := writeJSON(merged, jsonOut); err != nil {
+		return setupFailed(err)
+	}
 
 	code := exitOK
 	if merged.ViolationCount > 0 {
@@ -307,7 +333,7 @@ func mergeReports(spec, jsonOut string, slo *harness.SLO, minCacheHits int) {
 		fmt.Fprintf(os.Stderr, "crload: FAIL: %d cache-served responses, need at least %d\n", hits, minCacheHits)
 		code = exitViolation
 	}
-	os.Exit(gateSLO(slo, merged, code))
+	return gateSLO(slo, merged, code)
 }
 
 // gateSLO evaluates the SLO (when given) and escalates the exit code to the
@@ -324,15 +350,13 @@ func gateSLO(slo *harness.SLO, report *harness.Report, code int) int {
 	return code
 }
 
-func writeJSON(report *harness.Report, path string) {
+func writeJSON(report *harness.Report, path string) error {
 	if path == "" {
-		return
+		return nil
 	}
 	data, err := report.JSON()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -42,30 +42,25 @@ import (
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	backendSpec := flag.String("backends", "", "comma-separated backend base URLs (required)")
-	vnodes := flag.Int("vnodes", 64, "virtual nodes per backend on the hash ring")
-	probeInterval := flag.Duration("probe-interval", time.Second, "interval between backend /healthz probes")
-	failAfter := flag.Int("fail-after", 3, "consecutive failures that eject a backend from the ring")
+	cfg := router.DefaultConfig()
+	flag.IntVar(&cfg.VNodes, "vnodes", cfg.VNodes, "virtual nodes per backend on the hash ring")
+	flag.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "interval between backend /healthz probes")
+	flag.IntVar(&cfg.FailAfter, "fail-after", cfg.FailAfter, "consecutive failures that eject a backend from the ring")
 	grace := flag.Duration("grace", 10*time.Second, "graceful shutdown budget")
 	flag.Parse()
 
-	var backends []string
 	for _, b := range strings.Split(*backendSpec, ",") {
 		if b = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(b), "/")); b != "" {
-			backends = append(backends, b)
+			cfg.Backends = append(cfg.Backends, b)
 		}
 	}
-	if len(backends) == 0 {
+	if len(cfg.Backends) == 0 {
 		fmt.Fprintln(os.Stderr, "crrouter: -backends is required (comma-separated base URLs)")
 		os.Exit(2)
 	}
 
-	rt, err := router.New(router.Config{
-		Backends:      backends,
-		VNodes:        *vnodes,
-		ProbeInterval: *probeInterval,
-		FailAfter:     *failAfter,
-		Logf:          log.Printf,
-	})
+	cfg.Logf = log.Printf
+	rt, err := router.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -84,7 +79,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("crrouter %s listening on %s (backends=%d vnodes=%d probe=%s fail-after=%d)",
-		crsharing.Version, *addr, len(backends), *vnodes, *probeInterval, *failAfter)
+		crsharing.Version, *addr, len(cfg.Backends), cfg.VNodes, cfg.ProbeInterval, cfg.FailAfter)
 	select {
 	case err := <-errc:
 		log.Fatal(err)

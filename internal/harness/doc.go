@@ -15,17 +15,16 @@
 //
 //   - Driver (driver.go): an open-loop replay driver that fires a weighted
 //     mix of synchronous solves, batch solves and asynchronous jobs
-//     (submit + SSE follow) at a base URL — an in-process httptest server or
-//     a remote crserved — and collects per-class latency distributions via
+//     (submit + SSE follow) at a base URL — an in-process backend or a
+//     remote crserved — and collects per-class latency distributions via
 //     internal/stats, throughput, error/cancel counts, per-class
 //     engine-telemetry aggregates (nodes explored, incumbents, results per
 //     cache source — load runs double as solver-behaviour regressions) and
 //     the cache-hit accounting scraped from /metrics.
 //
-// Stack (stack.go) wires the full production layering — one shared
-// internal/engine pipeline feeding both the service handlers and the job
-// manager, exactly like cmd/crserved — behind an httptest listener, for
-// crload's in-process mode and the end-to-end tests.
+// The server a driver runs against in-process is crserved's own backend,
+// built by service.Build on a loopback listener; crload's in-process mode
+// and the end-to-end tests build it that way.
 //
 //   - Oracle (oracle.go): every schedule a response carries is re-executed
 //     with core.Execute and revalidated against the paper's invariants

@@ -100,7 +100,7 @@ type TenantLoad struct {
 	// Name is the tenant identity sent with every request.
 	Name string `json:"name"`
 	// Weight is the engine-side fair-share weight (only used when the caller
-	// also builds the server, e.g. crload's in-process stack); min 1.
+	// also builds the server, e.g. crload's in-process backend); min 1.
 	Weight int64 `json:"weight"`
 	// Rate is the tenant's arrival rate in requests per second.
 	Rate float64 `json:"rate_per_sec"`

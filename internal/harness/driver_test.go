@@ -12,42 +12,48 @@ import (
 	"time"
 
 	"crsharing/internal/engine"
+	"crsharing/internal/service"
 )
 
-// newHarnessServer wires the full stack — one shared engine, job manager,
-// HTTP layer — behind an httptest listener, defaulting to the fast
-// deterministic greedy-balance solver so driver tests stay quick under
-// -race.
-func newHarnessServer(t *testing.T) *Stack {
-	t.Helper()
-	stack, err := NewStack(StackConfig{
-		DefaultSolver:     "greedy-balance",
-		MaxConcurrent:     32,
-		Workers:           2,
-		QueueDepth:        256,
-		JobDefaultTimeout: 10 * time.Second,
-		JobMaxTimeout:     30 * time.Second,
-		Version:           "harness-test",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := stack.Close(); err != nil {
-			t.Errorf("stack close: %v", err)
-		}
-	})
-	return stack
+// testOptions are crserved's defaults with the fast deterministic
+// greedy-balance solver, so driver tests stay quick under -race, and a
+// smaller pool with shorter job budgets.
+func testOptions() service.Options {
+	o := service.DefaultOptions()
+	o.DefaultSolver = "greedy-balance"
+	o.MaxConcurrent = 32
+	o.Workers = 2
+	o.JobTimeout = 10 * time.Second
+	o.JobMaxTimeout = 30 * time.Second
+	return o
 }
 
-// TestDriverEndToEnd replays a short mixed load against the in-process stack
+// serve builds a backend from o on a loopback listener and closes it when
+// the test ends.
+func serve(t *testing.T, o service.Options) *service.Backend {
+	t.Helper()
+	backend := listenAndBuild(t, o)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		// A connection the driver dialled but never sent a request on would
+		// hold http.Server.Shutdown for five seconds.
+		http.DefaultClient.CloseIdleConnections()
+		if err := backend.Close(ctx); err != nil {
+			t.Errorf("backend close: %v", err)
+		}
+	})
+	return backend
+}
+
+// TestDriverEndToEnd replays a short mixed load against the in-process backend
 // and asserts the acceptance contract: every class sees traffic, every
 // schedule revalidates with zero violations, and the duplicate-heavy corpus
 // produces cache hits.
 func TestDriverEndToEnd(t *testing.T) {
-	stack := newHarnessServer(t)
+	backend := serve(t, testOptions())
 	d, err := NewDriver(Config{
-		BaseURL:  stack.URL,
+		BaseURL:  backend.URL,
 		Corpus:   BuildCorpus(1),
 		Mix:      Mix{Solve: 6, Batch: 2, Jobs: 2},
 		Rate:     400,
@@ -203,29 +209,14 @@ func TestDriverKeepsRateUnderStarvation(t *testing.T) {
 // per-tenant slices are complete: every request lands in exactly one tenant
 // bucket, so the tenant sums reproduce the global and per-class totals.
 func TestDriverPerTenantAccounting(t *testing.T) {
-	stack, err := NewStack(StackConfig{
-		DefaultSolver: "greedy-balance",
-		MaxConcurrent: 32,
-		Workers:       2,
-		QueueDepth:    256,
-		Tenants: map[string]engine.TenantConfig{
-			"gold": {Weight: 3},
-			"free": {Weight: 1},
-		},
-		JobDefaultTimeout: 10 * time.Second,
-		JobMaxTimeout:     30 * time.Second,
-		Version:           "harness-test",
-	})
-	if err != nil {
-		t.Fatal(err)
+	o := testOptions()
+	o.Tenants = map[string]engine.TenantConfig{
+		"gold": {Weight: 3},
+		"free": {Weight: 1},
 	}
-	t.Cleanup(func() {
-		if err := stack.Close(); err != nil {
-			t.Errorf("stack close: %v", err)
-		}
-	})
+	backend := serve(t, o)
 	d, err := NewDriver(Config{
-		BaseURL: stack.URL,
+		BaseURL: backend.URL,
 		Corpus:  BuildCorpus(1),
 		Mix:     Mix{Solve: 6, Batch: 2, Jobs: 2},
 		Tenants: []TenantLoad{
@@ -402,10 +393,10 @@ func TestScrapeMetrics(t *testing.T) {
 // corpus seed 7 starts chains on instances where greedy is not optimal, so
 // an adapted hint beats the kernel's own seed.
 func TestDriverOnlineClass(t *testing.T) {
-	stack := newHarnessServer(t)
+	backend := serve(t, testOptions())
 	rec := NewRecorder()
 	d, err := NewDriver(Config{
-		BaseURL:  stack.URL,
+		BaseURL:  backend.URL,
 		Corpus:   BuildCorpus(7),
 		Mix:      Mix{Online: 1},
 		Solver:   "branch-and-bound",
@@ -431,9 +422,9 @@ func TestDriverOnlineClass(t *testing.T) {
 		t.Fatalf("invariant violations (%d): %v", rep.ViolationCount, rep.Violations)
 	}
 
-	// A fresh stack, so the replay solves rather than hits the cache.
+	// A fresh backend, so the replay solves rather than hits the cache.
 	replay, err := NewDriver(Config{
-		BaseURL:     newHarnessServer(t).URL,
+		BaseURL:     serve(t, testOptions()).URL,
 		Solver:      "branch-and-bound",
 		Replay:      rec.Recording(7),
 		ReplaySpeed: 4,

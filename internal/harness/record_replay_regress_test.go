@@ -65,10 +65,10 @@ func TestRecordingSortsShardedCapture(t *testing.T) {
 // replay the capture on ONE shard and assert the replay re-issues a monotone
 // schedule identical to the recording request-for-request.
 func TestShardedRecordReplaysMonotone(t *testing.T) {
-	stack := newHarnessServer(t)
+	backend := serve(t, testOptions())
 	rec := NewRecorder()
 	rep, err := RunFleet(context.Background(), Config{
-		BaseURL:  stack.URL,
+		BaseURL:  backend.URL,
 		Corpus:   BuildCorpus(17),
 		Mix:      Mix{Solve: 1},
 		Rate:     400,
@@ -95,7 +95,7 @@ func TestShardedRecordReplaysMonotone(t *testing.T) {
 		}
 	}
 
-	replayed, replayRep := replayOnce(t, stack, recording)
+	replayed, replayRep := replayOnce(t, backend, recording)
 	sameSequence(t, recording, replayed)
 	for i := 1; i < len(replayed.Entries); i++ {
 		if replayed.Entries[i].OffsetNS < replayed.Entries[i-1].OffsetNS {

@@ -5,15 +5,17 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"crsharing/internal/service"
 )
 
-// recordSeededRun drives the in-process stack with a short multi-tenant mixed
-// load, recording every arrival, and returns the recording.
-func recordSeededRun(t *testing.T, stack *Stack) *Recording {
+// recordSeededRun drives the in-process backend with a short multi-tenant
+// mixed load, recording every arrival, and returns the recording.
+func recordSeededRun(t *testing.T, backend *service.Backend) *Recording {
 	t.Helper()
 	rec := NewRecorder()
 	d, err := NewDriver(Config{
-		BaseURL:  stack.URL,
+		BaseURL:  backend.URL,
 		Corpus:   BuildCorpus(11),
 		Mix:      Mix{Solve: 6, Batch: 2, Jobs: 2},
 		Duration: 500 * time.Millisecond,
@@ -40,14 +42,14 @@ func recordSeededRun(t *testing.T, stack *Stack) *Recording {
 	return recording
 }
 
-// replayOnce re-issues the recording against the stack at high speed,
+// replayOnce re-issues the recording against the backend at high speed,
 // re-recording the replayed arrivals, and returns the new recording and the
 // run report.
-func replayOnce(t *testing.T, stack *Stack, recording *Recording) (*Recording, *Report) {
+func replayOnce(t *testing.T, backend *service.Backend, recording *Recording) (*Recording, *Report) {
 	t.Helper()
 	rec := NewRecorder()
 	d, err := NewDriver(Config{
-		BaseURL:     stack.URL,
+		BaseURL:     backend.URL,
 		Replay:      recording,
 		ReplaySpeed: 50,
 		MaxInflight: 4096,
@@ -91,11 +93,11 @@ func sameSequence(t *testing.T, a, b *Recording) {
 // replay it twice, and assert both replays re-issue the identical request
 // sequence (the recorded one) with every replayed schedule revalidating.
 func TestReplayDeterminism(t *testing.T) {
-	stack := newHarnessServer(t)
-	recording := recordSeededRun(t, stack)
+	backend := serve(t, testOptions())
+	recording := recordSeededRun(t, backend)
 
-	first, repA := replayOnce(t, stack, recording)
-	second, repB := replayOnce(t, stack, recording)
+	first, repA := replayOnce(t, backend, recording)
+	second, repB := replayOnce(t, backend, recording)
 
 	sameSequence(t, recording, first)
 	sameSequence(t, first, second)
@@ -139,12 +141,12 @@ func TestReplayDeterminism(t *testing.T) {
 // replaying one recording through a 4-shard fleet yields the same totals as a
 // 1-shard replay — same requests, same per-class and per-tenant counts.
 func TestShardedReplayTotalsMatch(t *testing.T) {
-	stack := newHarnessServer(t)
-	recording := recordSeededRun(t, stack)
+	backend := serve(t, testOptions())
+	recording := recordSeededRun(t, backend)
 
 	run := func(shards int) *Report {
 		rep, err := RunFleet(context.Background(), Config{
-			BaseURL:     stack.URL,
+			BaseURL:     backend.URL,
 			Replay:      recording,
 			ReplaySpeed: 50,
 			MaxInflight: 4096,

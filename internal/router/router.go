@@ -20,20 +20,17 @@ import (
 const maxBodyBytes = 32 << 20
 
 // Config configures a Router. Zero values of optional fields get the
-// documented defaults in New.
+// defaults of DefaultConfig in New.
 type Config struct {
 	// Backends are the base URLs of the crsharing backends to route across
 	// (e.g. "http://10.0.0.1:8080"); at least one is required.
 	Backends []string
-	// VNodes is the number of virtual nodes per backend on the hash ring
-	// (default 64).
+	// VNodes is the number of virtual nodes per backend on the hash ring.
 	VNodes int
-	// ProbeInterval is how often every backend's /healthz is probed
-	// (default 1s).
+	// ProbeInterval is how often every backend's /healthz is probed.
 	ProbeInterval time.Duration
 	// FailAfter is how many consecutive failures (probe or proxy) eject a
-	// backend from the ring (default 3). One later successful probe re-admits
-	// it.
+	// backend from the ring. One later successful probe re-admits it.
 	FailAfter int
 	// Client is the HTTP client for proxying and probing (default
 	// http.DefaultClient). Per-request deadlines come from the incoming
@@ -88,6 +85,13 @@ type Router struct {
 	stopOnce  sync.Once
 }
 
+// DefaultConfig returns the values New gives zero optional fields: 64
+// virtual nodes per backend, a 1s probe interval and ejection after 3
+// consecutive failures.
+func DefaultConfig() Config {
+	return Config{VNodes: 64, ProbeInterval: time.Second, FailAfter: 3}
+}
+
 // New validates the configuration and returns a Router. All backends start
 // healthy — the router serves immediately and the first probe round corrects
 // the optimism.
@@ -95,14 +99,15 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("router: Config.Backends is required")
 	}
+	def := DefaultConfig()
 	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
+		cfg.VNodes = def.VNodes
 	}
 	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = time.Second
+		cfg.ProbeInterval = def.ProbeInterval
 	}
 	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 3
+		cfg.FailAfter = def.FailAfter
 	}
 	if cfg.Client == nil {
 		cfg.Client = http.DefaultClient

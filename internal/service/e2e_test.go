@@ -1,68 +1,41 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"crsharing"
 	"crsharing/internal/core"
-	"crsharing/internal/engine"
 	"crsharing/internal/gen"
 	"crsharing/internal/jobs"
 	"crsharing/internal/solver"
 )
 
 // TestEndToEnd is the Go port of the CI shell smoke that used to drive a
-// crserved binary with curl: it wires the production stack — full solver
-// registry, sharded memo cache, job manager — behind an httptest listener
-// and walks the whole lifecycle: health probe, fresh solve, cache-served
-// repeat, batch solve, async job with SSE follow, metrics accounting, and
-// graceful shutdown. Unlike the shell version it revalidates the returned
-// schedules with core.Execute and runs race-enabled with the rest of the
-// suite.
+// crserved binary with curl: it builds the backend crserved builds (Build)
+// on a loopback listener and walks the whole lifecycle: health probe, fresh
+// solve, cache-served repeat, batch solve, async job with SSE follow,
+// metrics accounting, and graceful shutdown. Unlike the shell version it
+// revalidates the returned schedules with core.Execute and runs
+// race-enabled with the rest of the suite.
 func TestEndToEnd(t *testing.T) {
-	// One engine for the whole stack, exactly like cmd/crserved wires it:
-	// sync handlers, batch fan-out and job workers share its admission
-	// budget, memo cache and telemetry.
-	eng, err := engine.New(engine.Config{
-		Registry: solver.Default(),
-		Cache:    solver.NewCache(8, 256),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	manager, err := jobs.New(jobs.Config{
-		Engine:         eng,
-		Workers:        2,
-		QueueDepth:     64,
-		DefaultTimeout: 20 * time.Second,
-		MaxTimeout:     time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{
-		Engine:  eng,
-		Jobs:    manager,
-		Version: "e2e",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	o := DefaultOptions()
+	o.CacheShards, o.CacheCapacity = 8, 256
+	o.Workers, o.QueueDepth = 2, 64
+	o.JobTimeout, o.JobMaxTimeout = 20*time.Second, time.Minute
+	b := listenAndBuild(t, o)
+	url := b.URL
 
 	// Liveness first, as the shell loop did before sending traffic.
 	var health HealthResponse
-	getJSON(t, ts.URL+"/healthz", &health)
-	if health.Status != "ok" || health.Version != "e2e" {
+	getJSON(t, url+"/healthz", &health)
+	if health.Status != "ok" || health.Version != crsharing.Version {
 		t.Fatalf("healthz: %+v", health)
 	}
 
@@ -70,7 +43,7 @@ func TestEndToEnd(t *testing.T) {
 	// instance), with the schedule included so it can be revalidated.
 	inst := gen.Figure3(10)
 	var first SolveResponse
-	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{
+	resp, body := postJSON(t, url+"/v1/solve", SolveRequest{
 		Instance:        inst,
 		Timeout:         "10s",
 		IncludeSchedule: true,
@@ -103,7 +76,7 @@ func TestEndToEnd(t *testing.T) {
 	// The identical repeat must be answered from the cache with the same
 	// fingerprint and result.
 	var second SolveResponse
-	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{Instance: inst, Timeout: "10s"})
+	resp, body = postJSON(t, url+"/v1/solve", SolveRequest{Instance: inst, Timeout: "10s"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat solve status %d: %s", resp.StatusCode, body)
 	}
@@ -128,7 +101,7 @@ func TestEndToEnd(t *testing.T) {
 
 	// Batch solve mixes the cached instance with fresh ones.
 	var batch BatchResponse
-	resp, body = postJSON(t, ts.URL+"/v1/batch-solve", BatchRequest{
+	resp, body = postJSON(t, url+"/v1/batch-solve", BatchRequest{
 		Instances: []*core.Instance{inst, gen.Figure1(), gen.Figure2()},
 		Timeout:   "10s",
 	})
@@ -155,7 +128,7 @@ func TestEndToEnd(t *testing.T) {
 	// Async job lifecycle on a fresh (uncached) instance: accepted pending,
 	// SSE stream reaches a terminal state, record carries a valid schedule.
 	jobInst := gen.Figure3(12)
-	resp, body = postJSON(t, ts.URL+"/v1/jobs", JobRequest{Instance: jobInst, Timeout: "20s"})
+	resp, body = postJSON(t, url+"/v1/jobs", JobRequest{Instance: jobInst, Timeout: "20s"})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job submit status %d: %s", resp.StatusCode, body)
 	}
@@ -166,7 +139,7 @@ func TestEndToEnd(t *testing.T) {
 	if submitted.ID == "" || submitted.State.Terminal() {
 		t.Fatalf("bad submit snapshot: %+v", submitted)
 	}
-	events := readSSE(t, ts.URL+"/v1/jobs/"+submitted.ID+"/events")
+	events := readSSE(t, url+"/v1/jobs/"+submitted.ID+"/events")
 	sawTerminal := false
 	for _, ev := range events {
 		if ev.name == string(jobs.EventState) && ev.data.State.Terminal() {
@@ -184,7 +157,7 @@ func TestEndToEnd(t *testing.T) {
 	if !sawTerminal {
 		t.Fatalf("SSE stream ended without a terminal state: %+v", events)
 	}
-	final := getJob(t, ts, submitted.ID)
+	final := getJob(t, url, submitted.ID)
 	if final.State != jobs.StateDone {
 		t.Fatalf("job not done: %+v", final)
 	}
@@ -197,7 +170,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Metrics must account for everything above, as the shell greps did.
-	metricsBody := getText(t, ts.URL+"/metrics")
+	metricsBody := getText(t, url+"/metrics")
 	for _, want := range []string{
 		"crsharing_solves_total",
 		"crsharing_cache_served_total",
@@ -214,16 +187,11 @@ func TestEndToEnd(t *testing.T) {
 		t.Error("no cache-served response counted")
 	}
 
-	// Graceful shutdown: the listener drains, then the manager closes
-	// cleanly and refuses further submissions (what SIGINT does in
-	// cmd/crserved).
-	ts.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := manager.Close(ctx); err != nil {
-		t.Fatalf("graceful manager close: %v", err)
-	}
-	if _, err := manager.Submit(jobs.Request{Instance: gen.Figure1()}); !errors.Is(err, jobs.ErrClosed) {
+	// Graceful shutdown, as SIGINT does in cmd/crserved: the listener
+	// drains, then the job manager closes cleanly and refuses further
+	// submissions.
+	closeBackend(t, b)
+	if _, err := b.jobs.Submit(jobs.Request{Instance: gen.Figure1()}); !errors.Is(err, jobs.ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
@@ -14,6 +14,7 @@ import (
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/core"
 	"crsharing/internal/engine"
+	"crsharing/internal/gen"
 	"crsharing/internal/jobs"
 	"crsharing/internal/progress"
 	"crsharing/internal/solver"
@@ -185,7 +186,7 @@ func TestJobOutlivesSyncDeadline(t *testing.T) {
 	}
 
 	// ...and the record now carries the finished schedule.
-	final := getJob(t, ts, submitted.ID)
+	final := getJob(t, ts.URL, submitted.ID)
 	if final.State != jobs.StateDone {
 		t.Fatalf("job not done: %+v", final)
 	}
@@ -197,9 +198,9 @@ func TestJobOutlivesSyncDeadline(t *testing.T) {
 	}
 }
 
-func getJob(t *testing.T, ts *httptest.Server, id string) jobs.Snapshot {
+func getJob(t *testing.T, baseURL, id string) jobs.Snapshot {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	resp, err := http.Get(baseURL + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestJobCancelAndList(t *testing.T) {
 	// The cancellation lands once the solver polls its context.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		cur := getJob(t, ts, snap.ID)
+		cur := getJob(t, ts.URL, snap.ID)
 		if cur.State == jobs.StateCancelled {
 			break
 		}
@@ -370,89 +371,57 @@ func TestJobRestartServedFromStore(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 
-	restored := getJob(t, ts2, snap.ID)
+	restored := getJob(t, ts2.URL, snap.ID)
 	if restored.State != jobs.StateDone || restored.Result == nil || restored.Result.Schedule == nil {
 		t.Fatalf("restored job not served from store: %+v", restored)
 	}
 }
 
 // TestShutdownEndsOpenSSEStreams pins the graceful-shutdown contract: an
-// open /v1/jobs/{id}/events subscription on a long-running job must not pin
-// Run to its full grace budget.
+// open /v1/jobs/{id}/events subscription on a job that runs to its one-minute
+// deadline must not pin Backend.Close to that deadline.
 func TestShutdownEndsOpenSSEStreams(t *testing.T) {
-	sv := &slowSolver{ticks: 1000, tick: 50 * time.Millisecond} // effectively forever
-	manager, _ := newJobsServer(t, sv, nil)
+	o := DefaultOptions()
+	o.JobTimeout = time.Minute
+	b := listenAndBuild(t, o)
 
-	reg := solver.NewRegistry()
-	reg.Register("slow", func() solver.Solver { return sv })
-	srv, err := New(Config{Engine: newTestEngine(t, engine.Config{Registry: reg, DefaultSolver: "slow"}), Jobs: manager, Version: "test"})
-	if err != nil {
-		t.Fatal(err)
+	// The Theorem-6 search on a random eight-processor instance runs to
+	// its deadline.
+	inst := gen.Random(rand.New(rand.NewSource(1)), 8, 3, 0.1, 0.9)
+	resp, body := postJSON(t, b.URL+"/v1/jobs", JobRequest{Instance: inst, Solver: "opt-res-assignment-2"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d: %s", resp.StatusCode, body)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	runDone := make(chan error, 1)
-	go func() { runDone <- srv.Run(ctx, addr, 30*time.Second) }()
-
-	// Wait for the listener, submit a never-ending job, open its stream.
 	var snap jobs.Snapshot
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Post("http://"+addr+"/v1/jobs", "application/json",
-			strings.NewReader(`{"instance": {"procs": [[{"req": 0.5, "size": 1}]]}}`))
-		if err == nil {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("submit status %d: %s", resp.StatusCode, body)
-			}
-			if err := json.Unmarshal(body, &snap); err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never came up: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
 	}
-	streamOpen := make(chan struct{})
+	stream, err := http.Get(b.URL + "/v1/jobs/" + snap.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	if _, err := stream.Body.Read(make([]byte, 1)); err != nil {
+		t.Fatalf("no initial state event: %v", err)
+	}
 	streamClosed := make(chan struct{})
 	go func() {
-		resp, err := http.Get("http://" + addr + "/v1/jobs/" + snap.ID + "/events")
-		if err != nil {
-			close(streamOpen)
-			close(streamClosed)
-			return
-		}
-		defer resp.Body.Close()
-		buf := make([]byte, 1)
-		if _, err := resp.Body.Read(buf); err == nil {
-			close(streamOpen) // first byte of the initial state event arrived
-		} else {
-			close(streamOpen)
-		}
-		io.Copy(io.Discard, resp.Body)
+		io.Copy(io.Discard, stream.Body)
 		close(streamClosed)
 	}()
-	<-streamOpen
+	for getJob(t, b.URL, snap.ID).State != jobs.StateRunning {
+		time.Sleep(10 * time.Millisecond)
+	}
 
-	// Shut down: Run must return well before the 30s grace budget even
-	// though the SSE stream (and the job) would otherwise run forever.
-	cancel()
-	select {
-	case err := <-runDone:
-		if err != nil {
-			t.Fatalf("Run returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("shutdown blocked on the open SSE stream")
+	http.DefaultClient.CloseIdleConnections() // see closeBackend
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := b.Close(ctx); err != nil {
+		t.Fatalf("Close returned %v", err)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("Close took %v with an open SSE stream", took)
 	}
 	select {
 	case <-streamClosed:

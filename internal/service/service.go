@@ -82,12 +82,12 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 	metrics metrics
-	// shutdown is closed when Run starts draining; long-lived streams (SSE)
-	// select on it so open subscriptions cannot pin graceful shutdown to its
-	// full grace budget. http.Server.Shutdown alone cannot do this: it waits
-	// for active handlers and does not cancel their request contexts.
-	shutdown     chan struct{}
-	shutdownOnce sync.Once
+	// shutdown is closed when Backend.Close starts draining; long-lived
+	// streams (SSE) select on it so open subscriptions cannot pin graceful
+	// shutdown to its full grace budget. http.Server.Shutdown alone cannot
+	// do this: it waits for active handlers and does not cancel their
+	// request contexts.
+	shutdown chan struct{}
 	// jsonOnly sends every request body through encoding/json, skipping
 	// the canonical decoders; tests set it to compare the two paths.
 	jsonOnly bool
@@ -128,28 +128,6 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Handler returns the server's HTTP handler (also usable under httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Run serves on addr until ctx is cancelled, then shuts down gracefully:
-// in-flight requests get up to grace to finish before the listener is torn
-// down hard. It returns nil on a clean shutdown.
-func (s *Server) Run(ctx context.Context, addr string, grace time.Duration) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		s.shutdownOnce.Do(func() { close(s.shutdown) })
-		sctx, cancel := context.WithTimeout(context.Background(), grace)
-		defer cancel()
-		return srv.Shutdown(sctx)
-	}
-}
 
 // requestTimeout parses a request-supplied duration string. Zero means "use
 // the engine's default"; the engine clamps the value when the solve runs.

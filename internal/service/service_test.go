@@ -432,25 +432,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestRunGracefulShutdown(t *testing.T) {
-	stub := &stubSolver{name: "stub"}
-	srv, _ := newTestServer(t, stub, nil)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- srv.Run(ctx, "127.0.0.1:0", time.Second) }()
-	time.Sleep(50 * time.Millisecond) // let the listener come up
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("graceful shutdown returned %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after cancellation")
-	}
-}
-
 func TestIncludeSchedule(t *testing.T) {
 	stub := &stubSolver{name: "stub"}
 	_, ts := newTestServer(t, stub, nil)
