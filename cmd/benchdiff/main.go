@@ -37,7 +37,7 @@ func main() {
 	oldPath := flag.String("old", "", "baseline go test -json benchmark output")
 	newPath := flag.String("new", "", "fresh go test -json benchmark output")
 	filterExpr := flag.String("filter", "", "regexp selecting the gated benchmarks (matched against package.Benchmark; empty = all)")
-	skipNsExpr := flag.String("skip-ns", "", "regexp of benchmarks exempt from the ns/op gate (allocs/op still gated); for parallel kernels whose wall-clock is not comparable across shared runners")
+	skipNsExpr := flag.String("skip-ns", "", "regexp of benchmarks exempt from the ns/op gate (allocs/op still gated); for benchmarks whose wall-clock is not comparable across shared runners")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional ns/op growth before failing")
 	perfPath := flag.String("perf", "", "render the perf trajectory (benchmarks + load report) as markdown to this file")
 	loadPath := flag.String("load", "", "crload report JSON to include in the -perf trajectory")

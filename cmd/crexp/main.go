@@ -63,13 +63,7 @@ func main() {
 		workers = 1
 	}
 
-	// Split the cores between the concurrent experiments so their exact-oracle
-	// portfolios do not oversubscribe the machine.
-	oracleWorkers := runtime.GOMAXPROCS(0) / workers
-	if oracleWorkers < 1 {
-		oracleWorkers = 1
-	}
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, Timeout: *timeout, Workers: oracleWorkers}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick, Timeout: *timeout}
 
 	type outcome struct {
 		res *experiments.Result

@@ -3,13 +3,13 @@
 // properties of Section 4 and, on request, the scheduling hypergraph of
 // Section 3.2. Every solve — single or batch — is submitted to the
 // internal/engine pipeline, the same admission/telemetry layer the HTTP
-// service uses, so runs support timeouts, the parallel kernels, portfolio
-// mode and per-solve search telemetry (nodes explored, incumbents).
+// service uses, so runs support timeouts, portfolio mode and per-solve
+// search telemetry (nodes explored, incumbents).
 //
 // Usage examples:
 //
 //	crgen -kind figure3 -n 20 | crsched -algo greedy-balance
-//	crsched -algo branch-and-bound-parallel -in instance.json -timeout 30s
+//	crsched -algo branch-and-bound -in instance.json -timeout 30s
 //	crsched -algo portfolio -in instance.json -schedule
 //	crgen ... | crsched -batch -algo greedy-balance -workers 8
 //

@@ -16,7 +16,7 @@
 //
 //	crgen -kind figure3 -n 12 > inst.json
 //	curl -s localhost:8080/v1/solve -d "{\"instance\": $(cat inst.json)}"
-//	curl -s localhost:8080/v1/jobs -d "{\"instance\": $(cat inst.json), \"solver\": \"branch-and-bound-parallel\"}"
+//	curl -s localhost:8080/v1/jobs -d "{\"instance\": $(cat inst.json), \"solver\": \"branch-and-bound\"}"
 //	curl -sN localhost:8080/v1/jobs/<id>/events
 //	curl -s localhost:8080/metrics | grep crsharing_jobs
 //

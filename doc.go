@@ -95,10 +95,10 @@
 // violation. A golden-corpus suite under internal/harness/testdata pins
 // every deterministic solver's makespan and waste inside `go test ./...`.
 //
-// The hottest exact kernel is parallel internally as well: branch-and-bound
-// explores frontier subtrees on a worker pool with a shared atomic
-// incumbent bound and a bounded hand-off queue, polls its context and
-// returns promptly on cancellation.
+// The hottest exact kernel, branch-and-bound, is one serial search on pooled
+// scratch that allocates nothing per node, polls its context and returns
+// promptly on cancellation; it is deterministic, so the same instance always
+// gets the same schedule.
 //
 // The root package itself only carries this documentation and the benchmark
 // suite (bench_test.go) that regenerates every figure-level experiment under

@@ -30,37 +30,36 @@ func TestAnswersSurviveLaterSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, k := range map[string]kernel{"serial": branchbound.New(), "parallel": branchbound.NewParallel()} {
-		t.Run(name, func(t *testing.T) {
-			hint, _, _ := solveCounted(t, k, hard, nil)
-			cases := []struct {
-				name string
-				inst *core.Instance
-				hint *core.Schedule
-				// check confirms the case takes the path it is named for.
-				check func(a *core.Schedule, warmSeed int64) bool
-			}{
-				{"seed", easy, nil, func(a *core.Schedule, _ int64) bool { return sameSchedule(a, greedy) }},
-				{"improved", hard, nil, func(a *core.Schedule, _ int64) bool {
-					return core.MustMakespan(hard, a) < core.MustMakespan(hard, greedyHard)
-				}},
-				{"warm", hard, hint, func(_ *core.Schedule, warmSeed int64) bool { return warmSeed > 0 }},
+	k := branchbound.New()
+	t.Run("serial", func(t *testing.T) {
+		hint, _, _ := solveCounted(t, k, hard, nil)
+		cases := []struct {
+			name string
+			inst *core.Instance
+			hint *core.Schedule
+			// check confirms the case takes the path it is named for.
+			check func(a *core.Schedule, warmSeed int64) bool
+		}{
+			{"seed", easy, nil, func(a *core.Schedule, _ int64) bool { return sameSchedule(a, greedy) }},
+			{"improved", hard, nil, func(a *core.Schedule, _ int64) bool {
+				return core.MustMakespan(hard, a) < core.MustMakespan(hard, greedyHard)
+			}},
+			{"warm", hard, hint, func(_ *core.Schedule, warmSeed int64) bool { return warmSeed > 0 }},
+		}
+		for _, c := range cases {
+			// Solving the larger instance first grows the pooled scratch,
+			// so A runs on buffers the next solve of it overwrites.
+			solveCounted(t, k, other, nil)
+			a, _, warmSeed := solveCounted(t, k, c.inst, c.hint)
+			if !c.check(a, warmSeed) {
+				t.Fatalf("%s: the solve does not take the path the case is named for", c.name)
 			}
-			for _, c := range cases {
-				// Solving the larger instance first grows the pooled scratch,
-				// so A runs on buffers the next solve of it overwrites.
-				solveCounted(t, k, other, nil)
-				a, _, warmSeed := solveCounted(t, k, c.inst, c.hint)
-				if !c.check(a, warmSeed) {
-					t.Fatalf("%s: the solve does not take the path the case is named for", c.name)
-				}
-				snap := a.Clone()
-				solveCounted(t, k, other, nil)
-				solveCounted(t, k, c.inst, c.hint)
-				if !sameSchedule(a, snap) {
-					t.Fatalf("%s: a later solve changed an earlier answer:\n%v\nwas\n%v", c.name, a, snap)
-				}
+			snap := a.Clone()
+			solveCounted(t, k, other, nil)
+			solveCounted(t, k, c.inst, c.hint)
+			if !sameSchedule(a, snap) {
+				t.Fatalf("%s: a later solve changed an earlier answer:\n%v\nwas\n%v", c.name, a, snap)
 			}
-		})
-	}
+		}
+	})
 }

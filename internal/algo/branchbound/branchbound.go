@@ -8,7 +8,7 @@
 // expands with, so the test suite's optimum oracles independent of that code
 // are package bruteforce and the m=2 dynamic program of package optres2.
 //
-// Both solvers run on pooled scratch memory (see scratch.go): the search path
+// The solver runs on pooled scratch memory (see scratch.go): the search path
 // is an explicit stack truncated on backtrack, successors live in flat
 // per-depth move buffers visited in the enumerator's move order (more
 // finished jobs first), and the visited set is an open-addressing table over
@@ -33,6 +33,7 @@ import (
 type Scheduler struct {
 	// MaxNodes caps the number of explored search nodes (0 = DefaultMaxNodes).
 	MaxNodes int
+	name     string // "" = "branch-and-bound"
 }
 
 // DefaultMaxNodes bounds the search so that pathological instances fail fast
@@ -58,8 +59,19 @@ func checkSupported(inst *core.Instance) error {
 // New returns a branch-and-bound solver with default limits.
 func New() *Scheduler { return &Scheduler{} }
 
+// NewParallel returns the same solver under the name
+// "branch-and-bound-parallel", which the default portfolio's seventh member
+// and the serving benchmark's win-share metric still carry. The search is
+// the one serial kernel; only Name and the incumbent reports differ.
+func NewParallel() *Scheduler { return &Scheduler{name: "branch-and-bound-parallel"} }
+
 // Name implements algo.Scheduler.
-func (s *Scheduler) Name() string { return "branch-and-bound" }
+func (s *Scheduler) Name() string {
+	if s.name != "" {
+		return s.name
+	}
+	return "branch-and-bound"
+}
 
 // IsExact marks the scheduler as exact.
 func (s *Scheduler) IsExact() bool { return true }
@@ -73,48 +85,6 @@ type solver struct {
 	bestMoves [][]float64 // allocation rows of the incumbent (the seed's own rows, overwritten on improvement)
 	nodes     int
 	maxNodes  int
-}
-
-// seedSearch builds the first incumbent of a search on inst, shared by the
-// serial and the parallel kernel: the GreedyBalance schedule (a
-// (2-1/m)-approximation, Theorem 7), or the warm-start hint attached to ctx
-// when acceptWarmStart takes it. The returned schedule is owned by the
-// solve: the search overwrites its rows as the incumbent improves, and
-// finish returns it unchanged when it never does. Every execution runs on
-// the scratch's Result.
-func seedSearch(ctx context.Context, inst *core.Instance, sc *searchScratch) (*core.Schedule, int, error) {
-	seed, err := greedybalance.New().Schedule(inst)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := core.ExecuteInto(&sc.res, inst, seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !res.Finished() {
-		return nil, 0, fmt.Errorf("branchbound: internal error: incumbent schedule incomplete")
-	}
-	makespan := res.Makespan()
-	if hint, hm := acceptWarmStart(ctx, inst, makespan, &sc.res); hint != nil {
-		// The hint replaces the greedy seed as the initial incumbent.
-		return hint, hm, nil
-	}
-	return seed, makespan, nil
-}
-
-// finish returns the schedule a search ends with. An incumbent the search
-// never improved is the seed itself, returned as it is; an improved one
-// lives in the first best rows of the seed's, and is copied out to an
-// exact-size schedule so the answer pins none of the seed's longer rows.
-func finish(seed *core.Schedule, seedMakespan, best int, rows [][]float64, m int) *core.Schedule {
-	if best == seedMakespan {
-		return seed
-	}
-	sched := core.NewSchedule(best, m)
-	for t := range sched.Alloc {
-		copy(sched.Alloc[t], rows[t])
-	}
-	return sched
 }
 
 // acceptWarmStart resolves the warm-start hint attached to ctx: when the hint
@@ -210,13 +180,28 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 		return &core.Schedule{}, nil
 	}
 
-	// The seed both sets the upper bound and guarantees we always have a
-	// feasible answer to return.
+	// The seed is the first incumbent: the GreedyBalance schedule (a
+	// (2-1/m)-approximation, Theorem 7), or the warm-start hint attached to
+	// ctx when acceptWarmStart takes it. It sets the upper bound and
+	// guarantees a feasible answer. The search overwrites its rows as the
+	// incumbent improves, so the seed is owned by this solve; every
+	// execution runs on the scratch's Result.
 	sc := getScratch(inst)
 	defer putScratch(sc)
-	seed, seedMakespan, err := seedSearch(ctx, inst, sc)
+	seed, err := greedybalance.New().Schedule(inst)
 	if err != nil {
 		return nil, err
+	}
+	res, err := core.ExecuteInto(&sc.res, inst, seed)
+	if err != nil {
+		return nil, err
+	}
+	if !res.Finished() {
+		return nil, fmt.Errorf("branchbound: internal error: incumbent schedule incomplete")
+	}
+	seedMakespan := res.Makespan()
+	if hint, hm := acceptWarmStart(ctx, inst, seedMakespan, &sc.res); hint != nil {
+		seed, seedMakespan = hint, hm
 	}
 	sv := &solver{
 		ctx:       ctx,
@@ -230,10 +215,9 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 	if sv.maxNodes <= 0 {
 		sv.maxNodes = DefaultMaxNodes
 	}
-	// The seed — greedy, or the warm-start hint when one was accepted — is the
-	// first incumbent: report it so observers see a feasible bound even before
-	// the search improves on it.
-	progress.Report(ctx, progress.Incumbent{Solver: s.Name(), Makespan: sv.best})
+	// Report the seed so observers see a feasible bound even before the
+	// search improves on it.
+	progress.Report(ctx, progress.Incumbent{Solver: sv.name, Makespan: sv.best})
 
 	err = sv.search(sc.rootDone, sc.rootRem, 0)
 	progress.AddNodes(ctx, int64(sv.nodes))
@@ -241,7 +225,17 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 	if err != nil {
 		return nil, err
 	}
-	return finish(seed, seedMakespan, sv.best, sv.bestMoves, inst.NumProcessors()), nil
+	if sv.best == seedMakespan {
+		return seed, nil // never improved: the seed itself is the answer
+	}
+	// The improved incumbent lives in the first best rows of the seed's; copy
+	// it out to an exact-size schedule so the answer pins none of the seed's
+	// longer rows.
+	sched := core.NewSchedule(sv.best, inst.NumProcessors())
+	for t := range sched.Alloc {
+		copy(sched.Alloc[t], sv.bestMoves[t])
+	}
+	return sched, nil
 }
 
 // Makespan returns the optimal makespan.
@@ -269,7 +263,7 @@ type suffixWork [][]float64
 // lowerBound returns a lower bound on the number of additional steps needed
 // from the state (done, rem): the maximum of the remaining chain length and
 // the ceiling of the remaining aggregate work (read off the precomputed
-// suffix table). It is shared by the serial and the parallel solver.
+// suffix table).
 func lowerBound(inst *core.Instance, suffix suffixWork, done []int, rem []float64) int {
 	chain := 0
 	var workSum float64

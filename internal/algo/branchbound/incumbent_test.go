@@ -61,15 +61,18 @@ func TestSerialReportsIncumbents(t *testing.T) {
 }
 
 func TestParallelReportsIncumbents(t *testing.T) {
-	// Parallel workers race, so the sequence need not be monotone — but the
-	// seed must be first and every report must carry the solver name.
+	// The parallel name runs the one search, so its reports are the serial
+	// sequence: the seed first, strictly improving, each under its own name.
 	got := collectIncumbents(t, NewParallel(), incumbentInstance())
 	if got[0].Solver != "branch-and-bound-parallel" {
 		t.Fatalf("first report should be the seed from the parallel solver, got %+v", got[0])
 	}
-	for _, inc := range got {
-		if inc.Solver == "" || inc.Makespan <= 0 {
+	for i, inc := range got {
+		if inc.Solver != "branch-and-bound-parallel" || inc.Makespan <= 0 {
 			t.Fatalf("malformed incumbent: %+v", inc)
+		}
+		if i > 0 && inc.Makespan >= got[i-1].Makespan {
+			t.Fatalf("report %d (%v) does not improve on report %d (%v)", i, inc.Makespan, i-1, got[i-1].Makespan)
 		}
 	}
 }

@@ -65,21 +65,8 @@ func BenchmarkSerialWideManyProc(b *testing.B) {
 	benchNodeThroughput(b, wideManyProcInstance(), s.ScheduleContext)
 }
 
-// BenchmarkParallelWideManyProc is the work-stealing counterpart of
-// BenchmarkSerialWideManyProc.
-func BenchmarkParallelWideManyProc(b *testing.B) {
-	s := &ParallelScheduler{MaxNodes: benchMaxNodes}
-	benchNodeThroughput(b, wideManyProcInstance(), s.ScheduleContext)
-}
-
 // BenchmarkSerialHardExact runs the uncapped greedy-worst-case search: the
-// serial single-core baseline of the exact kernel, regression-gated in CI.
+// single-core baseline of the exact kernel, regression-gated in CI.
 func BenchmarkSerialHardExact(b *testing.B) {
 	benchNodeThroughput(b, hardExactInstance(), New().ScheduleContext)
-}
-
-// BenchmarkParallelHardExact is the work-stealing counterpart of
-// BenchmarkSerialHardExact.
-func BenchmarkParallelHardExact(b *testing.B) {
-	benchNodeThroughput(b, hardExactInstance(), NewParallel().ScheduleContext)
 }

@@ -14,14 +14,14 @@ import (
 // grouping of identical processors, the suffix-work table, and the Result
 // the seed executes into. Scratches are pooled so a steady-state
 // solve performs no heap allocations on the search path; the scratch counts
-// its own growth events in allocs, which the solvers report through
+// its own growth events in allocs, which the solver reports through
 // progress.AddAllocs.
 type searchScratch struct {
 	m int // processor width the buffers are currently sized for
 
 	// path holds, per depth, the allocation row chosen at that depth. Rows
 	// alias the per-depth expand buffers, which are stable while their
-	// depth's successor loop is active; the incumbent installers deep-copy
+	// depth's successor loop is active; the incumbent copy deep-copies
 	// them, so nothing outlives the scratch.
 	path [][]float64
 
@@ -54,7 +54,7 @@ type searchScratch struct {
 	suffixSlab []float64
 
 	// res is the Result the seed and an offered warm-start hint execute
-	// into (see seedSearch).
+	// into (see ScheduleContext).
 	res core.Result
 
 	allocs int64 // heap-growth events recorded during the current solve

@@ -15,13 +15,6 @@ import (
 	"crsharing/internal/progress"
 )
 
-// solveFns enumerates both kernels behind a uniform signature so the scratch
-// regression tests cover the serial and the work-stealing solver alike.
-var solveFns = map[string]func(*core.Instance) (*core.Schedule, error){
-	"serial":   func(inst *core.Instance) (*core.Schedule, error) { return New().Schedule(inst) },
-	"parallel": func(inst *core.Instance) (*core.Schedule, error) { return NewParallel().Schedule(inst) },
-}
-
 // TestScheduleSurvivesScratchReuse is the regression test for the path
 // aliasing bug: the schedule a solve returns must be built from owned copies,
 // so recycling the pooled scratch — including deliberately scribbling over
@@ -40,68 +33,67 @@ func TestScheduleSurvivesScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, solve := range solveFns {
-		t.Run(name, func(t *testing.T) {
-			sched, err := solve(inst)
-			if err != nil {
-				t.Fatalf("Schedule: %v", err)
-			}
-			res, err := core.Execute(inst, sched)
-			if err != nil {
-				t.Fatalf("Execute: %v", err)
-			}
-			if !res.Finished() {
-				t.Fatal("schedule does not finish all jobs")
-			}
-			if res.Makespan() >= gbRes.Makespan() {
-				t.Fatalf("search did not improve on the greedy seed (%d vs %d); the test would not exercise the incumbent copy",
-					res.Makespan(), gbRes.Makespan())
-			}
-			snap := sched.Clone()
+	solve := New().Schedule
+	t.Run("serial", func(t *testing.T) {
+		sched, err := solve(inst)
+		if err != nil {
+			t.Fatalf("Schedule: %v", err)
+		}
+		res, err := core.Execute(inst, sched)
+		if err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+		if !res.Finished() {
+			t.Fatal("schedule does not finish all jobs")
+		}
+		if res.Makespan() >= gbRes.Makespan() {
+			t.Fatalf("search did not improve on the greedy seed (%d vs %d); the test would not exercise the incumbent copy",
+				res.Makespan(), gbRes.Makespan())
+		}
+		snap := sched.Clone()
 
-			// Recycle the pool with unrelated solves, then scribble over every
-			// buffer of a scratch prepared for the same instance. If any row of
-			// the returned schedule aliases pooled memory, the comparison below
-			// catches it.
-			rng := rand.New(rand.NewSource(99))
-			for i := 0; i < 4; i++ {
-				if _, err := solve(gen.Random(rng, 3, 3, 0.1, 0.9)); err != nil {
-					t.Fatalf("churn solve %d: %v", i, err)
-				}
+		// Recycle the pool with unrelated solves, then scribble over every
+		// buffer of a scratch prepared for the same instance. If any row of
+		// the returned schedule aliases pooled memory, the comparison below
+		// catches it.
+		rng := rand.New(rand.NewSource(99))
+		for i := 0; i < 4; i++ {
+			if _, err := solve(gen.Random(rng, 3, 3, 0.1, 0.9)); err != nil {
+				t.Fatalf("churn solve %d: %v", i, err)
 			}
-			sc := getScratch(inst)
-			for _, lvl := range sc.levels {
-				for i := 0; i < lvl.Len(); i++ {
-					for _, row := range [][]float64{lvl.AllocRow(i), lvl.RemRow(i)} {
-						for p := range row {
-							row[p] = 99
-						}
+		}
+		sc := getScratch(inst)
+		for _, lvl := range sc.levels {
+			for i := 0; i < lvl.Len(); i++ {
+				for _, row := range [][]float64{lvl.AllocRow(i), lvl.RemRow(i)} {
+					for p := range row {
+						row[p] = 99
 					}
 				}
 			}
-			for d := range sc.path {
-				for i := range sc.path[d] {
-					sc.path[d][i] = 99
-				}
+		}
+		for d := range sc.path {
+			for i := range sc.path[d] {
+				sc.path[d][i] = 99
 			}
-			for i := range sc.rootRem {
-				sc.rootRem[i] = 99
-			}
-			putScratch(sc)
+		}
+		for i := range sc.rootRem {
+			sc.rootRem[i] = 99
+		}
+		putScratch(sc)
 
-			if sched.Steps() != snap.Steps() {
-				t.Fatalf("schedule length changed after scratch reuse: %d vs %d", sched.Steps(), snap.Steps())
-			}
-			for tt := range sched.Alloc {
-				for i := range sched.Alloc[tt] {
-					if sched.Alloc[tt][i] != snap.Alloc[tt][i] {
-						t.Fatalf("schedule mutated by scratch reuse at step %d proc %d: %v, snapshot %v",
-							tt, i, sched.Alloc[tt][i], snap.Alloc[tt][i])
-					}
+		if sched.Steps() != snap.Steps() {
+			t.Fatalf("schedule length changed after scratch reuse: %d vs %d", sched.Steps(), snap.Steps())
+		}
+		for tt := range sched.Alloc {
+			for i := range sched.Alloc[tt] {
+				if sched.Alloc[tt][i] != snap.Alloc[tt][i] {
+					t.Fatalf("schedule mutated by scratch reuse at step %d proc %d: %v, snapshot %v",
+						tt, i, sched.Alloc[tt][i], snap.Alloc[tt][i])
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestStateKeyCanonicalUnderSymmetry checks the symmetry-breaking visited
@@ -151,13 +143,13 @@ var epsilonBoundaryValues = []float64{
 }
 
 // TestEpsilonBoundaryAgreement sweeps requirement pairs straddling the
-// tolerance boundaries and asserts the serial kernel, the parallel kernel and
-// the independent brute-force oracle agree on the optimum. This pins the
+// tolerance boundaries and asserts the kernel and the independent
+// brute-force oracle agree on the optimum. This pins the
 // epsilon-handling fix: every tolerance comparison routes through
 // internal/numeric, so a value within Eps of a boundary is classified the
 // same way by every solver.
 func TestEpsilonBoundaryAgreement(t *testing.T) {
-	serial, parallel := New(), NewParallel()
+	serial := New()
 	for _, a := range epsilonBoundaryValues {
 		for _, b := range epsilonBoundaryValues {
 			inst := core.NewInstance([]float64{a, b}, []float64{b, a})
@@ -168,15 +160,12 @@ func TestEpsilonBoundaryAgreement(t *testing.T) {
 			if got, err := serial.Makespan(inst); err != nil || got != want {
 				t.Fatalf("serial on reqs (%v, %v): makespan %d err %v, oracle %d", a, b, got, err, want)
 			}
-			if got, err := parallel.Makespan(inst); err != nil || got != want {
-				t.Fatalf("parallel on reqs (%v, %v): makespan %d err %v, oracle %d", a, b, got, err, want)
-			}
 		}
 	}
 }
 
 // FuzzEpsilonBoundary fuzzes four requirements into a two-processor instance
-// and cross-checks both kernels against the brute-force oracle. The seeds sit
+// and cross-checks the kernel against the brute-force oracle. The seeds sit
 // on the boundary values where pre-fix kernels could disagree with the oracle
 // about whether a leftover share still admits a partial assignment.
 func FuzzEpsilonBoundary(f *testing.F) {
@@ -199,9 +188,6 @@ func FuzzEpsilonBoundary(f *testing.F) {
 		if got, err := New().Makespan(inst); err != nil || got != want {
 			t.Fatalf("serial makespan %d err %v, oracle %d\n%v", got, err, want, inst)
 		}
-		if got, err := NewParallel().Makespan(inst); err != nil || got != want {
-			t.Fatalf("parallel makespan %d err %v, oracle %d\n%v", got, err, want, inst)
-		}
 	})
 }
 
@@ -211,12 +197,7 @@ func FuzzEpsilonBoundary(f *testing.F) {
 // nodes it explores — zero allocations per node, up to measurement noise from
 // GC-cleared pools.
 func TestSteadyStateAllocsPerNode(t *testing.T) {
-	for name, kernel := range map[string]func(context.Context, *core.Instance) (*core.Schedule, error){
-		"serial":   New().ScheduleContext,
-		"parallel": NewParallel().ScheduleContext,
-	} {
-		t.Run(name, func(t *testing.T) { assertNoAllocsPerNode(t, hardExactInstance(), kernel) })
-	}
+	t.Run("serial", func(t *testing.T) { assertNoAllocsPerNode(t, hardExactInstance(), New().ScheduleContext) })
 	// The m=10 Partition-gadget root fills a 2^10-entry subset-sum table and
 	// orders about a thousand successors; once warm, expanding it again must
 	// not allocate. A whole gadget solve cannot show this: it runs the subset

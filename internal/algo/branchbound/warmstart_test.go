@@ -22,7 +22,7 @@ import (
 	"crsharing/internal/solver"
 )
 
-// kernel abstracts the serial and parallel solvers for the shared tests.
+// kernel is the solve method the shared tests call.
 type kernel interface {
 	ScheduleContext(ctx context.Context, inst *core.Instance) (*core.Schedule, error)
 }
@@ -86,7 +86,7 @@ func dropFirst(inst *core.Instance, p int) *core.Instance {
 }
 
 // The Partition-gadget chain helpers live in the internal test package,
-// which shares them with the serial/parallel parity test.
+// which shares them with the kernel's own tests.
 var (
 	chainBase = branchbound.ChainBase
 	nudgeDown = branchbound.NudgeDown
@@ -149,22 +149,6 @@ func TestWarmStartImprovedHintIsByteIdentical(t *testing.T) {
 	if !sameSchedule(cold, warm) {
 		t.Fatalf("warm-started schedule differs from cold after improving on the hint")
 	}
-}
-
-func TestWarmStartParallelSameResult(t *testing.T) {
-	base := chainBase(t)
-	prev, _, _ := solveCounted(t, branchbound.New(), base, nil)
-	variant := nudgeDown(base, 0, 0, 1e-4)
-	hint, ok := solver.AdaptSchedule(variant, prev)
-	if !ok {
-		t.Fatalf("AdaptSchedule failed")
-	}
-	cold, _, _ := solveCounted(t, branchbound.NewParallel(), variant, nil)
-	warm, _, seed := solveCounted(t, branchbound.NewParallel(), variant, hint)
-	if seed == 0 {
-		t.Fatalf("parallel solver did not accept the hint")
-	}
-	sameResult(t, variant, cold, warm)
 }
 
 // TestWarmStartPropertyRandomChains is the property test: over random

@@ -173,8 +173,9 @@ type Options struct {
 	// Tolerance is the allowed fractional ns/op growth (e.g. 0.10).
 	Tolerance float64
 	// SkipNs exempts matching benchmarks from the ns/op gate while keeping
-	// their allocs/op gate: wall-clock of parallel kernels on shared CI
-	// runners is not comparable run to run, allocation counts are.
+	// their allocs/op gate: the wall-clock of some benchmarks (a loopback
+	// HTTP round trip) on shared CI runners is not comparable run to run,
+	// allocation counts are.
 	SkipNs *regexp.Regexp
 }
 

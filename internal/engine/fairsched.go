@@ -435,6 +435,27 @@ func (s *fairScheduler) Gauges() map[string]TenantGauge {
 	return out
 }
 
+// CheckTenantName enforces the one rule for tenant names, wherever they come
+// from (a quota spec, the X-Tenant header, an API-key mapping): 1-64
+// characters of [A-Za-z0-9._-]. Names become scheduler map keys and metrics
+// labels, and a quota configured under a name no request can carry would
+// never apply.
+func CheckTenantName(name string) error {
+	ok := name != "" && len(name) <= 64
+	for _, r := range name {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
+		case r == '.' || r == '_' || r == '-':
+		default:
+			ok = false
+		}
+	}
+	if !ok {
+		return fmt.Errorf("invalid tenant %q: want 1-64 characters of [A-Za-z0-9._-]", name)
+	}
+	return nil
+}
+
 // ParseTenants parses a comma-separated tenant quota spec, each entry
 // "name:weight[:maxinflight[:maxqueued[:priority]]]"; omitted fields take the
 // TenantConfig defaults. It is the format behind crserved's -tenants flag.
@@ -447,8 +468,8 @@ func ParseTenants(spec string) (map[string]TenantConfig, error) {
 		}
 		parts := strings.Split(entry, ":")
 		name := strings.TrimSpace(parts[0])
-		if name == "" {
-			return nil, fmt.Errorf("tenant spec %q: empty name", entry)
+		if err := CheckTenantName(name); err != nil {
+			return nil, fmt.Errorf("tenant spec %q: %w", entry, err)
 		}
 		if _, dup := out[name]; dup {
 			return nil, fmt.Errorf("tenant spec: duplicate tenant %q", name)

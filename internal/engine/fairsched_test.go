@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -303,6 +304,19 @@ func TestEngineShedAccounting(t *testing.T) {
 	}
 }
 
+func TestCheckTenantName(t *testing.T) {
+	for _, good := range []string{"a", "gold", "Team_1.eu-west", DefaultTenant, strings.Repeat("x", 64)} {
+		if err := CheckTenantName(good); err != nil {
+			t.Errorf("CheckTenantName(%q) = %v", good, err)
+		}
+	}
+	for _, bad := range []string{"", "bad spec", "a/b", "tenant:1", "é", strings.Repeat("x", 65)} {
+		if err := CheckTenantName(bad); err == nil {
+			t.Errorf("CheckTenantName(%q) accepted", bad)
+		}
+	}
+}
+
 func TestParseTenants(t *testing.T) {
 	got, err := ParseTenants("gold:3, free:1:4:32:1 ,plain")
 	if err != nil {
@@ -321,7 +335,7 @@ func TestParseTenants(t *testing.T) {
 			t.Fatalf("tenant %q = %+v, want %+v", name, got[name], cfg)
 		}
 	}
-	for _, bad := range []string{"", ":3", "a:b", "a:1:2:3:4:5", "dup:1,dup:2"} {
+	for _, bad := range []string{"", ":3", "a:b", "a:1:2:3:4:5", "dup:1,dup:2", "bad spec:1", "bad spec", "a/b:1"} {
 		if _, err := ParseTenants(bad); err == nil {
 			t.Fatalf("ParseTenants(%q) accepted", bad)
 		}

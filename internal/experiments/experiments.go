@@ -30,9 +30,6 @@ type Config struct {
 	// Timeout bounds every exact-optimum oracle call made through
 	// ExactMakespan (0 = no limit).
 	Timeout time.Duration
-	// Workers bounds the worker pool of the parallel exact solvers used by
-	// ExactMakespan (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultConfig returns the configuration used for the recorded results.
@@ -42,10 +39,10 @@ func DefaultConfig() Config { return Config{Seed: 20140623, Quick: false} }
 func QuickConfig() Config { return Config{Seed: 20140623, Quick: true} }
 
 // ExactMakespan computes the optimal makespan of the instance through the
-// solver registry's exact racing portfolio: the m=2 dynamic program, parallel
+// solver registry's exact racing portfolio: the m=2 dynamic program,
 // branch-and-bound and the configuration enumeration run concurrently and the
 // first to finish cancels the rest. It is the experiments' shared optimum
-// oracle; cfg.Timeout and cfg.Workers apply to every call.
+// oracle; cfg.Timeout applies to every call.
 func (cfg Config) ExactMakespan(inst *core.Instance) (int, error) {
 	ctx := context.Background()
 	if cfg.Timeout > 0 {
@@ -53,7 +50,7 @@ func (cfg Config) ExactMakespan(inst *core.Instance) (int, error) {
 		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		defer cancel()
 	}
-	sched, _, err := solver.NewExactPortfolio(cfg.Workers).Solve(ctx, inst)
+	sched, _, err := solver.NewExactPortfolio().Solve(ctx, inst)
 	if err != nil {
 		return 0, fmt.Errorf("experiments: exact oracle: %w", err)
 	}

@@ -27,11 +27,10 @@ const goldenSeed = 1
 // random instances plus the paper's fixed constructions.
 var goldenFamilies = []string{FamilyTinyExact, FamilyPaperFigures}
 
-// goldenSolvers lists every registered solver with deterministic output.
-// The parallel kernels are excluded: ties between equal-makespan schedules
-// are broken by timing, which would make waste values flap. The portfolio is
-// included: it breaks ties by (makespan, waste, member order), not by which
-// member finished first, so its answer is pinned like any other solver's.
+// goldenSolvers lists the registered solvers whose output the corpus pins.
+// The portfolio is included: it breaks ties by (makespan, waste, member
+// order), not by which member finished first, so its answer is pinned like
+// any other solver's.
 var goldenSolvers = []string{
 	"round-robin",
 	"greedy-balance",

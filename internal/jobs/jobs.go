@@ -575,7 +575,7 @@ func (m *Manager) run(j *job) {
 
 // observe records a solver-reported incumbent on the job and fans it out.
 // Only strictly improving makespans are kept, so the recorded sequence is
-// monotone even when parallel kernels race.
+// monotone even when portfolio members race.
 func (m *Manager) observe(j *job, start time.Time, inc progress.Incumbent) {
 	j.mu.Lock()
 	if n := len(j.snap.Incumbents); n > 0 && inc.Makespan >= j.snap.Incumbents[n-1].Makespan {

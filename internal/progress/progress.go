@@ -31,7 +31,7 @@ type Incumbent struct {
 }
 
 // Func observes incumbents. Implementations must be safe for concurrent
-// use: parallel kernels report from multiple goroutines, and must be fast —
+// use: portfolio members report from multiple goroutines, and must be fast —
 // they run inline on the search path.
 type Func func(Incumbent)
 
@@ -41,8 +41,8 @@ type countersKey struct{}
 
 // Counters accumulates the search effort of one solve. Kernels add to it
 // through the context (AddNodes, Report); the solver adapters read it into
-// solver.Stats when the solve returns. All fields are atomic: parallel
-// kernels write from many goroutines.
+// solver.Stats when the solve returns. All fields are atomic: the members
+// of a portfolio write from many goroutines.
 type Counters struct {
 	// Nodes counts explored search nodes (branch-and-bound) or generated
 	// configurations (the enumeration algorithms). Heuristics leave it zero.
@@ -56,9 +56,9 @@ type Counters struct {
 	// WarmSeed records the makespan of an accepted warm-start hint: a kernel
 	// stores it when a hint attached with WithWarmStart validated against the
 	// instance and tightened its pruning bound. Makespans are at least 1, so
-	// a positive value doubles as the "a hint was used" flag. Parallel and
-	// portfolio solvers may validate the same hint more than once; the last
-	// store wins (all stores agree on the value).
+	// a positive value doubles as the "a hint was used" flag. Portfolio
+	// members may validate the same hint more than once; the last store wins
+	// (all stores agree on the value).
 	WarmSeed atomic.Int64
 }
 
@@ -124,8 +124,7 @@ type warmStartKey struct{}
 // own instance, derive the makespan themselves, and ignore it entirely when
 // it is infeasible, unfinished, or no better than their own seed. A hint may
 // only tighten a kernel's pruning bound; it must never change the returned
-// optimum, and it must never be mutated: portfolio members and parallel
-// workers share it. Unlike counters, the hint is a plain context value, so
+// optimum, and it must never be mutated: portfolio members share it. Unlike counters, the hint is a plain context value, so
 // solver adapters that shadow the counter set still pass it through.
 // Attaching a nil hint returns ctx unchanged.
 func WithWarmStart(ctx context.Context, hint *core.Schedule) context.Context {

@@ -451,8 +451,8 @@ func TestReadSizedBoundsPreallocation(t *testing.T) {
 // merged answer matches a direct batch solve.
 func TestRouterBatchForwardsInstanceBytes(t *testing.T) {
 	a, b := newBackend(t, false), newBackend(t, false)
-	_, rts := newRouter(t, Config{}, a, b)
-	insts := testInstances(8)
+	rt, rts := newRouter(t, Config{}, a, b)
+	insts := spanningInstances(t, rt, 8)
 	var body bytes.Buffer
 	body.WriteString(`{"Instances": [`)
 	var spans [][]byte
@@ -517,7 +517,7 @@ func TestRouterBatchForwardsInstanceBytes(t *testing.T) {
 func TestRouterBatchUnknownSolver(t *testing.T) {
 	a, b := newBackend(t, false), newBackend(t, false)
 	rt, rts := newRouter(t, Config{}, a, b)
-	raw, err := json.Marshal(service.BatchRequest{Solver: "nope", Instances: testInstances(8)})
+	raw, err := json.Marshal(service.BatchRequest{Solver: "nope", Instances: spanningInstances(t, rt, 8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,8 +572,8 @@ func TestRouterBatchRejectsInvalidInstances(t *testing.T) {
 // backends, every instance a cache hit: the router's decode, split, forward
 // and merge plus both backends' hits, in one process.
 func BenchmarkRouterBatchSplit(b *testing.B) {
-	_, rts := newRouter(b, Config{}, newBackend(b, false), newBackend(b, false))
-	raw, err := json.Marshal(service.BatchRequest{Instances: testInstances(8), Timeout: "2s"})
+	rt, rts := newRouter(b, Config{}, newBackend(b, false), newBackend(b, false))
+	raw, err := json.Marshal(service.BatchRequest{Instances: spanningInstances(b, rt, 8), Timeout: "2s"})
 	if err != nil {
 		b.Fatal(err)
 	}

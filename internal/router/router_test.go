@@ -112,6 +112,33 @@ func testInstances(n int) []*core.Instance {
 	return out
 }
 
+// spanningInstances returns n distinct instances that the router's ring
+// splits over at least two backends. The ring hashes the backends' URLs,
+// whose ports the listener picks at random, so a fixed batch of 8 lands
+// whole on one of two backends in about one run in 128.
+func spanningInstances(t testing.TB, rt *Router, n int) []*core.Instance {
+	t.Helper()
+	pool := testInstances(4 * n)
+	owner := func(inst *core.Instance) string {
+		_, o := rt.pick(inst.Fingerprint().Uint64(), "")
+		return o
+	}
+	out, first := pool[:n:n], owner(pool[0])
+	for _, inst := range out[1:] {
+		if owner(inst) != first {
+			return out
+		}
+	}
+	for _, inst := range pool[n:] {
+		if owner(inst) != first {
+			out[n-1] = inst
+			return out
+		}
+	}
+	t.Fatalf("all %d candidate instances are owned by %s", len(pool), first)
+	return nil
+}
+
 func solveVia(t *testing.T, url string, inst *core.Instance) service.SolveResponse {
 	t.Helper()
 	status, sr, err := trySolveVia(url, inst)
@@ -196,8 +223,8 @@ func TestRouterFleetBehavesAsOneCache(t *testing.T) {
 // by owner and re-merged under the original indices.
 func TestRouterBatchSplitMergesInOrder(t *testing.T) {
 	a, b := newBackend(t, false), newBackend(t, false)
-	_, rts := newRouter(t, Config{}, a, b)
-	insts := testInstances(16)
+	rt, rts := newRouter(t, Config{}, a, b)
+	insts := spanningInstances(t, rt, 16)
 
 	raw, err := json.Marshal(service.BatchRequest{Instances: insts})
 	if err != nil {

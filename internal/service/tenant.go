@@ -23,14 +23,12 @@ const APIKeyHeader = "X-API-Key"
 // header; an API key (X-API-Key header or "Authorization: Bearer <key>")
 // mapped through Config.APIKeys; the default tenant for anonymous requests.
 // On failure it returns the HTTP status to answer with: 400 for a malformed
-// tenant name (names become scheduler map keys and metrics labels, so they
-// are restricted), 401 for an unknown key on a server that has keys
-// configured.
+// tenant name (see engine.CheckTenantName), 401 for an unknown key on a
+// server that has keys configured.
 func (s *Server) tenantFor(r *http.Request) (string, int, error) {
 	if name := r.Header.Get(TenantHeader); name != "" {
-		if !validTenantName(name) {
-			return "", http.StatusBadRequest,
-				fmt.Errorf("invalid tenant %q: want 1-64 characters of [A-Za-z0-9._-]", name)
+		if err := engine.CheckTenantName(name); err != nil {
+			return "", http.StatusBadRequest, err
 		}
 		return name, 0, nil
 	}
@@ -50,21 +48,6 @@ func (s *Server) tenantFor(r *http.Request) (string, int, error) {
 	return engine.DefaultTenant, 0, nil
 }
 
-func validTenantName(name string) bool {
-	if name == "" || len(name) > 64 {
-		return false
-	}
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-		case r == '.' || r == '_' || r == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // ParseAPIKeys parses a comma-separated "key=tenant" mapping (the crserved
 // -api-keys flag). Tenant names face the same restrictions as the X-Tenant
 // header; duplicate keys are rejected rather than silently last-one-wins.
@@ -80,8 +63,8 @@ func ParseAPIKeys(spec string) (map[string]string, error) {
 		if !ok || key == "" {
 			return nil, fmt.Errorf("service: api key spec %q: want key=tenant", entry)
 		}
-		if !validTenantName(tenant) {
-			return nil, fmt.Errorf("service: api key spec %q: invalid tenant name", entry)
+		if err := engine.CheckTenantName(tenant); err != nil {
+			return nil, fmt.Errorf("service: api key spec %q: %w", entry, err)
 		}
 		if _, dup := out[key]; dup {
 			return nil, fmt.Errorf("service: api key spec: duplicate key %q", key)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"crsharing/internal/algo"
 	"crsharing/internal/algo/anytime"
 	"crsharing/internal/algo/branchbound"
 	"crsharing/internal/algo/chunked"
@@ -30,7 +29,7 @@ func NewRegistry() *Registry {
 
 // Register adds a constructor under the given name. The factory is stored,
 // not invoked: no solver is built until New is called, so registering a heavy
-// solver (a full portfolio, a parallel kernel) costs nothing. Registering an
+// solver (a full portfolio) costs nothing. Registering an
 // empty name or the same name twice panics: both are programming errors.
 func (r *Registry) Register(name string, factory func() Solver) {
 	if name == "" {
@@ -83,8 +82,8 @@ func (r *Registry) Names() []string {
 }
 
 // Default returns a registry holding every scheduler of the repository — the
-// seven algo packages plus the parallel branch-and-bound kernel and the
-// default portfolio.
+// seven algo packages and the default portfolio. "branch-and-bound-parallel"
+// is branch-and-bound under a second name (see branchbound.NewParallel).
 func Default() *Registry {
 	r := NewRegistry()
 	r.Register("round-robin", func() Solver { return Adapt(roundrobin.New()) })
@@ -125,12 +124,11 @@ func NewDefaultPortfolio() *Portfolio {
 // NewExactPortfolio races only the exact solvers and cancels the rest as soon
 // as one of them succeeds — the cheapest applicable optimum oracle wins (the
 // m=2 dynamic program on two processors, branch-and-bound or the
-// configuration enumeration elsewhere). workers bounds the parallel
-// branch-and-bound pool (0 = GOMAXPROCS).
-func NewExactPortfolio(workers int) *Portfolio {
+// configuration enumeration elsewhere).
+func NewExactPortfolio() *Portfolio {
 	p := NewPortfolio(
 		Adapt(optres2.New()),
-		Adapt(&branchbound.ParallelScheduler{Workers: workers}),
+		Adapt(branchbound.New()),
 		Adapt(optresm.New()),
 	)
 	p.RaceExact = true
@@ -141,8 +139,6 @@ func NewExactPortfolio(workers int) *Portfolio {
 var (
 	_ ContextScheduler = (*anytime.Scheduler)(nil)
 	_ ContextScheduler = (*branchbound.Scheduler)(nil)
-	_ ContextScheduler = (*branchbound.ParallelScheduler)(nil)
 	_ ContextScheduler = (*optresm.Scheduler)(nil)
 	_ ContextScheduler = (*chunked.Scheduler)(nil)
-	_ algo.Scheduler   = (*branchbound.ParallelScheduler)(nil)
 )

@@ -7,8 +7,8 @@
 // The packages under internal/algo stay synchronous and single-purpose; this
 // package adapts them (algo.Scheduler -> Solver) and recognises the ones that
 // natively support cooperative cancellation through a ScheduleContext method
-// (branch-and-bound and its parallel variant, the configuration enumeration
-// and the chunked heuristic).
+// (branch-and-bound, the configuration enumeration, the chunked heuristic and
+// the anytime tier).
 package solver
 
 import (
@@ -73,21 +73,21 @@ type Candidate struct {
 // context: implementations return promptly with ctx.Err() once the context is
 // cancelled or its deadline passes.
 type Solver interface {
-	// Name returns a short stable identifier, e.g. "branch-and-bound-parallel".
+	// Name returns a short stable identifier, e.g. "branch-and-bound".
 	Name() string
 	// Solve computes a complete feasible schedule for the instance.
 	Solve(ctx context.Context, inst *core.Instance) (*core.Schedule, Stats, error)
 }
 
 // ContextScheduler is implemented by algo packages whose kernels poll a
-// context (serial and parallel branch-and-bound, the configuration
-// enumeration, the chunked heuristic).
+// context (branch-and-bound, the configuration enumeration, the chunked
+// heuristic, the anytime tier).
 type ContextScheduler interface {
 	algo.Scheduler
 	ScheduleContext(ctx context.Context, inst *core.Instance) (*core.Schedule, error)
 }
 
-// exactMarker matches algo.Exact and the parallel exact schedulers.
+// exactMarker matches algo.Exact schedulers and the adapters that wrap them.
 type exactMarker interface{ IsExact() bool }
 
 // adapted lifts an algo.Scheduler to the Solver interface.

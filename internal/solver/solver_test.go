@@ -108,7 +108,7 @@ func TestExactPortfolioRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched, stats, err := NewExactPortfolio(0).Solve(ctx, inst)
+		sched, stats, err := NewExactPortfolio().Solve(ctx, inst)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
