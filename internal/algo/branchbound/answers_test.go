@@ -9,14 +9,15 @@ import (
 	"crsharing/internal/gen"
 )
 
-// TestAnswersSurviveLaterSolves: a kernel returns its seed itself when the
-// search never beats it, and otherwise copies the improved incumbent out of
-// the seed's rows; the seed's execution and the suffix table live in the
-// pooled scratch. So each answer is solved as A after a larger B has grown
-// the scratch, then B and A run again on the same goroutine, taking A's
-// scratch from the pool, and A's schedule must be unchanged. The cases cover
-// a greedy seed returned as is, an improved incumbent, and an accepted warm
-// start returned as is.
+// TestAnswersSurviveLaterSolves: the greedy seed is built on the pooled
+// scratch's builder, and a kernel copies it out when the search never beats
+// it; an accepted warm start is returned itself; an improved incumbent is
+// copied out of the seed's rows. The seed's execution and the suffix table
+// live in the scratch too. So each answer is solved as A after a larger B
+// has grown the scratch, then B and A run again on the same goroutine,
+// taking A's scratch from the pool, and A's schedule must be unchanged after
+// each of them. The cases cover an unbeaten greedy seed, an improved
+// incumbent, and an accepted warm start returned as is.
 func TestAnswersSurviveLaterSolves(t *testing.T) {
 	easy := core.NewInstance([]float64{0.5, 0.5}, []float64{0.5, 0.5}, []float64{0.25})
 	hard := gen.GreedyWorstCase(4, 2, 1.0/(20*4*5))
@@ -55,10 +56,14 @@ func TestAnswersSurviveLaterSolves(t *testing.T) {
 				t.Fatalf("%s: the solve does not take the path the case is named for", c.name)
 			}
 			snap := a.Clone()
-			solveCounted(t, k, other, nil)
-			solveCounted(t, k, c.inst, c.hint)
-			if !sameSchedule(a, snap) {
-				t.Fatalf("%s: a later solve changed an earlier answer:\n%v\nwas\n%v", c.name, a, snap)
+			for _, later := range []struct {
+				inst *core.Instance
+				hint *core.Schedule
+			}{{other, nil}, {c.inst, c.hint}} {
+				solveCounted(t, k, later.inst, later.hint)
+				if !sameSchedule(a, snap) {
+					t.Fatalf("%s: a later solve changed an earlier answer:\n%v\nwas\n%v", c.name, a, snap)
+				}
 			}
 		}
 	})

@@ -8,18 +8,22 @@
 // expands with, so the test suite's optimum oracles independent of that code
 // are package bruteforce and the m=2 dynamic program of package optres2.
 //
-// The solver runs on pooled scratch memory (see scratch.go): the search path
-// is an explicit stack truncated on backtrack, successors live in flat
-// per-depth move buffers visited in the enumerator's move order (more
-// finished jobs first), and the visited set is an open-addressing table over
-// a byte arena, so a steady-state solve allocates nothing per node. States
-// that differ only by permuting processors with identical job sequences share
-// one canonical visited key (symmetry breaking), which collapses the
-// symmetric copies of every subtree.
+// The solver runs on pooled scratch memory (see scratch.go): one level per
+// search depth holds the state reached there, the moves from it as compact
+// descriptors visited in the enumerator's move order (more finished jobs
+// first), and the allocation row of the move taken, and each child is
+// derived into the next level only when the search descends into it. The
+// visited set is an open-addressing table over a byte arena, so a
+// steady-state solve allocates nothing per node. States that differ only by
+// permuting processors with identical job sequences share one canonical
+// visited key (symmetry breaking), which collapses the symmetric copies of
+// every subtree. An incumbent that meets the root's lower bound is optimal,
+// and the search stops there.
 package branchbound
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"crsharing/internal/algo/greedybalance"
@@ -83,9 +87,15 @@ type solver struct {
 	sc        *searchScratch
 	best      int         // incumbent makespan
 	bestMoves [][]float64 // allocation rows of the incumbent (the seed's own rows, overwritten on improvement)
+	rootLB    int         // lowerBound of the root state
 	nodes     int
 	maxNodes  int
 }
+
+// errOptimal unwinds the search once an incumbent meets the root's lower
+// bound: no schedule can be shorter, so nothing left on the stack can
+// replace it. ScheduleContext turns it into success.
+var errOptimal = errors.New("branchbound: incumbent meets the root bound")
 
 // acceptWarmStart resolves the warm-start hint attached to ctx: when the hint
 // validates against inst and its executed makespan strictly beats the greedy
@@ -183,15 +193,14 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 	// The seed is the first incumbent: the GreedyBalance schedule (a
 	// (2-1/m)-approximation, Theorem 7), or the warm-start hint attached to
 	// ctx when acceptWarmStart takes it. It sets the upper bound and
-	// guarantees a feasible answer. The search overwrites its rows as the
-	// incumbent improves, so the seed is owned by this solve; every
-	// execution runs on the scratch's Result.
+	// guarantees a feasible answer. The greedy seed is built on the
+	// scratch's builder and the hint is a copy owned by this solve; either
+	// way the search overwrites the seed's rows as the incumbent improves,
+	// and every execution runs on the scratch's Result.
 	sc := getScratch(inst)
 	defer putScratch(sc)
-	seed, err := greedybalance.New().Schedule(inst)
-	if err != nil {
-		return nil, err
-	}
+	sc.builder.Reset(inst)
+	seed := greedybalance.New().Build(&sc.builder)
 	res, err := core.ExecuteInto(&sc.res, inst, seed)
 	if err != nil {
 		return nil, err
@@ -200,9 +209,11 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 		return nil, fmt.Errorf("branchbound: internal error: incumbent schedule incomplete")
 	}
 	seedMakespan := res.Makespan()
+	warm := false
 	if hint, hm := acceptWarmStart(ctx, inst, seedMakespan, &sc.res); hint != nil {
-		seed, seedMakespan = hint, hm
+		seed, seedMakespan, warm = hint, hm, true
 	}
+	root := sc.levels[0]
 	sv := &solver{
 		ctx:       ctx,
 		inst:      inst,
@@ -210,6 +221,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 		sc:        sc,
 		best:      seedMakespan,
 		bestMoves: seed.Alloc,
+		rootLB:    lowerBound(inst, sc.suffix, root.done, root.rem),
 		maxNodes:  s.MaxNodes,
 	}
 	if sv.maxNodes <= 0 {
@@ -219,23 +231,27 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 	// search improves on it.
 	progress.Report(ctx, progress.Incumbent{Solver: sv.name, Makespan: sv.best})
 
-	err = sv.search(sc.rootDone, sc.rootRem, 0)
+	err = sv.search(0)
 	progress.AddNodes(ctx, int64(sv.nodes))
 	progress.AddAllocs(ctx, sc.allocs)
-	if err != nil {
+	if err != nil && !errors.Is(err, errOptimal) {
 		return nil, err
 	}
-	if sv.best == seedMakespan {
-		return seed, nil // never improved: the seed itself is the answer
+	switch {
+	case sv.best < seedMakespan:
+		// The improved incumbent lives in the first best rows of the seed's;
+		// copy it out to an exact-size schedule so the answer pins none of
+		// the seed's longer rows.
+		sched := core.NewSchedule(sv.best, inst.NumProcessors())
+		for t := range sched.Alloc {
+			copy(sched.Alloc[t], sv.bestMoves[t])
+		}
+		return sched, nil
+	case warm:
+		return seed, nil // never improved: the hint's projection is the answer
+	default:
+		return seed.Clone(), nil // never improved: copy the greedy seed out of the scratch
 	}
-	// The improved incumbent lives in the first best rows of the seed's; copy
-	// it out to an exact-size schedule so the answer pins none of the seed's
-	// longer rows.
-	sched := core.NewSchedule(sv.best, inst.NumProcessors())
-	for t := range sched.Alloc {
-		copy(sched.Alloc[t], sv.bestMoves[t])
-	}
-	return sched, nil
 }
 
 // Makespan returns the optimal makespan.
@@ -283,10 +299,11 @@ func lowerBound(inst *core.Instance, suffix suffixWork, done []int, rem []float6
 	return chain
 }
 
-// search explores the state (done, rem) at the given depth. The rows of the
-// path so far live in the scratch path stack; done and rem alias the parent
-// depth's successor buffer, which stays valid for the whole call.
-func (sv *solver) search(done []int, rem []float64, depth int) error {
+// search explores the state of the given depth's level. Each successor is
+// derived into the next level just before the search descends into it, so
+// a successor the search never reaches is never written; the alloc rows of
+// the levels above are the path so far.
+func (sv *solver) search(depth int) error {
 	sv.nodes++
 	if sv.nodes > sv.maxNodes {
 		return fmt.Errorf("branchbound: node limit of %d exceeded", sv.maxNodes)
@@ -298,6 +315,8 @@ func (sv *solver) search(done []int, rem []float64, depth int) error {
 		default:
 		}
 	}
+	lv := sv.sc.levels[depth]
+	done, rem := lv.done, lv.rem
 	finished := true
 	for i := range done {
 		if done[i] < sv.inst.NumJobs(i) {
@@ -310,6 +329,10 @@ func (sv *solver) search(done []int, rem []float64, depth int) error {
 			sv.best = depth
 			sv.copyIncumbent(depth)
 			progress.Report(sv.ctx, progress.Incumbent{Solver: sv.name, Makespan: depth})
+			if depth <= sv.rootLB {
+				// The root cut's own test: an incumbent this short is optimal.
+				return errOptimal
+			}
 		}
 		return nil
 	}
@@ -323,24 +346,24 @@ func (sv *solver) search(done []int, rem []float64, depth int) error {
 		return nil // reached the same state (up to symmetry) at least as early before
 	}
 
-	buf := sv.sc.level(depth)
-	moves.Expand(sv.inst, &sv.sc.expand, done, rem, buf, &sv.sc.allocs)
-	for _, i := range buf.Order() {
-		sv.sc.pathRow(depth, buf.AllocRow(i))
-		if err := sv.search(buf.DoneRow(i), buf.RemRow(i), depth+1); err != nil {
+	moves.Expand(sv.inst, &sv.sc.expand, done, rem, &lv.moves, &sv.sc.allocs)
+	next := sv.sc.level(depth + 1)
+	for _, i := range lv.moves.Order() {
+		lv.moves.Derive(sv.inst, i, next.done, next.rem, lv.alloc)
+		if err := sv.search(depth + 1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// copyIncumbent deep-copies the first depth rows of the scratch path stack
-// into bestMoves. The incumbent only ever shrinks (depth < sv.best before
-// every call), so the rows of the seed are reused and the copy allocates
-// nothing.
+// copyIncumbent copies the alloc rows of levels 0..depth-1, the path to the
+// finished state, into bestMoves. The incumbent only ever shrinks (depth <
+// sv.best before every call), so the rows of the seed are reused and the
+// copy allocates nothing.
 func (sv *solver) copyIncumbent(depth int) {
 	sv.bestMoves = sv.bestMoves[:depth]
 	for t := 0; t < depth; t++ {
-		copy(sv.bestMoves[t], sv.sc.path[t])
+		copy(sv.bestMoves[t], sv.sc.levels[t].alloc)
 	}
 }

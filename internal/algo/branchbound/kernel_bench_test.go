@@ -2,6 +2,7 @@ package branchbound
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -69,4 +70,30 @@ func BenchmarkSerialWideManyProc(b *testing.B) {
 // single-core baseline of the exact kernel, regression-gated in CI.
 func BenchmarkSerialHardExact(b *testing.B) {
 	benchNodeThroughput(b, hardExactInstance(), New().ScheduleContext)
+}
+
+// BenchmarkSerialPartitionChain solves, cold, two 12-instance mutation
+// chains of m=10 Partition gadgets (Theorem 4) drawn the way the serving
+// benchmark's online-chain workload draws them. On most of them the optimum
+// meets the root's Observation-1 work bound, so the cost per op is the root
+// expansion, the few descents to the first optimal schedule, and whatever
+// the search still walks after it; nodes/op counts that walk.
+func BenchmarkSerialPartitionChain(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var chain []*core.Instance
+	for c := 0; c < 2; c++ {
+		chain = append(chain, gen.MutateChain(rng, drawGadget(b, rng, 10), 11)...)
+	}
+	var ctr progress.Counters
+	ctx := progress.WithCounters(context.Background(), &ctr)
+	k := New()
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, inst := range chain {
+			if _, err := k.ScheduleContext(ctx, inst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(ctr.Nodes.Load())/float64(b.N), "nodes/op")
 }

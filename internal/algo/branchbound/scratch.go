@@ -9,26 +9,21 @@ import (
 )
 
 // searchScratch bundles every reusable buffer one branch-and-bound search
-// needs: the explicit path stack, the per-depth successor buffers, the
-// open-addressing visited table with its byte-key arena, the symmetry
-// grouping of identical processors, the suffix-work table, and the Result
-// the seed executes into. Scratches are pooled so a steady-state
-// solve performs no heap allocations on the search path; the scratch counts
-// its own growth events in allocs, which the solver reports through
-// progress.AddAllocs.
+// needs: one level per search depth, the open-addressing visited table with
+// its byte-key arena, the symmetry grouping of identical processors, the
+// suffix-work table, the builder the greedy seed is built on and the Result
+// it executes into. Scratches are pooled so a steady-state solve performs no
+// heap allocations on the search path; the scratch counts its own growth
+// events in allocs, which the solver reports through progress.AddAllocs.
 type searchScratch struct {
 	m int // processor width the buffers are currently sized for
 
-	// path holds, per depth, the allocation row chosen at that depth. Rows
-	// alias the per-depth expand buffers, which are stable while their
-	// depth's successor loop is active; the incumbent copy deep-copies
-	// them, so nothing outlives the scratch.
-	path [][]float64
-
-	// levels holds one successor buffer per search depth. A buffer at depth
-	// d is only mutated while depth d is being expanded, never by the deeper
-	// recursion, so the rows it hands out stay valid for the whole loop.
-	levels []*moves.Buf
+	// levels[d] holds the search's state at depth d (levels[0] is the root)
+	// and the moves from it. A level is only written while its parent's
+	// successor loop derives into it or while it expands its own state,
+	// never by the deeper recursion, so its moves stay derivable for the
+	// whole loop.
+	levels []*level
 
 	visited visitedTable
 
@@ -45,19 +40,29 @@ type searchScratch struct {
 	pairD  []int         // scratch (done half) for sorting one symmetry group
 	pairR  []int64       // scratch (rounded-rem half) for the same
 
-	rootDone []int
-	rootRem  []float64
-
 	// suffix is the instance's suffix-work table (see suffixWork), its rows
 	// carved from suffixSlab.
 	suffix     suffixWork
 	suffixSlab []float64
 
+	// builder builds the GreedyBalance seed; the search overwrites the
+	// seed's rows as the incumbent improves, and the answer is copied out.
+	builder core.Builder
 	// res is the Result the seed and an offered warm-start hint execute
 	// into (see ScheduleContext).
 	res core.Result
 
 	allocs int64 // heap-growth events recorded during the current solve
+}
+
+// level is one depth of the search path: the state reached there, the moves
+// from it, and the allocation row of the move the search descends through.
+// The alloc rows of depths 0..d-1 are the schedule of the path to depth d.
+type level struct {
+	done  []int
+	rem   []float64
+	alloc []float64
+	moves moves.Buf
 }
 
 // scratchPool keeps the scratches between solves. A sync.Pool drops them at
@@ -83,11 +88,13 @@ func (sc *searchScratch) prepare(inst *core.Instance) {
 	m := inst.NumProcessors()
 	sc.m = m
 	sc.allocs = 0
-	sc.rootDone = moves.ResizeInts(sc.rootDone, m, &sc.allocs)
-	sc.rootRem = moves.ResizeFloats(sc.rootRem, m, &sc.allocs)
+	for _, lv := range sc.levels {
+		sc.size(lv)
+	}
+	root := sc.level(0)
 	for i := 0; i < m; i++ {
-		sc.rootDone[i] = 0
-		sc.rootRem[i] = moves.Work(inst, i, 0)
+		root.done[i] = 0
+		root.rem[i] = moves.Work(inst, i, 0)
 	}
 	sc.fillSuffix(inst)
 	sc.computeGroups(inst)
@@ -116,27 +123,25 @@ func (sc *searchScratch) fillSuffix(inst *core.Instance) {
 	}
 }
 
-// pathRow records row as the allocation chosen at the given depth.
-func (sc *searchScratch) pathRow(depth int, row []float64) {
-	for len(sc.path) <= depth {
-		if cap(sc.path) == len(sc.path) {
-			sc.allocs++
-		}
-		sc.path = append(sc.path, nil)
-	}
-	sc.path[depth] = row
-}
-
-// level returns the successor buffer for the given depth, growing the ladder
-// on first descent.
-func (sc *searchScratch) level(depth int) *moves.Buf {
+// level returns the level of the given depth, growing the ladder on first
+// descent.
+func (sc *searchScratch) level(depth int) *level {
 	for len(sc.levels) <= depth {
 		if cap(sc.levels) == len(sc.levels) {
 			sc.allocs++
 		}
-		sc.levels = append(sc.levels, new(moves.Buf))
+		lv := new(level)
+		sc.size(lv)
+		sc.levels = append(sc.levels, lv)
 	}
 	return sc.levels[depth]
+}
+
+// size gives lv's rows the scratch's processor width.
+func (sc *searchScratch) size(lv *level) {
+	lv.done = moves.ResizeInts(lv.done, sc.m, &sc.allocs)
+	lv.rem = moves.ResizeFloats(lv.rem, sc.m, &sc.allocs)
+	lv.alloc = moves.ResizeFloats(lv.alloc, sc.m, &sc.allocs)
 }
 
 // computeGroups partitions the processors into groups with exactly identical

@@ -64,21 +64,16 @@ func TestScheduleSurvivesScratchReuse(t *testing.T) {
 		}
 		sc := getScratch(inst)
 		for _, lvl := range sc.levels {
-			for i := 0; i < lvl.Len(); i++ {
-				for _, row := range [][]float64{lvl.AllocRow(i), lvl.RemRow(i)} {
-					for p := range row {
-						row[p] = 99
-					}
-				}
+			for p := range lvl.done {
+				lvl.done[p], lvl.rem[p], lvl.alloc[p] = 99, 99, 99
 			}
 		}
-		for d := range sc.path {
-			for i := range sc.path[d] {
-				sc.path[d][i] = 99
+		sc.builder.Reset(inst)
+		greedybalance.New().Build(&sc.builder)
+		for _, row := range sc.builder.Rows() {
+			for p := range row {
+				row[p] = 99
 			}
-		}
-		for i := range sc.rootRem {
-			sc.rootRem[i] = 99
 		}
 		putScratch(sc)
 
@@ -205,8 +200,9 @@ func TestSteadyStateAllocsPerNode(t *testing.T) {
 	t.Run("partition-chain", func(t *testing.T) {
 		for step, inst := range nudgeChain(t, 6) {
 			sc := getScratch(inst)
-			buf := sc.level(0)
-			expand := func() { moves.Expand(inst, &sc.expand, sc.rootDone, sc.rootRem, buf, &sc.allocs) }
+			root := sc.level(0)
+			buf := &root.moves
+			expand := func() { moves.Expand(inst, &sc.expand, root.done, root.rem, buf, &sc.allocs) }
 			expand()
 			if buf.Len() < 100 {
 				t.Fatalf("step %d: root has only %d successors; too few to exercise the expansion", step, buf.Len())

@@ -80,17 +80,26 @@ func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	b := core.NewBuilder(inst)
+	return s.Build(core.NewBuilder(inst)).Clone(), nil
+}
+
+// Build runs the scheduler on b, a builder at time step one of a valid
+// instance, and returns the schedule with trailing steps that assign no
+// resource trimmed. The schedule's rows are the builder's own (see
+// core.Builder.Rows), so a caller that keeps one builder across instances
+// builds without allocating rows; Schedule returns an exact-size copy.
+func (s *Scheduler) Build(b *core.Builder) *core.Schedule {
 	// One order and one shares buffer serve every step of the build: the
 	// builder copies each step's shares into its own row.
-	order := make([]int, 0, inst.NumProcessors())
-	shares := make([]float64, inst.NumProcessors())
-	sched := b.BuildGreedy(func(b *core.Builder) []float64 {
+	order := make([]int, 0, b.NumProcessors())
+	shares := make([]float64, b.NumProcessors())
+	b.Run(func(b *core.Builder) []float64 {
 		order = s.allocateStep(b, order, shares)
 		return shares
 	})
+	sched := &core.Schedule{Alloc: b.Rows()}
 	sched.Trim()
-	return sched, nil
+	return sched
 }
 
 // allocateStep computes the allocation of a single time step from the

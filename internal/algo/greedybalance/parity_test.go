@@ -103,6 +103,10 @@ func schedulers() []*greedybalance.Scheduler {
 	return out
 }
 
+// shared is the builder Build runs on in checkGreedyParity: Reset for every
+// instance, so each build reuses the rows of the builds before it.
+var shared core.Builder
+
 func checkGreedyParity(t *testing.T, inst *core.Instance) {
 	t.Helper()
 	for _, s := range schedulers() {
@@ -114,24 +118,27 @@ func checkGreedyParity(t *testing.T, inst *core.Instance) {
 		if !samePriority {
 			t.Fatalf("%s: StepPriority differs from the reference\n%v", s.Name(), inst)
 		}
-		if len(got.Alloc) != len(want.Alloc) {
-			t.Fatalf("%s: %d steps, reference %d\n%v", s.Name(), len(got.Alloc), len(want.Alloc), inst)
-		}
-		for step := range got.Alloc {
-			if !slices.EqualFunc(got.Alloc[step], want.Alloc[step], func(a, b float64) bool {
-				return math.Float64bits(a) == math.Float64bits(b)
-			}) {
-				t.Fatalf("%s: step %d shares %v, reference %v\n%v", s.Name(), step, got.Alloc[step], want.Alloc[step], inst)
+		shared.Reset(inst)
+		for name, got := range map[string]*core.Schedule{"Schedule": got, "Build on a reused builder": s.Build(&shared)} {
+			if len(got.Alloc) != len(want.Alloc) {
+				t.Fatalf("%s %s: %d steps, reference %d\n%v", s.Name(), name, len(got.Alloc), len(want.Alloc), inst)
+			}
+			for step := range got.Alloc {
+				if !slices.EqualFunc(got.Alloc[step], want.Alloc[step], func(a, b float64) bool {
+					return math.Float64bits(a) == math.Float64bits(b)
+				}) {
+					t.Fatalf("%s %s: step %d shares %v, reference %v\n%v", s.Name(), name, step, got.Alloc[step], want.Alloc[step], inst)
+				}
 			}
 		}
 	}
 }
 
-// TestScheduleParity holds every variant's schedule to the reference, bit
-// for bit, on the load harness's corpus (seeds 1-3) and on random
-// instances whose remaining requirements tie within numeric.Eps, where the
-// tie-break is intransitive and only the identical sequence of comparisons
-// reproduces the order.
+// TestScheduleParity holds every variant's schedule, and its Build on a
+// reused builder, to the reference, bit for bit, on the load harness's
+// corpus (seeds 1-3) and on random instances whose remaining requirements
+// tie within numeric.Eps, where the tie-break is intransitive and only the
+// identical sequence of comparisons reproduces the order.
 func TestScheduleParity(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, item := range harness.BuildCorpus(seed).Items() {

@@ -10,14 +10,39 @@ import (
 	"crsharing/internal/numeric"
 )
 
+// refSuccessors stores the reference enumeration's successors the way Buf
+// stored them before moves became descriptors: three flat row-major arrays,
+// successor i in [i*m, (i+1)*m) of each, plus the move counts and order.
+type refSuccessors struct {
+	n, m  int
+	done  []int
+	rem   []float64
+	alloc []float64
+	cnt   []int
+	ord   []int
+}
+
+func (b *refSuccessors) add() int {
+	idx := b.n
+	b.done = append(b.done, make([]int, b.m)...)
+	b.rem = append(b.rem, make([]float64, b.m)...)
+	b.alloc = append(b.alloc, make([]float64, b.m)...)
+	b.cnt = append(b.cnt, 0)
+	b.n++
+	return idx
+}
+
+func (b *refSuccessors) DoneRow(i int) []int      { return b.done[i*b.m : (i+1)*b.m] }
+func (b *refSuccessors) RemRow(i int) []float64   { return b.rem[i*b.m : (i+1)*b.m] }
+func (b *refSuccessors) AllocRow(i int) []float64 { return b.alloc[i*b.m : (i+1)*b.m] }
+
 // referenceExpand is the original successor enumeration, kept verbatim as
-// the oracle for Expand: every subset sum is re-added bit by bit in
-// ascending bit order, and the moves are ordered by a stable insertion sort.
-func referenceExpand(inst *core.Instance, done []int, rem []float64) *Buf {
-	var allocs int64
-	buf := new(Buf)
+// the oracle for Expand and Derive: every successor's rows are derived
+// eagerly, every subset sum is re-added bit by bit in ascending bit order,
+// and the moves are ordered by a stable insertion sort.
+func referenceExpand(inst *core.Instance, done []int, rem []float64) *refSuccessors {
 	m := inst.NumProcessors()
-	buf.reset(m)
+	buf := &refSuccessors{m: m}
 	var active []int
 	base := 0
 	var total float64
@@ -31,7 +56,7 @@ func referenceExpand(inst *core.Instance, done []int, rem []float64) *Buf {
 	k := len(active)
 
 	derive := func(finishMask int, partial int, amount float64) {
-		idx := buf.add(&allocs)
+		idx := buf.add()
 		d, r, a := buf.DoneRow(idx), buf.RemRow(idx), buf.AllocRow(idx)
 		copy(d, done)
 		copy(r, rem)
@@ -103,55 +128,86 @@ func referenceOrder(cnt []int) []int {
 
 // expandMatchesReference expands (done, rem) with Expand on sc and with the
 // reference, and fails unless both yield the same successors in the same
-// order with bit-identical rows.
+// order, with Derive writing rows bit-identical to the reference's. It then
+// overwrites the caller's state and the derived rows with junk and derives
+// every successor again, in reverse order and then in a shuffled order:
+// each derivation must still give the reference rows.
 func expandMatchesReference(t testing.TB, inst *core.Instance, sc *Scratch, buf *Buf, done []int, rem []float64) {
 	t.Helper()
-	var allocs int64
-	Expand(inst, sc, done, rem, buf, &allocs)
 	want := referenceExpand(inst, done, rem)
-	if buf.n != want.n {
-		t.Fatalf("state done=%v rem=%v: %d successors, reference %d", done, rem, buf.n, want.n)
+	// Expand sees copies, so the junk written below cannot reach the
+	// reference or the caller.
+	state := append([]int(nil), done...)
+	stateRem := append([]float64(nil), rem...)
+	var allocs int64
+	Expand(inst, sc, state, stateRem, buf, &allocs)
+	if buf.Len() != want.n {
+		t.Fatalf("state done=%v rem=%v: %d successors, reference %d", done, rem, buf.Len(), want.n)
 	}
-	for o := 0; o < buf.n; o++ {
-		if buf.ord[o] != want.ord[o] {
-			t.Fatalf("state done=%v rem=%v: ord %v, reference %v", done, rem, buf.ord[:buf.n], want.ord)
+	for o, i := range buf.Order() {
+		if i != want.ord[o] {
+			t.Fatalf("state done=%v rem=%v: ord %v, reference %v", done, rem, buf.Order(), want.ord)
 		}
 	}
-	for i := 0; i < buf.n; i++ {
+	for i := 0; i < buf.Len(); i++ {
 		if buf.cnt[i] != want.cnt[i] {
 			t.Fatalf("successor %d: cnt %d, reference %d", i, buf.cnt[i], want.cnt[i])
 		}
-		gd, wd := buf.DoneRow(i), want.DoneRow(i)
-		gr, wr := buf.RemRow(i), want.RemRow(i)
-		ga, wa := buf.AllocRow(i), want.AllocRow(i)
+	}
+
+	m := inst.NumProcessors()
+	gd, gr, ga := make([]int, m), make([]float64, m), make([]float64, m)
+	check := func(pass string, i int) {
+		t.Helper()
+		buf.Derive(inst, i, gd, gr, ga)
+		wd, wr, wa := want.DoneRow(i), want.RemRow(i), want.AllocRow(i)
 		for p := range gd {
 			if gd[p] != wd[p] ||
 				math.Float64bits(gr[p]) != math.Float64bits(wr[p]) ||
 				math.Float64bits(ga[p]) != math.Float64bits(wa[p]) {
-				t.Fatalf("state done=%v rem=%v successor %d proc %d: (done %d, rem %x, alloc %x), reference (%d, %x, %x)",
-					done, rem, i, p, gd[p], math.Float64bits(gr[p]), math.Float64bits(ga[p]),
+				t.Fatalf("%s: state done=%v rem=%v successor %d proc %d: (done %d, rem %x, alloc %x), reference (%d, %x, %x)",
+					pass, done, rem, i, p, gd[p], math.Float64bits(gr[p]), math.Float64bits(ga[p]),
 					wd[p], math.Float64bits(wr[p]), math.Float64bits(wa[p]))
 			}
 		}
+		// Junk in every cell, so the next derivation must write all of them.
+		for p := range gd {
+			gd[p], gr[p], ga[p] = -7, math.NaN(), math.Inf(1)
+		}
+	}
+	for i := 0; i < buf.Len(); i++ {
+		check("in order", i)
+	}
+	for p := range state {
+		state[p], stateRem[p] = -3, math.NaN()
+	}
+	for i := buf.Len() - 1; i >= 0; i-- {
+		check("reversed after the state was overwritten", i)
+	}
+	rng := rand.New(rand.NewSource(int64(buf.Len())))
+	for _, i := range rng.Perm(buf.Len()) {
+		check("shuffled", i)
 	}
 }
 
 // checkSubtree compares Expand with the reference at (done, rem) and, up
 // to depth more levels below it, at the first, the last and one random
-// successor of every expanded state. The successor rows are copied before
-// descending, because the deeper expansions reuse the scratch.
+// successor of every expanded state. Each successor is derived into fresh
+// rows before descending, because the deeper expansions reuse the scratch.
 func checkSubtree(t testing.TB, rng *rand.Rand, inst *core.Instance, sc *Scratch, done []int, rem []float64, depth int) int {
 	t.Helper()
 	buf := new(Buf)
 	expandMatchesReference(t, inst, sc, buf, done, rem)
 	states := 1
-	if depth == 0 || buf.n == 0 {
+	if depth == 0 || buf.Len() == 0 {
 		return states
 	}
-	picks := []int{buf.ord[0], buf.ord[buf.n-1], buf.ord[rng.Intn(buf.n)]}
+	ord := buf.Order()
+	picks := []int{ord[0], ord[len(ord)-1], ord[rng.Intn(len(ord))]}
+	m := inst.NumProcessors()
 	for _, i := range picks {
-		d := append([]int(nil), buf.DoneRow(i)...)
-		r := append([]float64(nil), buf.RemRow(i)...)
+		d, r := make([]int, m), make([]float64, m)
+		buf.Derive(inst, i, d, r, make([]float64, m))
 		states += checkSubtree(t, rng, inst, sc, d, r, depth-1)
 	}
 	return states
@@ -161,7 +217,8 @@ func checkSubtree(t testing.TB, rng *rand.Rand, inst *core.Instance, sc *Scratch
 // counting-sort move order to the original enumeration: on random, uneven,
 // Partition-gadget and epsilon-boundary instances, at the root and up to
 // three levels below it, Expand must produce the same successors in the
-// same order, with bit-identical rows.
+// same order, and Derive must write bit-identical rows however often and in
+// whatever order it is called.
 func TestExpandIntoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260101))
 	insts := corpus(t, rng)
@@ -210,7 +267,6 @@ func TestOrderMatchesStableInsertionSort(t *testing.T) {
 	var b Buf
 	for name, cnt := range cases {
 		b.cnt = append(b.cnt[:0], cnt...)
-		b.n = len(cnt)
 		var allocs int64
 		b.order(&allocs)
 		want := referenceOrder(cnt)
@@ -225,11 +281,11 @@ func TestOrderMatchesStableInsertionSort(t *testing.T) {
 	}
 }
 
-// FuzzExpandInto compares Expand with the reference enumeration on up to
-// eight fuzzed remaining-work values in (0, 1]. finished marks processors
-// whose jobs are all done, so the active list skips them. The seeds sit
-// within numeric.Eps of the boundaries where a subset's sum, or a leftover
-// share, flips between two tolerance classes.
+// FuzzExpandInto compares Expand and Derive with the reference enumeration
+// on up to eight fuzzed remaining-work values in (0, 1]. finished marks
+// processors whose jobs are all done, so the active list skips them. The
+// seeds sit within numeric.Eps of the boundaries where a subset's sum, or a
+// leftover share, flips between two tolerance classes.
 func FuzzExpandInto(f *testing.F) {
 	const e = numeric.Eps
 	f.Add(uint8(2), uint8(0), 0.5, 0.5+e/2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

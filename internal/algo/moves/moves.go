@@ -6,10 +6,12 @@
 // resource without finishing.
 //
 // A state is a pair (done, rem): per processor, the number of completed jobs
-// and the remaining work of its active job. Expand writes the successors of
-// a state into a reusable Buf, and AppendKey packs a state into the byte key
-// both kernels deduplicate states by. Buffers count their growth events in
-// the caller's allocs counter; a warm expansion allocates nothing.
+// and the remaining work of its active job. Expand records the moves from a
+// state in a reusable Buf, one compact descriptor each, and Buf.Derive
+// writes one successor's rows only when a kernel visits it. AppendKey packs
+// a state into the byte key both kernels deduplicate states by. Buffers
+// count their growth events in the caller's allocs counter; a warm
+// expansion allocates nothing.
 package moves
 
 import (
@@ -43,23 +45,25 @@ type Scratch struct {
 }
 
 // Expand enumerates the moves from the state (done, rem), which must have an
-// active processor, into buf. Successors are stored in enumeration order:
-// for each nonempty subset of the active processors in ascending bitmask
-// order, the move finishing exactly that subset when it uses up the unit
-// budget, else one move per processor outside it whose remaining work
-// strictly exceeds the leftover, which takes the leftover as a partial
-// share. When the whole active demand fits, the only move finishes every
-// active job. buf.Order additionally lists them with moves finishing more
-// jobs first, the order branch-and-bound searches in.
+// active processor, into buf. Moves are stored in enumeration order: for
+// each nonempty subset of the active processors in ascending bitmask order,
+// the move finishing exactly that subset when it uses up the unit budget,
+// else one move per processor outside it whose remaining work strictly
+// exceeds the leftover, which takes the leftover as a partial share. When
+// the whole active demand fits, the only move finishes every active job.
+// buf.Order additionally lists them with moves finishing more jobs first,
+// the order branch-and-bound searches in.
 //
-// For k active processors this costs one O(2^k) scan over the finishing
-// subsets plus O(successors): each subset's work sum is its predecessor's
-// (the subset without its highest bit) plus one term, which adds the terms
-// in ascending bit order exactly as a from-scratch sum does, so every
-// tolerance decision sees the same float.
+// Expand records each move as a descriptor and keeps its own copy of the
+// state; Derive writes one successor's rows on demand. For k active
+// processors this costs one O(2^k) scan over the finishing subsets plus
+// O(k) per move: each subset's work sum is its predecessor's (the subset
+// without its highest bit) plus one term, which adds the terms in ascending
+// bit order exactly as a from-scratch sum does, so every tolerance decision
+// sees the same float.
 func Expand(inst *core.Instance, sc *Scratch, done []int, rem []float64, buf *Buf, allocs *int64) {
 	m := inst.NumProcessors()
-	buf.reset(m)
+	buf.reset(done, rem, allocs)
 	active := sc.active[:0]
 	base := 0
 	var total float64
@@ -76,31 +80,18 @@ func Expand(inst *core.Instance, sc *Scratch, done []int, rem []float64, buf *Bu
 	sc.active = active
 	k := len(active)
 
-	derive := func(finishMask int, partial int, amount float64) {
-		idx := buf.add(allocs)
-		d, r, a := buf.DoneRow(idx), buf.RemRow(idx), buf.AllocRow(idx)
-		copy(d, done)
-		copy(r, rem)
-		cnt := base
+	// record stores the move finishing the active processors in finishMask
+	// (bits index active) and giving amount to processor partial, if any.
+	record := func(finishMask int, partial int, amount float64) {
+		var finish uint32
 		for f := finishMask; f != 0; f &= f - 1 {
-			i := active[bits.TrailingZeros(uint(f))]
-			a[i] = rem[i]
-			d[i]++
-			r[i] = Work(inst, i, d[i])
-			cnt++
+			finish |= 1 << active[bits.TrailingZeros(uint(f))]
 		}
-		if partial >= 0 {
-			a[partial] = amount
-			r[partial] -= amount
-			if r[partial] < 0 {
-				r[partial] = 0
-			}
-		}
-		buf.cnt[idx] = cnt
+		buf.add(move{amount: amount, finish: finish, partial: int32(partial)}, base+bits.OnesCount(uint(finishMask)), allocs)
 	}
 
 	if numeric.Leq(total, 1) {
-		derive(1<<k-1, -1, 0)
+		record(1<<k-1, -1, 0)
 		buf.order(allocs)
 		return
 	}
@@ -118,88 +109,95 @@ func Expand(inst *core.Instance, sc *Scratch, done []int, rem []float64, buf *Bu
 		}
 		leftover := 1 - sum
 		if numeric.Leq(leftover, 0) {
-			derive(mask, -1, 0)
+			record(mask, -1, 0)
 			continue
 		}
 		for c := full &^ mask; c != 0; c &= c - 1 {
 			bit := bits.TrailingZeros(uint(c))
 			if p := active[bit]; numeric.Greater(rem[p], leftover) {
-				derive(mask, p, leftover)
+				record(mask, p, leftover)
 			}
 		}
 	}
 	buf.order(allocs)
 }
 
-// Buf stores the successors of one expanded state in flat row-major arrays
-// (successor i occupies [i*m, (i+1)*m) of each array), so an expansion
-// allocates nothing once the buffer has grown to its largest state. Rows
-// stay valid until the buffer's next Expand.
+// move describes one successor of a Buf's state: the processors whose
+// active job finishes, and the processor (or -1) that takes amount without
+// finishing.
+type move struct {
+	amount  float64
+	finish  uint32 // bit i: processor i finishes its active job
+	partial int32
+}
+
+// Buf holds the moves of one expanded state as descriptors next to one copy
+// of the state, so a move costs a descriptor and a count whatever the
+// processor count, and an expansion allocates nothing once the buffer has
+// grown to its largest state.
+// Derive writes a successor's rows into the caller's; every successor stays
+// derivable, in any order and any number of times, until the buffer's next
+// Expand.
 type Buf struct {
-	n     int // successors stored
-	m     int // row width
-	done  []int
-	rem   []float64
-	alloc []float64
-	cnt   []int // total finished jobs in the successor, for move ordering
-	ord   []int // iteration order: cnt descending, stable
+	done  []int     // the expanded state's completed-job counts
+	rem   []float64 // and the remaining work of its active jobs
+	moves []move    // in enumeration order
+	cnt   []int     // total finished jobs after each move, for move ordering
+	ord   []int     // iteration order: cnt descending, stable
 }
 
 // Len returns the number of successors stored.
-func (b *Buf) Len() int { return b.n }
+func (b *Buf) Len() int { return len(b.moves) }
 
 // Order returns the successor indices with moves that finish more jobs
 // first, ties in enumeration order.
-func (b *Buf) Order() []int { return b.ord[:b.n] }
+func (b *Buf) Order() []int { return b.ord[:len(b.moves)] }
 
-// DoneRow returns the completed-job counts of successor i.
-func (b *Buf) DoneRow(i int) []int { return b.done[i*b.m : (i+1)*b.m] }
-
-// RemRow returns the remaining work of successor i's active jobs.
-func (b *Buf) RemRow(i int) []float64 { return b.rem[i*b.m : (i+1)*b.m] }
-
-// AllocRow returns the resource allocation of the step that leads to
-// successor i.
-func (b *Buf) AllocRow(i int) []float64 { return b.alloc[i*b.m : (i+1)*b.m] }
-
-func (b *Buf) reset(m int) {
-	b.n = 0
-	b.m = m
+// Derive writes successor i into done, rem and alloc, each of the
+// instance's processor count in length: the completed-job counts and the
+// remaining work of the state the move leads to, and the resource
+// allocation of the step that makes it. It writes every cell and reads
+// nothing the caller passes in.
+func (b *Buf) Derive(inst *core.Instance, i int, done []int, rem, alloc []float64) {
+	mv := b.moves[i]
+	copy(done, b.done)
+	copy(rem, b.rem)
+	clear(alloc)
+	for f := mv.finish; f != 0; f &= f - 1 {
+		p := bits.TrailingZeros32(f)
+		alloc[p] = b.rem[p]
+		done[p]++
+		rem[p] = Work(inst, p, done[p])
+	}
+	if p := mv.partial; p >= 0 {
+		alloc[p] = mv.amount
+		rem[p] -= mv.amount
+		if rem[p] < 0 {
+			rem[p] = 0
+		}
+	}
 }
 
-// add appends one zeroed successor row and returns its index. Growth is
-// geometric and preserves the rows already stored, which callers may still
-// hold slices into.
-func (b *Buf) add(allocs *int64) int {
-	idx := b.n
-	need := (idx + 1) * b.m
-	if cap(b.done) < need {
-		*allocs++
-		grow := 2 * cap(b.done)
-		if grow < need {
-			grow = need
-		}
-		nd := make([]int, grow)
-		nr := make([]float64, grow)
-		na := make([]float64, grow)
-		copy(nd, b.done[:idx*b.m])
-		copy(nr, b.rem[:idx*b.m])
-		copy(na, b.alloc[:idx*b.m])
-		b.done, b.rem, b.alloc = nd, nr, na
-	}
-	b.done = b.done[:need]
-	b.rem = b.rem[:need]
-	b.alloc = b.alloc[:need]
-	row := b.alloc[idx*b.m : need]
-	for i := range row {
-		row[i] = 0
-	}
-	if cap(b.cnt) <= idx {
+// reset empties the buffer and copies in the state about to be expanded.
+func (b *Buf) reset(done []int, rem []float64, allocs *int64) {
+	b.done = ResizeInts(b.done, len(done), allocs)
+	b.rem = ResizeFloats(b.rem, len(rem), allocs)
+	copy(b.done, done)
+	copy(b.rem, rem)
+	b.moves = b.moves[:0]
+	b.cnt = b.cnt[:0]
+}
+
+// add appends one move and the finished-job count it leads to.
+func (b *Buf) add(mv move, cnt int, allocs *int64) {
+	if cap(b.moves) == len(b.moves) {
 		*allocs++
 	}
-	b.cnt = append(b.cnt[:idx], 0)
-	b.n++
-	return idx
+	b.moves = append(b.moves, mv)
+	if cap(b.cnt) == len(b.cnt) {
+		*allocs++
+	}
+	b.cnt = append(b.cnt, cnt)
 }
 
 // order rebuilds ord as the successors sorted by finished-job count
@@ -208,12 +206,13 @@ func (b *Buf) add(allocs *int64) int {
 // (base..base+k for k active processors), so a stable counting sort does it
 // in O(successors + k).
 func (b *Buf) order(allocs *int64) {
-	b.ord = ResizeInts(b.ord, b.n, allocs)
-	if b.n == 0 {
+	n := len(b.cnt)
+	b.ord = ResizeInts(b.ord, n, allocs)
+	if n == 0 {
 		return
 	}
 	lo, hi := b.cnt[0], b.cnt[0]
-	for _, c := range b.cnt[:b.n] {
+	for _, c := range b.cnt {
 		lo, hi = min(lo, c), max(hi, c)
 	}
 	// buckets[hi-c] is first the number of successors with count c, then the
@@ -221,7 +220,7 @@ func (b *Buf) order(allocs *int64) {
 	// is at most k+1 ≤ MaxProcessors+1, so the buckets live on the stack.
 	var local [MaxProcessors + 1]int
 	buckets := local[:hi-lo+1]
-	for _, c := range b.cnt[:b.n] {
+	for _, c := range b.cnt {
 		buckets[hi-c]++
 	}
 	pos := 0
@@ -229,7 +228,7 @@ func (b *Buf) order(allocs *int64) {
 		buckets[v] = pos
 		pos += n
 	}
-	for i, c := range b.cnt[:b.n] {
+	for i, c := range b.cnt {
 		b.ord[buckets[hi-c]] = i
 		buckets[hi-c]++
 	}

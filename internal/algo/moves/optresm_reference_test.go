@@ -132,8 +132,8 @@ const kahanSlack = 1e-15
 // to three levels below it (first, last and one random successor of every
 // expanded configuration), Expand must yield the successors of optresm's
 // original enumeration in enumeration order — the order optresm walks them
-// in — with equal done rows, and remaining work and allocations equal up to
-// kahanSlack.
+// in — and Derive must write equal done rows, and remaining work and
+// allocations equal up to kahanSlack.
 func TestExpandMatchesOriginalSuccessors(t *testing.T) {
 	// The seed of TestExpandIntoMatchesReference, so the corpus is the same.
 	rng := rand.New(rand.NewSource(20260101))
@@ -150,8 +150,10 @@ func TestExpandMatchesOriginalSuccessors(t *testing.T) {
 		if buf.Len() != len(want) {
 			t.Fatalf("state done=%v rem=%v: %d successors, reference %d", c.done, c.rem, buf.Len(), len(want))
 		}
+		m := inst.NumProcessors()
+		gd, gr, ga := make([]int, m), make([]float64, m), make([]float64, m)
 		for i, w := range want {
-			gd, gr, ga := buf.DoneRow(i), buf.RemRow(i), buf.AllocRow(i)
+			buf.Derive(inst, i, gd, gr, ga)
 			for p := range w.done {
 				if gd[p] != w.done[p] ||
 					math.Abs(gr[p]-w.rem[p]) > kahanSlack ||

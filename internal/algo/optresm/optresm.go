@@ -10,9 +10,10 @@
 // jobs is completed and at most one further active job receives the leftover
 // resource. These steps come from package moves, the enumerator the
 // branch-and-bound kernel also expands with: a round expands each of its
-// configurations into one reused buffer, walks the successors in enumeration
-// order and keeps the first configuration generated for each packed state key
-// (done counts, remaining work rounded to 1e-9). Dominated configurations
+// configurations into one reused buffer, derives the successors in
+// enumeration order into one reused row triple and keeps the first
+// configuration generated for each packed state key (done counts, remaining
+// work rounded to 1e-9), copying out only those. Dominated configurations
 // (Lemma 4 / the domination relation of Section 7) are pruned after every
 // round, which keeps the number of live configurations polynomial for fixed
 // m.
@@ -126,6 +127,11 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 		allocs int64 // growth events of sc and buf; optresm reports none
 		key    []byte
 		seen   = make(map[string]struct{})
+		// Every successor is derived into these rows; only a new key's are
+		// copied into a configuration.
+		succDone  = make([]int, m)
+		succRem   = make([]float64, m)
+		succAlloc = make([]float64, m)
 	)
 
 	for t := 0; ; t++ {
@@ -151,16 +157,17 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 			// the one kept (same state, same time).
 			moves.Expand(inst, &sc, c.done, c.rem, &buf, &allocs)
 			for i := 0; i < buf.Len(); i++ {
-				key = moves.AppendKey(key[:0], buf.DoneRow(i), buf.RemRow(i))
+				buf.Derive(inst, i, succDone, succRem, succAlloc)
+				key = moves.AppendKey(key[:0], succDone, succRem)
 				if _, ok := seen[string(key)]; ok {
 					continue
 				}
 				seen[string(key)] = struct{}{}
 				next = append(next, &config{
-					done:   append([]int(nil), buf.DoneRow(i)...),
-					rem:    append([]float64(nil), buf.RemRow(i)...),
+					done:   append([]int(nil), succDone...),
+					rem:    append([]float64(nil), succRem...),
 					parent: parentIdx,
-					alloc:  append([]float64(nil), buf.AllocRow(i)...),
+					alloc:  append([]float64(nil), succAlloc...),
 				})
 			}
 		}

@@ -15,7 +15,7 @@ import (
 // manipulating allocation matrices directly.
 type Builder struct {
 	inst     *Instance
-	sched    *Schedule
+	sched    Schedule
 	next     []int     // first unfinished job per processor
 	remWork  []float64 // remaining work of the active job (resource units)
 	remVol   []float64 // remaining volume of the active job (volume units)
@@ -24,28 +24,48 @@ type Builder struct {
 	// used up it is replaced by one with as many rows as were built so far
 	// (at least 8); the rows already carved keep the old one.
 	slab []float64
+	// reuse is the slab Reset carves the next build's rows from: one slab
+	// as large as the largest build so far.
+	reuse []float64
 }
 
 // NewBuilder returns a Builder for the given instance positioned at time
 // step one with no resource assigned yet.
 func NewBuilder(inst *Instance) *Builder {
+	b := new(Builder)
+	b.Reset(inst)
+	return b
+}
+
+// Reset positions the builder at time step one of inst with no resource
+// assigned yet, as NewBuilder does, but keeps its buffers: once a builder
+// has built its largest schedule, further builds allocate nothing. Reset
+// overwrites the rows the builder built before (see Rows).
+func (b *Builder) Reset(inst *Instance) {
 	m := inst.NumProcessors()
-	b := &Builder{
-		inst:    inst,
-		sched:   &Schedule{},
-		next:    make([]int, m),
-		remWork: make([]float64, m),
-		remVol:  make([]float64, m),
+	if built := len(b.sched.Alloc) * len(b.next); built > 0 {
+		if cap(b.reuse) < built {
+			b.reuse = make([]float64, built)
+		}
+		b.slab = b.reuse[:cap(b.reuse)]
 	}
+	b.sched.Alloc = b.sched.Alloc[:0]
+	b.inst = inst
+	b.next = slices.Grow(b.next[:0], m)[:m]
+	b.remWork = slices.Grow(b.remWork[:0], m)[:m]
+	b.remVol = slices.Grow(b.remVol[:0], m)[:m]
+	b.finished = 0
 	for i := 0; i < m; i++ {
+		b.next[i] = 0
 		if inst.NumJobs(i) > 0 {
 			b.remWork[i] = inst.Job(i, 0).Work()
 			b.remVol[i] = inst.Job(i, 0).Size
 		} else {
+			b.remWork[i] = 0
+			b.remVol[i] = 0
 			b.finished++
 		}
 	}
-	return b
 }
 
 // Instance returns the instance the builder schedules.
@@ -117,7 +137,7 @@ func (b *Builder) AppendStep(shares []float64) {
 	}
 	row := b.slab[:m:m]
 	b.slab = b.slab[m:]
-	copy(row, shares)
+	clear(row[copy(row, shares):])
 	b.sched.Alloc = append(b.sched.Alloc, row)
 
 	for i := 0; i < m; i++ {
@@ -162,17 +182,28 @@ func (b *Builder) advance(i int) {
 // that spare room for as long as it stays cached.
 func (b *Builder) Schedule() *Schedule { return b.sched.Clone() }
 
+// Rows returns the allocation rows built so far without copying them. They
+// stay the builder's: the next Reset overwrites them.
+func (b *Builder) Rows() [][]float64 { return b.sched.Alloc }
+
 // BuildGreedy appends steps until all jobs are finished (or the safety cap of
-// steps is exceeded), each step calling pick to obtain the allocation. It is
-// a convenience loop shared by the priority-driven algorithms. The safety cap
-// guards against allocation functions that assign no useful resource; it is
-// generous (total volume steps plus total work steps plus slack).
+// steps is exceeded), each step calling pick to obtain the allocation, and
+// returns a copy of the schedule (see Schedule). It is a convenience loop
+// shared by the priority-driven algorithms.
 func (b *Builder) BuildGreedy(pick func(b *Builder) []float64) *Schedule {
+	b.Run(pick)
+	return b.Schedule()
+}
+
+// Run is BuildGreedy without the copy: the steps stay in the builder (see
+// Rows). The safety cap guards against allocation functions that assign no
+// useful resource; it is generous (total volume steps plus total work steps
+// plus slack).
+func (b *Builder) Run(pick func(b *Builder) []float64) {
 	cap := b.safetyCap()
 	for !b.Done() && b.Step() < cap {
 		b.AppendStep(pick(b))
 	}
-	return b.Schedule()
 }
 
 func (b *Builder) safetyCap() int {

@@ -86,27 +86,34 @@ func sameBuilderState(b *core.Builder, ref *refBuilder) error {
 // comparing their state after every step and the schedules they return,
 // then runs BuildGreedy on both with state-driven picks.
 func builderParity(inst *core.Instance, sched *core.Schedule) error {
-	b, ref := core.NewBuilder(inst), newRefBuilder(inst)
-	for t, row := range sched.Alloc {
-		b.AppendStep(row)
-		ref.AppendStep(row)
-		if err := sameBuilderState(b, ref); err != nil {
-			return fmt.Errorf("replay step %d: %v", t, err)
-		}
-		if err := sameSchedule(b.Schedule(), ref.Schedule()); err != nil {
-			return fmt.Errorf("replay step %d: Schedule: %v", t, err)
+	for _, b := range builders(inst) {
+		ref := newRefBuilder(inst)
+		for t, row := range sched.Alloc {
+			b.AppendStep(row)
+			ref.AppendStep(row)
+			if err := sameBuilderState(b, ref); err != nil {
+				return fmt.Errorf("replay step %d: %v", t, err)
+			}
+			if err := sameSchedule(b.Schedule(), ref.Schedule()); err != nil {
+				return fmt.Errorf("replay step %d: Schedule: %v", t, err)
+			}
 		}
 	}
 	for _, short := range []bool{false, true} {
-		b, ref := core.NewBuilder(inst), newRefBuilder(inst)
-		buf, refBuf := make([]float64, inst.NumProcessors()), make([]float64, inst.NumProcessors())
-		got := b.BuildGreedy(func(b *core.Builder) []float64 { return demandPick(b, buf, short) })
-		want := ref.BuildGreedy(func(ref *refBuilder) []float64 { return demandPick(ref, refBuf, short) })
-		if err := sameSchedule(got, want); err != nil {
-			return fmt.Errorf("BuildGreedy (short rows %v): %v", short, err)
-		}
-		if err := sameBuilderState(b, ref); err != nil {
-			return fmt.Errorf("BuildGreedy (short rows %v): %v", short, err)
+		for _, b := range builders(inst) {
+			ref := newRefBuilder(inst)
+			buf, refBuf := make([]float64, inst.NumProcessors()), make([]float64, inst.NumProcessors())
+			got := b.BuildGreedy(func(b *core.Builder) []float64 { return demandPick(b, buf, short) })
+			want := ref.BuildGreedy(func(ref *refBuilder) []float64 { return demandPick(ref, refBuf, short) })
+			if err := sameSchedule(got, want); err != nil {
+				return fmt.Errorf("BuildGreedy (short rows %v): %v", short, err)
+			}
+			if err := sameSchedule(&core.Schedule{Alloc: b.Rows()}, want); err != nil {
+				return fmt.Errorf("BuildGreedy (short rows %v): Rows: %v", short, err)
+			}
+			if err := sameBuilderState(b, ref); err != nil {
+				return fmt.Errorf("BuildGreedy (short rows %v): %v", short, err)
+			}
 		}
 	}
 	// A pick that assigns nothing runs into the safety cap.
@@ -118,8 +125,20 @@ func builderParity(inst *core.Instance, sched *core.Schedule) error {
 	return nil
 }
 
+// shared is Reset for every instance builderParity checks, so its builds
+// reuse the rows of earlier, wider, narrower, longer and shorter ones.
+var shared core.Builder
+
+// builders returns a fresh builder for inst and the shared one, Reset for
+// inst.
+func builders(inst *core.Instance) []*core.Builder {
+	shared.Reset(inst)
+	return []*core.Builder{core.NewBuilder(inst), &shared}
+}
+
 // TestBuilderParity holds Builder to the reference on the load harness's
-// corpus (seeds 1-3) and on random edge-case instances and schedules.
+// corpus (seeds 1-3) and on random edge-case instances and schedules, both
+// fresh and Reset from the instance before.
 func TestBuilderParity(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, item := range harness.BuildCorpus(seed).Items() {
