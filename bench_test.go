@@ -88,7 +88,7 @@ func BenchmarkGreedyBalance(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Schedule(inst); err != nil {
+				if _, err := s.Schedule(context.Background(), inst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -104,7 +104,7 @@ func BenchmarkRoundRobin(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Schedule(inst); err != nil {
+				if _, err := s.Schedule(context.Background(), inst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -152,7 +152,7 @@ func BenchmarkOptResAssignment2(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Schedule(inst); err != nil {
+				if _, err := s.Schedule(context.Background(), inst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -168,7 +168,7 @@ func BenchmarkBranchAndBound(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Makespan(inst); err != nil {
+				if _, err := s.Schedule(context.Background(), inst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -183,7 +183,7 @@ func BenchmarkChunkedWindows(b *testing.B) {
 			s := chunked.New(w)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Schedule(inst); err != nil {
+				if _, err := s.Schedule(context.Background(), inst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -204,7 +204,7 @@ func BenchmarkBruteForceOracle(b *testing.B) {
 
 func BenchmarkExecuteSchedule(b *testing.B) {
 	inst := gen.Random(rand.New(rand.NewSource(6)), 8, 128, 0.05, 1.0)
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func BenchmarkExecuteSchedule(b *testing.B) {
 
 func BenchmarkCanonicalize(b *testing.B) {
 	inst := gen.Random(rand.New(rand.NewSource(7)), 6, 32, 0.05, 1.0)
-	sched, err := roundrobin.New().Schedule(inst)
+	sched, err := roundrobin.New().Schedule(context.Background(), inst)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func BenchmarkCanonicalize(b *testing.B) {
 
 func BenchmarkHypergraphBuild(b *testing.B) {
 	inst := gen.Random(rand.New(rand.NewSource(8)), 8, 64, 0.05, 1.0)
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func BenchmarkPartitionGadgetSolve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Schedule(inst); err != nil {
+		if _, err := s.Schedule(context.Background(), inst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,7 +305,7 @@ func BenchmarkAblationTieBreaks(b *testing.B) {
 		b.Run(v.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sched, err := v.Schedule(inst)
+				sched, err := v.Schedule(context.Background(), inst)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -16,8 +16,11 @@
 //
 //	Solve(ctx context.Context, inst *core.Instance) (*core.Schedule, Stats, error)
 //
-// The packages under internal/algo stay synchronous, single-purpose kernels;
-// internal/solver adapts them and layers the concurrency on top:
+// Every package under internal/algo is a single-purpose kernel with one
+// method, Schedule(ctx, inst); internal/solver adapts it (Adapt checks the
+// context once before the call, and the searching kernels poll it while
+// they run), evaluates its answer in one place (solver.Evaluate: feasible
+// and finishes every job) and layers the concurrency on top:
 //
 //   - Registry: name -> constructor, used by cmd/crsched, cmd/crexp and the
 //     experiment harness, so every entry point supports deadlines and

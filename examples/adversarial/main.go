@@ -8,23 +8,25 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"crsharing/internal/algo"
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/algo/optres2"
 	"crsharing/internal/algo/roundrobin"
 	"crsharing/internal/core"
 	"crsharing/internal/gen"
+	"crsharing/internal/solver"
 )
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("Figure 3: RoundRobin worst case (two processors)")
 	fmt.Println("   n   RoundRobin  OPT   ratio")
 	for _, n := range []int{5, 10, 25, 50, 100, 250} {
 		inst := gen.Figure3(n)
-		rr, err := algo.Evaluate(roundrobin.New(), inst)
+		rr, err := solver.Evaluate(ctx, solver.Adapt(roundrobin.New()), inst)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,7 +48,7 @@ func main() {
 			blocks = 12
 		}
 		inst := gen.GreedyWorstCase(m, blocks, eps)
-		gb, err := algo.Evaluate(greedybalance.New(), inst)
+		gb, err := solver.Evaluate(ctx, solver.Adapt(greedybalance.New()), inst)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,17 +11,18 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
 	"text/tabwriter"
 
-	"crsharing/internal/algo"
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/algo/roundrobin"
 	"crsharing/internal/core"
 	"crsharing/internal/manycore"
+	"crsharing/internal/solver"
 	"crsharing/internal/trace"
 )
 
@@ -63,8 +64,8 @@ func main() {
 	bounds := core.LowerBounds(inst)
 	fmt.Printf("\nCRSharing view: %d processors, %d jobs, lower bound %d steps\n",
 		inst.NumProcessors(), inst.TotalJobs(), bounds.Best())
-	for _, s := range []algo.Scheduler{roundrobin.New(), greedybalance.New()} {
-		ev, err := algo.Evaluate(s, inst)
+	for _, k := range []solver.Kernel{roundrobin.New(), greedybalance.New()} {
+		ev, err := solver.Evaluate(context.Background(), solver.Adapt(k), inst)
 		if err != nil {
 			log.Fatal(err)
 		}

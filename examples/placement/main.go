@@ -10,15 +10,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 
-	"crsharing/internal/algo"
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/assign"
 	"crsharing/internal/core"
 	"crsharing/internal/render"
+	"crsharing/internal/solver"
 )
 
 func main() {
@@ -46,7 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ev, err := algo.Evaluate(greedybalance.New(), inst)
+		ev, err := solver.Evaluate(context.Background(), solver.Adapt(greedybalance.New()), inst)
 		if err != nil {
 			log.Fatal(err)
 		}

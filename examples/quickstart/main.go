@@ -8,15 +8,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"crsharing/internal/algo"
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/algo/optresm"
 	"crsharing/internal/algo/roundrobin"
 	"crsharing/internal/core"
 	"crsharing/internal/hypergraph"
+	"crsharing/internal/solver"
 )
 
 func main() {
@@ -34,15 +35,16 @@ func main() {
 	bounds := core.LowerBounds(inst)
 	fmt.Printf("\nlower bounds: aggregate work %d steps, longest chain %d steps\n\n", bounds.Work, bounds.Chain)
 
-	schedulers := []algo.Scheduler{
+	ctx := context.Background()
+	kernels := []solver.Kernel{
 		roundrobin.New(),    // Theorem 3: 2-approximation
 		greedybalance.New(), // Theorems 7/8: (2 - 1/m)-approximation
 		optresm.New(),       // Theorem 6: exact for fixed m
 	}
-	for _, s := range schedulers {
-		ev, err := algo.Evaluate(s, inst)
+	for _, k := range kernels {
+		ev, err := solver.Evaluate(ctx, solver.Adapt(k), inst)
 		if err != nil {
-			log.Fatalf("%s: %v", s.Name(), err)
+			log.Fatal(err)
 		}
 		fmt.Printf("%-22s makespan %2d  ratio-to-LB %.3f  properties: %s\n",
 			ev.Algorithm, ev.Makespan, ev.Ratio, ev.Properties)
@@ -50,7 +52,7 @@ func main() {
 
 	// The scheduling hypergraph (Section 3.2) of the greedy-balance schedule:
 	// its connected components explain where parallelism was available.
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(ctx, inst)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,17 +10,18 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
 	"text/tabwriter"
 
-	"crsharing/internal/algo"
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/algo/optres2"
 	"crsharing/internal/core"
 	"crsharing/internal/manycore"
+	"crsharing/internal/solver"
 	"crsharing/internal/trace"
 )
 
@@ -65,7 +66,7 @@ func main() {
 	}
 	unit := toUnit(inst)
 
-	gb, err := algo.Evaluate(greedybalance.New(), unit)
+	gb, err := solver.Evaluate(context.Background(), solver.Adapt(greedybalance.New()), unit)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,10 +11,11 @@
 // internal/progress, so observers (the jobs incumbent channel, the portfolio
 // race) see a monotonically improving makespan.
 //
-// Unlike the exact solvers, ScheduleContext treats context expiry as the end
-// of the improvement budget, not as failure: it returns the best schedule
-// found so far with a nil error (matching the portfolio's best-effort
-// semantics). It fails only when cancelled before the first candidate exists.
+// Unlike the exact solvers, Schedule treats context expiry as the end of
+// the improvement budget, not as failure: it returns the best schedule found
+// so far, at least the greedy seed, with a nil error (matching the
+// portfolio's best-effort semantics). A context that has already ended when
+// the solve starts is solver.Adapt's to refuse, as for every kernel.
 // The search stops early when an incumbent matches the instance's lower
 // bound — the schedule is then provably optimal.
 package anytime
@@ -47,13 +48,8 @@ type Scheduler struct {
 // New returns an anytime solver with the default budget.
 func New() *Scheduler { return &Scheduler{} }
 
-// Name implements algo.Scheduler.
+// Name returns "anytime-local-search".
 func (s *Scheduler) Name() string { return "anytime-local-search" }
-
-// Schedule implements algo.Scheduler.
-func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
-	return s.ScheduleContext(context.Background(), inst)
-}
 
 // candidate is one evaluated feasible schedule.
 type candidate struct {
@@ -70,9 +66,9 @@ func (c candidate) better(b *candidate) bool {
 	return c.makespan < b.makespan || (c.makespan == b.makespan && c.wasted < b.wasted)
 }
 
-// ScheduleContext runs the anytime improvement loop under ctx. See the
-// package comment for the cancellation semantics.
-func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*core.Schedule, error) {
+// Schedule runs the anytime improvement loop under ctx. See the package
+// comment for the cancellation semantics.
+func (s *Scheduler) Schedule(ctx context.Context, inst *core.Instance) (*core.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -119,7 +115,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 	}
 
 	// Phase 1: the greedy seed — the first incumbent, available immediately.
-	offer(greedybalance.New().Schedule(inst))
+	offer(greedybalance.New().Schedule(ctx, inst))
 	if best == nil {
 		// GreedyBalance handles every valid instance; reaching this is a bug
 		// in the instance rather than a budget problem.
@@ -152,7 +148,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 		if ctx.Err() != nil {
 			return finish()
 		}
-		offer(v.Schedule(inst))
+		offer(v.Schedule(ctx, inst))
 		if best.makespan <= lb {
 			return finish()
 		}
@@ -218,6 +214,5 @@ func perturbedSchedule(inst *core.Instance, noise []float64) (*core.Schedule, er
 		}
 		return shares
 	})
-	sched.Trim()
 	return sched, nil
 }

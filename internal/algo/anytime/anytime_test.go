@@ -35,12 +35,12 @@ func TestFeasibleAndNoWorseThanGreedy(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		m := 2 + rng.Intn(5)
 		inst := gen.RandomUneven(rng, m, 1, 5, 0.05, 1.0)
-		gbSched, err := greedybalance.New().Schedule(inst)
+		gbSched, err := greedybalance.New().Schedule(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
 		gb := executed(t, inst, gbSched)
-		sched, err := New().Schedule(inst)
+		sched, err := New().Schedule(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -61,11 +61,11 @@ func TestFeasibleAndNoWorseThanGreedy(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	inst := gen.RandomUneven(rng, 4, 2, 5, 0.05, 0.95)
-	a, err := New().Schedule(inst)
+	a, err := New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New().Schedule(inst)
+	b, err := New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFirstIncumbentIsImmediate(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
 	defer cancel()
-	sched, err := New().ScheduleContext(ctx, inst)
+	sched, err := New().Schedule(ctx, inst)
 	if err != nil {
 		t.Fatalf("anytime under a deadline must not fail: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestCancelledContextReturnsBestSoFar(t *testing.T) {
 	inst := gen.RandomUneven(rng, 3, 2, 4, 0.1, 0.9)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sched, err := New().ScheduleContext(ctx, inst)
+	sched, err := New().Schedule(ctx, inst)
 	if err != nil {
 		t.Fatalf("cancelled context must still return the seed schedule: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestCandidatesAreCounted(t *testing.T) {
 	inst := gen.RandomUneven(rng, 4, 2, 5, 0.05, 0.95)
 	var ctr progress.Counters
 	ctx := progress.WithCounters(context.Background(), &ctr)
-	if _, err := New().ScheduleContext(ctx, inst); err != nil {
+	if _, err := New().Schedule(ctx, inst); err != nil {
 		t.Fatal(err)
 	}
 	if ctr.Nodes.Load() < 1 {
@@ -156,7 +156,7 @@ func TestCandidatesAreCounted(t *testing.T) {
 // TestEmptyInstance pins the trivial case.
 func TestEmptyInstance(t *testing.T) {
 	inst := core.NewInstance(nil, nil)
-	sched, err := New().Schedule(inst)
+	sched, err := New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

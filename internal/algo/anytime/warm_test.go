@@ -15,7 +15,7 @@ import (
 // solver records the accepted seed and returns a schedule at least as good.
 func TestWarmHintBecomesIncumbent(t *testing.T) {
 	inst := gen.GreedyWorstCase(4, 3, 0.01)
-	exact, err := branchbound.New().Schedule(inst)
+	exact, err := branchbound.New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestWarmHintBecomesIncumbent(t *testing.T) {
 	var ctr progress.Counters
 	ctx := progress.WithCounters(context.Background(), &ctr)
 	ctx = progress.WithWarmStart(ctx, exact)
-	sched, err := New().ScheduleContext(ctx, inst)
+	sched, err := New().Schedule(ctx, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestWarmHintInfeasibleIgnored(t *testing.T) {
 	var ctr progress.Counters
 	ctx := progress.WithCounters(context.Background(), &ctr)
 	ctx = progress.WithWarmStart(ctx, bogus)
-	sched, err := New().ScheduleContext(ctx, inst)
+	sched, err := New().Schedule(ctx, inst)
 	if err != nil {
 		t.Fatal(err)
 	}

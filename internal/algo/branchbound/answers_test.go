@@ -1,6 +1,7 @@
 package branchbound_test
 
 import (
+	"context"
 	"testing"
 
 	"crsharing/internal/algo/branchbound"
@@ -22,11 +23,11 @@ func TestAnswersSurviveLaterSolves(t *testing.T) {
 	easy := core.NewInstance([]float64{0.5, 0.5}, []float64{0.5, 0.5}, []float64{0.25})
 	hard := gen.GreedyWorstCase(4, 2, 1.0/(20*4*5))
 	other := gen.GreedyWorstCase(5, 2, 1.0/(20*5*6))
-	greedy, err := greedybalance.New().Schedule(easy)
+	greedy, err := greedybalance.New().Schedule(context.Background(), easy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedyHard, err := greedybalance.New().Schedule(hard)
+	greedyHard, err := greedybalance.New().Schedule(context.Background(), hard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ type Scheduler struct {
 const DefaultMaxNodes = 20_000_000
 
 // MaxProcessors bounds the supported processor count: the successor
-// enumerator's bound (see moves.MaxProcessors). Beyond it ScheduleContext
+// enumerator's bound (see moves.MaxProcessors). Beyond it Schedule
 // returns an error instead of exhausting memory.
 const MaxProcessors = moves.MaxProcessors
 
@@ -69,7 +69,7 @@ func New() *Scheduler { return &Scheduler{} }
 // the one serial kernel; only Name and the incumbent reports differ.
 func NewParallel() *Scheduler { return &Scheduler{name: "branch-and-bound-parallel"} }
 
-// Name implements algo.Scheduler.
+// Name returns "branch-and-bound", or the name NewParallel gave it.
 func (s *Scheduler) Name() string {
 	if s.name != "" {
 		return s.name
@@ -94,7 +94,7 @@ type solver struct {
 
 // errOptimal unwinds the search once an incumbent meets the root's lower
 // bound: no schedule can be shorter, so nothing left on the stack can
-// replace it. ScheduleContext turns it into success.
+// replace it. Schedule turns it into success.
 var errOptimal = errors.New("branchbound: incumbent meets the root bound")
 
 // acceptWarmStart resolves the warm-start hint attached to ctx: when the hint
@@ -171,15 +171,10 @@ func nonWasting(inst *core.Instance, hint *core.Schedule, res *core.Result) *cor
 // ctxCheckMask+1 explored nodes. It must be a power of two minus one.
 const ctxCheckMask = 255
 
-// Schedule implements algo.Scheduler.
-func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
-	return s.ScheduleContext(context.Background(), inst)
-}
-
-// ScheduleContext is Schedule with cooperative cancellation: the search polls
-// ctx every few hundred nodes and returns ctx.Err() promptly once it is
-// cancelled or its deadline passes.
-func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*core.Schedule, error) {
+// Schedule searches for an optimal schedule. The search polls ctx every few
+// hundred nodes and returns ctx.Err() promptly once it is cancelled or its
+// deadline passes.
+func (s *Scheduler) Schedule(ctx context.Context, inst *core.Instance) (*core.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -252,22 +247,6 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 	default:
 		return seed.Clone(), nil // never improved: copy the greedy seed out of the scratch
 	}
-}
-
-// Makespan returns the optimal makespan.
-func (s *Scheduler) Makespan(inst *core.Instance) (int, error) {
-	sched, err := s.Schedule(inst)
-	if err != nil {
-		return 0, err
-	}
-	res, err := core.Execute(inst, sched)
-	if err != nil {
-		return 0, err
-	}
-	if !res.Finished() {
-		return 0, fmt.Errorf("branchbound: internal error: result schedule incomplete")
-	}
-	return res.Makespan(), nil
 }
 
 // suffixWork caches, per processor, the total work of every job suffix:

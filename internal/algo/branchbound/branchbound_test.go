@@ -17,7 +17,7 @@ import (
 
 func makespan(t *testing.T, inst *core.Instance) int {
 	t.Helper()
-	sched, err := New().Schedule(inst)
+	sched, err := New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestIncumbentIsReturnedWhenAlreadyOptimal(t *testing.T) {
 }
 
 func TestEmptyInstance(t *testing.T) {
-	sched, err := New().Schedule(core.NewInstance(nil))
+	sched, err := New().Schedule(context.Background(), core.NewInstance(nil))
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestEmptyInstance(t *testing.T) {
 
 func TestRejectsNonUnitSizes(t *testing.T) {
 	inst := core.NewSizedInstance([]core.Job{{Req: 0.5, Size: 2}})
-	if _, err := New().Schedule(inst); err == nil {
+	if _, err := New().Schedule(context.Background(), inst); err == nil {
 		t.Fatalf("expected error for non-unit sizes")
 	}
 }
@@ -127,7 +127,7 @@ func wideGadget(t *testing.T, m int) *core.Instance {
 func TestRejectsTooManyProcessors(t *testing.T) {
 	for _, m := range []int{MaxProcessors + 1, 40, 63, 64, 65} {
 		inst := wideGadget(t, m)
-		if _, err := New().Schedule(inst); err == nil {
+		if _, err := New().Schedule(context.Background(), inst); err == nil {
 			t.Errorf("m=%d: expected a processor-count error", m)
 		}
 	}
@@ -139,7 +139,7 @@ func TestNodeLimit(t *testing.T) {
 	// and immediately trip the (absurdly small) node limit.
 	s := &Scheduler{MaxNodes: 1}
 	inst := gen.GreedyWorstCase(3, 3, 0.01)
-	if _, err := s.Schedule(inst); err == nil {
+	if _, err := s.Schedule(context.Background(), inst); err == nil {
 		t.Fatalf("expected node-limit error")
 	}
 }
@@ -167,7 +167,7 @@ func TestSerialContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := New().ScheduleContext(ctx, inst)
+	_, err := New().Schedule(ctx, inst)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
@@ -223,8 +223,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 			}
 		}
 
-		a, errA := New().Schedule(inst)
-		b, errB := NewParallel().Schedule(inst)
+		a, errA := New().Schedule(context.Background(), inst)
+		b, errB := NewParallel().Schedule(context.Background(), inst)
 		if errA != nil || errB != nil {
 			t.Fatalf("instance %d: %v / %v", n, errA, errB)
 		}

@@ -22,7 +22,7 @@ func incumbentInstance() *core.Instance {
 // collectIncumbents runs the scheduler under an observer and returns the
 // reported sequence.
 func collectIncumbents(t *testing.T, s interface {
-	ScheduleContext(context.Context, *core.Instance) (*core.Schedule, error)
+	Schedule(context.Context, *core.Instance) (*core.Schedule, error)
 }, inst *core.Instance) []progress.Incumbent {
 	t.Helper()
 	var mu sync.Mutex
@@ -32,7 +32,7 @@ func collectIncumbents(t *testing.T, s interface {
 		got = append(got, inc)
 		mu.Unlock()
 	})
-	sched, err := s.ScheduleContext(ctx, inst)
+	sched, err := s.Schedule(ctx, inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,13 +63,13 @@ const benchMaxNodes = 200_000
 // and order the moves — and the canonical visited key.
 func BenchmarkSerialWideManyProc(b *testing.B) {
 	s := &Scheduler{MaxNodes: benchMaxNodes}
-	benchNodeThroughput(b, wideManyProcInstance(), s.ScheduleContext)
+	benchNodeThroughput(b, wideManyProcInstance(), s.Schedule)
 }
 
 // BenchmarkSerialHardExact runs the uncapped greedy-worst-case search: the
 // single-core baseline of the exact kernel, regression-gated in CI.
 func BenchmarkSerialHardExact(b *testing.B) {
-	benchNodeThroughput(b, hardExactInstance(), New().ScheduleContext)
+	benchNodeThroughput(b, hardExactInstance(), New().Schedule)
 }
 
 // BenchmarkSerialPartitionChain solves, cold, two 12-instance mutation
@@ -90,7 +90,7 @@ func BenchmarkSerialPartitionChain(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		for _, inst := range chain {
-			if _, err := k.ScheduleContext(ctx, inst); err != nil {
+			if _, err := k.Schedule(ctx, inst); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -127,13 +127,13 @@ func (sv *refSolver) copyIncumbent(depth int) {
 	}
 }
 
-// refSchedule is ScheduleContext before the change, on refSolver: the
-// greedy seed comes from greedybalance's Schedule, and the answer is the
-// seed itself or a copy of the improved incumbent.
+// refSchedule is the former search's Schedule, on refSolver: the greedy
+// seed comes from greedybalance's Schedule, and the answer is the seed
+// itself or a copy of the improved incumbent.
 func refSchedule(ctx context.Context, inst *core.Instance) (*core.Schedule, error) {
 	sc := getScratch(inst)
 	defer putScratch(sc)
-	seed, err := greedybalance.New().Schedule(inst)
+	seed, err := greedybalance.New().Schedule(context.Background(), inst)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +210,7 @@ func TestStopsAtRootBoundLikeReference(t *testing.T) {
 	var early, stepped, above, newNodes, refNodes int
 	for n, inst := range insts {
 		want, wantReports, wantNodes := observed(t, inst, refSchedule)
-		got, gotReports, gotNodes := observed(t, inst, New().ScheduleContext)
+		got, gotReports, gotNodes := observed(t, inst, New().Schedule)
 		if got.Steps() != want.Steps() {
 			t.Fatalf("instance %d: %d steps, reference %d", n, got.Steps(), want.Steps())
 		}

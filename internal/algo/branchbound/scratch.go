@@ -49,7 +49,7 @@ type searchScratch struct {
 	// seed's rows as the incumbent improves, and the answer is copied out.
 	builder core.Builder
 	// res is the Result the seed and an offered warm-start hint execute
-	// into (see ScheduleContext).
+	// into (see Schedule).
 	res core.Result
 
 	allocs int64 // heap-growth events recorded during the current solve

@@ -24,7 +24,7 @@ func TestScheduleSurvivesScratchReuse(t *testing.T) {
 	// improves on the seed and the returned schedule goes through the
 	// path-stack incumbent copy — the code path that used to alias.
 	inst := gen.GreedyWorstCase(4, 2, 1.0/(20*4*5))
-	gbSched, err := greedybalance.New().Schedule(inst)
+	gbSched, err := greedybalance.New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestScheduleSurvivesScratchReuse(t *testing.T) {
 
 	solve := New().Schedule
 	t.Run("serial", func(t *testing.T) {
-		sched, err := solve(inst)
+		sched, err := solve(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("Schedule: %v", err)
 		}
@@ -58,7 +58,7 @@ func TestScheduleSurvivesScratchReuse(t *testing.T) {
 		// catches it.
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < 4; i++ {
-			if _, err := solve(gen.Random(rng, 3, 3, 0.1, 0.9)); err != nil {
+			if _, err := solve(context.Background(), gen.Random(rng, 3, 3, 0.1, 0.9)); err != nil {
 				t.Fatalf("churn solve %d: %v", i, err)
 			}
 		}
@@ -152,8 +152,12 @@ func TestEpsilonBoundaryAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("bruteforce(%v, %v): %v", a, b, err)
 			}
-			if got, err := serial.Makespan(inst); err != nil || got != want {
-				t.Fatalf("serial on reqs (%v, %v): makespan %d err %v, oracle %d", a, b, got, err, want)
+			sched, err := serial.Schedule(context.Background(), inst)
+			if err != nil {
+				t.Fatalf("serial on reqs (%v, %v): %v", a, b, err)
+			}
+			if got := core.MustMakespan(inst, sched); got != want {
+				t.Fatalf("serial on reqs (%v, %v): makespan %d, oracle %d", a, b, got, want)
 			}
 		}
 	}
@@ -162,16 +166,18 @@ func TestEpsilonBoundaryAgreement(t *testing.T) {
 // FuzzEpsilonBoundary fuzzes four requirements into a two-processor instance
 // and cross-checks the kernel against the brute-force oracle. The seeds sit
 // on the boundary values where pre-fix kernels could disagree with the oracle
-// about whether a leftover share still admits a partial assignment.
+// about whether a leftover share still admits a partial assignment, and on a
+// last job whose requirement lies below numeric.Eps.
 func FuzzEpsilonBoundary(f *testing.F) {
 	f.Add(0.25, 0.75, 0.5, 0.5)
 	f.Add(0.5-4e-10, 0.5+4e-10, 0.25, 0.75)
 	f.Add(1.0/3, 2.0/3, 1.0/3, 2.0/3)
 	f.Add(1.0, 1e-9, 0.999999999, 0.25)
+	f.Add(0.5, 5e-10, 0.5714285708571429, 0.05)
 
 	f.Fuzz(func(t *testing.T, a, b, c, d float64) {
 		for _, v := range []float64{a, b, c, d} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 || v > 1 {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 1 {
 				t.Skip()
 			}
 		}
@@ -180,8 +186,12 @@ func FuzzEpsilonBoundary(f *testing.F) {
 		if err != nil {
 			t.Skip() // oracle rejects the instance
 		}
-		if got, err := New().Makespan(inst); err != nil || got != want {
-			t.Fatalf("serial makespan %d err %v, oracle %d\n%v", got, err, want, inst)
+		sched, err := New().Schedule(context.Background(), inst)
+		if err != nil {
+			t.Fatalf("serial: %v\n%v", err, inst)
+		}
+		if got := core.MustMakespan(inst, sched); got != want {
+			t.Fatalf("serial makespan %d, oracle %d\n%v", got, want, inst)
 		}
 	})
 }
@@ -192,7 +202,7 @@ func FuzzEpsilonBoundary(f *testing.F) {
 // nodes it explores — zero allocations per node, up to measurement noise from
 // GC-cleared pools.
 func TestSteadyStateAllocsPerNode(t *testing.T) {
-	t.Run("serial", func(t *testing.T) { assertNoAllocsPerNode(t, hardExactInstance(), New().ScheduleContext) })
+	t.Run("serial", func(t *testing.T) { assertNoAllocsPerNode(t, hardExactInstance(), New().Schedule) })
 	// The m=10 Partition-gadget root fills a 2^10-entry subset-sum table and
 	// orders about a thousand successors; once warm, expanding it again must
 	// not allocate. A whole gadget solve cannot show this: it runs the subset

@@ -24,7 +24,7 @@ import (
 
 // kernel is the solve method the shared tests call.
 type kernel interface {
-	ScheduleContext(ctx context.Context, inst *core.Instance) (*core.Schedule, error)
+	Schedule(ctx context.Context, inst *core.Instance) (*core.Schedule, error)
 }
 
 // solveCounted runs one kernel solve with fresh counters and an optional
@@ -34,9 +34,9 @@ func solveCounted(t *testing.T, k kernel, inst *core.Instance, hint *core.Schedu
 	t.Helper()
 	ctr := &progress.Counters{}
 	ctx := progress.WithWarmStart(progress.WithCounters(context.Background(), ctr), hint)
-	sched, err := k.ScheduleContext(ctx, inst)
+	sched, err := k.Schedule(ctx, inst)
 	if err != nil {
-		t.Fatalf("ScheduleContext: %v", err)
+		t.Fatalf("Schedule: %v", err)
 	}
 	return sched, ctr.Nodes.Load(), ctr.WarmSeed.Load()
 }
@@ -207,7 +207,7 @@ func TestWarmStartRejectsBadHints(t *testing.T) {
 
 func solveHelper(t *testing.T, inst *core.Instance) *core.Schedule {
 	t.Helper()
-	sched, err := branchbound.New().Schedule(inst)
+	sched, err := branchbound.New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -225,7 +225,7 @@ type benchStep struct {
 func buildBenchChain(b *testing.B) []benchStep {
 	b.Helper()
 	base := chainBase(b)
-	prev, err := branchbound.New().Schedule(base)
+	prev, err := branchbound.New().Schedule(context.Background(), base)
 	if err != nil {
 		b.Fatalf("Schedule: %v", err)
 	}
@@ -238,7 +238,7 @@ func buildBenchChain(b *testing.B) []benchStep {
 			b.Fatalf("AdaptSchedule failed")
 		}
 		steps = append(steps, benchStep{inst: variant, hint: hint})
-		sched, err := branchbound.New().Schedule(variant)
+		sched, err := branchbound.New().Schedule(context.Background(), variant)
 		if err != nil {
 			b.Fatalf("Schedule: %v", err)
 		}
@@ -258,7 +258,7 @@ func BenchmarkWarmStartChain(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		for _, s := range steps {
 			ctx := progress.WithWarmStart(context.Background(), s.hint)
-			if _, err := branchbound.New().ScheduleContext(ctx, s.inst); err != nil {
+			if _, err := branchbound.New().Schedule(ctx, s.inst); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -271,7 +271,7 @@ func BenchmarkWarmStartCold(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		for _, s := range steps {
-			if _, err := branchbound.New().Schedule(s.inst); err != nil {
+			if _, err := branchbound.New().Schedule(context.Background(), s.inst); err != nil {
 				b.Fatal(err)
 			}
 		}

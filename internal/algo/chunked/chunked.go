@@ -27,7 +27,7 @@ type Scheduler struct {
 // New returns a chunked scheduler with the given window.
 func New(window int) *Scheduler { return &Scheduler{Window: window} }
 
-// Name implements algo.Scheduler.
+// Name returns "chunked-exact-w" followed by the window.
 func (s *Scheduler) Name() string { return fmt.Sprintf("chunked-exact-w%d", s.window()) }
 
 func (s *Scheduler) window() int {
@@ -37,15 +37,10 @@ func (s *Scheduler) window() int {
 	return s.Window
 }
 
-// Schedule implements algo.Scheduler.
-func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
-	return s.ScheduleContext(context.Background(), inst)
-}
-
-// ScheduleContext is Schedule with cooperative cancellation: the context is
-// forwarded to the exact per-window solves, so cancellation takes effect
-// within a window.
-func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*core.Schedule, error) {
+// Schedule solves the windows one after another and concatenates their
+// schedules. ctx is forwarded to the exact per-window solves, so
+// cancellation takes effect within a window.
+func (s *Scheduler) Schedule(ctx context.Context, inst *core.Instance) (*core.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -76,7 +71,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 		if sub.TotalJobs() == 0 {
 			continue
 		}
-		subSched, err := exact.ScheduleContext(ctx, sub)
+		subSched, err := exact.Schedule(ctx, sub)
 		if err != nil {
 			return nil, fmt.Errorf("chunked: window [%d,%d): %w", start+1, end, err)
 		}
@@ -88,6 +83,5 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 			out.AppendStep(row)
 		}
 	}
-	out.Trim()
 	return out, nil
 }

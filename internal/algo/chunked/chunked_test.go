@@ -1,6 +1,7 @@
 package chunked
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func makespan(t *testing.T, s *Scheduler, inst *core.Instance) int {
 	t.Helper()
-	sched, err := s.Schedule(inst)
+	sched, err := s.Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -78,7 +79,7 @@ func TestChunkBoundariesVsGreedy(t *testing.T) {
 	if w2 >= 2*20 {
 		t.Fatalf("window-2 should beat RoundRobin's 2n on the Figure 3 family, got %d", w2)
 	}
-	gb, err := greedybalance.New().Schedule(inst)
+	gb, err := greedybalance.New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestUnevenAndEmptyProcessors(t *testing.T) {
 
 func TestRejectsNonUnitSizes(t *testing.T) {
 	inst := core.NewSizedInstance([]core.Job{{Req: 0.5, Size: 2}})
-	if _, err := New(2).Schedule(inst); err == nil {
+	if _, err := New(2).Schedule(context.Background(), inst); err == nil {
 		t.Fatalf("expected error for non-unit sizes")
 	}
 }

@@ -1,6 +1,7 @@
 package greedybalance
 
 import (
+	"context"
 	"testing"
 
 	"crsharing/internal/gen"
@@ -16,7 +17,7 @@ func BenchmarkGreedyBalance(b *testing.B) {
 	s := New()
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := s.Schedule(inst); err != nil {
+		if _, err := s.Schedule(context.Background(), inst); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@
 package greedybalance
 
 import (
+	"context"
 	"math"
 	"slices"
 
@@ -55,7 +56,7 @@ func NewWithTie(tie TieBreak) *Scheduler { return &Scheduler{Tie: tie, BalanceFi
 // NewUnbalanced returns the ablation variant that ignores the balance rule.
 func NewUnbalanced(tie TieBreak) *Scheduler { return &Scheduler{Tie: tie, BalanceFirst: false} }
 
-// Name implements algo.Scheduler.
+// Name returns the variant's name; the paper's rule is "greedy-balance".
 func (s *Scheduler) Name() string {
 	switch {
 	case s.BalanceFirst && s.Tie == LargerRemaining:
@@ -73,10 +74,11 @@ func (s *Scheduler) Name() string {
 	}
 }
 
-// Schedule implements algo.Scheduler. Jobs of arbitrary size are accepted;
-// the balance rule then compares remaining job counts exactly as in the unit
-// case (the extension suggested in the paper's outlook, Section 9).
-func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
+// Schedule builds the greedy schedule; it never looks at the context. Jobs
+// of arbitrary size are accepted; the balance rule then compares remaining
+// job counts exactly as in the unit case (the extension suggested in the
+// paper's outlook, Section 9).
+func (s *Scheduler) Schedule(_ context.Context, inst *core.Instance) (*core.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -84,8 +86,8 @@ func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
 }
 
 // Build runs the scheduler on b, a builder at time step one of a valid
-// instance, and returns the schedule with trailing steps that assign no
-// resource trimmed. The schedule's rows are the builder's own (see
+// instance, and returns the schedule, which ends at the step that finishes
+// the last job. The schedule's rows are the builder's own (see
 // core.Builder.Rows), so a caller that keeps one builder across instances
 // builds without allocating rows; Schedule returns an exact-size copy.
 func (s *Scheduler) Build(b *core.Builder) *core.Schedule {
@@ -97,9 +99,7 @@ func (s *Scheduler) Build(b *core.Builder) *core.Schedule {
 		order = s.allocateStep(b, order, shares)
 		return shares
 	})
-	sched := &core.Schedule{Alloc: b.Rows()}
-	sched.Trim()
-	return sched
+	return &core.Schedule{Alloc: b.Rows()}
 }
 
 // allocateStep computes the allocation of a single time step from the

@@ -1,6 +1,7 @@
 package greedybalance
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func mustRun(t *testing.T, s *Scheduler, inst *core.Instance) *core.Result {
 	t.Helper()
-	sched, err := s.Schedule(inst)
+	sched, err := s.Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -137,7 +138,7 @@ func TestGreedyUnbalancedVariantViolatesBalanceSomewhere(t *testing.T) {
 		[]float64{0.5, 0.5, 0.5},
 	)
 	s := NewUnbalanced(LargerRemaining)
-	sched, err := s.Schedule(inst)
+	sched, err := s.Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}

@@ -1,6 +1,7 @@
 package greedybalance_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -90,7 +91,6 @@ func refSchedule(s *greedybalance.Scheduler, inst *core.Instance) (*core.Schedul
 		same = same && slices.Equal(s.StepPriority(b), refStepPriority(s, b))
 		return refAllocateStep(s, b)
 	})
-	sched.Trim()
 	return sched, same
 }
 
@@ -110,7 +110,7 @@ var shared core.Builder
 func checkGreedyParity(t *testing.T, inst *core.Instance) {
 	t.Helper()
 	for _, s := range schedulers() {
-		got, err := s.Schedule(inst)
+		got, err := s.Schedule(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}

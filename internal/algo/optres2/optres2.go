@@ -19,6 +19,7 @@ package optres2
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"math"
 
@@ -39,7 +40,8 @@ func New() *Scheduler { return &Scheduler{} }
 // NewPQ returns the priority-queue variant.
 func NewPQ() *Scheduler { return &Scheduler{UsePriorityQueue: true} }
 
-// Name implements algo.Scheduler.
+// Name returns "opt-res-assignment", or "opt-res-assignment-pq" for the
+// priority-queue variant.
 func (s *Scheduler) Name() string {
 	if s.UsePriorityQueue {
 		return "opt-res-assignment-pq"
@@ -82,8 +84,9 @@ func (c *cell) better(t int, r float64) bool {
 	return numeric.Less(r, c.r)
 }
 
-// Schedule implements algo.Scheduler.
-func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
+// Schedule solves the dynamic program and reconstructs an optimal schedule;
+// it never looks at the context.
+func (s *Scheduler) Schedule(_ context.Context, inst *core.Instance) (*core.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -126,11 +129,18 @@ func (s *Scheduler) solve(inst *core.Instance) ([]move, error) {
 
 // work returns the remaining-work contribution of the next unfinished job on
 // processor p when a jobs are already done (0 if the processor is exhausted).
+// A job whose requirement is at most numeric.Eps contributes 0: core.Execute
+// runs it at full speed on no share, so a share the table reserved for it
+// would only be taken from the other processor's job.
 func work(inst *core.Instance, p, done int) float64 {
 	if done >= inst.NumJobs(p) {
 		return 0
 	}
-	return inst.Job(p, done).Work()
+	j := inst.Job(p, done)
+	if j.Req <= numeric.Eps {
+		return 0
+	}
+	return j.Work()
 }
 
 // solveDense is the textbook diagonal sweep over the full (n1+1)×(n2+1)

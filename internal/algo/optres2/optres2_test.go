@@ -1,6 +1,7 @@
 package optres2
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 func solveAndExecute(t *testing.T, s *Scheduler, inst *core.Instance) int {
 	t.Helper()
-	sched, err := s.Schedule(inst)
+	sched, err := s.Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("%s: Schedule: %v", s.Name(), err)
 	}
@@ -75,7 +76,7 @@ func TestOptResAssignmentSchedulesAreFeasibleAndTight(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 40; trial++ {
 		inst := gen.RandomBimodal(rng, 2, 1+rng.Intn(6), 0.5)
-		sched, err := New().Schedule(inst)
+		sched, err := New().Schedule(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("Schedule: %v", err)
 		}
@@ -97,11 +98,11 @@ func TestOptResAssignmentSchedulesAreFeasibleAndTight(t *testing.T) {
 
 func TestOptResAssignmentRejectsWrongShape(t *testing.T) {
 	three := core.NewInstance([]float64{0.5}, []float64{0.5}, []float64{0.5})
-	if _, err := New().Schedule(three); err == nil {
+	if _, err := New().Schedule(context.Background(), three); err == nil {
 		t.Fatalf("expected error for three processors")
 	}
 	sized := core.NewSizedInstance([]core.Job{{Req: 0.5, Size: 2}}, []core.Job{{Req: 0.5, Size: 1}})
-	if _, err := New().Schedule(sized); err == nil {
+	if _, err := New().Schedule(context.Background(), sized); err == nil {
 		t.Fatalf("expected error for non-unit sizes")
 	}
 }
@@ -123,7 +124,7 @@ func TestOptResAssignmentEmptyAndDegenerate(t *testing.T) {
 
 func solveAndExecuteAllowEmpty(t *testing.T, s *Scheduler, inst *core.Instance) int {
 	t.Helper()
-	sched, err := s.Schedule(inst)
+	sched, err := s.Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}

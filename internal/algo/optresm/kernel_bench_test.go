@@ -1,6 +1,7 @@
 package optresm
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -32,7 +33,7 @@ func BenchmarkOptResKernel(b *testing.B) {
 			s := New()
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := s.Schedule(c.inst); err != nil {
+				if _, err := s.Schedule(context.Background(), c.inst); err != nil {
 					b.Fatal(err)
 				}
 			}

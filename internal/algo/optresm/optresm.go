@@ -50,7 +50,7 @@ type Scheduler struct {
 // New returns an OptResAssignment2 scheduler with default limits.
 func New() *Scheduler { return &Scheduler{} }
 
-// Name implements algo.Scheduler.
+// Name returns "opt-res-assignment-2".
 func (s *Scheduler) Name() string { return "opt-res-assignment-2" }
 
 // IsExact marks the scheduler as exact.
@@ -82,16 +82,12 @@ func dominates(a, b *config) bool {
 	return true
 }
 
-// Schedule implements algo.Scheduler.
-func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
-	return s.ScheduleContext(context.Background(), inst)
-}
-
-// ScheduleContext is Schedule with cooperative cancellation: ctx is polled
-// before every parent whose successors a round generates, and every 64
-// configurations while the round is pruned, so cancellation and deadlines
-// take effect within a slice of a round, not after the whole round.
-func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*core.Schedule, error) {
+// Schedule enumerates the configurations round by round and reconstructs an
+// optimal schedule. ctx is polled before every parent whose successors a
+// round generates, and every 64 configurations while the round is pruned, so
+// cancellation and deadlines take effect within a slice of a round, not
+// after the whole round.
+func (s *Scheduler) Schedule(ctx context.Context, inst *core.Instance) (*core.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -197,22 +193,6 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 		}
 		rounds = append(rounds, next)
 	}
-}
-
-// Makespan returns only the optimal makespan.
-func (s *Scheduler) Makespan(inst *core.Instance) (int, error) {
-	sched, err := s.Schedule(inst)
-	if err != nil {
-		return 0, err
-	}
-	res, err := core.Execute(inst, sched)
-	if err != nil {
-		return 0, err
-	}
-	if !res.Finished() {
-		return 0, fmt.Errorf("optresm: internal error: reconstructed schedule incomplete")
-	}
-	return res.Makespan(), nil
 }
 
 func isFinal(inst *core.Instance, c *config) bool {

@@ -1,6 +1,7 @@
 package optresm
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 func solveAndExecute(t *testing.T, inst *core.Instance) int {
 	t.Helper()
-	sched, err := New().Schedule(inst)
+	sched, err := New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -156,14 +157,14 @@ func TestTheorem4GadgetAgreesWithPartitionDecider(t *testing.T) {
 
 func TestOptResAssignment2RejectsUnsupportedInstances(t *testing.T) {
 	sized := core.NewSizedInstance([]core.Job{{Req: 0.5, Size: 2}})
-	if _, err := New().Schedule(sized); err == nil {
+	if _, err := New().Schedule(context.Background(), sized); err == nil {
 		t.Fatalf("expected error for non-unit sizes")
 	}
 	big := make([][]float64, MaxProcessors+1)
 	for i := range big {
 		big[i] = []float64{0.5}
 	}
-	if _, err := New().Schedule(core.NewInstance(big...)); err == nil {
+	if _, err := New().Schedule(context.Background(), core.NewInstance(big...)); err == nil {
 		t.Fatalf("expected error for too many processors")
 	}
 }
@@ -171,13 +172,13 @@ func TestOptResAssignment2RejectsUnsupportedInstances(t *testing.T) {
 func TestOptResAssignment2ConfigLimit(t *testing.T) {
 	s := &Scheduler{MaxConfigs: 1}
 	inst := gen.Random(rand.New(rand.NewSource(1)), 3, 3, 0.3, 1.0)
-	if _, err := s.Schedule(inst); err == nil {
+	if _, err := s.Schedule(context.Background(), inst); err == nil {
 		t.Fatalf("expected configuration-limit error")
 	}
 }
 
 func TestOptResAssignment2EmptyInstance(t *testing.T) {
-	sched, err := New().Schedule(core.NewInstance(nil, nil))
+	sched, err := New().Schedule(context.Background(), core.NewInstance(nil, nil))
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}

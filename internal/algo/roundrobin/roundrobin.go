@@ -8,6 +8,7 @@
 package roundrobin
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -46,13 +47,13 @@ const (
 // New returns a RoundRobin scheduler with the default fill order.
 func New() *Scheduler { return &Scheduler{FillOrder: LargestRemainingFirst} }
 
-// Name implements algo.Scheduler.
+// Name returns "round-robin".
 func (s *Scheduler) Name() string { return "round-robin" }
 
-// Schedule implements algo.Scheduler. It accepts jobs of arbitrary size: a
-// phase simply lasts until the j-th job of every participating processor has
-// completed.
-func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
+// Schedule runs the phases; it never looks at the context. It accepts jobs
+// of arbitrary size: a phase simply lasts until the j-th job of every
+// participating processor has completed.
+func (s *Scheduler) Schedule(_ context.Context, inst *core.Instance) (*core.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -84,9 +85,7 @@ func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
 			b.AppendStep(shares)
 		}
 	}
-	sched := b.Schedule()
-	sched.Trim()
-	return sched, nil
+	return b.Schedule(), nil
 }
 
 // phaseMembers returns the processors whose job `phase` is still unfinished.

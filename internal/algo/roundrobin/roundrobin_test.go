@@ -1,6 +1,7 @@
 package roundrobin
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 func mustMakespan(t *testing.T, s *Scheduler, inst *core.Instance) int {
 	t.Helper()
-	sched, err := s.Schedule(inst)
+	sched, err := s.Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}

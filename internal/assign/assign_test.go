@@ -1,12 +1,13 @@
 package assign
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
-	"crsharing/internal/algo"
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/core"
+	"crsharing/internal/solver"
 )
 
 func TestTaskHelpers(t *testing.T) {
@@ -122,7 +123,7 @@ func TestPlacementPlusResourceScheduling(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", p.Name(), err)
 			}
-			ev, err := algo.Evaluate(greedybalance.New(), inst)
+			ev, err := solver.Evaluate(context.Background(), solver.Adapt(greedybalance.New()), inst)
 			if err != nil {
 				t.Fatalf("%s: %v", p.Name(), err)
 			}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"crsharing/internal/algo/greedybalance"
@@ -16,7 +17,7 @@ func gadgetSchedule(tb testing.TB) (*core.Instance, *core.Schedule) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	if err != nil {
 		tb.Fatal(err)
 	}

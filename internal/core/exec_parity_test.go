@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -139,7 +140,7 @@ func resultParity(inst *core.Instance, sched *core.Schedule, got *core.Result, w
 func corpusSchedules(t *testing.T, inst *core.Instance) []*core.Schedule {
 	t.Helper()
 	type scheduler interface {
-		Schedule(*core.Instance) (*core.Schedule, error)
+		Schedule(context.Context, *core.Instance) (*core.Schedule, error)
 	}
 	var out []*core.Schedule
 	for _, s := range []scheduler{
@@ -149,7 +150,7 @@ func corpusSchedules(t *testing.T, inst *core.Instance) []*core.Schedule {
 		roundrobin.New(),
 		anytime.New(),
 	} {
-		sched, err := s.Schedule(inst)
+		sched, err := s.Schedule(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}

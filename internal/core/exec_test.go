@@ -228,15 +228,6 @@ func TestMustMakespanPanicsOnUnfinished(t *testing.T) {
 	MustMakespan(inst, NewSchedule(1, 1))
 }
 
-func TestScheduleTrim(t *testing.T) {
-	s := NewSchedule(3, 2)
-	s.Alloc[0][0] = 0.5
-	s.Trim()
-	if s.Steps() != 1 {
-		t.Fatalf("Trim should drop trailing all-zero steps, got %d steps", s.Steps())
-	}
-}
-
 func TestScheduleStringAndShare(t *testing.T) {
 	s := NewSchedule(1, 2)
 	s.Alloc[0][0] = 0.25

@@ -8,6 +8,12 @@
 // requirement progresses at an x-fraction of full speed; granting more than
 // the requirement does not help. The objective is to minimise the makespan.
 //
+// A schedule is an answer when it is feasible and finishes every job. It
+// ends at the step that finishes its last job, and that step may assign no
+// resource: a job with requirement 0 (or at most numeric.Eps) runs at full
+// speed in every step that exists, so the step that finishes it must not be
+// dropped for carrying no share.
+//
 // The package provides the instance and schedule types, the execution engine
 // realising the progress law (equations (1)/(2) of the paper), the schedule
 // properties of Section 4 (non-wasting, progressive, nested, balanced), the

@@ -70,19 +70,6 @@ func (s *Schedule) Clone() *Schedule {
 	return out
 }
 
-// Trim removes trailing time steps in which no resource is assigned. Such
-// steps can only arise from over-provisioned horizons and never shorten the
-// effective schedule.
-func (s *Schedule) Trim() {
-	for len(s.Alloc) > 0 {
-		last := s.Alloc[len(s.Alloc)-1]
-		if !numeric.IsZero(numeric.Sum(last)) {
-			return
-		}
-		s.Alloc = s.Alloc[:len(s.Alloc)-1]
-	}
-}
-
 // ValidateFeasible checks the two structural feasibility constraints of the
 // model: shares are non-negative and, in every step, the aggregate share does
 // not exceed the resource capacity of one.

@@ -47,7 +47,7 @@ func (s *countingSolver) Solve(ctx context.Context, inst *core.Instance) (*core.
 			return nil, solver.Stats{Solver: s.name}, ctx.Err()
 		}
 	}
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	return sched, solver.Stats{Solver: s.name, Elapsed: time.Microsecond, Nodes: 7}, err
 }
 
@@ -204,7 +204,7 @@ func TestObserverAttachment(t *testing.T) {
 	reporting := solverFunc(func(ctx context.Context, inst *core.Instance) (*core.Schedule, solver.Stats, error) {
 		progress.Report(ctx, progress.Incumbent{Solver: "reporting", Makespan: 5})
 		progress.Report(ctx, progress.Incumbent{Solver: "reporting", Makespan: 3})
-		sched, err := greedybalance.New().Schedule(inst)
+		sched, err := greedybalance.New().Schedule(context.Background(), inst)
 		return sched, solver.Stats{Solver: "reporting"}, err
 	})
 	reg := solver.NewRegistry()

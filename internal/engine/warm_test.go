@@ -34,7 +34,7 @@ func (s *warmSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Sche
 			progress.SetWarmSeed(ctx, int64(res.Makespan()))
 		}
 	}
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	return sched, st, err
 }
 
@@ -69,7 +69,7 @@ func TestRequestWarmStartTelemetry(t *testing.T) {
 	}
 
 	inst := core.NewInstance([]float64{0.4, 0.6}, []float64{0.2, 0.8})
-	hint, err := greedybalance.New().Schedule(inst)
+	hint, err := greedybalance.New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

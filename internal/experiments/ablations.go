@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
 
-	"crsharing/internal/algo"
 	"crsharing/internal/algo/branchbound"
 	"crsharing/internal/algo/chunked"
 	"crsharing/internal/algo/greedybalance"
@@ -15,6 +15,7 @@ import (
 	"crsharing/internal/core"
 	"crsharing/internal/gen"
 	"crsharing/internal/manycore"
+	"crsharing/internal/solver"
 	"crsharing/internal/stats"
 	"crsharing/internal/trace"
 )
@@ -78,7 +79,7 @@ func runE9(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		for vi, v := range variants {
-			ev, err := algo.Evaluate(v, inst)
+			ev, err := evaluate(v, inst)
 			if err != nil {
 				return nil, err
 			}
@@ -113,7 +114,9 @@ func runE10(cfg Config) (*Result, error) {
 		build func(inst *core.Instance) (*core.Schedule, error)
 	}
 	sources := []sourceDef{
-		{"round-robin", func(inst *core.Instance) (*core.Schedule, error) { return roundrobin.New().Schedule(inst) }},
+		{"round-robin", func(inst *core.Instance) (*core.Schedule, error) {
+			return roundrobin.New().Schedule(context.Background(), inst)
+		}},
 		{"wasteful-random", func(inst *core.Instance) (*core.Schedule, error) { return wastefulRandomSchedule(rng, inst), nil }},
 	}
 	for _, src := range sources {
@@ -193,17 +196,13 @@ func runE11(cfg Config) (*Result, error) {
 		jobs = 4
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 11))
-	type contender struct {
-		name string
-		run  func(inst *core.Instance) (int, error)
-	}
-	contenders := []contender{
-		{"round-robin", func(inst *core.Instance) (int, error) { return evalMakespan(roundrobin.New(), inst) }},
-		{"greedy-balance", func(inst *core.Instance) (int, error) { return evalMakespan(greedybalance.New(), inst) }},
-		{"chunked-exact-w2", func(inst *core.Instance) (int, error) { return evalMakespan(chunked.New(2), inst) }},
-		{"chunked-exact-w3", func(inst *core.Instance) (int, error) { return evalMakespan(chunked.New(3), inst) }},
-		{"branch-and-bound", func(inst *core.Instance) (int, error) { return branchbound.New().Makespan(inst) }},
-		{"opt-res-assignment-2", func(inst *core.Instance) (int, error) { return optresm.New().Makespan(inst) }},
+	contenders := []solver.Kernel{
+		roundrobin.New(),
+		greedybalance.New(),
+		chunked.New(2),
+		chunked.New(3),
+		branchbound.New(),
+		optresm.New(),
 	}
 	ratios := make([][]float64, len(contenders))
 	times := make([]time.Duration, len(contenders))
@@ -215,28 +214,20 @@ func runE11(cfg Config) (*Result, error) {
 		}
 		for ci, c := range contenders {
 			start := time.Now()
-			got, err := c.run(inst)
+			ev, err := evaluate(c, inst)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", c.name, err)
+				return nil, err
 			}
 			times[ci] += time.Since(start)
-			ratios[ci] = append(ratios[ci], float64(got)/float64(opt))
+			ratios[ci] = append(ratios[ci], float64(ev.Makespan)/float64(opt))
 		}
 	}
 	for ci, c := range contenders {
 		s := stats.Summarize(ratios[ci])
-		res.AddRow(c.name, s.Mean, s.Max, (times[ci] / time.Duration(trials)).Round(time.Microsecond).String())
+		res.AddRow(c.Name(), s.Mean, s.Max, (times[ci] / time.Duration(trials)).Round(time.Microsecond).String())
 	}
 	res.AddNote("window w interpolates between the RoundRobin-style per-column schedule and the exact algorithm; the exact solvers confirm each other")
 	return res, nil
-}
-
-func evalMakespan(s algo.Scheduler, inst *core.Instance) (int, error) {
-	ev, err := algo.Evaluate(s, inst)
-	if err != nil {
-		return 0, err
-	}
-	return ev.Makespan, nil
 }
 
 func runE12(cfg Config) (*Result, error) {

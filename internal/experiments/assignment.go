@@ -3,7 +3,6 @@ package experiments
 import (
 	"math/rand"
 
-	"crsharing/internal/algo"
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/assign"
 	"crsharing/internal/stats"
@@ -44,7 +43,7 @@ func runE13(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			ev, err := algo.Evaluate(greedybalance.New(), inst)
+			ev, err := evaluate(greedybalance.New(), inst)
 			if err != nil {
 				return nil, err
 			}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"crsharing/internal/algo"
 	"crsharing/internal/algo/bruteforce"
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/algo/optres2"
@@ -16,6 +15,7 @@ import (
 	"crsharing/internal/gen"
 	"crsharing/internal/hypergraph"
 	"crsharing/internal/manycore"
+	"crsharing/internal/solver"
 	"crsharing/internal/trace"
 )
 
@@ -81,7 +81,7 @@ func runE1(cfg Config) (*Result, error) {
 		trials = 60
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	schedulers := []algo.Scheduler{
+	schedulers := []solver.Kernel{
 		roundrobin.New(),
 		greedybalance.New(),
 		greedybalance.NewWithTie(greedybalance.SmallerRemaining),
@@ -96,7 +96,7 @@ func runE1(cfg Config) (*Result, error) {
 		inst := gen.RandomUneven(rng, m, 1, 8, 0.02, 1.0)
 		lb := core.LowerBounds(inst).Best()
 		for si, s := range schedulers {
-			ev, err := algo.Evaluate(s, inst)
+			ev, err := evaluate(s, inst)
 			if err != nil {
 				return nil, err
 			}
@@ -140,7 +140,7 @@ func runE2(cfg Config) (*Result, error) {
 		var sum, worst float64
 		for trial := 0; trial < trials; trial++ {
 			inst := gen.Random(rng, 2, 1+rng.Intn(maxJobs), rg.lo, rg.hi)
-			rr, err := algo.Evaluate(roundrobin.New(), inst)
+			rr, err := evaluate(roundrobin.New(), inst)
 			if err != nil {
 				return nil, err
 			}
@@ -238,10 +238,11 @@ func runE4(cfg Config) (*Result, error) {
 	for _, rc := range rows {
 		for trial := 0; trial < rc.trials; trial++ {
 			inst := gen.RandomUneven(rng, rc.m, 1, rc.maxJobs, 0.05, 1.0)
-			got, err := optresm.New().Makespan(inst)
+			ev, err := evaluate(optresm.New(), inst)
 			if err != nil {
 				return nil, err
 			}
+			got := ev.Makespan
 			var want int
 			if rc.m == 2 {
 				want, err = optres2.New().Makespan(inst)
@@ -278,7 +279,7 @@ func runE5(cfg Config) (*Result, error) {
 		var sum, worst float64
 		for trial := 0; trial < rc.trials; trial++ {
 			inst := gen.RandomUneven(rng, rc.m, 1, rc.maxJobs, 0.05, 1.0)
-			gb, err := algo.Evaluate(greedybalance.New(), inst)
+			gb, err := evaluate(greedybalance.New(), inst)
 			if err != nil {
 				return nil, err
 			}
@@ -317,11 +318,11 @@ func runE6(cfg Config) (*Result, error) {
 	for trial := 0; trial < trials; trial++ {
 		m := 2 + rng.Intn(4)
 		inst := gen.RandomUneven(rng, m, 1, 6, 0.05, 1.0)
-		sched, err := greedybalance.New().Schedule(inst)
+		ev, err := evaluate(greedybalance.New(), inst)
 		if err != nil {
 			return nil, err
 		}
-		r, err := core.Execute(inst, sched)
+		r, err := core.Execute(inst, ev.Schedule)
 		if err != nil {
 			return nil, err
 		}
@@ -416,7 +417,7 @@ func runE8(cfg Config) (*Result, error) {
 		trials = 25
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 8))
-	schedulers := []algo.Scheduler{greedybalance.New(), roundrobin.New()}
+	schedulers := []solver.Kernel{greedybalance.New(), roundrobin.New()}
 	sums := make([]float64, len(schedulers))
 	worst := make([]float64, len(schedulers))
 	for trial := 0; trial < trials; trial++ {
@@ -424,7 +425,7 @@ func runE8(cfg Config) (*Result, error) {
 		inst := gen.RandomSized(rng, m, 1+rng.Intn(5), 0.05, 1.0, 4.0)
 		lb := core.LowerBounds(inst).Best()
 		for si, s := range schedulers {
-			ev, err := algo.Evaluate(s, inst)
+			ev, err := evaluate(s, inst)
 			if err != nil {
 				return nil, err
 			}

@@ -64,6 +64,12 @@ func (cfg Config) ExactMakespan(inst *core.Instance) (int, error) {
 	return res.Makespan(), nil
 }
 
+// evaluate runs the kernel through solver.Evaluate, which checks that its
+// answer is feasible and finishes every job.
+func evaluate(k solver.Kernel, inst *core.Instance) (*solver.Evaluation, error) {
+	return solver.Evaluate(context.Background(), solver.Adapt(k), inst)
+}
+
 // Result is the outcome of one experiment: a table plus free-form notes.
 type Result struct {
 	// ID is the experiment identifier (F1..F5, E1..E13).

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"crsharing/internal/algo"
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/algo/optres2"
 	"crsharing/internal/algo/optresm"
@@ -54,11 +53,11 @@ func runF1(cfg Config) (*Result, error) {
 		Headers: []string{"component", "steps", "#k (edges)", "qk (class)", "|Ck| (nodes)"},
 	}
 	inst := gen.Figure1()
-	sched, err := greedybalance.NewUnbalanced(greedybalance.SmallerRemaining).Schedule(inst)
+	ev, err := evaluate(greedybalance.NewUnbalanced(greedybalance.SmallerRemaining), inst)
 	if err != nil {
 		return nil, err
 	}
-	g, err := hypergraph.BuildFromSchedule(inst, sched)
+	g, err := hypergraph.BuildFromSchedule(inst, ev.Schedule)
 	if err != nil {
 		return nil, err
 	}
@@ -125,11 +124,11 @@ func runF2(cfg Config) (*Result, error) {
 	cp := core.CheckProperties(cr)
 	res.AddRow("Lemma 1 canonicalisation of 2c", cr.Makespan(), cp.NonWasting, cp.Progressive, cp.Nested)
 
-	ex, err := optresm.New().Schedule(inst)
+	ex, err := evaluate(optresm.New(), inst)
 	if err != nil {
 		return nil, err
 	}
-	res.AddNote("exact optimum (OptResAssignment2) = %d steps", core.MustMakespan(inst, ex))
+	res.AddNote("exact optimum (OptResAssignment2) = %d steps", ex.Makespan)
 	return res, nil
 }
 
@@ -146,7 +145,7 @@ func runF3(cfg Config) (*Result, error) {
 	worst := 0.0
 	for _, n := range sizes {
 		inst := gen.Figure3(n)
-		rrEval, err := algo.Evaluate(roundrobin.New(), inst)
+		rrEval, err := evaluate(roundrobin.New(), inst)
 		if err != nil {
 			return nil, err
 		}
@@ -202,10 +201,11 @@ func runF4(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt, err := optresm.New().Makespan(inst)
+		ev, err := evaluate(optresm.New(), inst)
 		if err != nil {
 			return nil, err
 		}
+		opt := ev.Makespan
 		expected := 5
 		verdict := "NO"
 		if yes {
@@ -241,7 +241,7 @@ func runF5(cfg Config) (*Result, error) {
 			blocks = 6
 		}
 		inst := gen.GreedyWorstCase(m, blocks, eps)
-		ev, err := algo.Evaluate(greedybalance.New(), inst)
+		ev, err := evaluate(greedybalance.New(), inst)
 		if err != nil {
 			return nil, err
 		}
@@ -263,7 +263,7 @@ func runF5(cfg Config) (*Result, error) {
 	for _, c := range exactCases {
 		eps := 1.0 / float64(20*c.m*(c.m+1))
 		inst := gen.GreedyWorstCase(c.m, c.blocks, eps)
-		gb, err := algo.Evaluate(greedybalance.New(), inst)
+		gb, err := evaluate(greedybalance.New(), inst)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"context"
 	"testing"
 
 	"crsharing/internal/algo/greedybalance"
@@ -17,7 +18,7 @@ func BenchmarkOracleCheckSchedule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func solveWithGreedy(t *testing.T, inst *core.Instance) *core.Schedule {
 	t.Helper()
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

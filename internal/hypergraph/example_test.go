@@ -1,6 +1,7 @@
 package hypergraph_test
 
 import (
+	"context"
 	"fmt"
 
 	"crsharing/internal/algo/greedybalance"
@@ -14,7 +15,7 @@ import (
 // Lemmas 2, 5 and 6.
 func ExampleBuildFromSchedule() {
 	inst := gen.Figure1()
-	sched, _ := greedybalance.New().Schedule(inst)
+	sched, _ := greedybalance.New().Schedule(context.Background(), inst)
 	g, _ := hypergraph.BuildFromSchedule(inst, sched)
 
 	fmt.Println("components:", g.NumComponents())

@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ import (
 func figure1Schedule(t *testing.T) (*core.Instance, *core.Schedule) {
 	t.Helper()
 	inst := gen.Figure1()
-	sched, err := greedybalance.NewUnbalanced(greedybalance.SmallerRemaining).Schedule(inst)
+	sched, err := greedybalance.NewUnbalanced(greedybalance.SmallerRemaining).Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -71,7 +72,7 @@ func TestLemmaBoundsOnBalancedSchedules(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		m := 2 + rng.Intn(4)
 		inst := gen.RandomUneven(rng, m, 1, 6, 0.05, 1.0)
-		sched, err := greedybalance.New().Schedule(inst)
+		sched, err := greedybalance.New().Schedule(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("Schedule: %v", err)
 		}
@@ -144,7 +145,7 @@ func TestStringAndDOTRendering(t *testing.T) {
 
 func TestSingleProcessorGraph(t *testing.T) {
 	inst := core.NewInstance([]float64{0.4, 0.8, 0.2})
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}

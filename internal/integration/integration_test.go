@@ -1,13 +1,13 @@
 package integration
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"crsharing/internal/algo"
 	"crsharing/internal/algo/branchbound"
 	"crsharing/internal/algo/bruteforce"
 	"crsharing/internal/algo/chunked"
@@ -21,8 +21,18 @@ import (
 	"crsharing/internal/manycore"
 	"crsharing/internal/partition"
 	"crsharing/internal/render"
+	"crsharing/internal/solver"
 	"crsharing/internal/trace"
 )
+
+// makespan evaluates k on inst through solver.Evaluate.
+func makespan(k solver.Kernel, inst *core.Instance) (int, error) {
+	ev, err := solver.Evaluate(context.Background(), solver.Adapt(k), inst)
+	if err != nil {
+		return 0, err
+	}
+	return ev.Makespan, nil
+}
 
 // TestExactSolversAgree cross-checks all four independently implemented exact
 // solvers (m=2 DP, its PQ variant, configuration enumeration, branch and
@@ -48,11 +58,11 @@ func TestExactSolversAgree(t *testing.T) {
 		check("optres2", m1, err)
 		m2, err := optres2.NewPQ().Makespan(inst)
 		check("optres2-pq", m2, err)
-		m3, err := optresm.New().Makespan(inst)
+		m3, err := makespan(optresm.New(), inst)
 		check("optresm", m3, err)
-		m4, err := branchbound.New().Makespan(inst)
+		m4, err := makespan(branchbound.New(), inst)
 		check("branchbound", m4, err)
-		m5, err := (&chunked.Scheduler{Window: inst.MaxJobs()}).Schedule(inst)
+		m5, err := (&chunked.Scheduler{Window: inst.MaxJobs()}).Schedule(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("chunked: %v", err)
 		}
@@ -67,15 +77,15 @@ func TestApproximationHierarchy(t *testing.T) {
 	rng := rand.New(rand.NewSource(4102))
 	for trial := 0; trial < 20; trial++ {
 		inst := gen.Random(rng, 3, 3, 0.05, 1.0)
-		opt, err := branchbound.New().Makespan(inst)
+		opt, err := makespan(branchbound.New(), inst)
 		if err != nil {
 			t.Fatalf("branchbound: %v", err)
 		}
-		gb, err := algo.Evaluate(greedybalance.New(), inst)
+		gb, err := solver.Evaluate(context.Background(), solver.Adapt(greedybalance.New()), inst)
 		if err != nil {
 			t.Fatalf("greedybalance: %v", err)
 		}
-		rr, err := algo.Evaluate(roundrobin.New(), inst)
+		rr, err := solver.Evaluate(context.Background(), solver.Adapt(roundrobin.New()), inst)
 		if err != nil {
 			t.Fatalf("roundrobin: %v", err)
 		}
@@ -114,7 +124,7 @@ func TestTraceToModelToScheduleFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ToInstance: %v", err)
 	}
-	offline, err := algo.Evaluate(greedybalance.New(), inst)
+	offline, err := solver.Evaluate(context.Background(), solver.Adapt(greedybalance.New()), inst)
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
@@ -153,7 +163,7 @@ func TestTheorem8BothSides(t *testing.T) {
 	for _, c := range cases {
 		eps := 1.0 / float64(20*c.m*(c.m+1))
 		inst := gen.GreedyWorstCase(c.m, c.blocks, eps)
-		gbSched, err := greedybalance.New().Schedule(inst)
+		gbSched, err := greedybalance.New().Schedule(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("m=%d blocks=%d: %v", c.m, c.blocks, err)
 		}
@@ -161,7 +171,7 @@ func TestTheorem8BothSides(t *testing.T) {
 		if want := c.blocks * (2*c.m - 1); gb != want {
 			t.Fatalf("m=%d blocks=%d: GreedyBalance %d, want %d (2m-1 per block)", c.m, c.blocks, gb, want)
 		}
-		opt, err := branchbound.New().Makespan(inst)
+		opt, err := makespan(branchbound.New(), inst)
 		if err != nil {
 			t.Fatalf("m=%d blocks=%d: branchbound: %v", c.m, c.blocks, err)
 		}
@@ -181,7 +191,7 @@ func TestTheorem8BothSides(t *testing.T) {
 func TestJSONInterchange(t *testing.T) {
 	dir := t.TempDir()
 	inst := gen.Figure3(12)
-	sched, err := optres2.New().Schedule(inst)
+	sched, err := optres2.New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -228,7 +238,7 @@ func TestPartitionReductionEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PartitionGadget(%v): %v", p.Elems, err)
 		}
-		opt, err := branchbound.New().Makespan(inst)
+		opt, err := makespan(branchbound.New(), inst)
 		if err != nil {
 			t.Fatalf("branchbound: %v", err)
 		}

@@ -45,7 +45,7 @@ func (s *stubSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Sche
 	if s.fail != nil {
 		return nil, solver.Stats{Solver: s.name}, s.fail
 	}
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	return sched, solver.Stats{Solver: s.name, Elapsed: time.Microsecond}, err
 }
 

@@ -1,6 +1,7 @@
 package render
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func executed(t *testing.T, inst *core.Instance) *core.Result {
 	t.Helper()
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -100,11 +101,11 @@ func TestJobTableUnfinishedJobsRenderDashes(t *testing.T) {
 
 func TestCompare(t *testing.T) {
 	inst := gen.Figure3(12)
-	gb, err := greedybalance.New().Schedule(inst)
+	gb, err := greedybalance.New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	rr, err := roundrobin.New().Schedule(inst)
+	rr, err := roundrobin.New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}

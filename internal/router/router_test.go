@@ -31,7 +31,7 @@ func (s *countSolver) Name() string { return "stub" }
 
 func (s *countSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Schedule, solver.Stats, error) {
 	s.calls.Add(1)
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	return sched, solver.Stats{Solver: "stub", Elapsed: time.Microsecond}, err
 }
 

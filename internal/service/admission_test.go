@@ -43,7 +43,7 @@ func (s *gaugeSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Sch
 			return nil, solver.Stats{Solver: "gauge"}, ctx.Err()
 		}
 	}
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	return sched, solver.Stats{Solver: "gauge", Elapsed: time.Microsecond}, err
 }
 

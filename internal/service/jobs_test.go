@@ -43,7 +43,7 @@ func (s *slowSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Sche
 			return nil, solver.Stats{Solver: s.Name()}, ctx.Err()
 		}
 	}
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	return sched, solver.Stats{Solver: s.Name(), Elapsed: time.Duration(s.ticks) * s.tick}, err
 }
 

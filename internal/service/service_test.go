@@ -43,7 +43,7 @@ func (s *stubSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Sche
 			return nil, solver.Stats{Solver: s.name}, ctx.Err()
 		}
 	}
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	return sched, solver.Stats{Solver: s.name, Elapsed: time.Microsecond}, err
 }
 

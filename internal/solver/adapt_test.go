@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"testing"
 
 	"crsharing/internal/algo/greedybalance"
@@ -19,7 +20,7 @@ func nbrBase() *core.Instance {
 
 func solveFor(t *testing.T, inst *core.Instance) *core.Schedule {
 	t.Helper()
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("greedy schedule: %v", err)
 	}

@@ -40,7 +40,7 @@ func (s *stubSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Sche
 	if n == 1 && s.failFirst != nil {
 		return nil, Stats{Solver: s.name}, s.failFirst
 	}
-	sched, err := greedybalance.New().Schedule(inst)
+	sched, err := greedybalance.New().Schedule(context.Background(), inst)
 	return sched, Stats{Solver: s.name}, err
 }
 

@@ -134,11 +134,3 @@ func NewExactPortfolio() *Portfolio {
 	p.RaceExact = true
 	return p
 }
-
-// compile-time interface checks for the adapters the registry hands out.
-var (
-	_ ContextScheduler = (*anytime.Scheduler)(nil)
-	_ ContextScheduler = (*branchbound.Scheduler)(nil)
-	_ ContextScheduler = (*optresm.Scheduler)(nil)
-	_ ContextScheduler = (*chunked.Scheduler)(nil)
-)

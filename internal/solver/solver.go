@@ -4,11 +4,12 @@
 // runner that races several solvers on one instance and keeps the best
 // schedule. Batches are sharded across workers by engine.SolveEach.
 //
-// The packages under internal/algo stay synchronous and single-purpose; this
-// package adapts them (algo.Scheduler -> Solver) and recognises the ones that
-// natively support cooperative cancellation through a ScheduleContext method
-// (branch-and-bound, the configuration enumeration, the chunked heuristic and
-// the anytime tier).
+// Every package under internal/algo implements Kernel, and Adapt lifts a
+// Kernel to a Solver. The searching kernels (branch-and-bound, the
+// configuration enumeration, the chunked heuristic and the anytime tier)
+// poll the context; the polynomial ones finish without looking at it.
+// Evaluate is the one place that checks an answer is feasible and finishes
+// every job.
 package solver
 
 import (
@@ -17,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"crsharing/internal/algo"
 	"crsharing/internal/core"
 	"crsharing/internal/progress"
 )
@@ -79,33 +79,36 @@ type Solver interface {
 	Solve(ctx context.Context, inst *core.Instance) (*core.Schedule, Stats, error)
 }
 
-// ContextScheduler is implemented by algo packages whose kernels poll a
-// context (branch-and-bound, the configuration enumeration, the chunked
-// heuristic, the anytime tier).
-type ContextScheduler interface {
-	algo.Scheduler
-	ScheduleContext(ctx context.Context, inst *core.Instance) (*core.Schedule, error)
+// Kernel is one scheduling algorithm of internal/algo. Schedule returns a
+// feasible schedule that finishes every job, or an error when the instance
+// lies outside the algorithm's domain (the m=2 dynamic program rejects three
+// processors) or ctx ends first.
+type Kernel interface {
+	// Name returns a short stable identifier, e.g. "greedy-balance".
+	Name() string
+	// Schedule computes a complete feasible schedule for the instance.
+	Schedule(ctx context.Context, inst *core.Instance) (*core.Schedule, error)
 }
 
-// exactMarker matches algo.Exact schedulers and the adapters that wrap them.
+// exactMarker matches the kernels that always return an optimal schedule for
+// every instance they accept, and the adapters that wrap them.
 type exactMarker interface{ IsExact() bool }
 
-// adapted lifts an algo.Scheduler to the Solver interface.
+// adapted lifts a Kernel to the Solver interface.
 type adapted struct {
-	s algo.Scheduler
+	k Kernel
 }
 
-// Adapt wraps a synchronous algo.Scheduler as a Solver. If the scheduler
-// implements ContextScheduler the context is forwarded into its kernel;
-// otherwise the context is only checked before the (synchronous) call, which
-// is adequate for the polynomial-time schedulers.
-func Adapt(s algo.Scheduler) Solver { return &adapted{s: s} }
+// Adapt wraps a Kernel as a Solver. Solve checks ctx once before it calls
+// the kernel, whichever kernel it is; from then on only the kernel's own
+// polling sees the context.
+func Adapt(k Kernel) Solver { return &adapted{k: k} }
 
-func (a *adapted) Name() string { return a.s.Name() }
+func (a *adapted) Name() string { return a.k.Name() }
 
-// IsExact reports whether the underlying scheduler is exact.
+// IsExact reports whether the underlying kernel is exact.
 func (a *adapted) IsExact() bool {
-	if e, ok := a.s.(exactMarker); ok {
+	if e, ok := a.k.(exactMarker); ok {
 		return e.IsExact()
 	}
 	return false
@@ -113,6 +116,9 @@ func (a *adapted) IsExact() bool {
 
 func (a *adapted) Solve(ctx context.Context, inst *core.Instance) (*core.Schedule, Stats, error) {
 	start := time.Now()
+	if err := ctx.Err(); err != nil {
+		return nil, Stats{Solver: a.k.Name()}, err
+	}
 	// Fresh counters per solve: the kernels report explored nodes and
 	// incumbents through the context, and the counts land in the returned
 	// Stats (and from there in cached evaluations and telemetry). Any
@@ -120,19 +126,10 @@ func (a *adapted) Solve(ctx context.Context, inst *core.Instance) (*core.Schedul
 	// each adapter accounts exactly for its own solve.
 	ctr := &progress.Counters{}
 	ctx = progress.WithCounters(ctx, ctr)
-	var sched *core.Schedule
-	var err error
-	if cs, ok := a.s.(ContextScheduler); ok {
-		sched, err = cs.ScheduleContext(ctx, inst)
-	} else {
-		if err := ctx.Err(); err != nil {
-			return nil, Stats{Solver: a.s.Name()}, err
-		}
-		sched, err = a.s.Schedule(inst)
-	}
+	sched, err := a.k.Schedule(ctx, inst)
 	st := Stats{
-		Solver:       a.s.Name(),
-		Winner:       a.s.Name(),
+		Solver:       a.k.Name(),
+		Winner:       a.k.Name(),
 		Elapsed:      time.Since(start),
 		Nodes:        ctr.Nodes.Load(),
 		Incumbents:   ctr.Incumbents.Load(),
@@ -143,13 +140,13 @@ func (a *adapted) Solve(ctx context.Context, inst *core.Instance) (*core.Schedul
 		st.SeedMakespan = int(seed)
 	}
 	if err != nil {
-		return nil, st, fmt.Errorf("%s: %w", a.s.Name(), err)
+		return nil, st, fmt.Errorf("%s: %w", a.k.Name(), err)
 	}
 	return sched, st, nil
 }
 
-// Evaluation bundles a schedule with the quantities reported about it. It
-// mirrors algo.Evaluation and adds the solve statistics.
+// Evaluation bundles a schedule with the quantities the experiments, the
+// examples and the served answers report about it, and the solve statistics.
 type Evaluation struct {
 	Algorithm  string
 	Schedule   *core.Schedule
