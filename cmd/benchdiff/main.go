@@ -1,6 +1,6 @@
 // Command benchdiff compares two `go test -json` benchmark runs and exits
 // non-zero when the new run regresses: median ns/op worse than the baseline
-// by more than -tolerance, or any increase in median allocs/op, on the
+// by more than -tolerance, or any increase in minimum allocs/op, on the
 // benchmarks matching -filter. It is the CI benchmark-regression gate: the
 // workflow restores the previous run's BENCH_core.json as the baseline and
 // feeds it the fresh one.
@@ -115,7 +115,7 @@ func writePerf(path string, old, new map[benchcmp.Key]*benchcmp.Samples, loadPat
 	b.WriteString("go test -run '^$' -bench . -benchmem -count 3 -json \\\n")
 	b.WriteString("  ./internal/core ./internal/solver ./internal/engine ./internal/algo/branchbound > BENCH_core.json\n")
 	b.WriteString("go run ./cmd/crload -seed 1 -duration 4s -rate 150 -solver greedy-balance \\\n")
-	b.WriteString("  -shards 2 -json BENCH_load.json\n")
+	b.WriteString("  -json BENCH_load.json\n")
 	b.WriteString("go run ./cmd/benchdiff -new BENCH_core.json -load BENCH_load.json -perf PERF.md\n")
 	b.WriteString("```\n\n")
 	b.WriteString("`samples` is a sparkline of the `-count` repetitions (run-to-run spread);\n")
@@ -146,7 +146,7 @@ func renderLoadSection(rep *harness.Report) string {
 	if shards == 0 {
 		shards = 1
 	}
-	fmt.Fprintf(&b, "Seed %d, %.1f req/s offered over %.1fs across %d shard(s): %d requests, %.1f req/s served, %d driver sheds, %d server sheds.\n\n",
+	fmt.Fprintf(&b, "Seed %d, %.1f req/s offered over %.1fs across %d driver run(s): %d requests, %.1f req/s served, %d driver sheds, %d server sheds.\n\n",
 		rep.Seed, rep.RatePerSec, rep.DurationSec, shards, rep.Requests, rep.Throughput, rep.Shed, rep.ServerShed)
 	b.WriteString("| Class | requests | errors | shed | p50 | p99 | max |\n")
 	b.WriteString("|---|---:|---:|---:|---:|---:|---:|\n")

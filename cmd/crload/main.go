@@ -14,9 +14,9 @@
 //	crload -seed 7 -duration 10s -rate 500 -mix solve=6,batch=2,jobs=2 -json BENCH_load.json
 //	crload -addr http://127.0.0.1:8080 -duration 30s
 //
-// Beyond the single-driver run it speaks the fleet protocol:
+// Each process runs one driver. Beyond that it speaks the fleet protocol:
 //
-//	crload -seed 1 -shards 4 -json merged.json        # split the corpus over 4 in-process driver shards
+//	crload -seed 1 -json a.json                       # one of several processes, each writing its report
 //	crload -seed 1 -record run.jsonl                  # capture the request stream as versioned JSONL
 //	crload -replay run.jsonl -replay-speed 2          # re-issue it bit-exactly (2x compressed schedule)
 //	crload -merge a.json,b.json -slo slo.json         # pool per-process reports, then gate
@@ -98,7 +98,6 @@ func run() int {
 	tenantSpec := flag.String("tenants", "", "multi-tenant traffic, name:weight:rps,... (e.g. gold:3:150,free:1:50); weights also configure the in-process server")
 	minTenantRequests := flag.Int("min-tenant-requests", 0, "fail unless every tenant completed at least this many non-error requests (starvation gate)")
 	cacheDir := flag.String("cache-dir", "", "warm-cache directory for the in-process server; reused across runs to test cold/warm starts")
-	shards := flag.Int("shards", 1, "in-process driver shards; the corpus (or replayed recording) is split deterministically and the reports merged")
 	recordPath := flag.String("record", "", "capture the full request stream (offsets, classes, tenants, payloads, outcomes) to this versioned JSONL file")
 	replayPath := flag.String("replay", "", "re-issue a recorded request stream bit-exactly instead of generating open-loop arrivals")
 	replaySpeed := flag.Float64("replay-speed", 1, "compress (>1) or stretch (<1) the replayed arrival schedule; the request sequence is unchanged")
@@ -238,7 +237,11 @@ func run() int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	report, err := harness.RunFleet(ctx, cfg, *shards)
+	driver, err := harness.NewDriver(cfg)
+	if err != nil {
+		return setupFailed(err)
+	}
+	report, err := driver.Run(ctx)
 	if err != nil {
 		return setupFailed(err)
 	}
@@ -318,7 +321,7 @@ func mergeReports(spec, jsonOut string, slo *harness.SLO, minCacheHits int) int 
 	if err != nil {
 		return setupFailed(err)
 	}
-	fmt.Fprintf(os.Stderr, "crload: merged %d reports (%d shards)\n", len(reports), merged.Shards)
+	fmt.Fprintf(os.Stderr, "crload: merged %d reports (%d driver runs)\n", len(reports), merged.Shards)
 	fmt.Print(merged.Text())
 	if err := writeJSON(merged, jsonOut); err != nil {
 		return setupFailed(err)

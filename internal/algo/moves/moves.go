@@ -30,12 +30,18 @@ import (
 const MaxProcessors = 20
 
 // Work returns the work of processor p's job number done, or 0 once the
-// processor has completed all its jobs.
+// processor has completed all its jobs. A job whose requirement is at most
+// numeric.Eps has work 0: core.Execute runs it at full speed on no share,
+// so a share given to it would be wasted.
 func Work(inst *core.Instance, p, done int) float64 {
 	if done >= inst.NumJobs(p) {
 		return 0
 	}
-	return inst.Job(p, done).Work()
+	j := inst.Job(p, done)
+	if j.Req <= numeric.Eps {
+		return 0
+	}
+	return j.Work()
 }
 
 // Scratch holds the temporaries of one expansion, reused across calls.

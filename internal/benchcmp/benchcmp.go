@@ -1,11 +1,14 @@
 // Package benchcmp parses the benchmark results embedded in `go test -json`
 // output and compares two such runs, benchstat-style: per benchmark it
-// reduces the samples of a `-count=N` run to their median and flags
-// regressions against a tolerance. It backs cmd/benchdiff, the CI gate that
+// reduces the samples of a `-count=N` run to their median ns/op and their
+// minimum allocs/op, and flags regressions against a tolerance. It backs cmd/benchdiff, the CI gate that
 // compares a fresh BENCH_core.json against the previous run's artifact.
 //
 // Medians, not means: a single GC pause or noisy-neighbour spike in one of
-// the N samples must not fail (or mask a failure of) the gate.
+// the N samples must not fail (or mask a failure of) the gate. Minimum
+// allocs/op: a sync.Pool that drops its scratch at a GC adds allocations to
+// the samples that GC fell in only, while a real extra allocation raises
+// every sample, the smallest included.
 package benchcmp
 
 import (
@@ -14,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -181,8 +185,9 @@ type Options struct {
 
 // Compare flags regressions of new against old. A benchmark regresses when
 // its median ns/op exceeds the old median by more than Tolerance, or when
-// its median allocs/op increases at all — the kernels' allocation counts are
-// small deterministic constants, so any growth is a real leak, not noise.
+// its minimum allocs/op increases at all — the kernels' allocation counts
+// are small constants that only a pool drop at GC inflates, so growth of
+// the minimum is a real leak, not noise.
 // Only benchmarks present in both runs and matching Filter are compared;
 // benchmarks that appear or disappear are reported by the caller via
 // Missing.
@@ -199,8 +204,8 @@ func Compare(old, new map[Key]*Samples, opts Options) []Regression {
 				regs = append(regs, Regression{Key: key, Metric: "ns/op", Old: oldNs, New: newNs})
 			}
 		}
-		if oldAllocs, ok := Median(o.AllocsPerOp); ok {
-			if newAllocs, ok := Median(n.AllocsPerOp); ok && newAllocs > oldAllocs {
+		if len(o.AllocsPerOp) > 0 && len(n.AllocsPerOp) > 0 {
+			if oldAllocs, newAllocs := slices.Min(o.AllocsPerOp), slices.Min(n.AllocsPerOp); newAllocs > oldAllocs {
 				regs = append(regs, Regression{Key: key, Metric: "allocs/op", Old: oldAllocs, New: newAllocs})
 			}
 		}

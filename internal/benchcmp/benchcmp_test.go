@@ -139,6 +139,31 @@ func TestCompareFlagsAnyAllocsRegression(t *testing.T) {
 	}
 }
 
+// TestCompareAllocsGatesOnMinimum pins the allocs/op reduction: a pool drop
+// at GC adds allocations to some samples only and passes, while one more
+// allocation in every sample fails.
+func TestCompareAllocsGatesOnMinimum(t *testing.T) {
+	parse := func(s string) map[Key]*Samples {
+		t.Helper()
+		m, err := ParseStream(strings.NewReader(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	ns := []float64{1000, 1000, 1000, 1000, 1000}
+	old := parse(stream("p", "BenchmarkEngineSolveChain", ns, []float64{336, 336, 336, 336, 336}))
+	dropped := parse(stream("p", "BenchmarkEngineSolveChain", ns, []float64{336, 337, 338, 336, 336}))
+	if regs := Compare(old, dropped, Options{Tolerance: 0.10}); len(regs) != 0 {
+		t.Fatalf("pool drops in some samples flagged: %v", regs)
+	}
+	planted := parse(stream("p", "BenchmarkEngineSolveChain", ns, []float64{337, 338, 339, 337, 337}))
+	regs := Compare(old, planted, Options{Tolerance: 0.10})
+	if len(regs) != 1 || regs[0].Metric != "allocs/op" || regs[0].Old != 336 || regs[0].New != 337 {
+		t.Fatalf("one more allocation in every sample not flagged: %v", regs)
+	}
+}
+
 // TestCompareSkipNs checks the noisy-benchmark exemption: a SkipNs match is
 // not gated on wall-clock but still fails on allocation growth.
 func TestCompareSkipNs(t *testing.T) {

@@ -106,12 +106,17 @@ func (b *Builder) RemainingVolume(i int) float64 { return b.remVol[i] }
 
 // DemandThisStep returns the share of the resource processor i can usefully
 // consume during the next step: min(r_ij, remaining work) for the active job,
-// or 0 if the processor is idle. Assigning more than this is wasted.
+// or 0 if the processor is idle or the job's requirement is at most
+// numeric.Eps (Execute runs such a job on no share). Assigning more than
+// this is wasted.
 func (b *Builder) DemandThisStep(i int) float64 {
 	if !b.Active(i) {
 		return 0
 	}
 	req := b.inst.Job(i, b.next[i]).Req
+	if req <= numeric.Eps {
+		return 0
+	}
 	return math.Min(req, b.remWork[i])
 }
 

@@ -568,6 +568,9 @@ func (b *refBuilder) DemandThisStep(i int) float64 {
 		return 0
 	}
 	req := b.inst.Job(i, b.next[i]).Req
+	if req <= numeric.Eps {
+		return 0
+	}
 	return math.Min(req, b.remWork[i])
 }
 

@@ -119,7 +119,7 @@ func TestSolveSources(t *testing.T) {
 	if snap.SourceSolve != 1 || snap.SourceCache != 1 || snap.NodesTotal != 7 {
 		t.Fatalf("snapshot accounting wrong: %+v", snap)
 	}
-	if snap.SolveSeconds.Count != 1 || snap.SolveNodes.Count != 1 {
+	if snap.SolveSeconds.Total() != 1 || snap.SolveNodes.Total() != 1 || snap.SolveNodes.Sum != 7 {
 		t.Fatalf("histograms missed the fresh solve: %+v", snap)
 	}
 }
@@ -546,20 +546,45 @@ func TestSolveWithoutCache(t *testing.T) {
 	}
 }
 
-func TestHistogramCumulativeBuckets(t *testing.T) {
-	h := newHistogram([]float64{1, 10, 100})
-	for _, v := range []float64{0.5, 5, 5, 50, 500} {
-		h.Observe(v)
-	}
-	snap := h.Snapshot()
-	want := []uint64{1, 3, 4}
-	for i, w := range want {
-		if snap.Counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (%+v)", i, snap.Counts[i], w, snap)
+// TestSnapshotHistogramsUnderConcurrentSolves snapshots the engine while
+// fresh solves observe its histograms from several goroutines, and checks
+// every solve is counted once in each histogram and no snapshot shares its
+// counts with the live histogram.
+func TestSnapshotHistogramsUnderConcurrentSolves(t *testing.T) {
+	const solves = 32
+	eng := newTestEngine(t, &countingSolver{name: "stub"}, func(cfg *Config) { cfg.Cache = nil })
+	done := make(chan struct{})
+	var snapshots sync.WaitGroup
+	snapshots.Add(1)
+	go func() {
+		defer snapshots.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			snap := eng.Snapshot()
+			snap.SolveNodes.Add(1) // a copy: must not reach the engine
 		}
+	}()
+	var wg sync.WaitGroup
+	for _, inst := range distinctInstances(solves) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := eng.Solve(context.Background(), Request{Instance: inst}); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	if snap.Count != 5 || snap.Sum != 560.5 {
-		t.Fatalf("sum/count wrong: %+v", snap)
+	wg.Wait()
+	close(done)
+	snapshots.Wait()
+	snap := eng.Snapshot()
+	if snap.SolveSeconds.Total() != solves || snap.SolveNodes.Total() != solves || snap.SolveNodes.Sum != 7*solves {
+		t.Fatalf("histograms after %d solves: seconds %d, nodes %d (sum %g)",
+			solves, snap.SolveSeconds.Total(), snap.SolveNodes.Total(), snap.SolveNodes.Sum)
 	}
 }
 

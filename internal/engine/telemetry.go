@@ -10,11 +10,9 @@ import (
 
 	"crsharing/internal/core"
 	"crsharing/internal/solver"
+	"crsharing/internal/stats"
 	"crsharing/internal/wire"
 )
-
-func floatBits(v float64) uint64 { return math.Float64bits(v) }
-func floatFrom(b uint64) float64 { return math.Float64frombits(b) }
 
 // Telemetry is the structured account of one solve request, assembled by the
 // engine for every request regardless of which surface (HTTP sync, batch,
@@ -51,9 +49,9 @@ type Telemetry struct {
 	// Incumbents counts the improving solutions reported while the solve ran.
 	Incumbents int64 `json:"incumbents"`
 	// KernelAllocs counts heap-allocation events on the search kernels' hot
-	// path (scratch-arena growth, work handoffs); a steady-state exact solve
-	// reports zero or near-zero. AllocsPerNode is KernelAllocs / Nodes — the
-	// headline number for the allocation-free search kernels.
+	// path (scratch-arena growth); a steady-state exact solve reports zero
+	// or near-zero. AllocsPerNode is KernelAllocs / Nodes — the headline
+	// number for the allocation-free search kernels.
 	KernelAllocs  int64   `json:"kernel_allocs"`
 	AllocsPerNode float64 `json:"allocs_per_node"`
 	// Makespan is the schedule's makespan in steps.
@@ -64,8 +62,9 @@ type Telemetry struct {
 	LowerBoundKind string `json:"lower_bound_kind"`
 	// Ratio is Makespan / LowerBound (1 when the bound is zero).
 	Ratio float64 `json:"ratio"`
-	// Steps is the number of steps in the returned schedule (= Makespan for
-	// trimmed schedules; kept separate so padding bugs are visible).
+	// Steps is the number of steps in the returned schedule (= Makespan,
+	// since a schedule ends at the step that finishes its last job; kept
+	// separate so padding bugs are visible).
 	Steps int `json:"steps"`
 	// Wasted is the schedule's total wasted resource.
 	Wasted float64 `json:"wasted"`
@@ -168,71 +167,20 @@ func newTelemetry(solverName string, ev *solver.Evaluation, src solver.Source, i
 	return t
 }
 
-// Histogram is a snapshot of a fixed-bucket histogram: Counts[i] observations
-// fell at or below Bounds[i]; Counts[len(Bounds)] is the overflow bucket.
-// Counts are cumulative like Prometheus "le" buckets.
-type Histogram struct {
-	Bounds []float64
-	Counts []uint64
-	Sum    float64
-	Count  uint64
-}
-
-// histogram is the live, concurrency-safe accumulator behind Histogram.
-type histogram struct {
-	bounds []float64
-	counts []atomic.Uint64 // per-bucket (non-cumulative), last = overflow
-	sum    atomicFloat
-	count  atomic.Uint64
-}
-
-func newHistogram(bounds []float64) *histogram {
-	return &histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
-}
-
-func (h *histogram) Observe(v float64) {
-	idx := len(h.bounds)
-	for i, b := range h.bounds {
-		if v <= b {
-			idx = i
-			break
-		}
-	}
-	h.counts[idx].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
-}
-
-// Snapshot returns the cumulative view.
-func (h *histogram) Snapshot() Histogram {
-	out := Histogram{
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
-		Sum:    h.sum.Load(),
-		Count:  h.count.Load(),
-	}
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		out.Counts[i] = cum
-	}
-	return out
-}
-
 // atomicFloat is an atomic float64 accumulator (CAS on the bit pattern).
 type atomicFloat struct{ bits atomic.Uint64 }
 
 func (f *atomicFloat) Add(v float64) {
 	for {
 		old := f.bits.Load()
-		neu := floatBits(floatFrom(old) + v)
+		neu := math.Float64bits(math.Float64frombits(old) + v)
 		if f.bits.CompareAndSwap(old, neu) {
 			return
 		}
 	}
 }
 
-func (f *atomicFloat) Load() float64 { return floatFrom(f.bits.Load()) }
+func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // metrics aggregates the engine's solve accounting; Snapshot freezes it for
 // the /metrics endpoint and tests.
@@ -246,8 +194,11 @@ type metrics struct {
 	nodesTotal      atomic.Int64
 	incumbentsTotal atomic.Int64
 	queueSeconds    atomicFloat
-	solveSeconds    *histogram
-	solveNodes      *histogram
+
+	// hmu guards the two histograms of fresh solves.
+	hmu          sync.Mutex
+	solveSeconds *stats.Histogram
+	solveNodes   *stats.Histogram
 
 	tmu     sync.Mutex
 	tenants map[string]*tenantCounters
@@ -317,9 +268,9 @@ type Snapshot struct {
 	Inflight int64
 	Waiting  int
 	// SolveSeconds / SolveNodes are the per-fresh-solve duration and
-	// search-size distributions.
-	SolveSeconds Histogram
-	SolveNodes   Histogram
+	// search-size distributions, copied at the snapshot.
+	SolveSeconds *stats.Histogram
+	SolveNodes   *stats.Histogram
 	// Tenants is the per-tenant accounting, keyed by tenant name.
 	Tenants map[string]TenantSnapshot
 }
@@ -333,8 +284,8 @@ var solveNodesBuckets = []float64{1, 10, 100, 1_000, 10_000, 100_000, 1_000_000,
 
 func newMetrics() *metrics {
 	return &metrics{
-		solveSeconds: newHistogram(solveSecondsBuckets),
-		solveNodes:   newHistogram(solveNodesBuckets),
+		solveSeconds: stats.NewHistogram(solveSecondsBuckets),
+		solveNodes:   stats.NewHistogram(solveNodesBuckets),
 		tenants:      make(map[string]*tenantCounters),
 	}
 }
@@ -370,8 +321,10 @@ func (m *metrics) observe(tenant string, src solver.Source, ev *solver.Evaluatio
 		m.sourceSolve.Add(1)
 		m.nodesTotal.Add(ev.Stats.Nodes)
 		m.incumbentsTotal.Add(ev.Stats.Incumbents)
-		m.solveSeconds.Observe(ev.Stats.Elapsed.Seconds())
-		m.solveNodes.Observe(float64(ev.Stats.Nodes))
+		m.hmu.Lock()
+		m.solveSeconds.Add(ev.Stats.Elapsed.Seconds())
+		m.solveNodes.Add(float64(ev.Stats.Nodes))
+		m.hmu.Unlock()
 	}
 }
 
@@ -398,10 +351,12 @@ func (e *Engine) Snapshot() Snapshot {
 		QueueSeconds:    e.met.queueSeconds.Load(),
 		Inflight:        e.sem.InUse(),
 		Waiting:         e.sem.Waiting(),
-		SolveSeconds:    e.met.solveSeconds.Snapshot(),
-		SolveNodes:      e.met.solveNodes.Snapshot(),
 		Tenants:         make(map[string]TenantSnapshot),
 	}
+	e.met.hmu.Lock()
+	snap.SolveSeconds = e.met.solveSeconds.Clone()
+	snap.SolveNodes = e.met.solveNodes.Clone()
+	e.met.hmu.Unlock()
 	e.met.tmu.Lock()
 	for name, tc := range e.met.tenants {
 		snap.Tenants[name] = TenantSnapshot{

@@ -42,14 +42,12 @@
 //     fingerprint and rejects corrupt, truncated or unknown-version input
 //     with line numbers.
 //
-//   - Fleet (fleet.go): RunFleet splits one corpus (ShardCorpus) or one
-//     recording (Recording.Shard) deterministically over N in-process
-//     driver shards, scrapes /metrics once around the whole fleet, and
-//     merges the shard reports. MergeReports (report.go) also pools report
-//     JSONs from separate processes: counts add exactly, and latency
-//     quantiles are re-estimated from merged fixed-bounds log-domain
-//     histograms (stats.Histogram.Merge), so distribution merging is exact
-//     rather than approximated from summaries.
+//   - Merge (report.go): each crload process runs one driver; MergeReports
+//     pools the report JSONs of several processes: counts add exactly, and
+//     latency quantiles are re-estimated from the merged histograms, which
+//     share canonical millisecond bounds (stats.Histogram.Merge), so
+//     distribution merging is exact rather than approximated from
+//     summaries.
 //
 //   - SLO (slo.go): a strict declarative spec — per-class P99 ceilings,
 //     shed-rate cap, cache-hit floor, zero oracle violations, a minimum

@@ -224,10 +224,6 @@ type Config struct {
 	// schedule during Replay; 0 means 1 (as recorded). The request sequence
 	// is unchanged either way.
 	ReplaySpeed float64
-	// SkipMetrics skips the /metrics scrape around the run (Cache and
-	// MetricsDelta stay zero). RunFleet sets it on shard drivers so the
-	// shared server's movement is scraped once, not once per shard.
-	SkipMetrics bool
 	// MetricsURLs overrides where the run's metrics movement is scraped:
 	// each URL is scraped before and after the run and the deltas are summed.
 	// A fleet run driving a crrouter sets this to every backend's /metrics
@@ -323,7 +319,7 @@ type TenantStats struct {
 }
 
 // Report is the outcome of one load run (or, after MergeReports, of several
-// shard runs pooled into one).
+// runs pooled into one).
 type Report struct {
 	Seed        int64   `json:"seed"`
 	Mix         Mix     `json:"mix"`
@@ -332,8 +328,8 @@ type Report struct {
 	// Replayed marks a run that re-issued a recording instead of generating
 	// open-loop arrivals.
 	Replayed bool `json:"replayed,omitempty"`
-	// Shards is the number of driver shards pooled into this report (0 or 1
-	// for a plain single-driver run).
+	// Shards is the number of driver runs MergeReports pooled into this
+	// report (0 for a single run).
 	Shards     int     `json:"shards,omitempty"`
 	Requests   int     `json:"requests"`
 	Shed       int     `json:"shed"`
@@ -463,13 +459,9 @@ func (d *Driver) Oracle() *Oracle { return d.oracle }
 // /metrics movement and returns the report. The context cancels the run
 // early; requests already in flight still finish within their own timeouts.
 func (d *Driver) Run(ctx context.Context) (*Report, error) {
-	var before MetricsSnapshot
-	if !d.cfg.SkipMetrics {
-		var err error
-		before, err = scrapeAll(d.cfg.Client, d.metricsURLs())
-		if err != nil {
-			return nil, err
-		}
+	before, err := scrapeAll(d.cfg.Client, d.metricsURLs())
+	if err != nil {
+		return nil, err
 	}
 
 	var wg sync.WaitGroup // in-flight requests
@@ -483,15 +475,11 @@ func (d *Driver) Run(ctx context.Context) (*Report, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	delta := MetricsSnapshot{}
-	if !d.cfg.SkipMetrics {
-		after, err := scrapeAll(d.cfg.Client, d.metricsURLs())
-		if err != nil {
-			return nil, err
-		}
-		delta = before.Delta(after)
+	after, err := scrapeAll(d.cfg.Client, d.metricsURLs())
+	if err != nil {
+		return nil, err
 	}
-	return d.report(elapsed, delta), nil
+	return d.report(elapsed, before.Delta(after)), nil
 }
 
 // metricsURLs resolves where this run's metrics movement is scraped.

@@ -167,16 +167,16 @@ func TestDriverKeepsRateUnderStarvation(t *testing.T) {
 	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"stub"}`, http.StatusInternalServerError)
 	})
+	mux.HandleFunc("GET /metrics", func(http.ResponseWriter, *http.Request) {})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
 	d, err := NewDriver(Config{
-		BaseURL:     ts.URL,
-		Corpus:      BuildCorpus(1),
-		Mix:         Mix{Solve: 1},
-		Rate:        500,
-		Duration:    400 * time.Millisecond,
-		SkipMetrics: true,
+		BaseURL:  ts.URL,
+		Corpus:   BuildCorpus(1),
+		Mix:      Mix{Solve: 1},
+		Rate:     500,
+		Duration: 400 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

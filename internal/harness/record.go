@@ -38,8 +38,8 @@ const (
 // identical request at the identical offset; the recorded outcome is kept for
 // run-to-run comparison, not re-imposed.
 type Entry struct {
-	// Seq is the arrival index within the run (dense from 0). Sharded replay
-	// partitions entries by Seq modulo the shard count.
+	// Seq is the arrival index within the run (dense from 0), in replay
+	// order.
 	Seq int `json:"seq"`
 	// OffsetNS is the arrival time relative to the run start, in nanoseconds.
 	OffsetNS int64 `json:"offset_ns"`
@@ -230,19 +230,6 @@ func LoadRecording(path string) (*Recording, error) {
 	return rec, nil
 }
 
-// Shard returns the slice of the recording a replay shard re-issues: the
-// entries with Seq ≡ shard (mod of), offsets preserved, so the union of all
-// shards is exactly the original arrival schedule.
-func (r *Recording) Shard(shard, of int) *Recording {
-	out := &Recording{Seed: r.Seed}
-	for _, e := range r.Entries {
-		if e.Seq%of == shard {
-			out.Entries = append(out.Entries, e)
-		}
-	}
-	return out
-}
-
 // Recorder captures a driver run's arrivals as they happen; Recording()
 // snapshots them into a replayable log. It is safe for concurrent use — the
 // driver calls it from every arrival loop and request goroutine.
@@ -294,12 +281,12 @@ func (r *Recorder) Len() int {
 
 // Recording snapshots the captured arrivals into a replayable log for the
 // given corpus seed. Entries are sorted by arrival offset (Seq breaks ties)
-// and renumbered densely: N concurrent driver shards book arrivals into one
-// Recorder in lock-acquisition order, which is NOT offset order, and
-// replayArrivals walks entries in slice order — without the sort, a sharded
-// capture would replay out-of-order offsets as an immediate burst. After the
-// renumber, Seq is both the replay order and the Recording.Shard split key,
-// and decode's dense-Seq check holds.
+// and renumbered densely: a multi-tenant run books arrivals from one loop
+// per tenant into one Recorder in lock-acquisition order, which is NOT
+// offset order, and replayArrivals walks entries in slice order — without
+// the sort, such a capture would replay out-of-order offsets as an
+// immediate burst. After the renumber, Seq is the replay order and
+// decode's dense-Seq check holds.
 func (r *Recorder) Recording(seed int64) *Recording {
 	r.mu.Lock()
 	defer r.mu.Unlock()

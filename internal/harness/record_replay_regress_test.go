@@ -3,21 +3,23 @@ package harness
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 )
 
 // TestRecordingSortsShardedCapture is the deterministic half of the
-// sharded-recording bugfix: N driver shards book arrivals into one Recorder
-// in lock-acquisition order, which is NOT offset order. Recording() must sort
+// interleaved-recording bugfix: a multi-tenant run's arrival loops book
+// arrivals into one Recorder in lock-acquisition order, which is NOT offset
+// order. Recording() must sort
 // by offset (Seq breaking ties, preserving booking order) and renumber Seq
 // densely, or replaying the capture re-issues the out-of-order offsets as an
 // immediate burst and decode's dense-Seq check fails.
 func TestRecordingSortsShardedCapture(t *testing.T) {
 	items := BuildCorpus(3).Items()[:1]
 	rec := NewRecorder()
-	// The interleaving two concurrent shards would produce: out-of-order
-	// offsets, including a tie (both shards booked an arrival at 10ms).
+	// The interleaving two concurrent tenant loops would produce: out-of-order
+	// offsets, including a tie (both loops booked an arrival at 10ms).
 	offsets := []time.Duration{
 		30 * time.Millisecond,
 		10 * time.Millisecond,
@@ -60,30 +62,38 @@ func TestRecordingSortsShardedCapture(t *testing.T) {
 }
 
 // TestShardedRecordReplaysMonotone is the end-to-end regression for the
-// sharded-recording bug: record through a 4-shard fleet (whose shards
-// interleave arrivals into the shared recorder out of offset order), then
-// replay the capture on ONE shard and assert the replay re-issues a monotone
-// schedule identical to the recording request-for-request.
+// interleaved-recording bug: record a 4-tenant run (whose per-tenant
+// arrival loops interleave arrivals into the shared recorder out of offset
+// order), then replay the capture and assert the replay re-issues a
+// monotone schedule identical to the recording request-for-request.
 func TestShardedRecordReplaysMonotone(t *testing.T) {
 	backend := serve(t, testOptions())
 	rec := NewRecorder()
-	rep, err := RunFleet(context.Background(), Config{
+	tenants := make([]TenantLoad, 4)
+	for i := range tenants {
+		tenants[i] = TenantLoad{Name: fmt.Sprintf("t%d", i), Weight: 1, Rate: 100}
+	}
+	d, err := NewDriver(Config{
 		BaseURL:  backend.URL,
 		Corpus:   BuildCorpus(17),
 		Mix:      Mix{Solve: 1},
-		Rate:     400,
 		Duration: 400 * time.Millisecond,
+		Tenants:  tenants,
 		Recorder: rec,
-	}, 4)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := d.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.ViolationCount != 0 {
-		t.Fatalf("recorded fleet run had violations: %v", rep.Violations)
+		t.Fatalf("recorded run had violations: %v", rep.Violations)
 	}
 	recording := rec.Recording(17)
 	if len(recording.Entries) < 8 {
-		t.Fatalf("fleet captured only %d arrivals", len(recording.Entries))
+		t.Fatalf("run captured only %d arrivals", len(recording.Entries))
 	}
 	for i := range recording.Entries {
 		if recording.Entries[i].Seq != i {

@@ -164,37 +164,6 @@ func TestDecodeRejectsCorruptLines(t *testing.T) {
 	})
 }
 
-// TestRecordingShard checks Seq-modulo sharding partitions the entries: the
-// shards are disjoint, their union is the original schedule, offsets survive.
-func TestRecordingShard(t *testing.T) {
-	rec := testRecording(t)
-	const shards = 3
-	seen := make(map[int]int)
-	for s := 0; s < shards; s++ {
-		part := rec.Shard(s, shards)
-		if part.Seed != rec.Seed {
-			t.Fatalf("shard %d dropped the seed", s)
-		}
-		for _, e := range part.Entries {
-			if e.Seq%shards != s {
-				t.Fatalf("entry %d landed in shard %d", e.Seq, s)
-			}
-			seen[e.Seq]++
-			if rec.Entries[e.Seq].OffsetNS != e.OffsetNS {
-				t.Fatalf("entry %d offset changed across sharding", e.Seq)
-			}
-		}
-	}
-	if len(seen) != len(rec.Entries) {
-		t.Fatalf("shards cover %d of %d entries", len(seen), len(rec.Entries))
-	}
-	for seq, n := range seen {
-		if n != 1 {
-			t.Fatalf("entry %d appears in %d shards", seq, n)
-		}
-	}
-}
-
 // FuzzRecordRoundTrip fuzzes the decoder with arbitrary bytes: any input that
 // decodes must re-encode byte-identically after one canonical encode →
 // decode cycle, and the decoder must never panic on garbage.

@@ -137,114 +137,46 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedReplayTotalsMatch is the acceptance check for distributed drive:
-// replaying one recording through a 4-shard fleet yields the same totals as a
-// 1-shard replay — same requests, same per-class and per-tenant counts.
-func TestShardedReplayTotalsMatch(t *testing.T) {
+// TestReplayTotalsMatchRecording replays a recording and checks the report
+// accounts for it exactly: every recorded arrival is one request, per class
+// and per tenant, each with one latency sample, and the /metrics scrape
+// around the run carries the cache accounting.
+func TestReplayTotalsMatchRecording(t *testing.T) {
 	backend := serve(t, testOptions())
 	recording := recordSeededRun(t, backend)
+	_, rep := replayOnce(t, backend, recording)
 
-	run := func(shards int) *Report {
-		rep, err := RunFleet(context.Background(), Config{
-			BaseURL:     backend.URL,
-			Replay:      recording,
-			ReplaySpeed: 50,
-			MaxInflight: 4096,
-		}, shards)
-		if err != nil {
-			t.Fatalf("%d-shard replay: %v", shards, err)
-		}
-		return rep
+	classes := map[string]int{}
+	tenants := map[string]int{}
+	for _, e := range recording.Entries {
+		classes[e.Class]++
+		tenants[e.Tenant]++
 	}
-	single := run(1)
-	fleet := run(4)
-
-	if fleet.Shards != 4 {
-		t.Errorf("merged report shards = %d, want 4", fleet.Shards)
+	if rep.Requests != len(recording.Entries) {
+		t.Errorf("requests %d, want %d (the recording length)", rep.Requests, len(recording.Entries))
 	}
-	if single.Requests != len(recording.Entries) || fleet.Requests != len(recording.Entries) {
-		t.Errorf("requests: single=%d fleet=%d, want %d (the recording length)",
-			single.Requests, fleet.Requests, len(recording.Entries))
+	if rep.Shed != 0 {
+		t.Errorf("replay shed %d arrivals", rep.Shed)
 	}
-	if single.Shed != 0 || fleet.Shed != 0 {
-		t.Errorf("replay shed arrivals: single=%d fleet=%d", single.Shed, fleet.Shed)
+	if rep.ViolationCount != 0 {
+		t.Errorf("violations: %v", rep.Violations)
 	}
-	if single.ViolationCount != 0 || fleet.ViolationCount != 0 {
-		t.Errorf("violations: single=%v fleet=%v", single.Violations, fleet.Violations)
-	}
-	for class, scs := range single.Classes {
-		fcs := fleet.Classes[class]
-		if fcs == nil {
-			t.Errorf("class %s missing from merged report", class)
+	for class, n := range classes {
+		cs := rep.Classes[class]
+		if cs == nil {
+			t.Errorf("class %s missing from the report", class)
 			continue
 		}
-		if scs.Requests != fcs.Requests {
-			t.Errorf("class %s requests: single=%d fleet=%d", class, scs.Requests, fcs.Requests)
-		}
-		if scs.Latency.Count != fcs.Latency.Count {
-			t.Errorf("class %s latency count: single=%d fleet=%d", class, scs.Latency.Count, fcs.Latency.Count)
+		if cs.Requests != n || cs.Latency.Count != n {
+			t.Errorf("class %s: %d requests, %d latency samples, want %d", class, cs.Requests, cs.Latency.Count, n)
 		}
 	}
-	for tenant, sts := range single.Tenants {
-		fts := fleet.Tenants[tenant]
-		if fts == nil || sts.Requests != fts.Requests {
-			t.Errorf("tenant %s requests: single=%+v fleet=%+v", tenant, sts, fts)
+	for tenant, n := range tenants {
+		if ts := rep.Tenants[tenant]; ts == nil || ts.Requests != n {
+			t.Errorf("tenant %s: %+v, want %d requests", tenant, ts, n)
 		}
 	}
-	// The fleet shares the server, so its cache accounting comes from one
-	// whole-fleet scrape and must balance: every request stream issues the
-	// same instances, so fresh solves + cache hits both cover the stream.
-	if fleet.Cache.FreshSolves+fleet.Cache.CacheServed == 0 {
-		t.Error("merged fleet report lost the cache accounting")
-	}
-}
-
-// TestShardCorpusPartition checks the deterministic corpus split: shards are
-// disjoint, their union is the corpus, and resharding is reproducible.
-func TestShardCorpusPartition(t *testing.T) {
-	corpus := BuildCorpus(3)
-	const shards = 4
-	total := 0
-	seen := make(map[string]int)
-	for _, it := range corpus.Items() {
-		seen[it.Family+"/"+it.Inst.Fingerprint().String()] = 0
-	}
-	for s := 0; s < shards; s++ {
-		part := ShardCorpus(corpus, s, shards)
-		if part.Seed != corpus.Seed {
-			t.Fatalf("shard %d dropped the seed", s)
-		}
-		again := ShardCorpus(corpus, s, shards)
-		for i, it := range part.Items() {
-			key := it.Family + "/" + it.Inst.Fingerprint().String()
-			if _, ok := seen[key]; !ok {
-				t.Fatalf("shard %d invented item %s", s, key)
-			}
-			seen[key]++
-			if a := again.Items()[i]; a.Family != it.Family || a.Inst != it.Inst {
-				t.Fatalf("resharding shard %d is not reproducible at item %d", s, i)
-			}
-			total++
-		}
-		for _, fam := range part.Families {
-			if len(fam.Instances) == 0 {
-				t.Fatalf("shard %d kept empty family %s", s, fam.Name)
-			}
-		}
-	}
-	if total != len(corpus.Items()) {
-		t.Fatalf("shards cover %d of %d items", total, len(corpus.Items()))
-	}
-	// The adversarial-dup family holds fingerprint-identical instances, so a
-	// fingerprint key may legitimately be hit more than once — but the count
-	// per key must match the corpus's own multiplicity.
-	mult := make(map[string]int)
-	for _, it := range corpus.Items() {
-		mult[it.Family+"/"+it.Inst.Fingerprint().String()]++
-	}
-	for key, n := range seen {
-		if n != mult[key] {
-			t.Fatalf("item %s appears %d times across shards, want %d", key, n, mult[key])
-		}
+	if rep.Cache.FreshSolves+rep.Cache.CacheServed == 0 {
+		t.Error("replay report lost the cache accounting")
 	}
 }

@@ -11,26 +11,31 @@ import (
 	"crsharing/internal/stats"
 )
 
-// The per-class latency histograms use a fixed log10(ms) domain so the
-// histograms of any two runs — different shards, different processes,
-// different machines — always share bounds and merge exactly. The range spans
-// 10µs to 100s at 0.05 decades per bucket (≈12% relative width), which is
-// finer than any latency SLO this harness gates.
+// The per-class and per-tenant latency histograms observe milliseconds
+// against one canonical list of upper bounds, 10^(latHistLo + k·w) ms for
+// k = 0..latHistBuckets with w = (latHistHi − latHistLo)/latHistBuckets,
+// so the histograms of any two runs — different processes, different
+// machines — always share bounds and merge exactly. The bounds span 10µs to
+// 100s at 0.05 decades per bucket (≈12% relative width), which is finer
+// than any latency SLO this harness gates.
 const (
 	latHistLo      = -2.0 // 10^-2 ms = 10µs
 	latHistHi      = 5.0  // 10^5 ms = 100s
 	latHistBuckets = 140
 )
 
-// newLatencyHistogram returns an empty histogram over the canonical log10(ms)
-// latency domain.
-func newLatencyHistogram() *stats.Histogram {
-	return stats.NewHistogram(latHistLo, latHistHi, latHistBuckets)
-}
+// latencyBounds are the canonical latency histogram bounds, in ms.
+var latencyBounds = func() []float64 {
+	b := make([]float64, latHistBuckets+1)
+	for k := range b {
+		b[k] = math.Pow(10, latHistLo+float64(k)*(latHistHi-latHistLo)/latHistBuckets)
+	}
+	return b
+}()
 
 // LatencySummary is a latency distribution in milliseconds. For a single run
 // the quantiles are exact (read off the raw samples); for a merged report
-// they are re-estimated from the merged histogram, within one bucket width
+// they are re-estimated from the merged histogram, within one bucket
 // (≈12% relative).
 type LatencySummary struct {
 	Count  int     `json:"count"`
@@ -40,9 +45,9 @@ type LatencySummary struct {
 	P90MS  float64 `json:"p90_ms"`
 	P99MS  float64 `json:"p99_ms"`
 	MaxMS  float64 `json:"max_ms"`
-	// Hist is the structured sample histogram over the canonical log10(ms)
-	// domain — the mergeable representation that lets -merge pool the
-	// latency distributions of shard reports exactly.
+	// Hist is the sample histogram over the canonical latency bounds — the
+	// mergeable representation that lets -merge pool the latency
+	// distributions of several reports exactly.
 	Hist *stats.Histogram `json:"hist,omitempty"`
 	// Histogram is the human-readable rendering of Hist (empty when there
 	// are no samples); it renders under the summary line in text reports.
@@ -63,23 +68,14 @@ func summarizeLatency(ms []float64) LatencySummary {
 		MaxMS:  s.Max,
 	}
 	if s.Count > 0 {
-		h := newLatencyHistogram()
+		h := stats.NewHistogram(latencyBounds)
 		for _, x := range ms {
-			h.Add(logMS(x))
+			h.Add(x)
 		}
 		out.Hist = h
 		out.Histogram = renderLatencyHistogram(h)
 	}
 	return out
-}
-
-// logMS maps a millisecond sample into the histogram's log domain;
-// non-positive samples (sub-nanosecond clock noise) clamp to the low edge.
-func logMS(ms float64) float64 {
-	if ms <= 0 {
-		return latHistLo
-	}
-	return math.Log10(ms)
 }
 
 // mergeLatency pools two summaries: counts, mean, min and max merge exactly;
@@ -99,17 +95,22 @@ func mergeLatency(a, b LatencySummary) (LatencySummary, error) {
 		MaxMS:  math.Max(a.MaxMS, b.MaxMS),
 	}
 	if a.Hist == nil || b.Hist == nil {
-		return LatencySummary{}, errors.New("harness: latency summary carries no histogram; reports predating the shard format cannot be merged")
+		return LatencySummary{}, errors.New("harness: latency summary carries no histogram; reports predating mergeable histograms cannot be merged")
 	}
-	h := a.Hist.Clone()
-	if err := h.Merge(b.Hist); err != nil {
-		return LatencySummary{}, fmt.Errorf("harness: merging latency histograms: %w", err)
+	// Both sides merge into a fresh canonical histogram, so a report whose
+	// histogram has other bounds (or none, as before the bounds were
+	// recorded) is refused even when both reports share them.
+	h := stats.NewHistogram(latencyBounds)
+	for _, side := range []*stats.Histogram{a.Hist, b.Hist} {
+		if err := h.Merge(side); err != nil {
+			return LatencySummary{}, fmt.Errorf("harness: merging latency histograms: %w", err)
+		}
 	}
 	out.Hist = h
 	// Quantile estimates interpolate inside a bucket, so they can poke past
 	// the true extremes; the exact pooled min/max are known, so clamp.
 	clamp := func(q float64) float64 {
-		return math.Min(math.Max(math.Pow(10, h.Quantile(q)), out.MinMS), out.MaxMS)
+		return math.Min(math.Max(h.Quantile(q), out.MinMS), out.MaxMS)
 	}
 	out.P50MS = clamp(0.50)
 	out.P90MS = clamp(0.90)
@@ -118,12 +119,13 @@ func mergeLatency(a, b LatencySummary) (LatencySummary, error) {
 	return out, nil
 }
 
-// renderLatencyHistogram renders the log-domain histogram as an ASCII bar
-// chart with millisecond labels, coalescing the occupied buckets into at most
-// 16 display rows.
+// renderLatencyHistogram renders the histogram as an ASCII bar chart with
+// millisecond labels, coalescing the occupied buckets into at most 16
+// display rows. Each row covers (lo, hi]; the first bucket has no lower
+// edge (lo 0) and the overflow slot no upper edge (hi +Inf).
 func renderLatencyHistogram(h *stats.Histogram) string {
 	first, last := -1, -1
-	for i, c := range h.Buckets {
+	for i, c := range h.Counts {
 		if c > 0 {
 			if first < 0 {
 				first = i
@@ -134,45 +136,36 @@ func renderLatencyHistogram(h *stats.Histogram) string {
 	if first < 0 {
 		return ""
 	}
+	edge := func(i int) float64 { // the upper edge of bucket i
+		if i < 0 {
+			return 0
+		}
+		if i >= len(h.Bounds) {
+			return math.Inf(1)
+		}
+		return h.Bounds[i]
+	}
 	const maxRows = 16
 	group := (last - first + maxRows) / maxRows // ceil(span/maxRows)
-	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	var rows []struct {
+	type row struct {
 		lo, hi float64
-		count  int
+		count  uint64
 	}
-	maxCount := 1
+	var rows []row
+	maxCount := uint64(1)
 	for i := first; i <= last; i += group {
-		end := i + group
-		if end > last+1 {
-			end = last + 1
+		end := min(i+group, last+1)
+		r := row{lo: edge(i - 1), hi: edge(end - 1)}
+		for _, c := range h.Counts[i:end] {
+			r.count += c
 		}
-		count := 0
-		for j := i; j < end; j++ {
-			count += h.Buckets[j]
-		}
-		rows = append(rows, struct {
-			lo, hi float64
-			count  int
-		}{
-			lo:    math.Pow(10, h.Lo+float64(i)*width),
-			hi:    math.Pow(10, h.Lo+float64(end)*width),
-			count: count,
-		})
-		if count > maxCount {
-			maxCount = count
-		}
+		rows = append(rows, r)
+		maxCount = max(maxCount, r.count)
 	}
 	var b strings.Builder
 	for _, r := range rows {
-		bar := strings.Repeat("#", r.count*40/maxCount)
-		fmt.Fprintf(&b, "[%9.3f, %9.3f) ms %6d %s\n", r.lo, r.hi, r.count, bar)
-	}
-	if h.Underflow > 0 {
-		fmt.Fprintf(&b, "underflow %d\n", h.Underflow)
-	}
-	if h.Overflow > 0 {
-		fmt.Fprintf(&b, "overflow %d\n", h.Overflow)
+		bar := strings.Repeat("#", int(r.count*40/maxCount))
+		fmt.Fprintf(&b, "(%9.3f, %9.3f] ms %6d %s\n", r.lo, r.hi, r.count, bar)
 	}
 	return b.String()
 }
@@ -250,16 +243,15 @@ func mergeTenantStats(a, b *TenantStats) (*TenantStats, error) {
 	return out, nil
 }
 
-// MergeReports pools shard reports into one fleet report: counts, oracle
-// verdicts, telemetry and cache accounting add exactly; latency quantiles are
-// re-estimated from the merged histograms (the canonical log-domain bounds
-// make every pair of reports mergeable — a bounds mismatch is a typed error,
-// never a silent misbin). Rates add (shards split one offered load),
-// durations take the maximum (shards run concurrently), and throughput is
-// recomputed from the pooled totals. For in-process shards sharing one
-// server, RunFleet overwrites Cache/MetricsDelta with a single whole-fleet
-// scrape; for cross-process merges the per-report deltas add, which is
-// correct when each driver scraped its own server or disjoint time windows.
+// MergeReports pools the reports of several crload processes into one fleet
+// report: counts, oracle verdicts, telemetry and cache accounting add
+// exactly; latency quantiles are re-estimated from the merged histograms
+// (the canonical latency bounds make every pair of reports mergeable — a
+// bounds mismatch is a typed error, never a silent misbin). Rates add (the
+// drivers offer their loads side by side), durations take the maximum (they
+// run concurrently), and throughput is recomputed from the pooled totals.
+// The per-report /metrics deltas add, which is correct when each driver
+// scraped its own server or disjoint time windows.
 func MergeReports(reports ...*Report) (*Report, error) {
 	if len(reports) == 0 {
 		return nil, errors.New("harness: no reports to merge")
@@ -365,7 +357,7 @@ func (r *Report) Text() string {
 		b.WriteString(" (replay)")
 	}
 	if r.Shards > 1 {
-		fmt.Fprintf(&b, " shards=%d", r.Shards)
+		fmt.Fprintf(&b, " runs=%d", r.Shards)
 	}
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "requests=%d shed=%d server-shed=%d warm_started=%d throughput=%.1f req/s\n",

@@ -10,6 +10,7 @@ import (
 
 	"crsharing/internal/engine"
 	"crsharing/internal/jobs"
+	"crsharing/internal/stats"
 )
 
 // metrics holds the server's request-level counters. Everything is atomic:
@@ -70,16 +71,6 @@ func (m *metrics) write(w io.Writer, eng *engine.Engine, jm *jobs.Manager, uptim
 			fmt.Fprintf(w, "%s{tenant=%q} %g\n", name, k, rows[k])
 		}
 	}
-	histogram := func(name, help string, h engine.Histogram) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		for i, bound := range h.Bounds {
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(bound, 'g', -1, 64), h.Counts[i])
-		}
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count)
-		fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum)
-		fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
-	}
-
 	counter("crsharing_requests_solve_total", "POST /v1/solve requests.", m.requestsSolve.Load())
 	counter("crsharing_requests_batch_total", "POST /v1/batch-solve requests.", m.requestsBatch.Load())
 	counter("crsharing_requests_jobs_total", "Requests to the /v1/jobs endpoints.", m.requestsJobs.Load())
@@ -106,8 +97,8 @@ func (m *metrics) write(w io.Writer, eng *engine.Engine, jm *jobs.Manager, uptim
 	floatCounter("crsharing_engine_queue_wait_seconds_total", "Total time solve requests spent waiting for admission.", snap.QueueSeconds)
 	gauge("crsharing_solve_inflight", "Admission weight currently held by running solves.", float64(snap.Inflight))
 	gauge("crsharing_engine_admission_waiting", "Solve requests queued for admission right now.", float64(snap.Waiting))
-	histogram("crsharing_engine_solve_duration_seconds", "Wall-clock distribution of fresh solves.", snap.SolveSeconds)
-	histogram("crsharing_engine_solve_nodes", "Search-size distribution (nodes / configurations) of fresh solves.", snap.SolveNodes)
+	writeHistogram(w, "crsharing_engine_solve_duration_seconds", "Wall-clock distribution of fresh solves.", snap.SolveSeconds)
+	writeHistogram(w, "crsharing_engine_solve_nodes", "Search-size distribution (nodes / configurations) of fresh solves.", snap.SolveNodes)
 
 	if len(snap.Tenants) > 0 {
 		requests := make(map[string]float64, len(snap.Tenants))
@@ -151,4 +142,20 @@ func (m *metrics) write(w io.Writer, eng *engine.Engine, jm *jobs.Manager, uptim
 		counter("crsharing_jobs_failed_total", "Jobs that errored or exceeded their budget.", st.Failed)
 		counter("crsharing_jobs_cancelled_total", "Jobs cancelled by clients or shutdown.", st.Cancelled)
 	}
+}
+
+// writeHistogram renders h as a Prometheus histogram: one cumulative
+// _bucket line per bound, labelled le, then the +Inf bucket (every sample,
+// the overflow slot included), _sum and _count.
+func writeHistogram(w io.Writer, name, help string, h *stats.Histogram) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	var cum uint64
+	for i, bound := range h.Bounds {
+		cum += h.Counts[i]
+		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(bound, 'g', -1, 64), cum)
+	}
+	total := h.Total()
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, total)
+	fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum)
+	fmt.Fprintf(w, "%s_count %d\n", name, total)
 }

@@ -5,14 +5,18 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"crsharing/internal/algo/greedybalance"
+	"crsharing/internal/core"
 	"crsharing/internal/engine"
 	"crsharing/internal/jobs"
 	"crsharing/internal/solver"
+	"crsharing/internal/stats"
 )
 
 // TestMetricsExpositionFormat pins the /metrics contract: the Prometheus
@@ -156,5 +160,133 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	if samples["crsharing_jobs_submitted_total"] != 1 || samples["crsharing_jobs_done_total"] != 1 {
 		t.Fatalf("job counters wrong: submitted=%v done=%v",
 			samples["crsharing_jobs_submitted_total"], samples["crsharing_jobs_done_total"])
+	}
+}
+
+// TestHistogramCumulativeBuckets pins writeHistogram's exposition of one
+// histogram: per-bucket counts become cumulative le buckets, and the
+// overflow slot counts only in +Inf and _count.
+func TestHistogramCumulativeBuckets(t *testing.T) {
+	h := stats.NewHistogram([]float64{1, 10, 100})
+	for _, v := range []float64{0.5, 5, 5, 50, 500} {
+		h.Add(v)
+	}
+	var b strings.Builder
+	writeHistogram(&b, "x", "Help.", h)
+	want := `# HELP x Help.
+# TYPE x histogram
+x_bucket{le="1"} 1
+x_bucket{le="10"} 3
+x_bucket{le="100"} 4
+x_bucket{le="+Inf"} 5
+x_sum 560.5
+x_count 5
+`
+	if b.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
+// nodesSolver answers with greedy-balance and reports a search size chosen
+// by the instance's job count on the first processor, so a test can place
+// fresh solves in known crsharing_engine_solve_nodes buckets.
+type nodesSolver struct{ nodes map[int]int64 }
+
+func (s *nodesSolver) Name() string { return "nodes" }
+
+func (s *nodesSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Schedule, solver.Stats, error) {
+	sched, err := greedybalance.New().Schedule(ctx, inst)
+	return sched, solver.Stats{Solver: "nodes", Nodes: s.nodes[inst.NumJobs(0)]}, err
+}
+
+// TestMetricsHistogramExposition pins both engine histograms on /metrics:
+// the exact le label list of each, the cumulative _bucket counts of the
+// search-size histogram for solves of known size, and the +Inf bucket equal
+// to _count.
+func TestMetricsHistogramExposition(t *testing.T) {
+	// One fresh solve per bucket edge case: 0 and 100 sit on a bound, 5
+	// between two, and 2e7 above the last.
+	ns := &nodesSolver{nodes: map[int]int64{1: 0, 2: 5, 3: 100, 4: 20_000_000}}
+	reg := solver.NewRegistry()
+	reg.Register("nodes", func() solver.Solver { return ns })
+	eng := newTestEngine(t, engine.Config{Registry: reg, Cache: solver.NewCache(4, 64), DefaultSolver: "nodes"})
+	srv, err := New(Config{Engine: eng, Version: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	for jobs := 1; jobs <= 4; jobs++ {
+		reqs := make([]float64, jobs)
+		for j := range reqs {
+			reqs[j] = 0.25
+		}
+		inst := core.NewInstance(reqs, []float64{0.5})
+		if resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Instance: inst}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve with %d jobs: %d %s", jobs, resp.StatusCode, body)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// series collects a histogram's bucket labels and counts in exposition
+	// order, and its _sum and _count.
+	series := func(name string) (les []string, counts []uint64, sum float64, count uint64) {
+		t.Helper()
+		for _, line := range strings.Split(string(body), "\n") {
+			key, value, ok := strings.Cut(line, " ")
+			if !ok {
+				continue
+			}
+			switch {
+			case strings.HasPrefix(key, name+`_bucket{le="`):
+				les = append(les, strings.TrimSuffix(strings.TrimPrefix(key, name+`_bucket{le="`), `"}`))
+				n, err := strconv.ParseUint(value, 10, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				counts = append(counts, n)
+			case key == name+"_sum":
+				if sum, err = strconv.ParseFloat(value, 64); err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+			case key == name+"_count":
+				if count, err = strconv.ParseUint(value, 10, 64); err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+			}
+		}
+		return les, counts, sum, count
+	}
+
+	les, counts, _, count := series("crsharing_engine_solve_duration_seconds")
+	if want := []string{"0.001", "0.005", "0.025", "0.1", "0.5", "1", "2.5", "10", "30", "120", "+Inf"}; !slices.Equal(les, want) {
+		t.Errorf("solve_duration_seconds le labels %v, want %v", les, want)
+	}
+	if count != 4 || len(counts) == 0 || counts[len(counts)-1] != count {
+		t.Errorf("solve_duration_seconds: +Inf bucket %v, _count %d, want both 4", counts, count)
+	}
+	for i := 1; i < len(counts); i++ {
+		if counts[i] < counts[i-1] {
+			t.Errorf("solve_duration_seconds buckets not cumulative: %v", counts)
+		}
+	}
+
+	les, counts, sum, count := series("crsharing_engine_solve_nodes")
+	if want := []string{"1", "10", "100", "1000", "10000", "100000", "1e+06", "1e+07", "+Inf"}; !slices.Equal(les, want) {
+		t.Errorf("solve_nodes le labels %v, want %v", les, want)
+	}
+	if want := []uint64{1, 2, 3, 3, 3, 3, 3, 3, 4}; !slices.Equal(counts, want) {
+		t.Errorf("solve_nodes buckets %v, want %v", counts, want)
+	}
+	if count != 4 || sum != 20_000_105 {
+		t.Errorf("solve_nodes _count %d _sum %g, want 4 and 20000105", count, sum)
 	}
 }

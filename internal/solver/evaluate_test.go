@@ -117,7 +117,8 @@ func TestAllKernelsAgreeWithExactOnFigure2(t *testing.T) {
 // TestEveryNameFinishesNearZeroLastJobs solves instances whose last job on
 // a processor has a requirement of at most numeric.Eps. Such a job
 // finishes in a step that may assign no resource, and every registered name
-// must keep that step and answer the oracle's optimum.
+// must keep that step, answer the oracle's optimum and waste nothing: a
+// share given to such a job is waste, because it runs on no share.
 func TestEveryNameFinishesNearZeroLastJobs(t *testing.T) {
 	cases := []struct {
 		inst *core.Instance
@@ -146,6 +147,9 @@ func TestEveryNameFinishesNearZeroLastJobs(t *testing.T) {
 			}
 			if ev.Makespan != c.want {
 				t.Errorf("case %d: %s makespan %d, oracle %d", ci, name, ev.Makespan, c.want)
+			}
+			if ev.Wasted != 0 {
+				t.Errorf("case %d: %s wastes %g", ci, name, ev.Wasted)
 			}
 		}
 	}

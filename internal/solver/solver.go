@@ -41,8 +41,8 @@ type Stats struct {
 	// Incumbents counts the improving solutions reported while the solve ran.
 	Incumbents int64
 	// KernelAllocs counts the heap-allocation events the search kernels
-	// recorded on their hot path (scratch growth and work handoffs, reported
-	// through internal/progress); steady-state exact solves report zero or
+	// recorded on their hot path (scratch growth, reported through
+	// internal/progress); steady-state exact solves report zero or
 	// near-zero. Together with Nodes it yields allocs-per-node telemetry.
 	KernelAllocs int64
 	// WarmStart reports that a kernel accepted a warm-start hint attached to

@@ -1,15 +1,15 @@
 // Package stats provides the small set of descriptive statistics used by the
-// experiment harness and the simulator reports: means, standard deviations,
-// quantiles, min/max, and fixed-width histograms. It exists so that the
-// experiments can summarise ratio distributions without pulling in external
-// dependencies.
+// experiment harness, the simulator reports, the engine's /metrics
+// histograms and the load reports: means, standard deviations, quantiles,
+// min/max, and histograms over fixed upper bounds. It exists so that they
+// can summarise distributions without pulling in external dependencies.
 package stats
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 )
 
 // Summary holds the descriptive statistics of a sample.
@@ -136,180 +136,114 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// MergeSummaries pools two summaries exactly for Count, Mean, StdDev, Min and
-// Max (the pooled standard deviation is reconstructed from the per-summary
-// moments). Quantiles are NOT mergeable from summaries alone — P50/P90/P99 of
-// the result are zero and must be re-estimated by the caller, typically from a
-// merged Histogram (see Histogram.Merge and Histogram.Quantile).
-func MergeSummaries(a, b Summary) Summary {
-	if a.Count == 0 {
-		return Summary{Count: b.Count, Mean: b.Mean, StdDev: b.StdDev, Min: b.Min, Max: b.Max}
-	}
-	if b.Count == 0 {
-		return Summary{Count: a.Count, Mean: a.Mean, StdDev: a.StdDev, Min: a.Min, Max: a.Max}
-	}
-	na, nb := float64(a.Count), float64(b.Count)
-	out := Summary{
-		Count: a.Count + b.Count,
-		Mean:  (na*a.Mean + nb*b.Mean) / (na + nb),
-		Min:   math.Min(a.Min, b.Min),
-		Max:   math.Max(a.Max, b.Max),
-	}
-	// Pooled variance via the combined sum of squared deviations: each side
-	// contributes its own M2 = (n-1)·sd² plus the shift of its mean to the
-	// pooled mean.
-	m2 := (na-1)*a.StdDev*a.StdDev + na*(a.Mean-out.Mean)*(a.Mean-out.Mean) +
-		(nb-1)*b.StdDev*b.StdDev + nb*(b.Mean-out.Mean)*(b.Mean-out.Mean)
-	if out.Count > 1 {
-		out.StdDev = math.Sqrt(m2 / float64(out.Count-1))
-	}
-	return out
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi).
+// Histogram counts samples against fixed upper bounds, as a Prometheus
+// histogram does: Counts[i] holds the samples x with Bounds[i-1] < x ≤
+// Bounds[i] (every x ≤ Bounds[0] for i = 0), and the extra slot
+// Counts[len(Bounds)] holds the samples above the last bound, so no sample
+// is ever dropped. Sum is the sum of every sample. A histogram never
+// changes its bounds; histograms with equal bounds merge exactly.
 type Histogram struct {
-	Lo      float64 `json:"lo"`
-	Hi      float64 `json:"hi"`
-	Buckets []int   `json:"buckets"`
-	// Underflow and Overflow count samples outside [Lo, Hi); Add never drops
-	// a sample silently.
-	Underflow int `json:"underflow,omitempty"`
-	Overflow  int `json:"overflow,omitempty"`
+	Bounds []float64 `json:"bounds"`
+	Counts []uint64  `json:"counts"`
+	Sum    float64   `json:"sum"`
 }
 
-// NewHistogram returns a histogram with the given number of equal-width
-// buckets covering [lo, hi). It panics if hi ≤ lo or buckets < 1 (programming
-// errors).
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if hi <= lo || buckets < 1 {
-		panic("stats: invalid histogram parameters")
+// NewHistogram returns an empty histogram over the given upper bounds, which
+// it keeps without copying. It panics if bounds is empty or not strictly
+// increasing (programming errors).
+func NewHistogram(bounds []float64) *Histogram {
+	if len(bounds) == 0 {
+		panic("stats: histogram needs at least one bound")
 	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, buckets)}
+	for i := 1; i < len(bounds); i++ {
+		if !(bounds[i] > bounds[i-1]) {
+			panic("stats: histogram bounds must increase strictly")
+		}
+	}
+	return &Histogram{Bounds: bounds, Counts: make([]uint64, len(bounds)+1)}
 }
 
-// Add records one sample.
+// Add records one sample. It allocates nothing.
 func (h *Histogram) Add(x float64) {
-	if x < h.Lo {
-		h.Underflow++
-		return
-	}
-	if x >= h.Hi {
-		h.Overflow++
-		return
-	}
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
+	h.Counts[sort.SearchFloat64s(h.Bounds, x)]++
+	h.Sum += x
 }
 
 // BoundsMismatchError reports a Histogram.Merge whose operands do not share
-// bounds and bucket count. Merging such histograms would silently misbin every
-// sample of the other run, so the merge refuses instead.
+// bounds. Merging such histograms would silently misbin every sample of the
+// other run, so the merge refuses instead.
 type BoundsMismatchError struct {
-	ALo, AHi float64
-	ABuckets int
-	BLo, BHi float64
-	BBuckets int
+	A, B []float64
 }
 
 func (e *BoundsMismatchError) Error() string {
-	return fmt.Sprintf("stats: histogram bounds mismatch: [%g, %g)/%d vs [%g, %g)/%d",
-		e.ALo, e.AHi, e.ABuckets, e.BLo, e.BHi, e.BBuckets)
+	return fmt.Sprintf("stats: histogram bounds mismatch: %s vs %s", boundsString(e.A), boundsString(e.B))
 }
 
-// Merge folds o into h. Bucket, underflow and overflow counts add exactly, so
-// merging the histograms of K disjoint shards equals building one histogram
-// over the pooled samples. The histograms must share Lo, Hi and bucket count;
+// boundsString describes a bound list by its length and range.
+func boundsString(b []float64) string {
+	if len(b) == 0 {
+		return "no bounds"
+	}
+	return fmt.Sprintf("%d bounds [%g, %g]", len(b), b[0], b[len(b)-1])
+}
+
+// Merge folds o into h. Counts and sums add, so merging the histograms of
+// disjoint samples equals building one histogram over the pooled samples
+// (Sum up to float rounding). The histograms must share their bounds;
 // otherwise Merge returns a *BoundsMismatchError and leaves h unchanged.
 func (h *Histogram) Merge(o *Histogram) error {
-	if h.Lo != o.Lo || h.Hi != o.Hi || len(h.Buckets) != len(o.Buckets) {
-		return &BoundsMismatchError{
-			ALo: h.Lo, AHi: h.Hi, ABuckets: len(h.Buckets),
-			BLo: o.Lo, BHi: o.Hi, BBuckets: len(o.Buckets),
-		}
+	if !slices.Equal(h.Bounds, o.Bounds) || len(h.Counts) != len(o.Counts) {
+		return &BoundsMismatchError{A: h.Bounds, B: o.Bounds}
 	}
-	for i, c := range o.Buckets {
-		h.Buckets[i] += c
+	for i, c := range o.Counts {
+		h.Counts[i] += c
 	}
-	h.Underflow += o.Underflow
-	h.Overflow += o.Overflow
+	h.Sum += o.Sum
 	return nil
 }
 
-// Clone returns a deep copy of the histogram.
+// Clone returns a copy of the histogram whose counts are its own; the
+// bounds, which never change, are shared.
 func (h *Histogram) Clone() *Histogram {
-	out := *h
-	out.Buckets = append([]int(nil), h.Buckets...)
-	return &out
+	return &Histogram{Bounds: h.Bounds, Counts: slices.Clone(h.Counts), Sum: h.Sum}
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket counts with
-// linear interpolation inside the selected bucket, so the estimate is within
-// one bucket width of the exact sample quantile. Underflow mass is treated as
-// sitting at Lo and overflow mass at Hi. An empty histogram yields 0.
+// Total returns the number of recorded samples.
+func (h *Histogram) Total() uint64 {
+	var t uint64
+	for _, c := range h.Counts {
+		t += c
+	}
+	return t
+}
+
+// Quantile estimates the q-quantile (q in [0,1]) from the counts with linear
+// interpolation inside the selected bucket, so the estimate is within one
+// bucket of the exact sample quantile. The first bucket has no lower edge,
+// so its mass sits at Bounds[0]; the overflow slot has no upper edge, so its
+// mass sits at the last bound. An empty histogram yields 0.
 func (h *Histogram) Quantile(q float64) float64 {
 	total := h.Total()
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
+	q = math.Min(math.Max(q, 0), 1)
 	rank := q * float64(total)
-	cum := float64(h.Underflow)
-	if rank <= cum {
-		return h.Lo
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
+	var cum float64
+	for i, c := range h.Counts {
 		if c == 0 {
 			continue
 		}
 		next := cum + float64(c)
 		if rank <= next {
+			if i == 0 || i == len(h.Bounds) {
+				return h.Bounds[min(i, len(h.Bounds)-1)]
+			}
 			frac := (rank - cum) / float64(c)
-			return h.Lo + (float64(i)+frac)*width
+			return h.Bounds[i-1] + frac*(h.Bounds[i]-h.Bounds[i-1])
 		}
 		cum = next
 	}
-	return h.Hi
-}
-
-// Total returns the number of recorded samples, including under- and
-// overflow.
-func (h *Histogram) Total() int {
-	t := h.Underflow + h.Overflow
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
-}
-
-// String renders the histogram as an ASCII bar chart, one bucket per line.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	maxCount := 1
-	for _, c := range h.Buckets {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		lo := h.Lo + float64(i)*width
-		bar := strings.Repeat("#", c*40/maxCount)
-		fmt.Fprintf(&b, "[%7.3f, %7.3f) %6d %s\n", lo, lo+width, c, bar)
-	}
-	if h.Underflow > 0 {
-		fmt.Fprintf(&b, "underflow %d\n", h.Underflow)
-	}
-	if h.Overflow > 0 {
-		fmt.Fprintf(&b, "overflow %d\n", h.Overflow)
-	}
-	return b.String()
+	return h.Bounds[len(h.Bounds)-1]
 }

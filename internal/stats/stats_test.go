@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -140,63 +141,76 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
+	h := NewHistogram([]float64{0.25, 0.5, 0.75, 1})
 	for _, x := range []float64{0.1, 0.1, 0.3, 0.6, 0.9, -0.5, 1.5} {
 		h.Add(x)
 	}
 	if h.Total() != 7 {
 		t.Fatalf("total = %d, want 7", h.Total())
 	}
-	if h.Buckets[0] != 2 || h.Buckets[1] != 1 || h.Buckets[2] != 1 || h.Buckets[3] != 1 {
-		t.Fatalf("buckets = %v", h.Buckets)
+	// -0.5 lands in the first bucket (no lower edge), 1.5 in the overflow slot.
+	if want := []uint64{3, 1, 1, 1, 1}; !slices.Equal(h.Counts, want) {
+		t.Fatalf("counts = %v, want %v", h.Counts, want)
 	}
-	if h.Underflow != 1 || h.Overflow != 1 {
-		t.Fatalf("under/over = %d/%d", h.Underflow, h.Overflow)
+	if math.Abs(h.Sum-3) > 1e-12 {
+		t.Fatalf("sum = %g, want 3", h.Sum)
 	}
-	out := h.String()
-	if !strings.Contains(out, "underflow 1") || !strings.Contains(out, "overflow 1") {
-		t.Fatalf("rendering missing overflow lines:\n%s", out)
+	if allocs := testing.AllocsPerRun(100, func() { h.Add(0.4) }); allocs != 0 {
+		t.Fatalf("Add allocates %v times", allocs)
+	}
+	c := h.Clone()
+	c.Add(0.1)
+	if h.Counts[0] != 3 || c.Counts[0] != 4 {
+		t.Fatal("Clone shares its counts with the original")
 	}
 }
 
 func TestHistogramPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	NewHistogram(1, 1, 4)
+	for _, bounds := range [][]float64{nil, {1, 1}, {2, 1}, {1, math.NaN()}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("bounds %v: expected panic", bounds)
+				}
+			}()
+			NewHistogram(bounds)
+		}()
+	}
 }
 
+// TestHistogramEdgeBucket pins the le semantics: a sample equal to a bound
+// lands in that bound's bucket, one just above it in the next.
 func TestHistogramEdgeBucket(t *testing.T) {
-	h := NewHistogram(0, 1, 10)
-	h.Add(0.9999999999)
-	sum := 0
-	for _, c := range h.Buckets {
-		sum += c
-	}
-	if sum != 1 || h.Overflow != 0 {
-		t.Fatalf("sample just below Hi must land in the last bucket")
+	h := NewHistogram([]float64{1, 10, 100})
+	h.Add(10)
+	h.Add(math.Nextafter(10, 11))
+	h.Add(100)
+	if want := []uint64{0, 1, 2, 0}; !slices.Equal(h.Counts, want) {
+		t.Fatalf("counts = %v, want %v", h.Counts, want)
 	}
 }
 
-// TestHistogramMergeMatchesPooled is the shard-merge property: merging K
-// disjoint shard histograms equals building one histogram over the pooled
-// samples — Total, bucket counts and under/overflow exact — and the merged
-// quantile estimates land within one bucket width of the exact sample
-// quantiles.
+// TestHistogramMergeMatchesPooled is the merge property: merging K histograms
+// of disjoint samples equals building one histogram over the pooled samples
+// — Total and every count, overflow included, exact — and the merged
+// quantile estimates land within one bucket of the exact sample quantiles.
 func TestHistogramMergeMatchesPooled(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		shards := 2 + rng.Intn(5)
-		lo, hi, buckets := 0.0, 100.0, 1+rng.Intn(40)
-		pooled := NewHistogram(lo, hi, buckets)
-		merged := NewHistogram(lo, hi, buckets)
+		parts := 2 + rng.Intn(5)
+		buckets := 1 + rng.Intn(40)
+		width := 100 / float64(buckets)
+		bounds := make([]float64, buckets+1)
+		for i := range bounds {
+			bounds[i] = float64(i) * width
+		}
+		pooled := NewHistogram(bounds)
+		merged := NewHistogram(bounds)
 		var samples []float64
-		for s := 0; s < shards; s++ {
-			h := NewHistogram(lo, hi, buckets)
+		for s := 0; s < parts; s++ {
+			h := NewHistogram(bounds)
 			for i := 0; i < rng.Intn(200); i++ {
-				// Include out-of-range mass so the merge must carry it too.
+				// Include mass outside the bounds so the merge must carry it too.
 				x := -10 + rng.Float64()*120
 				samples = append(samples, x)
 				pooled.Add(x)
@@ -206,23 +220,20 @@ func TestHistogramMergeMatchesPooled(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if merged.Total() != pooled.Total() || merged.Total() != len(samples) {
+		if merged.Total() != pooled.Total() || merged.Total() != uint64(len(samples)) {
 			t.Fatalf("trial %d: merged total %d, pooled %d, samples %d",
 				trial, merged.Total(), pooled.Total(), len(samples))
 		}
-		if merged.Underflow != pooled.Underflow || merged.Overflow != pooled.Overflow {
-			t.Fatalf("trial %d: under/overflow merged %d/%d pooled %d/%d",
-				trial, merged.Underflow, merged.Overflow, pooled.Underflow, pooled.Overflow)
+		if !slices.Equal(merged.Counts, pooled.Counts) {
+			t.Fatalf("trial %d: counts merged %v pooled %v", trial, merged.Counts, pooled.Counts)
 		}
-		for i := range merged.Buckets {
-			if merged.Buckets[i] != pooled.Buckets[i] {
-				t.Fatalf("trial %d: bucket %d merged %d pooled %d", trial, i, merged.Buckets[i], pooled.Buckets[i])
-			}
+		if math.Abs(merged.Sum-pooled.Sum) > 1e-9*(1+math.Abs(pooled.Sum)) {
+			t.Fatalf("trial %d: sum merged %g pooled %g", trial, merged.Sum, pooled.Sum)
 		}
 		if len(samples) == 0 {
 			continue
 		}
-		width := (hi - lo) / float64(buckets)
+		lo, hi := bounds[0], bounds[len(bounds)-1]
 		sorted := append([]float64(nil), samples...)
 		sort.Float64s(sorted)
 		for _, q := range []float64{0.5, 0.99} {
@@ -232,14 +243,9 @@ func TestHistogramMergeMatchesPooled(t *testing.T) {
 			if idx < 0 {
 				idx = 0
 			}
-			exact := sorted[idx]
-			// Clamp like the histogram does: out-of-range mass sits at the bounds.
-			if exact < lo {
-				exact = lo
-			}
-			if exact > hi {
-				exact = hi
-			}
+			// Clamp like the histogram does: mass outside the bounds sits at
+			// the first and last bound.
+			exact := math.Min(math.Max(sorted[idx], lo), hi)
 			got := merged.Quantile(q)
 			if math.Abs(got-exact) > width+1e-9 {
 				t.Fatalf("trial %d: q=%g estimate %g vs exact %g beyond bucket width %g",
@@ -250,15 +256,16 @@ func TestHistogramMergeMatchesPooled(t *testing.T) {
 }
 
 // TestHistogramMergeBoundsMismatch pins the typed refusal: merging histograms
-// with different bounds or bucket counts must return *BoundsMismatchError and
-// leave the receiver untouched instead of silently misbinning.
+// with different bounds must return *BoundsMismatchError and leave the
+// receiver untouched instead of silently misbinning.
 func TestHistogramMergeBoundsMismatch(t *testing.T) {
-	base := NewHistogram(0, 1, 4)
-	base.Add(0.5)
+	base := NewHistogram([]float64{0.25, 0.5, 0.75, 1})
+	base.Add(0.6)
 	for _, other := range []*Histogram{
-		NewHistogram(0, 2, 4),
-		NewHistogram(-1, 1, 4),
-		NewHistogram(0, 1, 8),
+		NewHistogram([]float64{0.5, 1, 1.5, 2}),
+		NewHistogram([]float64{0.25, 0.5, 0.75}),
+		NewHistogram([]float64{0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1}),
+		{}, // decoded from a report that carries no bounds
 	} {
 		err := base.Merge(other)
 		var bm *BoundsMismatchError
@@ -268,90 +275,42 @@ func TestHistogramMergeBoundsMismatch(t *testing.T) {
 		if bm.Error() == "" {
 			t.Fatal("empty mismatch message")
 		}
-		if base.Total() != 1 || base.Buckets[2] != 1 {
+		if base.Total() != 1 || base.Counts[2] != 1 || base.Sum != 0.6 {
 			t.Fatalf("failed merge mutated the receiver: %+v", base)
 		}
 	}
 }
 
-// TestHistogramOutOfRangeRegression pins the fix for the old data-loss case:
-// out-of-range samples must be counted (underflow/overflow), surface in
-// String(), survive a Merge, and anchor the quantile estimate at the bounds —
-// never be dropped.
+// TestHistogramOutOfRangeRegression pins that samples outside the bounds
+// are never dropped: those below the first bound count in the first bucket,
+// those above the last in the overflow slot; both survive a Merge and
+// anchor the quantile estimate at the outer bounds.
 func TestHistogramOutOfRangeRegression(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
+	bounds := []float64{0, 2, 4, 6, 8, 10}
+	h := NewHistogram(bounds)
 	for _, x := range []float64{-5, -1, 20, 30, 40} {
 		h.Add(x)
 	}
 	if h.Total() != 5 {
 		t.Fatalf("out-of-range samples dropped: total %d, want 5", h.Total())
 	}
-	if h.Underflow != 2 || h.Overflow != 3 {
-		t.Fatalf("under/overflow %d/%d, want 2/3", h.Underflow, h.Overflow)
+	if h.Counts[0] != 2 || h.Counts[len(bounds)] != 3 {
+		t.Fatalf("first/overflow %d/%d, want 2/3", h.Counts[0], h.Counts[len(bounds)])
 	}
-	if s := h.String(); !strings.Contains(s, "underflow 2") || !strings.Contains(s, "overflow 3") {
-		t.Fatalf("String does not surface out-of-range mass:\n%s", s)
-	}
-	other := NewHistogram(0, 10, 5)
+	other := NewHistogram(bounds)
 	other.Add(-1)
 	other.Add(100)
 	if err := h.Merge(other); err != nil {
 		t.Fatal(err)
 	}
-	if h.Underflow != 3 || h.Overflow != 4 || h.Total() != 7 {
+	if h.Counts[0] != 3 || h.Counts[len(bounds)] != 4 || h.Total() != 7 {
 		t.Fatalf("merge lost out-of-range mass: %+v", h)
 	}
-	// All mass outside the range: the quantile clamps to the bounds.
+	// All mass outside the range: the quantile clamps to the outer bounds.
 	if q := h.Quantile(0.0); q != 0 {
-		t.Fatalf("q0 = %g, want clamp to Lo", q)
+		t.Fatalf("q0 = %g, want the first bound", q)
 	}
 	if q := h.Quantile(1.0); q != 10 {
-		t.Fatalf("q1 = %g, want clamp to Hi", q)
-	}
-}
-
-// TestMergeSummariesMatchesPooled checks the exact fields of MergeSummaries
-// against Summarize over the pooled sample; quantiles are intentionally zero
-// (not mergeable from summaries — re-estimate from a merged histogram).
-func TestMergeSummariesMatchesPooled(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		a := make([]float64, 1+rng.Intn(100))
-		b := make([]float64, 1+rng.Intn(100))
-		for i := range a {
-			a[i] = rng.NormFloat64() * 10
-		}
-		for i := range b {
-			b[i] = 5 + rng.NormFloat64()*3
-		}
-		got := MergeSummaries(Summarize(a), Summarize(b))
-		want := Summarize(append(append([]float64(nil), a...), b...))
-		if got.Count != want.Count {
-			t.Fatalf("count %d != %d", got.Count, want.Count)
-		}
-		for _, f := range []struct {
-			name string
-			g, w float64
-		}{
-			{"mean", got.Mean, want.Mean},
-			{"stddev", got.StdDev, want.StdDev},
-			{"min", got.Min, want.Min},
-			{"max", got.Max, want.Max},
-		} {
-			if math.Abs(f.g-f.w) > 1e-9*(1+math.Abs(f.w)) {
-				t.Fatalf("trial %d: %s merged %g pooled %g", trial, f.name, f.g, f.w)
-			}
-		}
-		if got.P50 != 0 || got.P99 != 0 {
-			t.Fatalf("merged quantiles must be zero (unmergeable), got %+v", got)
-		}
-	}
-	// Identities with the empty summary.
-	s := Summarize([]float64{1, 2, 3})
-	if got := MergeSummaries(s, Summary{}); got.Count != 3 || got.Mean != s.Mean {
-		t.Fatalf("merge with empty lost data: %+v", got)
-	}
-	if got := MergeSummaries(Summary{}, s); got.Count != 3 || got.StdDev != s.StdDev {
-		t.Fatalf("merge with empty lost data: %+v", got)
+		t.Fatalf("q1 = %g, want the last bound", q)
 	}
 }
