@@ -40,14 +40,9 @@ func New() *Scheduler { return &Scheduler{} }
 // NewPQ returns the priority-queue variant.
 func NewPQ() *Scheduler { return &Scheduler{UsePriorityQueue: true} }
 
-// Name returns "opt-res-assignment", or "opt-res-assignment-pq" for the
-// priority-queue variant.
-func (s *Scheduler) Name() string {
-	if s.UsePriorityQueue {
-		return "opt-res-assignment-pq"
-	}
-	return "opt-res-assignment"
-}
+// Name returns "opt-res-assignment" for both variants: they compute the same
+// optimum.
+func (s *Scheduler) Name() string { return "opt-res-assignment" }
 
 // IsExact marks the scheduler as exact.
 func (s *Scheduler) IsExact() bool { return true }

@@ -12,18 +12,31 @@ import (
 
 func solveAndExecute(t *testing.T, s *Scheduler, inst *core.Instance) int {
 	t.Helper()
+	return solveAndExecuteResult(t, s, inst).Makespan()
+}
+
+func solveAndExecuteResult(t *testing.T, s *Scheduler, inst *core.Instance) *core.Result {
+	t.Helper()
 	sched, err := s.Schedule(context.Background(), inst)
 	if err != nil {
-		t.Fatalf("%s: Schedule: %v", s.Name(), err)
+		t.Fatalf("%s: Schedule: %v", variant(s), err)
 	}
 	res, err := core.Execute(inst, sched)
 	if err != nil {
-		t.Fatalf("%s: Execute: %v", s.Name(), err)
+		t.Fatalf("%s: Execute: %v", variant(s), err)
 	}
 	if !res.Finished() {
-		t.Fatalf("%s: schedule does not finish all jobs", s.Name())
+		t.Fatalf("%s: schedule does not finish all jobs", variant(s))
 	}
-	return res.Makespan()
+	return res
+}
+
+// variant names the dynamic program's variant in failure messages.
+func variant(s *Scheduler) string {
+	if s.UsePriorityQueue {
+		return "priority-queue variant"
+	}
+	return "dense variant"
 }
 
 func TestOptResAssignmentMatchesBruteForceOnRandomInstances(t *testing.T) {
@@ -153,8 +166,37 @@ func TestOptResAssignmentZeroRequirements(t *testing.T) {
 	}
 }
 
+// TestNearZeroLastJobs solves instances whose last job on a processor has a
+// requirement of at most numeric.Eps with both variants: each must answer
+// the oracle's optimum and waste nothing. The priority-queue variant once
+// wasted 1e-9 on the third instance.
+func TestNearZeroLastJobs(t *testing.T) {
+	cases := []struct {
+		inst *core.Instance
+		want int
+	}{
+		{core.NewInstance([]float64{0.5, 0}, []float64{0.5}), 2},
+		{core.NewInstance([]float64{0.5, 5e-10}, []float64{0.5714285708571429, 0.05}), 3},
+		{core.NewInstance([]float64{0.375, 1e-9}, []float64{0.24999999100000103, 1}), 2},
+	}
+	for ci, c := range cases {
+		if opt, err := bruteforce.Makespan(c.inst); err != nil || opt != c.want {
+			t.Fatalf("case %d: oracle %d (err %v), want %d", ci, opt, err, c.want)
+		}
+		for _, s := range []*Scheduler{New(), NewPQ()} {
+			res := solveAndExecuteResult(t, s, c.inst)
+			if res.Makespan() != c.want {
+				t.Errorf("case %d: %s makespan %d, oracle %d", ci, variant(s), res.Makespan(), c.want)
+			}
+			if res.Wasted() != 0 {
+				t.Errorf("case %d: %s wastes %g", ci, variant(s), res.Wasted())
+			}
+		}
+	}
+}
+
 func TestOptResAssignmentNames(t *testing.T) {
-	if New().Name() != "opt-res-assignment" || NewPQ().Name() != "opt-res-assignment-pq" {
+	if New().Name() != "opt-res-assignment" || NewPQ().Name() != "opt-res-assignment" {
 		t.Fatalf("unexpected names %q, %q", New().Name(), NewPQ().Name())
 	}
 	if !New().IsExact() {

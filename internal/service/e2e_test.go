@@ -40,11 +40,18 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Fresh solve of the Figure 3 worst-case family (the shell smoke's
-	// instance), with the schedule included so it can be revalidated.
+	// instance), with the schedule included so it can be revalidated. It
+	// names branch-and-bound, which always explores a node: the default
+	// portfolio may settle on GreedyBalance's answer at the lower bound
+	// before branch-and-bound counts one. The repeat, the batch and the job
+	// below name it too: the cache keys answers by solver, and the job
+	// checks a node count.
 	inst := gen.Figure3(10)
+	const exact = "branch-and-bound"
 	var first SolveResponse
 	resp, body := postJSON(t, url+"/v1/solve", SolveRequest{
 		Instance:        inst,
+		Solver:          exact,
 		Timeout:         "10s",
 		IncludeSchedule: true,
 	})
@@ -58,8 +65,8 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("first solve source %q, want %q", first.Source, solver.SourceSolve)
 	}
 	assertScheduleMatches(t, inst, first.Schedule, first.Makespan)
-	// The response must carry populated engine telemetry: the default
-	// portfolio races branch-and-bound, so a fresh solve explored nodes.
+	// The response must carry populated engine telemetry: a fresh
+	// branch-and-bound solve explored nodes.
 	if first.Telemetry == nil {
 		t.Fatal("fresh solve response carries no telemetry")
 	}
@@ -76,7 +83,7 @@ func TestEndToEnd(t *testing.T) {
 	// The identical repeat must be answered from the cache with the same
 	// fingerprint and result.
 	var second SolveResponse
-	resp, body = postJSON(t, url+"/v1/solve", SolveRequest{Instance: inst, Timeout: "10s"})
+	resp, body = postJSON(t, url+"/v1/solve", SolveRequest{Instance: inst, Solver: exact, Timeout: "10s"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat solve status %d: %s", resp.StatusCode, body)
 	}
@@ -102,6 +109,7 @@ func TestEndToEnd(t *testing.T) {
 	// Batch solve mixes the cached instance with fresh ones.
 	var batch BatchResponse
 	resp, body = postJSON(t, url+"/v1/batch-solve", BatchRequest{
+		Solver:    exact,
 		Instances: []*core.Instance{inst, gen.Figure1(), gen.Figure2()},
 		Timeout:   "10s",
 	})
@@ -126,9 +134,10 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Async job lifecycle on a fresh (uncached) instance: accepted pending,
-	// SSE stream reaches a terminal state, record carries a valid schedule.
+	// SSE stream reaches a terminal state, record carries a valid schedule
+	// and, from branch-and-bound, a node count.
 	jobInst := gen.Figure3(12)
-	resp, body = postJSON(t, url+"/v1/jobs", JobRequest{Instance: jobInst, Timeout: "20s"})
+	resp, body = postJSON(t, url+"/v1/jobs", JobRequest{Instance: jobInst, Solver: exact, Timeout: "20s"})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job submit status %d: %s", resp.StatusCode, body)
 	}

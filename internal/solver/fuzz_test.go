@@ -13,8 +13,8 @@ import (
 
 // FuzzPortfolioAgainstBruteforce generates tiny random instances and
 // cross-checks the portfolio makespan against the independent brute-force
-// optimum oracle. The portfolio contains exact members, so on every instance
-// the oracle accepts the two must agree exactly.
+// optimum oracle. The portfolio contains an exact member (branch-and-bound),
+// so on every instance the oracle accepts the two must agree exactly.
 func FuzzPortfolioAgainstBruteforce(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(2))
 	f.Add(int64(20140623), uint8(3), uint8(3))
@@ -93,7 +93,7 @@ func FuzzEveryNameAgainstBruteforce(f *testing.F) {
 			}
 			ev, err := Evaluate(context.Background(), s, inst)
 			if err != nil {
-				if m != 2 && (name == "opt-res-assignment" || name == "opt-res-assignment-pq") {
+				if m != 2 && name == "opt-res-assignment" {
 					continue // the m=2 dynamic program's domain
 				}
 				t.Fatalf("%s: %v\n%v", name, err, inst)

@@ -91,7 +91,6 @@ func Default() *Registry {
 	r.Register("greedy-balance-small", func() Solver { return Adapt(greedybalance.NewWithTie(greedybalance.SmallerRemaining)) })
 	r.Register("greedy-unbalanced-large", func() Solver { return Adapt(greedybalance.NewUnbalanced(greedybalance.LargerRemaining)) })
 	r.Register("opt-res-assignment", func() Solver { return Adapt(optres2.New()) })
-	r.Register("opt-res-assignment-pq", func() Solver { return Adapt(optres2.NewPQ()) })
 	r.Register("opt-res-assignment-2", func() Solver { return Adapt(optresm.New()) })
 	r.Register("branch-and-bound", func() Solver { return Adapt(branchbound.New()) })
 	r.Register("branch-and-bound-parallel", func() Solver { return Adapt(branchbound.NewParallel()) })

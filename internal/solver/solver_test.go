@@ -3,12 +3,14 @@ package solver
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"crsharing/internal/algo/anytime"
 	"crsharing/internal/algo/branchbound"
 	"crsharing/internal/algo/bruteforce"
 	"crsharing/internal/algo/greedybalance"
@@ -31,15 +33,65 @@ func corpus() []*core.Instance {
 	return insts
 }
 
+// servedCorpus returns instances of the shapes servebench solves fresh (its
+// freshInstance classes): 60 of fleet-batch's small uneven instances and 20
+// each of fresh-solve's uneven and resource-tight ones. On the wider of them
+// the configuration enumeration and the chunked kernels run for seconds.
+func servedCorpus() []*core.Instance {
+	rng := rand.New(rand.NewSource(20260601))
+	var insts []*core.Instance
+	for i := 0; i < 60; i++ {
+		insts = append(insts, gen.RandomUneven(rng, 2+rng.Intn(2), 2, 4, 0.05, 0.95))
+	}
+	for i := 0; i < 20; i++ {
+		insts = append(insts, gen.RandomUneven(rng, 4+rng.Intn(3), 2, 5, 0.05, 0.95))
+	}
+	for i := 0; i < 20; i++ {
+		m := 3 + rng.Intn(2)
+		if rng.Intn(2) == 0 {
+			insts = append(insts, gen.RandomBimodal(rng, m, 4, 0.8))
+		} else {
+			insts = append(insts, gen.Random(rng, m, 4, 0.85, 1.0))
+		}
+	}
+	return insts
+}
+
+// servedBudget bounds each registered solver's standalone run on the
+// served corpus in TestPortfolioNotWorseThanAnyMember.
+const servedBudget = 10 * time.Millisecond
+
+// threeMemberRace is the smaller race the default portfolio could become:
+// GreedyBalance, the anytime tier and branch-and-bound, in the default
+// portfolio's member order.
+func threeMemberRace() *Portfolio {
+	return NewPortfolio(Adapt(greedybalance.New()), Adapt(anytime.New()), Adapt(branchbound.New()))
+}
+
 // TestPortfolioNotWorseThanAnyMember is the acceptance property of the
 // portfolio: on every corpus instance its makespan is at most the makespan of
-// every individual registered solver that accepts the instance.
+// every individual registered solver that accepts the instance. The
+// three-member race is held to the same property, so every registered kernel
+// it leaves out is checked against it. On the served corpus each solver runs
+// under servedBudget; where one is cut off, the race must instead answer the
+// brute-force optimum, and where the oracle does not apply either, the
+// comparison is skipped and counted.
 func TestPortfolioNotWorseThanAnyMember(t *testing.T) {
 	reg := Default()
 	ctx := context.Background()
-	for ci, inst := range corpus() {
-		best := -1
-		bestName := ""
+	skipped := 0
+	check := func(label string, inst *core.Instance, budget time.Duration) {
+		races := []Solver{NewDefaultPortfolio(), threeMemberRace()}
+		got := make([]*Evaluation, len(races))
+		for i, race := range races {
+			ev, err := Evaluate(ctx, race, inst)
+			if err != nil {
+				t.Fatalf("%s: race %d: %v", label, i, err)
+			}
+			got[i] = ev
+		}
+		oracle := -1 // unknown until a cut-off solver asks for it
+		accepted := 0
 		for _, name := range reg.Names() {
 			if name == "portfolio" {
 				continue
@@ -48,34 +100,57 @@ func TestPortfolioNotWorseThanAnyMember(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ev, err := Evaluate(ctx, s, inst)
-			if err != nil {
+			mctx, cancel := ctx, func() {}
+			if budget > 0 {
+				mctx, cancel = context.WithTimeout(ctx, budget)
+			}
+			ev, err := Evaluate(mctx, s, inst)
+			cut := err != nil && mctx.Err() != nil
+			cancel()
+			switch {
+			case cut:
+				if oracle < 0 && inst.TotalJobs() <= 12 {
+					if opt, oerr := bruteforce.Makespan(inst); oerr == nil {
+						oracle = opt
+					}
+				}
+				if oracle < 0 {
+					skipped++
+					continue
+				}
+				for i := range races {
+					if got[i].Makespan != oracle {
+						t.Fatalf("%s: %s ran past %v and race %d's makespan %d is not the optimum %d", label, name, budget, i, got[i].Makespan, oracle)
+					}
+				}
+			case err != nil:
 				continue // solver rejects the instance (e.g. m != 2 for the DP)
+			default:
+				for i := range races {
+					if got[i].Makespan > ev.Makespan {
+						t.Fatalf("%s: race %d's makespan %d worse than %s's %d", label, i, got[i].Makespan, name, ev.Makespan)
+					}
+				}
 			}
-			if best < 0 || ev.Makespan < best {
-				best, bestName = ev.Makespan, name
-			}
+			accepted++
 		}
-		if best < 0 {
-			t.Fatalf("corpus %d: no individual solver accepted the instance", ci)
-		}
-		port, err := reg.New("portfolio")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev, err := Evaluate(ctx, port, inst)
-		if err != nil {
-			t.Fatalf("corpus %d: portfolio: %v", ci, err)
-		}
-		if ev.Makespan > best {
-			t.Fatalf("corpus %d: portfolio makespan %d worse than %s's %d", ci, ev.Makespan, bestName, best)
+		if accepted == 0 {
+			t.Fatalf("%s: no individual solver accepted the instance", label)
 		}
 	}
+	for ci, inst := range corpus() {
+		check(fmt.Sprintf("corpus %d", ci), inst, 0)
+	}
+	for ci, inst := range servedCorpus() {
+		check(fmt.Sprintf("served %d", ci), inst, servedBudget)
+	}
+	t.Logf("%d comparisons skipped: solver cut off by %v and no brute-force optimum", skipped, servedBudget)
 }
 
 // TestPortfolioMatchesBruteforce pins the portfolio to the independent
-// optimum oracle on the corpus: the default portfolio contains exact members,
-// so its result must be optimal wherever the oracle applies.
+// optimum oracle on the corpus: the default portfolio contains an exact
+// member (branch-and-bound), so its result must be optimal wherever the
+// oracle applies.
 func TestPortfolioMatchesBruteforce(t *testing.T) {
 	ctx := context.Background()
 	for ci, inst := range corpus() {
@@ -266,8 +341,8 @@ func (s solveFunc) Solve(ctx context.Context, inst *core.Instance) (*core.Schedu
 func TestRegistry(t *testing.T) {
 	reg := Default()
 	names := reg.Names()
-	if len(names) < 10 {
-		t.Fatalf("expected at least 10 registered solvers, got %v", names)
+	if len(names) != 12 {
+		t.Fatalf("expected 12 registered solvers, got %d: %v", len(names), names)
 	}
 	for _, want := range []string{"greedy-balance", "branch-and-bound-parallel", "opt-res-assignment-2", "portfolio"} {
 		if _, err := reg.New(want); err != nil {
@@ -277,10 +352,17 @@ func TestRegistry(t *testing.T) {
 	if _, err := reg.New("no-such-solver"); err == nil {
 		t.Fatal("expected error for unknown solver")
 	}
-	// The retired parallel twin of the Theorem-6 enumeration is an unknown
-	// name whose error points at the serial kernel that remains.
-	if _, err := reg.New("opt-res-assignment-2-parallel"); err == nil || !strings.Contains(err.Error(), `opt-res-assignment-2 `) {
-		t.Fatalf("retired opt-res-assignment-2-parallel: err=%v, want unknown solver listing opt-res-assignment-2", err)
+	// Retired names are unknown, and each error lists the kernel that
+	// remains: the Theorem-6 enumeration's parallel twin and the m=2
+	// dynamic program's priority-queue variant.
+	for _, retired := range []struct{ name, remains string }{
+		{"opt-res-assignment-2-parallel", "opt-res-assignment-2"},
+		{"opt-res-assignment-pq", "opt-res-assignment"},
+	} {
+		_, err := reg.New(retired.name)
+		if err == nil || !strings.Contains(err.Error(), " "+retired.remains+" ") {
+			t.Fatalf("retired %s: err=%v, want unknown solver listing %s", retired.name, err, retired.remains)
+		}
 	}
 	defer func() {
 		if recover() == nil {
