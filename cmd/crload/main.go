@@ -1,10 +1,11 @@
 // Command crload is the end-to-end load driver of the scheduling service: it
 // expands a seed into the deterministic workload corpus of internal/harness,
-// replays an open-loop mix of synchronous solves, batch solves and
-// asynchronous jobs (with SSE follow) against a server, revalidates every
-// returned schedule with the paper's invariant checkers, and reports
-// per-class latency distributions, throughput and the cache-hit accounting
-// scraped from /metrics.
+// plans an open-loop arrival schedule of synchronous solves, batch solves,
+// asynchronous jobs (with SSE follow) and online mutation chains before the
+// run starts, plays it against a server the way a recording is replayed,
+// revalidates every returned schedule with the paper's invariant checkers,
+// and reports per-class latency distributions, throughput and the cache-hit
+// accounting scraped from /metrics.
 //
 // With no -addr it builds crserved's backend in-process (service.Build: the
 // sharded memo cache, engine, job manager and HTTP layer) on a loopback
@@ -17,10 +18,15 @@
 // Each process runs one driver. Beyond that it speaks the fleet protocol:
 //
 //	crload -seed 1 -json a.json                       # one of several processes, each writing its report
-//	crload -seed 1 -record run.jsonl                  # capture the request stream as versioned JSONL
+//	crload -seed 1 -record run.jsonl                  # write the played schedule as versioned JSONL
 //	crload -replay run.jsonl -replay-speed 2          # re-issue it bit-exactly (2x compressed schedule)
 //	crload -merge a.json,b.json -slo slo.json         # pool per-process reports, then gate
 //	crload -seed 1 -slo .github/slo.json              # hard SLO gate for CI
+//
+// A recording holds each arrival's planned offset (divided by the replay
+// speed when a replay is re-recorded), not the time the request was actually
+// issued, and each online entry names its mutation chain, so a replay sends
+// warm starts the way the recorded run did.
 //
 // And the multi-node tier: -addrs lists the crserved backends behind a
 // crrouter, so the report's cache accounting sums every backend's /metrics
@@ -98,8 +104,8 @@ func run() int {
 	tenantSpec := flag.String("tenants", "", "multi-tenant traffic, name:weight:rps,... (e.g. gold:3:150,free:1:50); weights also configure the in-process server")
 	minTenantRequests := flag.Int("min-tenant-requests", 0, "fail unless every tenant completed at least this many non-error requests (starvation gate)")
 	cacheDir := flag.String("cache-dir", "", "warm-cache directory for the in-process server; reused across runs to test cold/warm starts")
-	recordPath := flag.String("record", "", "capture the full request stream (offsets, classes, tenants, payloads, outcomes) to this versioned JSONL file")
-	replayPath := flag.String("replay", "", "re-issue a recorded request stream bit-exactly instead of generating open-loop arrivals")
+	recordPath := flag.String("record", "", "write the played arrival schedule (planned offsets, classes, tenants, payloads, online chains, outcomes) to this versioned JSONL file")
+	replayPath := flag.String("replay", "", "re-issue a recorded request stream bit-exactly instead of planning open-loop arrivals")
 	replaySpeed := flag.Float64("replay-speed", 1, "compress (>1) or stretch (<1) the replayed arrival schedule; the request sequence is unchanged")
 	mergeSpec := flag.String("merge", "", "comma-separated report JSON files to pool into one fleet report (no load is driven)")
 	sloPath := flag.String("slo", "", "declarative SLO spec (JSON); violations exit with code 4")
@@ -158,12 +164,6 @@ func run() int {
 		}
 		cfg.Corpus = corpus
 	}
-	var recorder *harness.Recorder
-	if *recordPath != "" {
-		recorder = harness.NewRecorder()
-		cfg.Recorder = recorder
-	}
-
 	var backendAddrs []string
 	for _, a := range strings.Split(*addrsSpec, ",") {
 		if a = strings.TrimSuffix(strings.TrimSpace(a), "/"); a != "" {
@@ -246,12 +246,8 @@ func run() int {
 		return setupFailed(err)
 	}
 
-	if recorder != nil {
-		recSeed := *seed
-		if cfg.Replay != nil {
-			recSeed = cfg.Replay.Seed
-		}
-		recording := recorder.Recording(recSeed)
+	if *recordPath != "" {
+		recording := driver.Recording()
 		if err := recording.WriteFile(*recordPath); err != nil {
 			return setupFailed(err)
 		}

@@ -1,5 +1,6 @@
-// Package durable writes files that survive a crash: every on-disk record of
-// the system (job records, cache snapshots) goes through WriteFile.
+// Package durable writes files that survive a crash and reads them back: every
+// on-disk record of the system (job records, cache snapshots) is written
+// through WriteFile and loaded through LoadDir.
 package durable
 
 import (
@@ -41,6 +42,34 @@ func WriteFile(dir, name string, data []byte, perm os.FileMode) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// LoadDir hands the contents of every regular file in dir whose name keep
+// accepts to decode. A file that cannot be read, or that decode rejects, is
+// renamed to name + ".corrupt" (best effort) so later loads skip it, and the
+// load goes on: one corrupt file never fails a startup. It returns how many
+// files were quarantined.
+func LoadDir(dir string, keep func(name string) bool, decode func(name string, data []byte) error) (quarantined int, err error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !keep(name) {
+			continue
+		}
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = decode(name, data)
+		}
+		if err != nil {
+			quarantined++
+			os.Rename(path, path+".corrupt")
+		}
+	}
+	return quarantined, nil
 }
 
 // syncDir fsyncs a directory so a just-completed rename inside it is durable.

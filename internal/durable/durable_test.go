@@ -79,3 +79,55 @@ func TestWriteFileFailureKeepsPrevious(t *testing.T) {
 		t.Fatalf("temp files survived a failed write: %v", tmps)
 	}
 }
+
+func TestLoadDirQuarantinesRejectedFiles(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range map[string]string{
+		"a.json":        "good",
+		"b.json":        "bad",
+		"c.txt":         "bad", // filtered out: neither decoded nor quarantined
+		".d.json.tmp-1": "bad",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var decoded []string
+	n, err := LoadDir(dir,
+		func(name string) bool { return filepath.Ext(name) == ".json" },
+		func(name string, data []byte) error {
+			decoded = append(decoded, name)
+			if string(data) != "good" {
+				return os.ErrInvalid
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 || len(decoded) != 2 {
+		t.Fatalf("quarantined %d after decoding %v, want 1 of [a.json b.json]", n, decoded)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range names {
+		names[i] = filepath.Base(names[i])
+	}
+	want := []string{".d.json.tmp-1", "a.json", "b.json.corrupt", "c.txt", "sub.json"}
+	if len(names) != len(want) {
+		t.Fatalf("directory holds %v, want %v", names, want)
+	}
+	for i := range want {
+		if names[i] != want[i] {
+			t.Fatalf("directory holds %v, want %v", names, want)
+		}
+	}
+	if _, err := LoadDir(filepath.Join(dir, "missing"), nil, nil); err == nil {
+		t.Fatal("LoadDir of a missing directory succeeded")
+	}
+}

@@ -50,18 +50,11 @@ func (cfg Config) ExactMakespan(inst *core.Instance) (int, error) {
 		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		defer cancel()
 	}
-	sched, _, err := solver.NewExactPortfolio().Solve(ctx, inst)
+	ev, err := solver.Evaluate(ctx, solver.NewExactPortfolio(), inst)
 	if err != nil {
 		return 0, fmt.Errorf("experiments: exact oracle: %w", err)
 	}
-	res, err := core.Execute(inst, sched)
-	if err != nil {
-		return 0, fmt.Errorf("experiments: exact oracle produced invalid schedule: %w", err)
-	}
-	if !res.Finished() {
-		return 0, fmt.Errorf("experiments: exact oracle schedule incomplete")
-	}
-	return res.Makespan(), nil
+	return ev.Makespan, nil
 }
 
 // evaluate runs the kernel through solver.Evaluate, which checks that its

@@ -13,14 +13,18 @@
 //     constructions as anchors. The same seed always yields the
 //     byte-identical corpus.
 //
-//   - Driver (driver.go): an open-loop replay driver that fires a weighted
-//     mix of synchronous solves, batch solves and asynchronous jobs
-//     (submit + SSE follow) at a base URL — an in-process backend or a
-//     remote crserved — and collects per-class latency distributions via
-//     internal/stats, throughput, error/cancel counts, per-class
-//     engine-telemetry aggregates (nodes explored, incumbents, results per
-//     cache source — load runs double as solver-behaviour regressions) and
-//     the cache-hit accounting scraped from /metrics.
+//   - Driver (driver.go): an open-loop load driver. NewDriver plans the
+//     run's arrivals before it starts — per tenant, arrival k due k/rate
+//     after the start, a weighted mix of synchronous solves, batch solves,
+//     asynchronous jobs (submit + SSE follow) and online mutation chains
+//     drawn from seeded streams — and Run plays that plan, or a recording
+//     to replay, through one loop against a base URL (an in-process backend
+//     or a remote crserved). The report holds per-class and per-tenant
+//     Stats: latency distributions via internal/stats, error/shed/cancel
+//     counts and engine-telemetry aggregates (nodes explored, incumbents,
+//     results per cache source — load runs double as solver-behaviour
+//     regressions), plus throughput and the cache-hit accounting scraped
+//     from /metrics.
 //
 // The server a driver runs against in-process is crserved's own backend,
 // built by service.Build on a loopback listener; crload's in-process mode
@@ -34,13 +38,15 @@
 //
 // On top of the single driver sits the fleet-scale verification layer:
 //
-//   - Recording (record.go): a versioned JSONL codec that captures a run's
-//     full request stream — arrival offsets, class, tenant, instance
-//     payloads with canonical fingerprints, per-request outcome — and a
-//     replay mode (Config.Replay) that re-issues it bit-exactly, so two
-//     runs are comparable request-for-request. Decoding re-verifies every
-//     fingerprint and rejects corrupt, truncated or unknown-version input
-//     with line numbers.
+//   - Recording (record.go): a versioned JSONL codec for a run's full
+//     request stream — planned arrival offsets, class, tenant, instance
+//     payloads with canonical fingerprints, the online chain of each online
+//     entry, per-request outcome. A live run's plan is a Recording, and
+//     Driver.Recording returns the part Run played, so a replay
+//     (Config.Replay) goes through the same loop as the run it re-issues,
+//     warm starts included, and two runs are comparable request-for-request.
+//     Decoding re-verifies every fingerprint and rejects corrupt, truncated
+//     or unknown-version input with line numbers.
 //
 //   - Merge (report.go): each crload process runs one driver; MergeReports
 //     pools the report JSONs of several processes: counts add exactly, and

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -205,20 +206,16 @@ type Config struct {
 	BatchSize int
 	// MaxInflight caps concurrently outstanding requests (default 256).
 	MaxInflight int
-	// Tenants, when non-empty, turns the run multi-tenant: one arrival loop
+	// Tenants, when non-empty, turns the run multi-tenant: one arrival stream
 	// per tenant at its own Rate, every request carrying the tenant's name in
 	// the X-Tenant header, and the report gaining per-tenant accounting. When
 	// empty the run is anonymous at the global Rate.
 	Tenants []TenantLoad
-	// Recorder, when set, captures every arrival (offset, class, tenant, full
-	// instance payload, outcome) so the run can be re-issued bit-exactly with
-	// Replay.
-	Recorder *Recorder
-	// Replay, when set, replaces the open-loop arrival generator: the
+	// Replay, when set, replaces the planned open-loop arrivals: the
 	// recording's entries are re-issued at their recorded offsets with their
-	// recorded class, tenant and instances, so two runs are comparable
-	// request-for-request. Mix, Rate, Duration and Tenants are ignored;
-	// Corpus is optional.
+	// recorded class, tenant, instances and online chains, so two runs are
+	// comparable request-for-request. Mix, Rate, Duration and Tenants are
+	// ignored; Corpus is optional.
 	Replay *Recording
 	// ReplaySpeed compresses (>1) or stretches (<1) the recorded arrival
 	// schedule during Replay; 0 means 1 (as recorded). The request sequence
@@ -268,9 +265,10 @@ func (a *TelemetryAgg) add(tel *engine.Telemetry, source string) {
 	}
 }
 
-// ClassStats aggregates one request class of a finished run.
-type ClassStats struct {
-	// Requests counts completed requests of the class (including failures).
+// Stats aggregates one slice of a finished run: one request class, or one
+// tenant across all classes.
+type Stats struct {
+	// Requests counts completed requests (including failures).
 	Requests int `json:"requests"`
 	// Errors counts transport failures, non-2xx responses and failed batch
 	// results or jobs — excluding quota sheds, which Shed counts.
@@ -291,31 +289,22 @@ type ClassStats struct {
 	Incumbents int `json:"incumbents,omitempty"`
 	// ErrorSamples holds the first few error messages verbatim.
 	ErrorSamples []string `json:"error_samples,omitempty"`
-	// Telemetry folds the engine telemetry of the class's solves: nodes
+	// Telemetry folds the engine telemetry of the slice's solves: nodes
 	// explored, incumbents, and results per cache source.
 	Telemetry TelemetryAgg `json:"telemetry"`
-	// Latency summarises the class's request latencies in milliseconds. For
-	// jobs it spans submit to terminal event.
+	// Latency summarises the request latencies in milliseconds. For jobs it
+	// spans submit to terminal event.
 	Latency LatencySummary `json:"latency_ms"`
+
+	samples []float64 // raw latencies (ms) of a run in progress
 }
 
-// TenantStats aggregates one tenant's slice of a multi-tenant run, across
-// all request classes.
-type TenantStats struct {
-	// Requests counts the tenant's completed requests (including failures).
-	Requests int `json:"requests"`
-	// Errors counts the tenant's failures, excluding quota sheds.
-	Errors int `json:"errors"`
-	// Shed counts the tenant's requests the server refused over quota.
-	Shed int `json:"shed"`
-	// Cancelled counts the tenant's cancelled batch results and jobs.
-	Cancelled int `json:"cancelled"`
-	// CacheServed counts the tenant's responses answered without a fresh solve.
-	CacheServed int `json:"cache_served"`
-	// Telemetry folds the engine telemetry of the tenant's solves.
-	Telemetry TelemetryAgg `json:"telemetry"`
-	// Latency summarises the tenant's request latencies in milliseconds.
-	Latency LatencySummary `json:"latency_ms"`
+// summary returns a copy of s with its latency samples summarised.
+func (s *Stats) summary() *Stats {
+	c := *s
+	c.Latency = summarizeLatency(s.samples)
+	c.samples = nil
+	return &c
 }
 
 // Report is the outcome of one load run (or, after MergeReports, of several
@@ -337,12 +326,12 @@ type Report struct {
 	Throughput float64 `json:"throughput_rps"`
 	// WarmStarted sums the warm-started fresh solves across all classes — the
 	// headline number of the incremental-solving layer.
-	WarmStarted int                    `json:"warm_started"`
-	Classes     map[string]*ClassStats `json:"classes"`
+	WarmStarted int               `json:"warm_started"`
+	Classes     map[string]*Stats `json:"classes"`
 	// Tenants holds per-tenant accounting for multi-tenant runs (empty for
 	// anonymous runs). Shed above counts arrivals the driver itself dropped
 	// at its MaxInflight cap; ServerShed counts quota refusals by the server.
-	Tenants map[string]*TenantStats `json:"tenants,omitempty"`
+	Tenants map[string]*Stats `json:"tenants,omitempty"`
 	// Validated counts responses the invariant oracle checked;
 	// ViolationCount is the total number of failures and Violations lists
 	// their messages (bounded — past the cap a truncation sentinel stands in
@@ -358,22 +347,25 @@ type Report struct {
 	MetricsDelta MetricsSnapshot `json:"metrics_delta"`
 }
 
-// Driver replays corpus traffic against a server. Create one with NewDriver
-// and call Run once.
+// Driver plays an arrival schedule against a server: the open-loop plan
+// NewDriver expands from the corpus and mix, or a recording to replay.
+// Create one with NewDriver and call Run once.
 type Driver struct {
 	cfg    Config
 	oracle *Oracle
+	// plan is the arrival schedule Run plays, offsets already scaled by
+	// ReplaySpeed; each issued entry's Outcome is written in place.
+	plan   *Recording
+	played int // leading plan entries Run issued
 
-	mu              sync.Mutex
-	latencies       map[string][]float64
-	classes         map[string]*ClassStats
-	tenantLatencies map[string][]float64
-	tenants         map[string]*TenantStats
-	shed            int
-	serverShed      int
+	mu      sync.Mutex
+	classes map[string]*Stats
+	tenants map[string]*Stats
+	shed    int
 }
 
-// NewDriver validates the configuration and applies defaults.
+// NewDriver validates the configuration, applies defaults and plans the
+// arrivals Run will play.
 func NewDriver(cfg Config) (*Driver, error) {
 	if cfg.BaseURL == "" {
 		return nil, errors.New("harness: Config.BaseURL is required")
@@ -418,12 +410,10 @@ func NewDriver(cfg Config) (*Driver, error) {
 		cfg.MaxInflight = 256
 	}
 	d := &Driver{
-		cfg:             cfg,
-		oracle:          NewOracle(),
-		latencies:       make(map[string][]float64),
-		tenantLatencies: make(map[string][]float64),
-		tenants:         make(map[string]*TenantStats),
-		classes: map[string]*ClassStats{
+		cfg:     cfg,
+		oracle:  NewOracle(),
+		tenants: make(map[string]*Stats),
+		classes: map[string]*Stats{
 			ClassSolve:  {},
 			ClassBatch:  {},
 			ClassJobs:   {},
@@ -437,27 +427,110 @@ func NewDriver(cfg Config) (*Driver, error) {
 		if _, dup := d.tenants[tl.Name]; dup {
 			return nil, fmt.Errorf("harness: duplicate tenant %q", tl.Name)
 		}
-		d.tenants[tl.Name] = &TenantStats{}
+		d.tenants[tl.Name] = &Stats{}
 	}
 	if cfg.Replay != nil {
-		// Replay re-issues whatever tenants the recording carries.
-		for _, e := range cfg.Replay.Entries {
-			if e.Tenant != "" && d.tenants[e.Tenant] == nil {
-				d.tenants[e.Tenant] = &TenantStats{}
-			}
+		d.plan = &Recording{Seed: cfg.Replay.Seed, Entries: append([]Entry(nil), cfg.Replay.Entries...)}
+		for i := range d.plan.Entries {
+			e := &d.plan.Entries[i]
+			e.Seq = i
+			e.OffsetNS = int64(float64(e.OffsetNS) / cfg.ReplaySpeed)
+		}
+	} else {
+		d.plan = planArrivals(cfg)
+	}
+	// A replay re-issues whatever tenants the recording carries.
+	for _, e := range d.plan.Entries {
+		if e.Tenant != "" && d.tenants[e.Tenant] == nil {
+			d.tenants[e.Tenant] = &Stats{}
 		}
 	}
 	return d, nil
 }
 
-// Oracle exposes the driver's invariant oracle (for callers that want to
-// inspect violations while a run is in flight).
-func (d *Driver) Oracle() *Oracle { return d.oracle }
+// planArrivals expands a live configuration into the arrival schedule Run
+// plays. Each tenant (an anonymous run is one unnamed tenant at the global
+// rate) has arrival k due k/rate after the start, for as long as that falls
+// inside Duration. Each tenant draws classes from its own deterministic
+// stream and walks the corpus from its own offset, so tenants overlap on
+// instances (exercising the shared cache) without being identical. The
+// tenants' arrivals are merged by (offset, tenant index) and numbered
+// densely.
+func planArrivals(cfg Config) *Recording {
+	items := cfg.Corpus.Items()
+	rng := rand.New(rand.NewSource(cfg.Corpus.Seed))
+	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
 
-// Run generates arrivals — the configured open-loop mix, or a recorded
-// schedule when Replay is set — drains the in-flight requests, scrapes the
-// /metrics movement and returns the report. The context cancels the run
-// early; requests already in flight still finish within their own timeouts.
+	loads := cfg.Tenants
+	if len(loads) == 0 {
+		loads = []TenantLoad{{Rate: cfg.Rate}}
+	}
+	rec := &Recording{Seed: cfg.Corpus.Seed}
+	chains := 0 // online chains started so far, across tenants
+	for ti, tl := range loads {
+		rng := rand.New(rand.NewSource(cfg.Corpus.Seed + int64(ti)*7919))
+		rate := tl.Rate
+		if rate <= 0 {
+			rate = cfg.Rate
+		}
+		next := ti * 7
+		// Online-class chain state: the current instance, its chain number
+		// and how many mutation steps it is from its base.
+		var online Item
+		chain := 0
+		onlineStep := onlineChainLen // start a fresh chain on first draw
+		for k := 0; ; k++ {
+			due := time.Duration(float64(k) * float64(time.Second) / rate)
+			if due >= cfg.Duration {
+				break
+			}
+			class := cfg.Mix.pick(rng)
+			at := next
+			next++
+			var req []Item
+			switch class {
+			case ClassBatch:
+				req = make([]Item, 0, cfg.BatchSize)
+				for i := 0; i < cfg.BatchSize; i++ {
+					req = append(req, items[(at+i)%len(items)])
+				}
+			case ClassOnline:
+				// The chain's first arrival replays the base itself (warming
+				// the cache); each later arrival is one mutation of its
+				// predecessor, so consecutive instances are
+				// fingerprint-distinct but shape-near.
+				if onlineStep >= onlineChainLen {
+					online = items[at%len(items)]
+					chains++
+					chain = chains
+					onlineStep = 0
+				} else {
+					online.Inst = gen.Mutate(rng, online.Inst, gen.Mutations[onlineStep%len(gen.Mutations)])
+					onlineStep++
+				}
+				req = []Item{online}
+			default:
+				req = []Item{items[at%len(items)]}
+			}
+			e := newEntry(due, class, tl.Name, req)
+			if class == ClassOnline {
+				e.Chain = chain
+			}
+			rec.Entries = append(rec.Entries, e)
+		}
+	}
+	// Stable: ties keep tenant order, and each tenant's arrivals their k order.
+	sort.SliceStable(rec.Entries, func(i, j int) bool { return rec.Entries[i].OffsetNS < rec.Entries[j].OffsetNS })
+	for i := range rec.Entries {
+		rec.Entries[i].Seq = i
+	}
+	return rec
+}
+
+// Run plays the arrival schedule — the planned open-loop mix, or a recording
+// when Replay is set — drains the in-flight requests, scrapes the /metrics
+// movement and returns the report. The context cancels the run early;
+// requests already in flight still finish within their own timeouts.
 func (d *Driver) Run(ctx context.Context) (*Report, error) {
 	before, err := scrapeAll(d.cfg.Client, d.metricsURLs())
 	if err != nil {
@@ -467,11 +540,7 @@ func (d *Driver) Run(ctx context.Context) (*Report, error) {
 	var wg sync.WaitGroup // in-flight requests
 	inflight := make(chan struct{}, d.cfg.MaxInflight)
 	start := time.Now()
-	if d.cfg.Replay != nil {
-		d.replayArrivals(ctx, start, inflight, &wg)
-	} else {
-		d.liveArrivals(ctx, start, inflight, &wg)
-	}
+	d.play(ctx, start, inflight, &wg)
 	wg.Wait()
 	elapsed := time.Since(start)
 
@@ -482,6 +551,13 @@ func (d *Driver) Run(ctx context.Context) (*Report, error) {
 	return d.report(elapsed, before.Delta(after)), nil
 }
 
+// Recording returns the arrivals Run issued, in play order, each with its
+// planned offset (scaled by ReplaySpeed) and its outcome: a recording that
+// replays the run. Call it after Run returns.
+func (d *Driver) Recording() *Recording {
+	return &Recording{Seed: d.plan.Seed, Entries: d.plan.Entries[:d.played]}
+}
+
 // metricsURLs resolves where this run's metrics movement is scraped.
 func (d *Driver) metricsURLs() []string {
 	if len(d.cfg.MetricsURLs) > 0 {
@@ -490,116 +566,21 @@ func (d *Driver) metricsURLs() []string {
 	return []string{d.cfg.BaseURL + "/metrics"}
 }
 
-// liveArrivals runs the open-loop generator: one arrival loop per tenant at
-// its own rate for the configured duration. Arrival k is due k/rate after
-// start; a loop that falls behind (a starved goroutine, a slow arrive) issues
-// the overdue arrivals at once instead of dropping them, so the run offers
-// exactly the rate it reports.
-func (d *Driver) liveArrivals(ctx context.Context, start time.Time, inflight chan struct{}, wg *sync.WaitGroup) {
-	items := d.cfg.Corpus.Items()
-	rng := rand.New(rand.NewSource(d.cfg.Corpus.Seed))
-	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
-
-	// Anonymous runs are a single unnamed tenant at the global rate; the
-	// per-tenant loops below degenerate to a single arrival loop.
-	loads := d.cfg.Tenants
-	if len(loads) == 0 {
-		loads = []TenantLoad{{Rate: d.cfg.Rate}}
-	}
-
-	var loops sync.WaitGroup // arrival loops
-	for ti, tl := range loads {
-		loops.Add(1)
-		go func(ti int, tl TenantLoad) {
-			defer loops.Done()
-			// Each tenant draws classes from its own deterministic stream and
-			// walks the corpus from its own offset, so tenants overlap on
-			// instances (exercising the shared cache) without being identical.
-			rng := rand.New(rand.NewSource(d.cfg.Corpus.Seed + int64(ti)*7919))
-			rate := tl.Rate
-			if rate <= 0 {
-				rate = d.cfg.Rate
-			}
-			timer := time.NewTimer(0)
-			defer timer.Stop()
-			next := ti * 7
-			// Online-class chain state: the current instance, how many
-			// mutation steps it is from its base, and the chain's latest
-			// answer, which the next arrival sends as its warm start.
-			var (
-				online     Item
-				onlineHint *atomic.Pointer[core.Schedule]
-			)
-			onlineStep := onlineChainLen // start a fresh chain on first draw
-			for k := 0; ; k++ {
-				// Requests already in flight at the deadline still finish
-				// within their own timeouts.
-				due := time.Duration(float64(k) * float64(time.Second) / rate)
-				if due >= d.cfg.Duration {
-					return
-				}
-				if wait := due - time.Since(start); wait > 0 {
-					timer.Reset(wait)
-					select {
-					case <-ctx.Done():
-						return
-					case <-timer.C:
-					}
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				class := d.cfg.Mix.pick(rng)
-				at := next
-				next++
-				var (
-					req  []Item
-					hint *atomic.Pointer[core.Schedule]
-				)
-				switch class {
-				case ClassBatch:
-					req = make([]Item, 0, d.cfg.BatchSize)
-					for i := 0; i < d.cfg.BatchSize; i++ {
-						req = append(req, items[(at+i)%len(items)])
-					}
-				case ClassOnline:
-					// The chain's first arrival replays the base itself
-					// (warming the cache); each later arrival is one
-					// mutation of its predecessor, so consecutive
-					// instances are fingerprint-distinct but shape-near.
-					// A new chain gets a new hint holder, so a late answer
-					// from the old chain never seeds it.
-					if onlineStep >= onlineChainLen {
-						online = items[at%len(items)]
-						onlineHint = new(atomic.Pointer[core.Schedule])
-						onlineStep = 0
-					} else {
-						online.Inst = gen.Mutate(rng, online.Inst, gen.Mutations[onlineStep%len(gen.Mutations)])
-						onlineStep++
-					}
-					req = []Item{online}
-					hint = onlineHint
-				default:
-					req = []Item{items[at%len(items)]}
-				}
-				d.arrive(ctx, start, inflight, wg, class, tl.Name, req, hint)
-			}
-		}(ti, tl)
-	}
-	loops.Wait()
-}
-
-// replayArrivals re-issues a recording: every entry at its recorded offset
-// (compressed by ReplaySpeed), with its recorded class, tenant and instances.
-func (d *Driver) replayArrivals(ctx context.Context, start time.Time, inflight chan struct{}, wg *sync.WaitGroup) {
-	for i := range d.cfg.Replay.Entries {
-		e := &d.cfg.Replay.Entries[i]
-		due := time.Duration(float64(e.OffsetNS) / d.cfg.ReplaySpeed)
-		if wait := due - time.Since(start); wait > 0 {
-			timer := time.NewTimer(wait)
+// play issues the plan's entries in order, each at its offset after start. A
+// loop that falls behind (a starved goroutine, a slow arrive) issues the
+// overdue arrivals at once instead of dropping them, so the run offers
+// exactly the schedule it reports. Each online chain gets one holder of its
+// latest answer, so a late answer from an old chain never seeds a new one.
+func (d *Driver) play(ctx context.Context, start time.Time, inflight chan struct{}, wg *sync.WaitGroup) {
+	hints := make(map[int]*atomic.Pointer[core.Schedule])
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	for i := range d.plan.Entries {
+		e := &d.plan.Entries[i]
+		if wait := time.Duration(e.OffsetNS) - time.Since(start); wait > 0 {
+			timer.Reset(wait)
 			select {
 			case <-ctx.Done():
-				timer.Stop()
 				return
 			case <-timer.C:
 			}
@@ -607,28 +588,31 @@ func (d *Driver) replayArrivals(ctx context.Context, start time.Time, inflight c
 		if ctx.Err() != nil {
 			return
 		}
-		d.arrive(ctx, start, inflight, wg, e.Class, e.Tenant, e.items(), nil)
+		var hint *atomic.Pointer[core.Schedule]
+		if e.Chain > 0 {
+			if hint = hints[e.Chain]; hint == nil {
+				hint = new(atomic.Pointer[core.Schedule])
+				hints[e.Chain] = hint
+			}
+		}
+		d.played = i + 1
+		d.arrive(ctx, inflight, wg, e, hint)
 	}
 }
 
-// arrive admits one arrival: it records it, sheds it when the inflight cap is
-// full (keeping the loop open), and otherwise issues the request on its own
-// goroutine. hint, set only for live online arrivals, is the chain's holder
-// of its latest answer (see doSolve); the recording does not carry it.
-func (d *Driver) arrive(ctx context.Context, start time.Time, inflight chan struct{}, wg *sync.WaitGroup, class, tenant string, req []Item, hint *atomic.Pointer[core.Schedule]) {
-	seq := -1
-	if d.cfg.Recorder != nil {
-		seq = d.cfg.Recorder.arrive(time.Since(start), class, tenant, req)
-	}
+// arrive admits one arrival: it sheds it when the inflight cap is full
+// (keeping the loop open), and otherwise issues the request on its own
+// goroutine, which writes the entry's outcome when it ends. hint, set only
+// for online arrivals, is the chain's holder of its latest answer (see
+// doSolve).
+func (d *Driver) arrive(ctx context.Context, inflight chan struct{}, wg *sync.WaitGroup, e *Entry, hint *atomic.Pointer[core.Schedule]) {
 	select {
 	case inflight <- struct{}{}:
 	default:
 		d.mu.Lock()
 		d.shed++
 		d.mu.Unlock()
-		if d.cfg.Recorder != nil {
-			d.cfg.Recorder.finish(seq, OutcomeDriverShed)
-		}
+		e.Outcome = OutcomeDriverShed
 		return
 	}
 	wg.Add(1)
@@ -637,87 +621,60 @@ func (d *Driver) arrive(ctx context.Context, start time.Time, inflight chan stru
 		defer func() { <-inflight }()
 		rctx, cancel := context.WithTimeout(ctx, d.cfg.RequestTimeout)
 		defer cancel()
+		req := e.items()
 		began := time.Now()
 		var outcome string
-		switch class {
+		switch e.Class {
 		case ClassSolve, ClassOnline:
-			outcome = d.doSolve(rctx, class, tenant, req[0], hint)
+			outcome = d.doSolve(rctx, e.Class, e.Tenant, req[0], hint)
 		case ClassBatch:
-			outcome = d.doBatch(rctx, tenant, req)
+			outcome = d.doBatch(rctx, e.Tenant, req)
 		case ClassJobs:
-			outcome = d.doJob(rctx, tenant, req[0])
+			outcome = d.doJob(rctx, e.Tenant, req[0])
 		}
-		d.record(class, tenant, time.Since(began))
-		if d.cfg.Recorder != nil {
-			d.cfg.Recorder.finish(seq, outcome)
-		}
+		ms := float64(time.Since(began)) / float64(time.Millisecond)
+		d.book(e.Class, e.Tenant, func(s *Stats) {
+			s.Requests++
+			s.samples = append(s.samples, ms)
+		})
+		e.Outcome = outcome
 	}()
 }
 
-// record stores the class (and tenant) latency and bumps the request counts.
-func (d *Driver) record(class, tenant string, elapsed time.Duration) {
-	ms := float64(elapsed) / float64(time.Millisecond)
+// book applies one update to the class's bucket and, when the tenant is
+// tracked, to the tenant's bucket.
+func (d *Driver) book(class, tenant string, update func(*Stats)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.latencies[class] = append(d.latencies[class], ms)
-	d.classes[class].Requests++
+	update(d.classes[class])
 	if ts := d.tenants[tenant]; ts != nil {
-		d.tenantLatencies[tenant] = append(d.tenantLatencies[tenant], ms)
-		ts.Requests++
+		update(ts)
 	}
 }
 
-// maxErrorSamples bounds the per-class error strings kept verbatim.
+// maxErrorSamples bounds the error strings a bucket keeps verbatim.
 const maxErrorSamples = 5
-
-// countTelemetry folds one solve's telemetry into its class and tenant
-// aggregates.
-func (d *Driver) countTelemetry(class, tenant string, tel *engine.Telemetry, source string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.classes[class].Telemetry.add(tel, source)
-	if ts := d.tenants[tenant]; ts != nil {
-		ts.Telemetry.add(tel, source)
-	}
-}
 
 // countError books a failure against the class and tenant. Quota sheds (429
 // responses) are counted apart from errors: they are the admission policy
 // working, not the server misbehaving.
 func (d *Driver) countError(class, tenant string, err error) {
 	if isShed(err) {
-		d.countShed(class, tenant)
+		d.book(class, tenant, func(s *Stats) { s.Shed++ })
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cs := d.classes[class]
-	cs.Errors++
-	if err != nil && len(cs.ErrorSamples) < maxErrorSamples {
-		cs.ErrorSamples = append(cs.ErrorSamples, err.Error())
-	}
-	if ts := d.tenants[tenant]; ts != nil {
-		ts.Errors++
-	}
+	d.book(class, tenant, func(s *Stats) {
+		s.Errors++
+		if err != nil && len(s.ErrorSamples) < maxErrorSamples {
+			s.ErrorSamples = append(s.ErrorSamples, err.Error())
+		}
+	})
 }
 
-func (d *Driver) countShed(class, tenant string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.serverShed++
-	d.classes[class].Shed++
-	if ts := d.tenants[tenant]; ts != nil {
-		ts.Shed++
-	}
-}
-
-func (d *Driver) countCancelled(class, tenant string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.classes[class].Cancelled++
-	if ts := d.tenants[tenant]; ts != nil {
-		ts.Cancelled++
-	}
+// countTelemetry folds one solve's telemetry into its class and tenant
+// aggregates.
+func (d *Driver) countTelemetry(class, tenant string, tel *engine.Telemetry, source string) {
+	d.book(class, tenant, func(s *Stats) { s.Telemetry.add(tel, source) })
 }
 
 // httpError is a non-2xx response, typed so callers can tell quota sheds
@@ -804,12 +761,7 @@ func (d *Driver) doSolve(ctx context.Context, class, tenant string, item Item, h
 		return outcomeOf(err)
 	}
 	if resp.Source != "solve" {
-		d.mu.Lock()
-		d.classes[class].CacheServed++
-		if ts := d.tenants[tenant]; ts != nil {
-			ts.CacheServed++
-		}
-		d.mu.Unlock()
+		d.book(class, tenant, func(s *Stats) { s.CacheServed++ })
 	}
 	d.countTelemetry(class, tenant, resp.Telemetry, resp.Source)
 	label := fmt.Sprintf("%s %s/%s", class, item.Family, item.Inst.Fingerprint().Short())
@@ -841,9 +793,9 @@ func (d *Driver) doBatch(ctx context.Context, tenant string, batch []Item) strin
 	for _, res := range resp.Results {
 		switch {
 		case res.Shed:
-			d.countShed(ClassBatch, tenant)
+			d.book(ClassBatch, tenant, func(s *Stats) { s.Shed++ })
 		case res.Cancelled:
-			d.countCancelled(ClassBatch, tenant)
+			d.book(ClassBatch, tenant, func(s *Stats) { s.Cancelled++ })
 		case res.Error != "":
 			d.countError(ClassBatch, tenant, errors.New(res.Error))
 		case res.Index < 0 || res.Index >= len(batch):
@@ -870,9 +822,7 @@ func (d *Driver) doJob(ctx context.Context, tenant string, item Item) string {
 		return outcomeOf(err)
 	}
 	incumbents, err := d.followEvents(ctx, snap.ID)
-	d.mu.Lock()
-	d.classes[ClassJobs].Incumbents += incumbents
-	d.mu.Unlock()
+	d.book(ClassJobs, tenant, func(s *Stats) { s.Incumbents += incumbents })
 	if err != nil {
 		d.countError(ClassJobs, tenant, err)
 		return OutcomeError
@@ -899,7 +849,7 @@ func (d *Driver) doJob(ctx context.Context, tenant string, item Item) string {
 		}
 		return OutcomeOK
 	case jobs.StateCancelled:
-		d.countCancelled(ClassJobs, tenant)
+		d.book(ClassJobs, tenant, func(s *Stats) { s.Cancelled++ })
 		return OutcomeCancelled
 	default:
 		d.countError(ClassJobs, tenant, fmt.Errorf("job %s ended %s: %s", final.ID, final.State, final.Error))
@@ -965,20 +915,17 @@ func (d *Driver) getJob(ctx context.Context, id string) (*jobs.Snapshot, error) 
 // rate of its own falls back to the global rate).
 func (d *Driver) offeredRate(elapsed time.Duration) float64 {
 	if d.cfg.Replay != nil {
-		var maxOff int64
-		for i := range d.cfg.Replay.Entries {
-			if off := d.cfg.Replay.Entries[i].OffsetNS; off > maxOff {
-				maxOff = off
-			}
+		var span time.Duration
+		for _, e := range d.plan.Entries {
+			span = max(span, time.Duration(e.OffsetNS))
 		}
-		span := time.Duration(float64(maxOff) / d.cfg.ReplaySpeed)
 		if span <= 0 {
 			span = elapsed // single-instant recording: fall back to wall time
 		}
 		if span <= 0 {
 			return 0
 		}
-		return float64(len(d.cfg.Replay.Entries)) / span.Seconds()
+		return float64(len(d.plan.Entries)) / span.Seconds()
 	}
 	if len(d.cfg.Tenants) > 0 {
 		var sum float64
@@ -998,21 +945,14 @@ func (d *Driver) offeredRate(elapsed time.Duration) float64 {
 func (d *Driver) report(elapsed time.Duration, delta MetricsSnapshot) *Report {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	seed := int64(0)
-	if d.cfg.Corpus != nil {
-		seed = d.cfg.Corpus.Seed
-	} else if d.cfg.Replay != nil {
-		seed = d.cfg.Replay.Seed
-	}
 	rep := &Report{
-		Seed:           seed,
+		Seed:           d.plan.Seed,
 		Mix:            d.cfg.Mix,
 		Replayed:       d.cfg.Replay != nil,
 		RatePerSec:     d.offeredRate(elapsed),
 		DurationSec:    elapsed.Seconds(),
 		Shed:           d.shed,
-		ServerShed:     d.serverShed,
-		Classes:        make(map[string]*ClassStats, len(d.classes)),
+		Classes:        make(map[string]*Stats, len(d.classes)),
 		Validated:      d.oracle.Validated(),
 		ViolationCount: d.oracle.ViolationCount(),
 		Violations:     append([]string{}, d.oracle.Violations()...),
@@ -1021,18 +961,15 @@ func (d *Driver) report(elapsed time.Duration, delta MetricsSnapshot) *Report {
 		MetricsDelta:   delta,
 	}
 	for class, cs := range d.classes {
-		c := *cs
-		c.Latency = summarizeLatency(d.latencies[class])
-		rep.Classes[class] = &c
-		rep.Requests += c.Requests
-		rep.WarmStarted += c.Telemetry.WarmStarts
+		rep.Classes[class] = cs.summary()
+		rep.Requests += cs.Requests
+		rep.ServerShed += cs.Shed
+		rep.WarmStarted += cs.Telemetry.WarmStarts
 	}
 	if len(d.tenants) > 0 {
-		rep.Tenants = make(map[string]*TenantStats, len(d.tenants))
+		rep.Tenants = make(map[string]*Stats, len(d.tenants))
 		for name, ts := range d.tenants {
-			t := *ts
-			t.Latency = summarizeLatency(d.tenantLatencies[name])
-			rep.Tenants[name] = &t
+			rep.Tenants[name] = ts.summary()
 		}
 	}
 	if elapsed > 0 {

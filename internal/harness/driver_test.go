@@ -236,7 +236,7 @@ func TestDriverPerTenantAccounting(t *testing.T) {
 	if len(rep.Tenants) != 2 || rep.Tenants["gold"] == nil || rep.Tenants["free"] == nil {
 		t.Fatalf("tenant buckets wrong: %v", rep.Tenants)
 	}
-	var sum TenantStats
+	var sum Stats
 	for name, ts := range rep.Tenants {
 		if ts.Requests == 0 {
 			t.Errorf("tenant %s saw no traffic", name)
@@ -250,7 +250,7 @@ func TestDriverPerTenantAccounting(t *testing.T) {
 		sum.Cancelled += ts.Cancelled
 		sum.CacheServed += ts.CacheServed
 	}
-	var classes ClassStats
+	var classes Stats
 	for _, cs := range rep.Classes {
 		classes.Requests += cs.Requests
 		classes.Errors += cs.Errors
@@ -387,14 +387,15 @@ func TestScrapeMetrics(t *testing.T) {
 // TestDriverOnlineClass drives the online class against the exact kernel:
 // each chain arrival sends the chain's latest answer as warm_start, so some
 // fresh solves must report a warm start, and every schedule must revalidate.
-// Replaying a recording of the run, whose entries carry no hint, must
+// Replaying a recording of the run, whose online entries carry their chain,
+// must warm-start solves the same way; a recording without chains, as
+// recordings predating them decode, takes the no-hint path and must
 // revalidate just as cleanly. The low rate leaves each answer time to come
 // back before the chain's next arrival, even under -race on a loaded host;
 // corpus seed 7 starts chains on instances where greedy is not optimal, so
 // an adapted hint beats the kernel's own seed.
 func TestDriverOnlineClass(t *testing.T) {
 	backend := serve(t, testOptions())
-	rec := NewRecorder()
 	d, err := NewDriver(Config{
 		BaseURL:  backend.URL,
 		Corpus:   BuildCorpus(7),
@@ -402,7 +403,6 @@ func TestDriverOnlineClass(t *testing.T) {
 		Solver:   "branch-and-bound",
 		Rate:     10,
 		Duration: 4 * time.Second,
-		Recorder: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -422,27 +422,47 @@ func TestDriverOnlineClass(t *testing.T) {
 		t.Fatalf("invariant violations (%d): %v", rep.ViolationCount, rep.Violations)
 	}
 
-	// A fresh backend, so the replay solves rather than hits the cache.
-	replay, err := NewDriver(Config{
-		BaseURL:     serve(t, testOptions()).URL,
-		Solver:      "branch-and-bound",
-		Replay:      rec.Recording(7),
-		ReplaySpeed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
+	recording := d.Recording()
+	unchained := &Recording{Seed: recording.Seed, Entries: append([]Entry(nil), recording.Entries...)}
+	for i := range unchained.Entries {
+		unchained.Entries[i].Chain = 0
 	}
-	rrep, err := replay.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rrep.Replayed || rrep.Requests != rep.Requests {
-		t.Fatalf("replay issued %d requests (replayed=%v), want %d", rrep.Requests, rrep.Replayed, rep.Requests)
-	}
-	if rrep.ViolationCount != 0 {
-		t.Fatalf("replay invariant violations (%d): %v", rrep.ViolationCount, rrep.Violations)
-	}
-	if rrep.WarmStarted != 0 {
-		t.Fatalf("replay warm-started %d solves, but recordings carry no hint", rrep.WarmStarted)
+	for _, tc := range []struct {
+		name      string
+		recording *Recording
+		speed     float64
+		warm      bool
+	}{
+		// At the recorded speed, so each answer has as long to come back
+		// before its chain's next arrival as it had in the live run.
+		{"chained", recording, 1, true},
+		{"unchained", unchained, 40, false},
+	} {
+		// A fresh backend, so the replay solves rather than hits the cache.
+		replay, err := NewDriver(Config{
+			BaseURL:     serve(t, testOptions()).URL,
+			Solver:      "branch-and-bound",
+			Replay:      tc.recording,
+			ReplaySpeed: tc.speed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rrep, err := replay.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rrep.Replayed || rrep.Requests != rep.Requests {
+			t.Fatalf("%s replay issued %d requests (replayed=%v), want %d", tc.name, rrep.Requests, rrep.Replayed, rep.Requests)
+		}
+		if rrep.ViolationCount != 0 {
+			t.Fatalf("%s replay invariant violations (%d): %v", tc.name, rrep.ViolationCount, rrep.Violations)
+		}
+		if tc.warm && rrep.WarmStarted < 1 {
+			t.Fatalf("chained replay warm-started no solve (%d requests)", rrep.Requests)
+		}
+		if !tc.warm && rrep.WarmStarted != 0 {
+			t.Fatalf("unchained replay warm-started %d solves, but its entries carry no chain", rrep.WarmStarted)
+		}
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"sync"
 	"time"
 
 	"crsharing/internal/core"
@@ -32,16 +30,17 @@ const (
 	OutcomeCancelled  = "cancelled"
 )
 
-// Entry is one recorded arrival: when it arrived relative to the run start,
+// Entry is one arrival of a run: when it was due relative to the run start,
 // what it asked for (class, tenant, the full instance payloads with their
-// canonical fingerprints) and how it ended. Replaying an entry re-issues the
-// identical request at the identical offset; the recorded outcome is kept for
-// run-to-run comparison, not re-imposed.
+// canonical fingerprints, the online chain it belongs to) and how it ended.
+// Replaying an entry re-issues the identical request at the identical offset;
+// the recorded outcome is kept for run-to-run comparison, not re-imposed.
 type Entry struct {
 	// Seq is the arrival index within the run (dense from 0), in replay
 	// order.
 	Seq int `json:"seq"`
-	// OffsetNS is the arrival time relative to the run start, in nanoseconds.
+	// OffsetNS is when the arrival was due relative to the run start, in
+	// nanoseconds: the planned offset, not the time the request was issued.
 	OffsetNS int64 `json:"offset_ns"`
 	// Class is the request class (solve, batch, jobs or online).
 	Class string `json:"class"`
@@ -55,9 +54,32 @@ type Entry struct {
 	// Instances is the full request payload: one instance for solve and jobs,
 	// the batch window for batch.
 	Instances []*core.Instance `json:"instances"`
+	// Chain numbers the mutation chain an online entry belongs to (from 1;
+	// 0 means none, as in recordings that predate chains). A replay sends
+	// each chain entry the chain's latest answer as its warm start.
+	Chain int `json:"chain,omitempty"`
 	// Outcome is how the recorded request ended (ok, error, shed,
 	// driver-shed, cancelled).
 	Outcome string `json:"outcome,omitempty"`
+}
+
+// newEntry describes one arrival of the given class, tenant and payload, due
+// offset after the run start.
+func newEntry(offset time.Duration, class, tenant string, items []Item) Entry {
+	e := Entry{
+		OffsetNS:     int64(offset),
+		Class:        class,
+		Tenant:       tenant,
+		Families:     make([]string, len(items)),
+		Fingerprints: make([]string, len(items)),
+		Instances:    make([]*core.Instance, len(items)),
+	}
+	for i, it := range items {
+		e.Families[i] = it.Family
+		e.Fingerprints[i] = it.Inst.Fingerprint().String()
+		e.Instances[i] = it.Inst
+	}
+	return e
 }
 
 // items converts the entry payload back into the driver's corpus items.
@@ -194,6 +216,12 @@ func (e *Entry) validate(wantSeq int) error {
 	default:
 		return fmt.Errorf("unknown class %q", e.Class)
 	}
+	if e.Chain < 0 {
+		return fmt.Errorf("negative chain %d", e.Chain)
+	}
+	if e.Chain != 0 && e.Class != ClassOnline {
+		return fmt.Errorf("%s entry carries chain %d; only online entries have chains", e.Class, e.Chain)
+	}
 	if len(e.Instances) == 0 {
 		return errors.New("entry carries no instances")
 	}
@@ -228,77 +256,4 @@ func LoadRecording(path string) (*Recording, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return rec, nil
-}
-
-// Recorder captures a driver run's arrivals as they happen; Recording()
-// snapshots them into a replayable log. It is safe for concurrent use — the
-// driver calls it from every arrival loop and request goroutine.
-type Recorder struct {
-	mu      sync.Mutex
-	entries []Entry
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// arrive books one arrival and returns its Seq for the later outcome.
-func (r *Recorder) arrive(offset time.Duration, class, tenant string, items []Item) int {
-	e := Entry{
-		OffsetNS:     int64(offset),
-		Class:        class,
-		Tenant:       tenant,
-		Families:     make([]string, len(items)),
-		Fingerprints: make([]string, len(items)),
-		Instances:    make([]*core.Instance, len(items)),
-	}
-	for i, it := range items {
-		e.Families[i] = it.Family
-		e.Fingerprints[i] = it.Inst.Fingerprint().String()
-		e.Instances[i] = it.Inst
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e.Seq = len(r.entries)
-	r.entries = append(r.entries, e)
-	return e.Seq
-}
-
-// finish records how the request with the given Seq ended.
-func (r *Recorder) finish(seq int, outcome string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if seq >= 0 && seq < len(r.entries) {
-		r.entries[seq].Outcome = outcome
-	}
-}
-
-// Len returns the number of recorded arrivals so far.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries)
-}
-
-// Recording snapshots the captured arrivals into a replayable log for the
-// given corpus seed. Entries are sorted by arrival offset (Seq breaks ties)
-// and renumbered densely: a multi-tenant run books arrivals from one loop
-// per tenant into one Recorder in lock-acquisition order, which is NOT
-// offset order, and replayArrivals walks entries in slice order — without
-// the sort, such a capture would replay out-of-order offsets as an
-// immediate burst. After the renumber, Seq is the replay order and
-// decode's dense-Seq check holds.
-func (r *Recorder) Recording(seed int64) *Recording {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	entries := append([]Entry(nil), r.entries...)
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].OffsetNS != entries[j].OffsetNS {
-			return entries[i].OffsetNS < entries[j].OffsetNS
-		}
-		return entries[i].Seq < entries[j].Seq
-	})
-	for i := range entries {
-		entries[i].Seq = i
-	}
-	return &Recording{Seed: seed, Entries: entries}
 }

@@ -1,74 +1,18 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"testing"
 	"time"
 )
 
-// TestRecordingSortsShardedCapture is the deterministic half of the
-// interleaved-recording bugfix: a multi-tenant run's arrival loops book
-// arrivals into one Recorder in lock-acquisition order, which is NOT offset
-// order. Recording() must sort
-// by offset (Seq breaking ties, preserving booking order) and renumber Seq
-// densely, or replaying the capture re-issues the out-of-order offsets as an
-// immediate burst and decode's dense-Seq check fails.
-func TestRecordingSortsShardedCapture(t *testing.T) {
-	items := BuildCorpus(3).Items()[:1]
-	rec := NewRecorder()
-	// The interleaving two concurrent tenant loops would produce: out-of-order
-	// offsets, including a tie (both loops booked an arrival at 10ms).
-	offsets := []time.Duration{
-		30 * time.Millisecond,
-		10 * time.Millisecond,
-		20 * time.Millisecond,
-		10 * time.Millisecond,
-	}
-	for _, off := range offsets {
-		rec.arrive(off, ClassSolve, "", items)
-	}
-	recording := rec.Recording(3)
-
-	wantOffsets := []int64{
-		int64(10 * time.Millisecond), // booked second
-		int64(10 * time.Millisecond), // booked fourth: the tie keeps booking order
-		int64(20 * time.Millisecond),
-		int64(30 * time.Millisecond),
-	}
-	for i, e := range recording.Entries {
-		if e.Seq != i {
-			t.Errorf("entry %d has Seq %d, want dense renumbering", i, e.Seq)
-		}
-		if e.OffsetNS != wantOffsets[i] {
-			t.Errorf("entry %d offset = %dns, want %dns (sorted by arrival)", i, e.OffsetNS, wantOffsets[i])
-		}
-	}
-	// The sorted capture survives the decoder's dense-Seq validation.
-	data, err := recording.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeRecording(bytes.NewReader(data)); err != nil {
-		t.Fatalf("sorted sharded capture does not decode: %v", err)
-	}
-	// The snapshot did not disturb the live recorder: outcomes still attach
-	// to the original booking sequence.
-	rec.finish(0, OutcomeOK)
-	if got := rec.Recording(3).Entries[3].Outcome; got != OutcomeOK {
-		t.Errorf("outcome for booking Seq 0 (offset 30ms, sorted last) = %q, want %q", got, OutcomeOK)
-	}
-}
-
-// TestShardedRecordReplaysMonotone is the end-to-end regression for the
-// interleaved-recording bug: record a 4-tenant run (whose per-tenant
-// arrival loops interleave arrivals into the shared recorder out of offset
-// order), then replay the capture and assert the replay re-issues a
+// TestShardedRecordReplaysMonotone records a 4-tenant run, whose tenants'
+// arrival streams interleave, checks the recording is offset-sorted and
+// densely numbered, then replays it and asserts the replay re-issues a
 // monotone schedule identical to the recording request-for-request.
 func TestShardedRecordReplaysMonotone(t *testing.T) {
 	backend := serve(t, testOptions())
-	rec := NewRecorder()
 	tenants := make([]TenantLoad, 4)
 	for i := range tenants {
 		tenants[i] = TenantLoad{Name: fmt.Sprintf("t%d", i), Weight: 1, Rate: 100}
@@ -79,7 +23,6 @@ func TestShardedRecordReplaysMonotone(t *testing.T) {
 		Mix:      Mix{Solve: 1},
 		Duration: 400 * time.Millisecond,
 		Tenants:  tenants,
-		Recorder: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +34,7 @@ func TestShardedRecordReplaysMonotone(t *testing.T) {
 	if rep.ViolationCount != 0 {
 		t.Fatalf("recorded run had violations: %v", rep.Violations)
 	}
-	recording := rec.Recording(17)
+	recording := d.Recording()
 	if len(recording.Entries) < 8 {
 		t.Fatalf("run captured only %d arrivals", len(recording.Entries))
 	}

@@ -9,23 +9,44 @@ import (
 )
 
 // testRecording builds a small recording straight from the corpus, one entry
-// per class, covering tenants and multi-instance (batch) payloads.
+// per class, covering tenants, multi-instance (batch) payloads and an online
+// chain.
 func testRecording(t testing.TB) *Recording {
 	t.Helper()
 	items := BuildCorpus(7).Items()
 	if len(items) < 8 {
 		t.Fatalf("corpus too small: %d items", len(items))
 	}
-	rec := NewRecorder()
-	rec.arrive(0, ClassSolve, "", items[0:1])
-	rec.arrive(3*time.Millisecond, ClassBatch, "gold", items[1:5])
-	rec.arrive(5*time.Millisecond, ClassJobs, "free", items[5:6])
-	rec.arrive(9*time.Millisecond, ClassSolve, "gold", items[6:7])
-	rec.finish(0, OutcomeOK)
-	rec.finish(1, OutcomeOK)
-	rec.finish(2, OutcomeCancelled)
-	rec.finish(3, OutcomeShed)
-	return rec.Recording(7)
+	rec := &Recording{Seed: 7, Entries: []Entry{
+		newEntry(0, ClassSolve, "", items[0:1]),
+		newEntry(3*time.Millisecond, ClassBatch, "gold", items[1:5]),
+		newEntry(5*time.Millisecond, ClassJobs, "free", items[5:6]),
+		newEntry(9*time.Millisecond, ClassSolve, "gold", items[6:7]),
+		newEntry(12*time.Millisecond, ClassOnline, "", items[7:8]),
+	}}
+	for i, outcome := range []string{OutcomeOK, OutcomeOK, OutcomeCancelled, OutcomeShed, OutcomeOK} {
+		rec.Entries[i].Seq = i
+		rec.Entries[i].Outcome = outcome
+	}
+	rec.Entries[4].Chain = 1
+	return rec
+}
+
+// chainRecording is the plan of a short online-only run: one chain whose
+// entries are successive mutations of its base.
+func chainRecording(t testing.TB) *Recording {
+	t.Helper()
+	d, err := NewDriver(Config{
+		BaseURL:  "http://unused",
+		Corpus:   BuildCorpus(7),
+		Mix:      Mix{Online: 1},
+		Rate:     10,
+		Duration: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.plan
 }
 
 // TestRecordRoundTrip pins the codec contract: encode → decode → re-encode is
@@ -50,7 +71,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	for i, e := range dec.Entries {
 		orig := rec.Entries[i]
 		if e.Seq != orig.Seq || e.OffsetNS != orig.OffsetNS || e.Class != orig.Class ||
-			e.Tenant != orig.Tenant || e.Outcome != orig.Outcome {
+			e.Tenant != orig.Tenant || e.Chain != orig.Chain || e.Outcome != orig.Outcome {
 			t.Fatalf("entry %d decoded as %+v, want %+v", i, e, orig)
 		}
 		for j, fp := range e.Fingerprints {
@@ -162,6 +183,25 @@ func TestDecodeRejectsCorruptLines(t *testing.T) {
 			t.Fatalf("tampered payload not caught by fingerprint check: %v", err)
 		}
 	})
+	t.Run("chain on a solve entry", func(t *testing.T) {
+		mut := append([]string(nil), lines...)
+		mut[1] = strings.Replace(lines[1], "{\"seq\":0,", "{\"seq\":0,\"chain\":1,", 1)
+		_, err := DecodeRecording(strings.NewReader(strings.Join(mut, "")))
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "chain") {
+			t.Fatalf("chain on a solve entry not rejected on line 2: %v", err)
+		}
+	})
+	t.Run("negative chain", func(t *testing.T) {
+		if !strings.Contains(lines[5], "\"chain\":1,") {
+			t.Fatalf("online entry line does not carry its chain: %s", lines[5])
+		}
+		mut := append([]string(nil), lines...)
+		mut[5] = strings.Replace(lines[5], "\"chain\":1,", "\"chain\":-1,", 1)
+		_, err := DecodeRecording(strings.NewReader(strings.Join(mut, "")))
+		if err == nil || !strings.Contains(err.Error(), "line 6") || !strings.Contains(err.Error(), "chain") {
+			t.Fatalf("negative chain not rejected on line 6: %v", err)
+		}
+	})
 }
 
 // FuzzRecordRoundTrip fuzzes the decoder with arbitrary bytes: any input that
@@ -178,6 +218,11 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add([]byte("{\"crload_recording\":\"crload-recording\",\"version\":2,\"seed\":0}\n"))
 	f.Add([]byte(""))
 	f.Add([]byte("garbage\n"))
+	chained, err := chainRecording(f).Bytes()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(chained)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		dec, err := DecodeRecording(bytes.NewReader(in))
 		if err != nil {

@@ -13,7 +13,6 @@ import (
 // mixed load, recording every arrival, and returns the recording.
 func recordSeededRun(t *testing.T, backend *service.Backend) *Recording {
 	t.Helper()
-	rec := NewRecorder()
 	d, err := NewDriver(Config{
 		BaseURL:  backend.URL,
 		Corpus:   BuildCorpus(11),
@@ -23,7 +22,6 @@ func recordSeededRun(t *testing.T, backend *service.Backend) *Recording {
 			{Name: "gold", Weight: 2, Rate: 200},
 			{Name: "free", Weight: 1, Rate: 100},
 		},
-		Recorder: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +33,7 @@ func recordSeededRun(t *testing.T, backend *service.Backend) *Recording {
 	if rep.ViolationCount != 0 {
 		t.Fatalf("recorded run had violations: %v", rep.Violations)
 	}
-	recording := rec.Recording(11)
+	recording := d.Recording()
 	if len(recording.Entries) == 0 {
 		t.Fatal("recorded run captured no arrivals")
 	}
@@ -47,13 +45,11 @@ func recordSeededRun(t *testing.T, backend *service.Backend) *Recording {
 // run report.
 func replayOnce(t *testing.T, backend *service.Backend, recording *Recording) (*Recording, *Report) {
 	t.Helper()
-	rec := NewRecorder()
 	d, err := NewDriver(Config{
 		BaseURL:     backend.URL,
 		Replay:      recording,
 		ReplaySpeed: 50,
 		MaxInflight: 4096,
-		Recorder:    rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +58,7 @@ func replayOnce(t *testing.T, backend *service.Backend, recording *Recording) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec.Recording(recording.Seed), rep
+	return d.Recording(), rep
 }
 
 // sameSequence checks two recordings issue the identical request stream:

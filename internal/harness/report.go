@@ -189,15 +189,15 @@ func mergeTelemetry(a, b TelemetryAgg) TelemetryAgg {
 	return out
 }
 
-// mergeClassStats pools two per-class aggregates of the same class.
-func mergeClassStats(a, b *ClassStats) (*ClassStats, error) {
+// mergeStats pools two aggregates of the same class or tenant.
+func mergeStats(a, b *Stats) (*Stats, error) {
 	if a == nil {
 		return b, nil
 	}
 	if b == nil {
 		return a, nil
 	}
-	out := &ClassStats{
+	out := &Stats{
 		Requests:    a.Requests + b.Requests,
 		Errors:      a.Errors + b.Errors,
 		Shed:        a.Shed + b.Shed,
@@ -212,29 +212,6 @@ func mergeClassStats(a, b *ClassStats) (*ClassStats, error) {
 			break
 		}
 		out.ErrorSamples = append(out.ErrorSamples, e)
-	}
-	var err error
-	if out.Latency, err = mergeLatency(a.Latency, b.Latency); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// mergeTenantStats pools two per-tenant aggregates of the same tenant.
-func mergeTenantStats(a, b *TenantStats) (*TenantStats, error) {
-	if a == nil {
-		return b, nil
-	}
-	if b == nil {
-		return a, nil
-	}
-	out := &TenantStats{
-		Requests:    a.Requests + b.Requests,
-		Errors:      a.Errors + b.Errors,
-		Shed:        a.Shed + b.Shed,
-		Cancelled:   a.Cancelled + b.Cancelled,
-		CacheServed: a.CacheServed + b.CacheServed,
-		Telemetry:   mergeTelemetry(a.Telemetry, b.Telemetry),
 	}
 	var err error
 	if out.Latency, err = mergeLatency(a.Latency, b.Latency); err != nil {
@@ -260,7 +237,7 @@ func MergeReports(reports ...*Report) (*Report, error) {
 		Seed:       reports[0].Seed,
 		Mix:        reports[0].Mix,
 		Replayed:   reports[0].Replayed,
-		Classes:    map[string]*ClassStats{},
+		Classes:    map[string]*Stats{},
 		Properties: map[string]int{},
 	}
 	for _, r := range reports {
@@ -288,7 +265,7 @@ func MergeReports(reports ...*Report) (*Report, error) {
 			out.Properties[p] += n
 		}
 		for class, cs := range r.Classes {
-			merged, err := mergeClassStats(out.Classes[class], cs)
+			merged, err := mergeStats(out.Classes[class], cs)
 			if err != nil {
 				return nil, fmt.Errorf("class %s: %w", class, err)
 			}
@@ -296,9 +273,9 @@ func MergeReports(reports ...*Report) (*Report, error) {
 		}
 		for tenant, ts := range r.Tenants {
 			if out.Tenants == nil {
-				out.Tenants = map[string]*TenantStats{}
+				out.Tenants = map[string]*Stats{}
 			}
-			merged, err := mergeTenantStats(out.Tenants[tenant], ts)
+			merged, err := mergeStats(out.Tenants[tenant], ts)
 			if err != nil {
 				return nil, fmt.Errorf("tenant %s: %w", tenant, err)
 			}

@@ -92,7 +92,7 @@ func syntheticReport(class string, ms []float64, mut func(*Report)) *Report {
 		Seed:        5,
 		DurationSec: 1,
 		Requests:    len(ms),
-		Classes: map[string]*ClassStats{
+		Classes: map[string]*Stats{
 			class: {Requests: len(ms), Latency: summarizeLatency(ms)},
 		},
 		Properties: map[string]int{"balanced": len(ms)},
@@ -116,7 +116,7 @@ func TestMergeReportsPoolsEverything(t *testing.T) {
 		r.ViolationCount = 1
 		r.Violations = []string{"solve x: makespan below bound"}
 		r.Classes[ClassSolve].Telemetry = TelemetryAgg{Nodes: 10, Sources: map[string]int{"solve": 4}}
-		r.Tenants = map[string]*TenantStats{"gold": {Requests: 4, Latency: summarizeLatency([]float64{1, 2, 3, 4})}}
+		r.Tenants = map[string]*Stats{"gold": {Requests: 4, Latency: summarizeLatency([]float64{1, 2, 3, 4})}}
 		r.Cache = CacheAccounting{FreshSolves: 3, CacheServed: 1, HitRatio: 0.25}
 		r.MetricsDelta = MetricsSnapshot{"crsharing_solves_total": 3}
 	})
@@ -125,7 +125,7 @@ func TestMergeReportsPoolsEverything(t *testing.T) {
 		r.RatePerSec = 50
 		r.Classes[ClassSolve].Errors = 1
 		r.Classes[ClassSolve].Telemetry = TelemetryAgg{Nodes: 5, Sources: map[string]int{"cache": 2}}
-		r.Tenants = map[string]*TenantStats{"free": {Requests: 2, Latency: summarizeLatency([]float64{5, 6})}}
+		r.Tenants = map[string]*Stats{"free": {Requests: 2, Latency: summarizeLatency([]float64{5, 6})}}
 		r.Cache = CacheAccounting{FreshSolves: 1, CacheServed: 3, HitRatio: 0.75}
 		r.MetricsDelta = MetricsSnapshot{"crsharing_solves_total": 1}
 	})

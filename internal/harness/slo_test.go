@@ -10,7 +10,7 @@ import (
 // cache, clean oracle.
 func fixtureReport(mut func(*Report)) *Report {
 	r := syntheticReport(ClassSolve, []float64{1, 2, 3, 4, 5}, func(r *Report) {
-		r.Classes[ClassBatch] = &ClassStats{Requests: 3, Latency: summarizeLatency([]float64{10, 12, 14})}
+		r.Classes[ClassBatch] = &Stats{Requests: 3, Latency: summarizeLatency([]float64{10, 12, 14})}
 		r.Requests += 3
 		r.Validated += 3
 		r.Cache = CacheAccounting{FreshSolves: 2, CacheServed: 6, HitRatio: 0.75}

@@ -781,6 +781,48 @@ func TestFileStoreRecordsArePrivateAndTempsIgnored(t *testing.T) {
 	}
 }
 
+// TestFileStoreQuarantinesCorruptRecords puts an undecodable record next to
+// a good one: the manager still starts and restores the good one, and the bad
+// one is renamed to <id>.json.corrupt so later starts do not read it again.
+func TestFileStoreQuarantinesCorruptRecords(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := Record{Snapshot: Snapshot{ID: "abc123", State: StateDone, Submitted: time.Now().UTC()}}
+	if err := store.Save(good); err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "def456.json")
+	if err := os.WriteFile(bad, []byte("not json"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	reg := solver.NewRegistry()
+	reg.Register("stub", func() solver.Solver { return &stubSolver{name: "stub"} })
+	m, err := New(Config{Engine: newTestEngine(t, reg, nil), DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
+	if err != nil {
+		t.Fatalf("manager did not start over a corrupt record: %v", err)
+	}
+	defer m.Close(context.Background())
+	if _, err := m.Get("abc123"); err != nil {
+		t.Fatalf("good record not restored: %v", err)
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Fatalf("corrupt record still at %s (stat err %v)", bad, err)
+	}
+	if _, err := os.Stat(bad + ".corrupt"); err != nil {
+		t.Fatalf("corrupt record not quarantined: %v", err)
+	}
+	records, err := store.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 1 || records[0].Snapshot.ID != "abc123" {
+		t.Fatalf("LoadAll after quarantine = %+v, want only the good record", records)
+	}
+}
+
 // TestPendingCountDrainsToZero keeps the queue busy with jobs that idle
 // workers dequeue the instant they are queued. Once all are done the
 // tenant's pending count must be zero again: a worker's decrement must never

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -78,28 +79,27 @@ func (s *FileStore) Delete(id string) error {
 	return nil
 }
 
-// LoadAll implements Store. Unreadable or undecodable files are skipped, so
-// one corrupt record cannot brick the whole manager; leftover temporary
-// files from a crash are ignored.
+// LoadAll implements Store. An unreadable or undecodable record is renamed
+// to <id>.json.corrupt and skipped, so one corrupt record cannot brick the
+// whole manager or be re-read on every start; leftover temporary files from
+// a crash are ignored.
 func (s *FileStore) LoadAll() ([]Record, error) {
-	entries, err := os.ReadDir(s.dir)
+	var out []Record
+	_, err := durable.LoadDir(s.dir,
+		func(name string) bool { return strings.HasSuffix(name, ".json") },
+		func(_ string, data []byte) error {
+			var rec Record
+			if err := json.Unmarshal(data, &rec); err != nil {
+				return err
+			}
+			if rec.Snapshot.ID == "" {
+				return errors.New("record has no job id")
+			}
+			out = append(out, rec)
+			return nil
+		})
 	if err != nil {
 		return nil, fmt.Errorf("jobs: reading store directory: %w", err)
-	}
-	var out []Record
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(data, &rec); err != nil || rec.Snapshot.ID == "" {
-			continue
-		}
-		out = append(out, rec)
 	}
 	return out, nil
 }

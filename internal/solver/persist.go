@@ -102,28 +102,14 @@ func (p *Persister) Dir() string { return p.dir }
 // absorbed and deleted).
 func (p *Persister) Load() (LoadReport, error) {
 	var rep LoadReport
-	entries, err := os.ReadDir(p.dir)
-	if err != nil {
-		return rep, fmt.Errorf("solver: reading cache snapshot directory: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "shard-") || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		path := filepath.Join(p.dir, name)
-		data, err := os.ReadFile(path)
+	keep := func(name string) bool { return strings.HasPrefix(name, "shard-") && strings.HasSuffix(name, ".json") }
+	decode := func(name string, data []byte) error {
 		var sf shardFile
-		if err == nil {
-			err = json.Unmarshal(data, &sf)
+		if err := json.Unmarshal(data, &sf); err != nil {
+			return err
 		}
-		if err == nil && sf.Version != persistVersion {
-			err = fmt.Errorf("snapshot version %d", sf.Version)
-		}
-		if err != nil {
-			rep.Quarantined++
-			os.Rename(path, path+".corrupt") // best effort; the load goes on
-			continue
+		if sf.Version != persistVersion {
+			return fmt.Errorf("snapshot version %d", sf.Version)
 		}
 		for _, rec := range sf.Entries {
 			if rec.Solver == "" || rec.Instance == nil || rec.Evaluation == nil ||
@@ -139,8 +125,13 @@ func (p *Persister) Load() (LoadReport, error) {
 		// they are not re-loaded forever after a shard-count change.
 		var idx int
 		if _, serr := fmt.Sscanf(name, "shard-%d.json", &idx); serr == nil && idx >= len(p.cache.shards) {
-			os.Remove(path)
+			os.Remove(filepath.Join(p.dir, name))
 		}
+		return nil
+	}
+	var err error
+	if rep.Quarantined, err = durable.LoadDir(p.dir, keep, decode); err != nil {
+		return rep, fmt.Errorf("solver: reading cache snapshot directory: %w", err)
 	}
 	return rep, nil
 }
