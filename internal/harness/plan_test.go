@@ -134,7 +134,7 @@ func TestPlanMatchesReferenceDraws(t *testing.T) {
 				if e.Chain > 0 {
 					chainLen[e.Chain]++
 				}
-				got[e.Tenant] = append(got[e.Tenant], draw{e.OffsetNS, e.Class, e.Families, e.Fingerprints})
+				got[e.Tenant] = append(got[e.Tenant], draw{e.OffsetNS, e.Class, e.Families, fingerprints(e.Instances)})
 			}
 			if len(got) != len(want) {
 				t.Fatalf("plan has %d tenants, reference %d", len(got), len(want))

@@ -31,52 +31,47 @@ const (
 )
 
 // Entry is one arrival of a run: when it was due relative to the run start,
-// what it asked for (class, tenant, the full instance payloads with their
-// canonical fingerprints, the online chain it belongs to) and how it ended.
+// what it asked for (class, tenant, the full instance payloads, the online
+// chain it belongs to) and how it ended.
 // Replaying an entry re-issues the identical request at the identical offset;
 // the recorded outcome is kept for run-to-run comparison, not re-imposed.
 type Entry struct {
 	// Seq is the arrival index within the run (dense from 0), in replay
 	// order.
-	Seq int `json:"seq"`
+	Seq int
 	// OffsetNS is when the arrival was due relative to the run start, in
 	// nanoseconds: the planned offset, not the time the request was issued.
-	OffsetNS int64 `json:"offset_ns"`
+	OffsetNS int64
 	// Class is the request class (solve, batch, jobs or online).
-	Class string `json:"class"`
+	Class string
 	// Tenant is the X-Tenant identity the request carried (empty = anonymous).
-	Tenant string `json:"tenant,omitempty"`
-	// Families and Fingerprints attribute each instance (parallel to
-	// Instances); fingerprints are re-verified on decode so a corrupted
-	// payload cannot masquerade as the recorded request.
-	Families     []string `json:"families"`
-	Fingerprints []string `json:"fingerprints"`
+	Tenant string
+	// Families attributes each instance (parallel to Instances).
+	Families []string
 	// Instances is the full request payload: one instance for solve and jobs,
 	// the batch window for batch.
-	Instances []*core.Instance `json:"instances"`
+	Instances []*core.Instance
 	// Chain numbers the mutation chain an online entry belongs to (from 1;
 	// 0 means none, as in recordings that predate chains). A replay sends
 	// each chain entry the chain's latest answer as its warm start.
-	Chain int `json:"chain,omitempty"`
+	Chain int
 	// Outcome is how the recorded request ended (ok, error, shed,
 	// driver-shed, cancelled).
-	Outcome string `json:"outcome,omitempty"`
+	Outcome string
 }
 
 // newEntry describes one arrival of the given class, tenant and payload, due
 // offset after the run start.
 func newEntry(offset time.Duration, class, tenant string, items []Item) Entry {
 	e := Entry{
-		OffsetNS:     int64(offset),
-		Class:        class,
-		Tenant:       tenant,
-		Families:     make([]string, len(items)),
-		Fingerprints: make([]string, len(items)),
-		Instances:    make([]*core.Instance, len(items)),
+		OffsetNS:  int64(offset),
+		Class:     class,
+		Tenant:    tenant,
+		Families:  make([]string, len(items)),
+		Instances: make([]*core.Instance, len(items)),
 	}
 	for i, it := range items {
 		e.Families[i] = it.Family
-		e.Fingerprints[i] = it.Inst.Fingerprint().String()
 		e.Instances[i] = it.Inst
 	}
 	return e
@@ -87,6 +82,32 @@ func (e *Entry) items() []Item {
 	out := make([]Item, len(e.Instances))
 	for i, inst := range e.Instances {
 		out[i] = Item{Family: e.Families[i], Inst: inst}
+	}
+	return out
+}
+
+// entryLine is an Entry as a recording line stores it: Entry's fields in
+// the same order, with each instance's canonical fingerprint after the
+// families. Encode derives the fingerprints from the instances and decode
+// verifies them, so a corrupted payload cannot masquerade as the recorded
+// request; entries in memory do not carry them.
+type entryLine struct {
+	Seq          int              `json:"seq"`
+	OffsetNS     int64            `json:"offset_ns"`
+	Class        string           `json:"class"`
+	Tenant       string           `json:"tenant,omitempty"`
+	Families     []string         `json:"families"`
+	Fingerprints []string         `json:"fingerprints"`
+	Instances    []*core.Instance `json:"instances"`
+	Chain        int              `json:"chain,omitempty"`
+	Outcome      string           `json:"outcome,omitempty"`
+}
+
+// fingerprints returns the canonical fingerprint of each instance.
+func fingerprints(insts []*core.Instance) []string {
+	out := make([]string, len(insts))
+	for i, inst := range insts {
+		out[i] = inst.Fingerprint().String()
 	}
 	return out
 }
@@ -117,7 +138,12 @@ func (r *Recording) Encode(w io.Writer) error {
 	bw.Write(hdr)
 	bw.WriteByte('\n')
 	for i := range r.Entries {
-		line, err := json.Marshal(&r.Entries[i])
+		e := &r.Entries[i]
+		line, err := json.Marshal(&entryLine{
+			Seq: e.Seq, OffsetNS: e.OffsetNS, Class: e.Class, Tenant: e.Tenant,
+			Families: e.Families, Fingerprints: fingerprints(e.Instances), Instances: e.Instances,
+			Chain: e.Chain, Outcome: e.Outcome,
+		})
 		if err != nil {
 			return fmt.Errorf("harness: encoding entry %d: %w", i, err)
 		}
@@ -190,21 +216,24 @@ func DecodeRecording(r io.Reader) (*Recording, error) {
 		if err != nil {
 			return nil, err
 		}
-		var e Entry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
+		var l entryLine
+		if err := json.Unmarshal([]byte(line), &l); err != nil {
 			return nil, fmt.Errorf("harness: recording line %d: corrupt entry: %v", n, err)
 		}
-		if err := e.validate(len(rec.Entries)); err != nil {
+		if err := l.validate(len(rec.Entries)); err != nil {
 			return nil, fmt.Errorf("harness: recording line %d: %w", n, err)
 		}
-		rec.Entries = append(rec.Entries, e)
+		rec.Entries = append(rec.Entries, Entry{
+			Seq: l.Seq, OffsetNS: l.OffsetNS, Class: l.Class, Tenant: l.Tenant,
+			Families: l.Families, Instances: l.Instances, Chain: l.Chain, Outcome: l.Outcome,
+		})
 	}
 	return rec, nil
 }
 
-// validate checks one decoded entry's internal consistency, including that
+// validate checks one decoded line's internal consistency, including that
 // each payload hashes to its recorded fingerprint.
-func (e *Entry) validate(wantSeq int) error {
+func (e *entryLine) validate(wantSeq int) error {
 	if e.Seq != wantSeq {
 		return fmt.Errorf("entry seq %d, want dense %d", e.Seq, wantSeq)
 	}

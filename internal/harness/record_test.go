@@ -74,8 +74,9 @@ func TestRecordRoundTrip(t *testing.T) {
 			e.Tenant != orig.Tenant || e.Chain != orig.Chain || e.Outcome != orig.Outcome {
 			t.Fatalf("entry %d decoded as %+v, want %+v", i, e, orig)
 		}
-		for j, fp := range e.Fingerprints {
-			if fp != orig.Fingerprints[j] {
+		want := fingerprints(orig.Instances)
+		for j, fp := range fingerprints(e.Instances) {
+			if fp != want[j] {
 				t.Fatalf("entry %d fingerprint %d changed across round trip", i, j)
 			}
 		}

@@ -74,12 +74,13 @@ func sameSequence(t *testing.T, a, b *Recording) {
 		if ea.Class != eb.Class || ea.Tenant != eb.Tenant {
 			t.Fatalf("entry %d differs: %s/%s vs %s/%s", i, ea.Class, ea.Tenant, eb.Class, eb.Tenant)
 		}
-		if len(ea.Fingerprints) != len(eb.Fingerprints) {
-			t.Fatalf("entry %d payload size differs: %d vs %d", i, len(ea.Fingerprints), len(eb.Fingerprints))
+		fa, fb := fingerprints(ea.Instances), fingerprints(eb.Instances)
+		if len(fa) != len(fb) {
+			t.Fatalf("entry %d payload size differs: %d vs %d", i, len(fa), len(fb))
 		}
-		for j := range ea.Fingerprints {
-			if ea.Fingerprints[j] != eb.Fingerprints[j] {
-				t.Fatalf("entry %d fingerprint %d differs: %s vs %s", i, j, ea.Fingerprints[j], eb.Fingerprints[j])
+		for j := range fa {
+			if fa[j] != fb[j] {
+				t.Fatalf("entry %d fingerprint %d differs: %s vs %s", i, j, fa[j], fb[j])
 			}
 		}
 	}

@@ -1,7 +1,7 @@
-// Package jobs is the asynchronous solve subsystem: a bounded work queue
-// drained by a configurable worker pool, durable job records with progress
-// snapshots, and an optional on-disk store so completed schedules survive
-// restarts.
+// Package jobs is the asynchronous solve subsystem: a bounded FIFO of
+// pending jobs drained by a configurable worker pool, durable job records
+// with progress snapshots, and an optional on-disk store so completed
+// schedules survive restarts.
 //
 // The synchronous serving path (internal/service POST /v1/solve) rejects any
 // instance that cannot be solved within the HTTP deadline; this package makes
@@ -17,6 +17,11 @@
 // warms the cache for later synchronous requests and vice versa, and a burst
 // of heavy jobs queues behind the same concurrency cap instead of
 // oversubscribing the machine.
+//
+// Under the manager's lock a job is in exactly one of three places: in the
+// pending FIFO, held by a worker (popped and switched to running in one
+// critical section), or terminal. The FIFO's length is the queue depth, and
+// cancelling a pending job removes it from the FIFO.
 package jobs
 
 import (
@@ -25,6 +30,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -228,9 +234,7 @@ type job struct {
 	cancel context.CancelFunc
 	// cancelRequested distinguishes a client cancel from a deadline.
 	cancelRequested bool
-	// shutdown marks jobs interrupted by Manager.Close.
-	shutdown bool
-	subs     map[chan Event]struct{}
+	subs            map[chan Event]struct{}
 	// done is closed when the job reaches a terminal state.
 	done chan struct{}
 }
@@ -238,13 +242,15 @@ type job struct {
 // Manager owns the queue, the worker pool and the job records. Create one
 // with New; it is safe for concurrent use.
 type Manager struct {
-	cfg   Config
-	queue chan *job
+	cfg Config
 
 	mu      sync.Mutex
 	jobs    map[string]*job
 	order   []string // submission order, for stable listing
+	pending []*job   // the queue: pending jobs in FIFO order
 	closing bool
+	// wake is signalled when a job joins pending and broadcast on Close.
+	wake *sync.Cond
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -255,38 +261,17 @@ type Manager struct {
 	failed    atomic.Uint64
 	cancelled atomic.Uint64
 	running   atomic.Int64
-	// queued counts jobs in state pending. It — not the channel capacity —
-	// enforces the QueueDepth admission bound, so cancelling a queued job
-	// frees its slot immediately even though the stale *job stays in the
-	// channel until a worker drains it.
-	queued atomic.Int64
-	// pendingByTenant slices the queued counter per tenant: the engine's
-	// per-tenant MaxQueued quota also bounds each tenant's share of the job
-	// queue, so one tenant cannot fill it. Guarded by pendingMu (not m.mu:
-	// run decrements without the manager lock).
-	pendingMu       sync.Mutex
-	pendingByTenant map[string]int
 }
 
-// pendingAdd moves a tenant's pending-job count by delta and returns the new
-// value.
-func (m *Manager) pendingAdd(tenant string, delta int) int {
-	m.pendingMu.Lock()
-	defer m.pendingMu.Unlock()
-	n := m.pendingByTenant[tenant] + delta
-	if n <= 0 {
-		delete(m.pendingByTenant, tenant)
-		return 0
+// queuedFor counts the tenant's jobs in the queue. The caller holds m.mu.
+func (m *Manager) queuedFor(tenant string) int {
+	n := 0
+	for _, j := range m.pending {
+		if j.req.Tenant == tenant {
+			n++
+		}
 	}
-	m.pendingByTenant[tenant] = n
 	return n
-}
-
-// pendingOf returns a tenant's current pending-job count.
-func (m *Manager) pendingOf(tenant string) int {
-	m.pendingMu.Lock()
-	defer m.pendingMu.Unlock()
-	return m.pendingByTenant[tenant]
 }
 
 // New validates the configuration, restores any stored records and starts
@@ -317,10 +302,10 @@ func New(cfg Config) (*Manager, error) {
 		cfg.MaxRecords = 4096
 	}
 
-	m := &Manager{cfg: cfg, jobs: make(map[string]*job), pendingByTenant: make(map[string]int)}
+	m := &Manager{cfg: cfg, jobs: make(map[string]*job)}
+	m.wake = sync.NewCond(&m.mu)
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
 
-	var restored []*job
 	if cfg.Store != nil {
 		records, err := cfg.Store.LoadAll()
 		if err != nil {
@@ -357,7 +342,7 @@ func New(cfg Config) (*Manager, error) {
 					j.snap.Tenant = engine.DefaultTenant
 				}
 				j.fp = j.req.Instance.Fingerprint()
-				restored = append(restored, j)
+				m.pending = append(m.pending, j)
 			}
 			m.jobs[j.snap.ID] = j
 			m.order = append(m.order, j.snap.ID)
@@ -365,24 +350,16 @@ func New(cfg Config) (*Manager, error) {
 	}
 	m.evict()
 
-	// The channel is transport only; the admission bound is the queued
-	// counter checked in Submit. It is sized with headroom — twice the depth,
-	// because jobs cancelled while queued keep their slot until a worker
-	// drains them, plus every restored job so restoration can never deadlock
-	// on its own queue.
-	m.queue = make(chan *job, 2*cfg.QueueDepth+len(restored))
-	for _, j := range restored {
-		m.queued.Add(1)
-		m.pendingAdd(j.req.Tenant, 1)
-		m.queue <- j
-	}
-
 	for w := 0; w < cfg.Workers; w++ {
 		m.workers.Add(1)
 		go func() {
 			defer m.workers.Done()
-			for j := range m.queue {
-				m.run(j)
+			for {
+				j, ctx := m.next()
+				if j == nil {
+					return
+				}
+				m.run(ctx, j)
 			}
 		}()
 	}
@@ -414,13 +391,6 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 	if req.Tenant == "" {
 		req.Tenant = engine.DefaultTenant
 	}
-	// The tenant's MaxQueued quota bounds its share of the job queue the same
-	// way it bounds its admission queue; an over-quota submit is shed (a
-	// typed 429-with-Retry-After refusal), not an ErrQueueFull (the global
-	// bound below).
-	if quota := m.cfg.Engine.Tenant(req.Tenant).MaxQueued; m.pendingOf(req.Tenant) >= quota {
-		return Snapshot{}, fmt.Errorf("jobs: %w", m.cfg.Engine.Shed(req.Tenant, fmt.Sprintf("job queue quota (%d pending)", quota)))
-	}
 	req.Instance = req.Instance.Clone() // detach from the caller
 
 	j := &job{
@@ -442,68 +412,68 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 	// j.mu-holding code may touch j.snap.
 	snap := j.snap.clone()
 
+	// The tenant's MaxQueued quota bounds its share of the job queue the same
+	// way it bounds its admission queue; an over-quota submit is shed (a
+	// typed 429-with-Retry-After refusal), not an ErrQueueFull (the global
+	// bound).
+	quota := m.cfg.Engine.Tenant(req.Tenant).MaxQueued
 	m.mu.Lock()
-	if m.closing {
-		m.mu.Unlock()
-		return Snapshot{}, ErrClosed
-	}
-	if m.queued.Load() >= int64(m.cfg.QueueDepth) {
-		m.mu.Unlock()
-		return Snapshot{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, m.cfg.QueueDepth)
-	}
-	// Count the job before a worker can see it: a worker that dequeues it
-	// at once decrements these, and a decrement that landed first would be
-	// clamped away, leaving a phantom pending job on the tenant's quota.
-	m.queued.Add(1)
-	m.pendingAdd(req.Tenant, 1)
-	select {
-	case m.queue <- j:
+	var err error
+	switch {
+	case m.queuedFor(req.Tenant) >= quota:
+		err = fmt.Errorf("jobs: %w", m.cfg.Engine.Shed(req.Tenant, fmt.Sprintf("job queue quota (%d pending)", quota)))
+	case m.closing:
+		err = ErrClosed
+	case len(m.pending) >= m.cfg.QueueDepth:
+		err = fmt.Errorf("%w (depth %d)", ErrQueueFull, m.cfg.QueueDepth)
 	default:
-		// The channel can lag the counter while cancelled-but-queued jobs
-		// wait for a worker to drain them.
-		m.queued.Add(-1)
-		m.pendingAdd(req.Tenant, -1)
-		m.mu.Unlock()
-		return Snapshot{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, m.cfg.QueueDepth)
+		m.pending = append(m.pending, j)
+		m.jobs[snap.ID] = j
+		m.order = append(m.order, snap.ID)
+		m.wake.Signal()
 	}
-	m.jobs[snap.ID] = j
-	m.order = append(m.order, snap.ID)
 	m.mu.Unlock()
+	if err != nil {
+		return Snapshot{}, err
+	}
 
 	m.submitted.Add(1)
 	m.persist(j)
 	return snap, nil
 }
 
-// run executes one dequeued job. Jobs cancelled while queued are skipped;
-// jobs dequeued during shutdown stay pending so Close checkpoints them.
-func (m *Manager) run(j *job) {
-	j.mu.Lock()
-	if j.snap.State != StatePending {
-		j.mu.Unlock()
-		return
+// next blocks until the queue has a job or the manager is closing (it then
+// returns nil). It pops the front job and switches it to running in the same
+// critical section, so no job is ever out of the queue yet still pending.
+func (m *Manager) next() (*job, context.Context) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for len(m.pending) == 0 && !m.closing {
+		m.wake.Wait()
 	}
-	if m.baseCtx.Err() != nil && !j.cancelRequested {
-		// Shutdown already started: leave the job pending for checkpointing.
-		j.mu.Unlock()
-		return
+	if m.closing {
+		return nil, nil
 	}
+	j := m.pending[0]
+	m.pending = slices.Delete(m.pending, 0, 1)
 	// The cancel handle interrupts the running solve (client cancel or
 	// shutdown); the solve budget itself is applied by the engine, which
 	// clamps against the manager's limits rather than the much tighter
 	// synchronous ones.
 	ctx, cancel := context.WithCancel(m.baseCtx)
-	defer cancel()
+	j.mu.Lock()
 	j.cancel = cancel
 	j.snap.State = StateRunning
 	j.snap.Started = time.Now().UTC()
-	start := time.Now()
 	j.mu.Unlock()
-	m.queued.Add(-1)
-	m.pendingAdd(j.req.Tenant, -1)
-
 	m.running.Add(1)
+	return j, ctx
+}
+
+// run solves one job that next handed over in state running.
+func (m *Manager) run(ctx context.Context, j *job) {
 	defer m.running.Add(-1)
+	start := time.Now()
 	m.notify(j, Event{Type: EventState, JobID: j.snap.ID, State: StateRunning})
 
 	limits := engine.Limits{Default: m.cfg.DefaultTimeout, Max: m.cfg.MaxTimeout}
@@ -520,6 +490,7 @@ func (m *Manager) run(j *job) {
 	})
 
 	j.mu.Lock()
+	j.cancel()
 	j.cancel = nil
 	j.snap.Finished = time.Now().UTC()
 	ctxErr := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
@@ -551,7 +522,6 @@ func (m *Manager) run(j *job) {
 	case m.baseCtx.Err() != nil && ctxErr:
 		j.snap.State = StateCancelled
 		j.snap.Error = "cancelled by shutdown"
-		j.shutdown = true
 		counter = &m.cancelled
 	case errors.Is(err, context.DeadlineExceeded):
 		j.snap.State = StateFailed
@@ -715,64 +685,40 @@ func (m *Manager) List(state State) []Snapshot {
 	return out
 }
 
-// Cancel stops the job: a pending job transitions to cancelled immediately,
-// a running job has its context cancelled and transitions once the solver
-// returns, and a terminal job is left untouched. The returned snapshot
-// reflects the state after the call (for a running job, still "running"
-// until the solver yields).
+// Cancel stops the job: a pending job leaves the queue and transitions to
+// cancelled immediately, a running job has its context cancelled and
+// transitions once the solver returns, and any other job is left untouched.
+// The returned snapshot reflects the state after the call (for a running
+// job, still "running" until the solver yields).
 func (m *Manager) Cancel(id string) (Snapshot, error) {
 	j, err := m.lookup(id)
 	if err != nil {
 		return Snapshot{}, err
 	}
-	j.mu.Lock()
-	switch {
-	case j.snap.State == StatePending:
-		j.cancelRequested = true
+	m.mu.Lock()
+	if i := slices.Index(m.pending, j); i >= 0 {
+		m.pending = slices.Delete(m.pending, i, i+1)
+		j.mu.Lock()
 		j.snap.State = StateCancelled
 		j.snap.Finished = time.Now().UTC()
 		j.snap.Error = "cancelled by client"
 		snap := j.snap.clone()
 		j.mu.Unlock()
-		m.queued.Add(-1) // the stale queue entry no longer counts against the bound
-		m.pendingAdd(j.req.Tenant, -1)
-		m.dropFromQueue(j)
+		m.mu.Unlock()
 		m.cancelled.Add(1)
 		m.persist(j)
 		m.evict()
 		m.finish(j, Event{Type: EventState, JobID: snap.ID, State: StateCancelled, Error: snap.Error})
 		return snap, nil
-	case j.snap.State == StateRunning:
-		j.cancelRequested = true
-		if j.cancel != nil {
-			j.cancel()
-		}
 	}
+	m.mu.Unlock()
+	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.snap.State == StateRunning {
+		j.cancelRequested = true
+		j.cancel()
+	}
 	return j.snap.clone(), nil
-}
-
-// dropFromQueue removes a cancelled job's stale entry from the transport
-// channel so it cannot accumulate against the channel's headroom while all
-// workers are busy. It holds m.mu to park concurrent Submit sends; workers
-// receiving concurrently only shrink the channel, so every other entry we
-// pulled is guaranteed to fit back in.
-func (m *Manager) dropFromQueue(victim *job) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closing {
-		return // Close owns the queue now
-	}
-	for n := len(m.queue); n > 0; n-- {
-		select {
-		case q := <-m.queue:
-			if q != victim {
-				m.queue <- q
-			}
-		default:
-			return // a worker drained the rest first
-		}
-	}
 }
 
 // Wait blocks until the job reaches a terminal state, the manager is closed
@@ -801,10 +747,13 @@ func (m *Manager) Subscribe(id string) (Snapshot, <-chan Event, func(), error) {
 	if err != nil {
 		return Snapshot{}, nil, nil, err
 	}
+	// Holding m.mu until j.mu is taken orders this subscription before or
+	// after Close as a whole: Close's checkpoint either closes the channel or
+	// happens after closing is seen here.
 	m.mu.Lock()
 	closing := m.closing
-	m.mu.Unlock()
 	j.mu.Lock()
+	m.mu.Unlock()
 	snap := j.snap.clone()
 	ch := make(chan Event, 16)
 	if snap.State.Terminal() || closing {
@@ -829,8 +778,11 @@ func (m *Manager) Subscribe(id string) (Snapshot, <-chan Event, func(), error) {
 
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() Stats {
+	m.mu.Lock()
+	queued := len(m.pending)
+	m.mu.Unlock()
 	return Stats{
-		QueueDepth:    int(m.queued.Load()),
+		QueueDepth:    queued,
 		QueueCapacity: m.cfg.QueueDepth,
 		Running:       int(m.running.Load()),
 		Workers:       m.cfg.Workers,
@@ -842,9 +794,9 @@ func (m *Manager) Stats() Stats {
 }
 
 // Close shuts the manager down: submits are rejected, running jobs are
-// cancelled (state "cancelled", error "cancelled by shutdown"), and jobs
-// still pending are checkpointed to the store — or marked cancelled when no
-// store is configured. It waits for the workers until ctx expires.
+// cancelled (state "cancelled", error "cancelled by shutdown"), and the jobs
+// still in the queue are checkpointed to the store — or marked cancelled when
+// no store is configured. It waits for the workers until ctx expires.
 func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
 	if m.closing {
@@ -852,47 +804,22 @@ func (m *Manager) Close(ctx context.Context) error {
 		return nil
 	}
 	m.closing = true
+	left := m.pending
+	m.pending = nil
+	m.wake.Broadcast()
 	m.mu.Unlock()
+	m.baseCancel() // interrupts running jobs
 
-	m.baseCancel() // interrupts running jobs; makes workers skip pending ones
-	close(m.queue)
-
-	waited := make(chan struct{})
-	go func() {
-		m.workers.Wait()
-		close(waited)
-	}()
-	var err error
-	select {
-	case <-waited:
-	case <-ctx.Done():
-		err = fmt.Errorf("jobs: shutdown interrupted: %w", ctx.Err())
-	}
-
-	// Checkpoint (or cancel) whatever is still pending.
-	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	m.mu.Unlock()
-	for _, id := range ids {
-		j, lerr := m.lookup(id)
-		if lerr != nil {
-			continue
-		}
-		j.mu.Lock()
-		if j.snap.State != StatePending {
-			j.mu.Unlock()
-			continue
-		}
+	for _, j := range left {
 		if m.cfg.Store != nil {
 			// Checkpointed: the record stays pending for the next start, but
 			// this process is done with it — release Wait callers and
 			// subscribers (they observe a non-terminal snapshot).
-			snap := j.snap.clone()
-			j.mu.Unlock()
 			m.persist(j)
-			m.finish(j, Event{Type: EventState, JobID: snap.ID, State: StatePending, Error: "checkpointed by shutdown"})
+			m.finish(j, Event{Type: EventState, JobID: j.snap.ID, State: StatePending, Error: "checkpointed by shutdown"})
 			continue
 		}
+		j.mu.Lock()
 		j.snap.State = StateCancelled
 		j.snap.Finished = time.Now().UTC()
 		j.snap.Error = "cancelled by shutdown"
@@ -901,7 +828,18 @@ func (m *Manager) Close(ctx context.Context) error {
 		m.cancelled.Add(1)
 		m.finish(j, Event{Type: EventState, JobID: snap.ID, State: StateCancelled, Error: snap.Error})
 	}
-	return err
+
+	waited := make(chan struct{})
+	go func() {
+		m.workers.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("jobs: shutdown interrupted: %w", ctx.Err())
+	}
 }
 
 func (m *Manager) lookup(id string) (*job, error) {

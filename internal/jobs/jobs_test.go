@@ -848,7 +848,10 @@ func TestPendingCountDrainsToZero(t *testing.T) {
 	for _, id := range ids {
 		waitDone(t, m, id)
 	}
-	if n := m.pendingOf(engine.DefaultTenant); n != 0 {
+	m.mu.Lock()
+	n := m.queuedFor(engine.DefaultTenant)
+	m.mu.Unlock()
+	if n != 0 {
 		t.Fatalf("pending count %d after every job finished, want 0", n)
 	}
 }

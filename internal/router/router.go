@@ -502,70 +502,66 @@ func (rt *Router) handleAny(w http.ResponseWriter, r *http.Request) {
 	rt.fail(w, http.StatusServiceUnavailable, errors.New("no healthy backends"))
 }
 
-// handleJobByID locates a job by probing the healthy backends: job IDs are
-// backend-local 16-hex crypto-random strings, so the first non-404 answer is
-// THE answer and 404 everywhere means the job does not exist.
-func (rt *Router) handleJobByID(w http.ResponseWriter, r *http.Request) {
+// findJob counts a routed job request and asks the healthy backends in turn
+// for a job path, returning the first answer that is not a 404: job IDs are
+// backend-local 16-hex crypto-random strings, so that answer is THE answer.
+// When every backend answers 404 the job does not exist; findJob then
+// answers 404 itself and returns nil.
+func (rt *Router) findJob(w http.ResponseWriter, r *http.Request, path string) *http.Response {
 	rt.m.requests.Add(1)
 	rt.m.routedJobs.Add(1)
-	path := "/v1/jobs/" + r.PathValue("id")
 	for _, backend := range rt.healthyBackends() {
 		resp, err := rt.send(r.Context(), r.Method, backend, path, r.Header, "", nil)
 		if err != nil {
 			continue
 		}
-		if resp.StatusCode == http.StatusNotFound {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
+		if resp.StatusCode != http.StatusNotFound {
+			return resp
 		}
-		rt.passthrough(w, resp)
-		return
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 	}
 	rt.fail(w, http.StatusNotFound, errors.New("job not found on any backend"))
+	return nil
+}
+
+// handleJobByID proxies a job's GET or DELETE to the backend that has it.
+func (rt *Router) handleJobByID(w http.ResponseWriter, r *http.Request) {
+	if resp := rt.findJob(w, r, "/v1/jobs/"+r.PathValue("id")); resp != nil {
+		rt.passthrough(w, resp)
+	}
 }
 
 // handleJobEvents streams a job's SSE events from whichever backend owns the
 // job, flushing every chunk through so incumbent events arrive live.
 func (rt *Router) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	rt.m.requests.Add(1)
-	rt.m.routedJobs.Add(1)
-	path := "/v1/jobs/" + r.PathValue("id") + "/events"
-	for _, backend := range rt.healthyBackends() {
-		resp, err := rt.send(r.Context(), http.MethodGet, backend, path, r.Header, "", nil)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
-		}
-		defer resp.Body.Close()
-		for k, vs := range resp.Header {
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		fl, _ := w.(http.Flusher)
-		buf := make([]byte, 4096)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				if _, werr := w.Write(buf[:n]); werr != nil {
-					return
-				}
-				if fl != nil {
-					fl.Flush()
-				}
-			}
-			if err != nil {
-				return
-			}
+	resp := rt.findJob(w, r, "/v1/jobs/"+r.PathValue("id")+"/events")
+	if resp == nil {
+		return
+	}
+	defer resp.Body.Close()
+	for k, vs := range resp.Header {
+		for _, v := range vs {
+			w.Header().Add(k, v)
 		}
 	}
-	rt.fail(w, http.StatusNotFound, errors.New("job not found on any backend"))
+	w.WriteHeader(resp.StatusCode)
+	fl, _ := w.(http.Flusher)
+	buf := make([]byte, 4096)
+	for {
+		n, err := resp.Body.Read(buf)
+		if n > 0 {
+			if _, werr := w.Write(buf[:n]); werr != nil {
+				return
+			}
+			if fl != nil {
+				fl.Flush()
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
 }
 
 // handleJobList fans the listing out to every healthy backend and merges the
