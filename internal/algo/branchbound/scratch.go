@@ -222,19 +222,24 @@ func (sc *searchScratch) stateKey(done []int, rem []float64) []byte {
 
 // visitedTable is an open-addressing hash table from canonical state keys to
 // the shallowest depth the state was reached at. Keys live in one append-only
-// byte arena, so the table performs no per-entry allocations; clearing it for
-// the next solve just resets the entry slots and the arena length.
+// byte arena, so the table performs no per-entry allocations. A slot belongs
+// to the current solve only when its stamp equals the table's gen, so
+// clearing the table for the next solve bumps gen and resets the arena
+// length; the slots are zeroed only when gen wraps around. A table grown by
+// one heavy search therefore costs a search that stops at its root nothing.
 type visitedTable struct {
 	entries []visitedEntry // length is a power of two
 	keys    []byte         // arena holding every inserted key back to back
 	count   int
+	gen     uint32 // stamp of the current solve's slots; never 0 once reset
 }
 
 type visitedEntry struct {
 	hash  uint64
 	off   uint32
-	klen  uint32 // 0 marks an empty slot (keys are never empty)
+	klen  uint32
 	depth int32
+	gen   uint32 // the slot is empty unless it equals visitedTable.gen
 }
 
 const visitedMinSize = 1 << 10
@@ -243,8 +248,11 @@ func (vt *visitedTable) reset(allocs *int64) {
 	if vt.entries == nil {
 		vt.entries = make([]visitedEntry, visitedMinSize)
 		*allocs++
-	} else {
+	}
+	vt.gen++
+	if vt.gen == 0 {
 		clear(vt.entries)
+		vt.gen = 1
 	}
 	vt.keys = vt.keys[:0]
 	vt.count = 0
@@ -262,13 +270,13 @@ func (vt *visitedTable) visit(key []byte, depth int, allocs *int64) bool {
 	i := h & mask
 	for {
 		e := &vt.entries[i]
-		if e.klen == 0 {
+		if e.gen != vt.gen {
 			off := len(vt.keys)
 			if cap(vt.keys)-off < len(key) {
 				*allocs++
 			}
 			vt.keys = append(vt.keys, key...)
-			*e = visitedEntry{hash: h, off: uint32(off), klen: uint32(len(key)), depth: int32(depth)}
+			*e = visitedEntry{hash: h, off: uint32(off), klen: uint32(len(key)), depth: int32(depth), gen: vt.gen}
 			vt.count++
 			return false
 		}
@@ -289,11 +297,11 @@ func (vt *visitedTable) grow(allocs *int64) {
 	*allocs++
 	mask := uint64(len(vt.entries) - 1)
 	for _, e := range old {
-		if e.klen == 0 {
+		if e.gen != vt.gen {
 			continue
 		}
 		i := e.hash & mask
-		for vt.entries[i].klen != 0 {
+		for vt.entries[i].gen == vt.gen {
 			i = (i + 1) & mask
 		}
 		vt.entries[i] = e

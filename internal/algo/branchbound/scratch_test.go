@@ -3,6 +3,7 @@ package branchbound
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -257,4 +258,38 @@ func assertNoAllocsPerNode(t *testing.T, inst *core.Instance, kernel func(contex
 // of the seed.
 func hardExactInstance() *core.Instance {
 	return gen.GreedyWorstCase(5, 2, 1.0/(20*5*6))
+}
+
+// TestVisitedResetForgetsEveryKey checks that a reset table holds none of
+// the previous solve's states: after a solve that grew the table, and when
+// the generation stamp wraps around to the value of an earlier solve.
+func TestVisitedResetForgetsEveryKey(t *testing.T) {
+	var vt visitedTable
+	var allocs int64
+	keys := make([][]byte, 3*visitedMinSize)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("state-%d", i))
+	}
+	solve := func(n int) {
+		t.Helper()
+		vt.reset(&allocs)
+		for i, k := range keys[:n] {
+			if vt.visit(k, 3, &allocs) {
+				t.Fatalf("gen %d: key %d reported visited before this solve inserted it", vt.gen, i)
+			}
+		}
+		for i, k := range keys[:n] {
+			if !vt.visit(k, 3, &allocs) {
+				t.Fatalf("gen %d: key %d not found at its own depth", vt.gen, i)
+			}
+		}
+	}
+	solve(len(keys)) // stamp 1; the table grows
+	solve(visitedMinSize / 2)
+	vt.gen = math.MaxUint32 - 1
+	solve(visitedMinSize / 2) // the last stamp before the wrap
+	solve(len(keys))          // wraps to stamp 1 again
+	if vt.gen != 1 {
+		t.Fatalf("stamp %d after the wrap, want 1", vt.gen)
+	}
 }

@@ -182,9 +182,10 @@ func (b *Builder) advance(i int) {
 
 // Schedule finalises and returns the constructed schedule. The builder can
 // continue to be used afterwards; the returned schedule is a snapshot copy,
-// sized exactly to the steps built. The builder's own rows are carved from
-// slabs with room to spare, and a cached schedule holding them would pin
-// that spare room for as long as it stays cached.
+// sized exactly to the steps built, because the builder's next Reset
+// overwrites its own rows and they are carved from slabs with room to
+// spare. (The memo cache copies an answer's cells into its own slab, so a
+// schedule pins the builder's slab only while a caller holds it.)
 func (b *Builder) Schedule() *Schedule { return b.sched.Clone() }
 
 // Rows returns the allocation rows built so far without copying them. They

@@ -83,6 +83,16 @@ func (in *Instance) CanonicalProcOrder() []int {
 	return order
 }
 
+// AppendCanonicalProcOrder appends CanonicalProcOrder to dst and returns the
+// extended slice, so a caller with a buffer of room for the processors
+// computes the order without allocating.
+func (in *Instance) AppendCanonicalProcOrder(dst []int) []int {
+	n := len(dst)
+	dst = slices.Grow(dst, len(in.Procs))[:n+len(in.Procs)]
+	in.sortProcs(dst[n:])
+	return dst
+}
+
 // RemapScheduleProcs transfers a schedule computed for instance from onto
 // instance to, which must have the same fingerprint: the processor columns
 // are permuted so that column i of the result feeds the processor of to

@@ -90,9 +90,9 @@ func (id JobID) String() string { return fmt.Sprintf("(%d,%d)", id.Proc+1, id.Po
 // treated as immutable once built: the solvers, the memo cache and the
 // per-instance bound memo below all rely on Procs not changing afterwards.
 // In particular Procs, and every job sequence it holds, is never mutated
-// once the instance reaches the engine: the memo cache stores a view
-// sharing the request's Procs instead of a deep copy. Code that wants a
-// variant of an instance builds it from Clone.
+// once the instance reaches the engine: the solvers read the request's
+// Procs in place, and the memo cache copies what it keeps. Code that wants
+// a variant of an instance builds it from Clone.
 type Instance struct {
 	// Procs[i] is the ordered job sequence of processor i.
 	Procs [][]Job `json:"procs"`

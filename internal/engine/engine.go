@@ -8,9 +8,11 @@
 //  1. resolution — the solver name is resolved to the engine's one solver
 //     of that name, built from the registry on first use,
 //  2. deadline clamping — the requested budget is resolved against the
-//     caller's limits (sync and job surfaces have different ceilings),
-//  3. cache routing — the request is answered from the shared memo cache or
-//     coalesced onto an identical in-flight solve when possible,
+//     caller's limits (sync and job surfaces have different ceilings); a
+//     request the shared memo cache already holds an answer for is answered
+//     before this step and skips the rest up to telemetry,
+//  3. cache routing — the request is coalesced onto an identical in-flight
+//     solve when possible,
 //  4. admission — a fresh solve first acquires a slot of the global fair
 //     scheduler, the one concurrency budget shared by every surface (before
 //     this package existed, batch shards and job workers bypassed the
@@ -257,8 +259,9 @@ type Result struct {
 	Telemetry Telemetry
 }
 
-// Solve runs one request through the pipeline: resolve, clamp, route through
-// the cache, admit, observe, account. Context errors (cancellation, deadline)
+// Solve runs one request through the pipeline: resolve, answer a stored
+// cache entry at once, or else clamp, route through the cache, admit,
+// observe; then account. Context errors (cancellation, deadline)
 // are returned unwrapped-compatible: errors.Is(err, context.DeadlineExceeded)
 // holds when the budget expired.
 func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
@@ -273,6 +276,24 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 
+	var fp core.Fingerprint
+	if req.Fingerprint != nil {
+		fp = *req.Fingerprint
+	} else {
+		fp = req.Instance.Fingerprint()
+	}
+	tenant := req.Tenant
+	if tenant == "" {
+		tenant = DefaultTenant
+	}
+	// A stored answer needs no deadline, warm-start hint or admission, so
+	// it is looked up before any of them is prepared.
+	if e.cfg.Cache != nil {
+		if ev, ok := e.cfg.Cache.Lookup(sv.Name(), req.Instance, fp); ok {
+			return e.result(name, tenant, req.Instance, fp, ev, solver.SourceCache, nil, 0)
+		}
+	}
+
 	limits := e.Limits()
 	if req.Limits != nil {
 		limits = *req.Limits
@@ -284,18 +305,6 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 	}
 	if req.Observer != nil {
 		ctx = progress.WithObserver(ctx, req.Observer)
-	}
-
-	var fp core.Fingerprint
-	if req.Fingerprint != nil {
-		fp = *req.Fingerprint
-	} else {
-		fp = req.Instance.Fingerprint()
-	}
-
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = DefaultTenant
 	}
 	if hint := req.WarmStart; hint != nil {
 		// Fit the hint to this instance once here, rather than in every
@@ -319,11 +328,17 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 		src = solver.SourceSolve
 		ev, err = solver.Evaluate(ctx, adm, req.Instance)
 	}
-	e.met.observe(tenant, src, ev, err, adm.queued)
+	return e.result(name, tenant, req.Instance, fp, ev, src, err, adm.queued)
+}
+
+// result accounts one answered request, or its error, and assembles its
+// Result.
+func (e *Engine) result(name, tenant string, inst *core.Instance, fp core.Fingerprint, ev *solver.Evaluation, src solver.Source, err error, queued time.Duration) (*Result, error) {
+	e.met.observe(tenant, src, ev, err, queued)
 	if err != nil {
 		return nil, err
 	}
-	tel := newTelemetry(name, ev, src, req.Instance, adm.queued)
+	tel := newTelemetry(name, ev, src, inst, queued)
 	tel.Tenant = tenant
 	if src == solver.SourceSolve && ev.Stats.WarmStart {
 		// Warm-start telemetry describes this request's own solve; cache and

@@ -47,8 +47,8 @@ const (
 	FamilyResourceTight = "resource-tight"
 	// FamilyAdversarialDup holds processor-permuted duplicates of a few base
 	// instances: every duplicate has the fingerprint of its base, so a replay
-	// stresses the memo-cache hit path and the schedule remap of
-	// core.RemapScheduleProcs.
+	// stresses the memo-cache hit path and its schedule remap (the cache's
+	// permutation of canonical columns, equal to core.RemapScheduleProcs).
 	FamilyAdversarialDup = "adversarial-dup"
 	// FamilyPaperFigures holds the paper's fixed constructions (Figures 1-3,
 	// the Theorem 8 block construction) as seed-independent anchors.

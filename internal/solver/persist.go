@@ -39,7 +39,7 @@ type LoadReport struct {
 	// Restored counts cache entries warmed from the snapshot.
 	Restored int
 	// Skipped counts records dropped for failing validation (nil or invalid
-	// instance/evaluation) inside otherwise readable files.
+	// instance, nil evaluation or schedule) inside otherwise readable files.
 	Skipped int
 	// Quarantined counts unreadable snapshot files; each was renamed to
 	// <name>.corrupt and startup proceeded without it.
@@ -113,7 +113,7 @@ func (p *Persister) Load() (LoadReport, error) {
 		}
 		for _, rec := range sf.Entries {
 			if rec.Solver == "" || rec.Instance == nil || rec.Evaluation == nil ||
-				rec.Instance.Validate() != nil {
+				rec.Evaluation.Schedule == nil || rec.Instance.Validate() != nil {
 				rep.Skipped++
 				continue
 			}
@@ -201,10 +201,11 @@ func (p *Persister) Close() error {
 }
 
 // exportShard snapshots shard i's positive entries, LRU first, unless its
-// generation still equals since (no change). The entries' evaluations are
-// shared immutable values, stored without the portfolio candidate breakdown
-// (see withoutCandidates) but with the winner/nodes/elapsed stats that
-// telemetry replays on warm hits.
+// generation still equals since (no change). Each record holds the entry's
+// canonical instance and schedule, built under the shard lock because an
+// insert may refill an evicted entry; the evaluation carries no portfolio
+// race records, but the winner/nodes/elapsed stats that telemetry replays
+// on warm hits.
 func (c *Cache) exportShard(i int, since uint64) (recs []persistRecord, gen uint64, changed bool) {
 	s := &c.shards[i]
 	s.mu.Lock()
@@ -212,27 +213,33 @@ func (c *Cache) exportShard(i int, since uint64) (recs []persistRecord, gen uint
 	if s.gen == since {
 		return nil, s.gen, false
 	}
-	recs = make([]persistRecord, 0, s.order.Len())
-	for el := s.order.Back(); el != nil; el = el.Prev() {
-		entry := el.Value.(*cacheEntry)
+	recs = make([]persistRecord, 0, s.n)
+	var identity []int // the canonical order itself
+	for e := s.tail; e != nil; e = e.prev {
+		for len(identity) < len(e.counts) {
+			identity = append(identity, len(identity))
+		}
 		recs = append(recs, persistRecord{
-			Solver:     entry.key.Solver,
-			Instance:   entry.inst,
-			Evaluation: entry.ev,
+			Solver:     e.names.key,
+			Instance:   e.instance(),
+			Evaluation: e.evaluation(identity[:len(e.counts)]),
 		})
 	}
 	return recs, s.gen, true
 }
 
-// seed inserts a restored entry under its recomputed fingerprint; used by
+// seed inserts a restored entry under its recomputed fingerprint, in
+// canonical processor order whatever order the snapshot lists; used by
 // Persister.Load. Seeding counts as a mutation (the shard becomes dirty), so
 // a snapshot loaded under a different shard layout is re-filed on the next
 // flush.
 func (c *Cache) seed(solverName string, inst *core.Instance, ev *Evaluation) {
 	key := CacheKey{Solver: solverName, Fingerprint: inst.Fingerprint()}
-	sh := c.shard(key)
+	h := key.hash()
+	sh := c.shard(h)
+	order := inst.CanonicalProcOrder()
 	sh.mu.Lock()
-	sh.insertLocked(key, inst, withoutCandidates(ev), &c.evictions)
+	sh.insertLocked(h, key, inst, order, ev, nil, &c.evictions)
 	sh.mu.Unlock()
 }
 

@@ -43,6 +43,14 @@ type Portfolio struct {
 // because an earlier member already holds a certified answer.
 var ErrRaceSettled = errors.New("race settled")
 
+// settledError is the Candidate.Err of a member stopped because the race
+// settled: "<member>: race settled", wrapping ErrRaceSettled.
+type settledError struct{ member string }
+
+func (e *settledError) Error() string { return e.member + ": " + ErrRaceSettled.Error() }
+
+func (e *settledError) Unwrap() error { return ErrRaceSettled }
+
 // NewPortfolio returns a portfolio over the given members.
 func NewPortfolio(members ...Solver) *Portfolio {
 	return &Portfolio{Members: members}
@@ -124,7 +132,7 @@ func (p *Portfolio) Solve(ctx context.Context, inst *core.Instance) (*core.Sched
 			sched, mstats, err := member.Solve(cctx, inst)
 			r := memberResult{elapsed: time.Since(mstart), stats: mstats, err: err}
 			if errors.Is(err, context.Canceled) && errors.Is(context.Cause(cctx), ErrRaceSettled) {
-				r.err = fmt.Errorf("%s: %w", member.Name(), ErrRaceSettled)
+				r.err = &settledError{member: member.Name()}
 			}
 			if err == nil {
 				res := resultPool.Get().(*core.Result)

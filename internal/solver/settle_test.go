@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -207,5 +208,19 @@ func TestPortfolioSettleNeedsZeroWaste(t *testing.T) {
 	}
 	if errs := candidateErrs(st); !errors.Is(errs[1], context.DeadlineExceeded) {
 		t.Fatalf("candidate errors %v, want the blocked member to run into the deadline", errs)
+	}
+}
+
+// TestSettledErrorText: a settled member's error reads as the wrapped error
+// it replaces ("<member>: race settled") and still matches ErrRaceSettled.
+func TestSettledErrorText(t *testing.T) {
+	var err error = &settledError{member: "anytime-local-search"}
+	want := fmt.Errorf("%s: %w", "anytime-local-search", ErrRaceSettled)
+	if err.Error() != want.Error() {
+		t.Fatalf("Error() = %q, want %q", err.Error(), want.Error())
+	}
+	if !errors.Is(err, ErrRaceSettled) || errors.Is(err, context.Canceled) {
+		t.Fatalf("errors.Is: settled %v, canceled %v; want true, false",
+			errors.Is(err, ErrRaceSettled), errors.Is(err, context.Canceled))
 	}
 }
