@@ -32,7 +32,9 @@
 //     member's optimum — since none of them can win. The exact-only variant
 //     cancels the losers as soon as one exact member finishes.
 //
-// Batches are sharded across a worker pool by engine.SolveEach (below).
+// Batches run through engine.SolveEach (below), which answers cached
+// instances on the caller's goroutine and shards the misses across a
+// worker pool.
 //
 // # Solve pipeline (internal/engine)
 //

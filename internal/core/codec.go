@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"slices"
 
 	"crsharing/internal/wire"
 )
@@ -95,6 +96,43 @@ func DecodeInstance(sc *wire.Scanner) (*Instance, bool) {
 	return in, true
 }
 
+// DecodeInstanceInto is DecodeInstance decoding into dst, for a caller that
+// needs each instance of a document only briefly (the router fingerprints
+// them): it reuses the processor rows of dst's last decode where they have
+// room, and drops dst's memoised bounds and fingerprint. dst's rows do not
+// share one backing array, and the next decode overwrites them, so nothing
+// may keep them. On false dst holds no instance and the position is
+// unspecified, as for DecodeInstance.
+func DecodeInstanceInto(sc *wire.Scanner, dst *Instance) bool {
+	var jobBuf [64]Job
+	var endBuf [16]int
+	dst.bounds.Store(nil)
+	dst.fp.Store(nil)
+	jobs, ends, ok := scanProcs(sc, jobBuf[:0], endBuf[:0])
+	if !ok {
+		dst.Procs = dst.Procs[:0]
+		return false
+	}
+	if extra := len(ends) - cap(dst.Procs); extra > 0 {
+		dst.Procs = slices.Grow(dst.Procs[:cap(dst.Procs)], extra) // keeps every old row
+	}
+	dst.Procs = dst.Procs[:len(ends)]
+	start := 0
+	for i, end := range ends {
+		row := append(dst.Procs[i][:0], jobs[start:end]...)
+		if row == nil {
+			row = []Job{} // decoded rows are non-nil even when empty
+		}
+		dst.Procs[i] = row
+		start = end
+	}
+	if dst.Validate() != nil {
+		dst.Procs = dst.Procs[:0]
+		return false
+	}
+	return true
+}
+
 // MarshalJSON implements json.Marshaler.
 func (s *Schedule) MarshalJSON() ([]byte, error) {
 	if s != nil {
@@ -183,52 +221,13 @@ func finiteRows(rows [][]float64) bool {
 }
 
 // parseProcs decodes the canonical instance shape at the scanner's
-// position, leaving it just past the closing brace. ok is false for any
-// other input, valid or not.
+// position into one backing array, leaving the scanner just past the
+// closing brace. ok is false for any other input, valid or not.
 func parseProcs(sc *wire.Scanner) (procs [][]Job, ok bool) {
 	var jobBuf [64]Job
 	var endBuf [16]int
-	jobs, ends := jobBuf[:0], endBuf[:0]
-	if !sc.Token(`{"procs":[`) {
-		return nil, false
-	}
-	if !sc.Token(`]`) {
-		for {
-			if !sc.Token(`[`) {
-				return nil, false
-			}
-			if !sc.Token(`]`) {
-				for {
-					if !sc.Token(`{"req":`) {
-						return nil, false
-					}
-					req, ok := sc.Number()
-					if !ok || !sc.Token(`,"size":`) {
-						return nil, false
-					}
-					size, ok := sc.Number()
-					if !ok || !sc.Token(`}`) {
-						return nil, false
-					}
-					jobs = append(jobs, Job{Req: req, Size: size})
-					if sc.Token(`]`) {
-						break
-					}
-					if !sc.Token(`,`) {
-						return nil, false
-					}
-				}
-			}
-			ends = append(ends, len(jobs))
-			if sc.Token(`]`) {
-				break
-			}
-			if !sc.Token(`,`) {
-				return nil, false
-			}
-		}
-	}
-	if !sc.Token(`}`) {
+	jobs, ends, ok := scanProcs(sc, jobBuf[:0], endBuf[:0])
+	if !ok {
 		return nil, false
 	}
 	backing := make([]Job, len(jobs)) // non-nil even when empty, as decoded rows are
@@ -240,6 +239,54 @@ func parseProcs(sc *wire.Scanner) (procs [][]Job, ok bool) {
 		start = end
 	}
 	return procs, true
+}
+
+// scanProcs scans the canonical instance shape at the scanner's position,
+// appending every job to jobs and each row's end offset in jobs to ends.
+func scanProcs(sc *wire.Scanner, jobs []Job, ends []int) (_ []Job, _ []int, ok bool) {
+	if !sc.Token(`{"procs":[`) {
+		return nil, nil, false
+	}
+	if !sc.Token(`]`) {
+		for {
+			if !sc.Token(`[`) {
+				return nil, nil, false
+			}
+			if !sc.Token(`]`) {
+				for {
+					if !sc.Token(`{"req":`) {
+						return nil, nil, false
+					}
+					req, ok := sc.Number()
+					if !ok || !sc.Token(`,"size":`) {
+						return nil, nil, false
+					}
+					size, ok := sc.Number()
+					if !ok || !sc.Token(`}`) {
+						return nil, nil, false
+					}
+					jobs = append(jobs, Job{Req: req, Size: size})
+					if sc.Token(`]`) {
+						break
+					}
+					if !sc.Token(`,`) {
+						return nil, nil, false
+					}
+				}
+			}
+			ends = append(ends, len(jobs))
+			if sc.Token(`]`) {
+				break
+			}
+			if !sc.Token(`,`) {
+				return nil, nil, false
+			}
+		}
+	}
+	if !sc.Token(`}`) {
+		return nil, nil, false
+	}
+	return jobs, ends, true
 }
 
 // parseAlloc decodes the canonical schedule shape at the scanner's

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"crsharing/internal/wire"
 )
 
 // The reference codec: the encoding/json paths Instance and Schedule used
@@ -273,6 +275,56 @@ func TestCodecRoundTripsAreExact(t *testing.T) {
 	}
 	if !sameJobs(back.Procs[:1], in.Procs[:1]) || len(back.Procs[1]) != 0 || !back.Equal(in) {
 		t.Fatalf("round trip changed the instance: %s", raw)
+	}
+}
+
+// TestDecodeInstanceIntoMatchesDecodeInstance decodes every seed, and a
+// run of shapes that grow and shrink, into one reused instance: each decode
+// accepts exactly what DecodeInstance accepts, with the same rows and float
+// bits and a fingerprint that is the new instance's, not a stale memo. Once
+// the rows have room, decoding the same shape again allocates nothing.
+func TestDecodeInstanceIntoMatchesDecodeInstance(t *testing.T) {
+	docs := append([]string(nil), instanceSeeds...)
+	for _, in := range []*Instance{
+		NewInstance([]float64{0.5, 0.25, 0.125}, []float64{1}, []float64{0.75, 0.5}),
+		NewInstance([]float64{0.5}),
+		NewInstance([]float64{0.25, 0.25}, nil, []float64{0.5}, []float64{0.5, 0.5, 0.5, 0.5}),
+		NewInstance(),
+	} {
+		raw, err := in.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, string(raw))
+	}
+	var scratch Instance
+	for pass := 0; pass < 2; pass++ {
+		for _, doc := range docs {
+			sc := wire.NewScanner([]byte(doc))
+			want, wantOK := DecodeInstance(&sc)
+			sc = wire.NewScanner([]byte(doc))
+			if ok := DecodeInstanceInto(&sc, &scratch); ok != wantOK {
+				t.Fatalf("%q: DecodeInstanceInto ok=%v, DecodeInstance %v", doc, ok, wantOK)
+			} else if !ok {
+				continue
+			}
+			if !sameJobs(scratch.Procs, want.Procs) {
+				t.Fatalf("%q: rows %#v, DecodeInstance %#v", doc, scratch.Procs, want.Procs)
+			}
+			if scratch.Fingerprint() != want.Fingerprint() || scratch.Bounds() != want.Bounds() {
+				t.Fatalf("%q: memoised fingerprint or bounds of an earlier decode", doc)
+			}
+		}
+	}
+	doc := []byte(docs[len(docs)-2])
+	allocs := testing.AllocsPerRun(100, func() {
+		sc := wire.NewScanner(doc)
+		if !DecodeInstanceInto(&sc, &scratch) {
+			t.Fatal("decode failed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("re-decoding one shape allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -265,35 +265,60 @@ type Result struct {
 // are returned unwrapped-compatible: errors.Is(err, context.DeadlineExceeded)
 // holds when the budget expired.
 func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
+	p, res, err := e.stored(&req)
+	if res != nil || err != nil {
+		return res, err
+	}
+	return e.solveFresh(ctx, &req, p)
+}
+
+// pending is a request the memo cache holds no answer for, as stored
+// resolved it.
+type pending struct {
+	name, tenant string
+	sv           solver.Solver
+	fp           core.Fingerprint
+}
+
+// stored takes a request through the steps every answer starts with:
+// validate, resolve the solver, fingerprint, and look the answer up in the
+// memo cache. It returns the request's Result when the cache holds it, its
+// error when it fails a step, and else neither, with the pending request
+// for solveFresh. A stored answer needs no deadline, warm-start hint or
+// admission, so none of them is prepared here.
+func (e *Engine) stored(req *Request) (pending, *Result, error) {
 	if req.Instance == nil {
-		return nil, errors.New("engine: missing instance")
+		return pending{}, nil, errors.New("engine: missing instance")
 	}
 	if err := req.Instance.Validate(); err != nil {
-		return nil, err
+		return pending{}, nil, err
 	}
 	name, sv, err := e.resolve(req.Solver)
 	if err != nil {
-		return nil, err
+		return pending{}, nil, err
 	}
-
-	var fp core.Fingerprint
+	p := pending{name: name, tenant: req.Tenant, sv: sv}
 	if req.Fingerprint != nil {
-		fp = *req.Fingerprint
+		p.fp = *req.Fingerprint
 	} else {
-		fp = req.Instance.Fingerprint()
+		p.fp = req.Instance.Fingerprint()
 	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = DefaultTenant
+	if p.tenant == "" {
+		p.tenant = DefaultTenant
 	}
-	// A stored answer needs no deadline, warm-start hint or admission, so
-	// it is looked up before any of them is prepared.
 	if e.cfg.Cache != nil {
-		if ev, ok := e.cfg.Cache.Lookup(sv.Name(), req.Instance, fp); ok {
-			return e.result(name, tenant, req.Instance, fp, ev, solver.SourceCache, nil, 0)
+		if ev, ok := e.cfg.Cache.Lookup(sv.Name(), req.Instance, p.fp); ok {
+			res, err := e.result(name, p.tenant, req.Instance, p.fp, ev, solver.SourceCache, nil, 0)
+			return p, res, err
 		}
 	}
+	return p, nil, nil
+}
 
+// solveFresh finishes a request stored could not answer: clamp its
+// deadline, attach its observer and warm-start hint, route it through the
+// cache (or solve it uncached), admit and account it.
+func (e *Engine) solveFresh(ctx context.Context, req *Request, p pending) (*Result, error) {
 	limits := e.Limits()
 	if req.Limits != nil {
 		limits = *req.Limits
@@ -317,18 +342,19 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 		}
 		ctx = progress.WithWarmStart(ctx, hint)
 	}
-	adm := &admitted{eng: e, inner: sv, tenant: tenant}
+	adm := &admitted{eng: e, inner: p.sv, tenant: p.tenant}
 	var (
 		ev  *solver.Evaluation
 		src solver.Source
+		err error
 	)
 	if e.cfg.Cache != nil {
-		ev, src, err = e.cfg.Cache.EvaluateWithFingerprint(ctx, adm, req.Instance, fp)
+		ev, src, err = e.cfg.Cache.EvaluateWithFingerprint(ctx, adm, req.Instance, p.fp)
 	} else {
 		src = solver.SourceSolve
 		ev, err = solver.Evaluate(ctx, adm, req.Instance)
 	}
-	return e.result(name, tenant, req.Instance, fp, ev, src, err, adm.queued)
+	return e.result(p.name, p.tenant, req.Instance, p.fp, ev, src, err, adm.queued)
 }
 
 // result accounts one answered request, or its error, and assembles its
@@ -404,62 +430,88 @@ type Outcome struct {
 }
 
 // SolveEach solves every instance of a batch through the engine under one
-// tenant ("" = DefaultTenant), sharding the submission across a pool of
-// feeder workers (0 = MaxConcurrent). The actual solve concurrency is still
-// governed by the engine's fair scheduler — the worker count only bounds how
-// many requests this batch can have in flight at once, so one batch cannot
-// monopolise admission ordering. Each instance runs with NoDeadline: the
-// caller bounds the whole batch through ctx. The returned slice is
-// index-aligned with insts; once ctx is cancelled, remaining instances fail
-// fast with ctx.Err() and are marked Skipped.
+// tenant ("" = DefaultTenant). It answers the instances the memo cache
+// already holds on the calling goroutine, through the same stored-hit step
+// as Solve, and leaves only the misses to be solved: a lone miss on the
+// calling goroutine too, and two or more through a pool of feeder workers
+// (0 = MaxConcurrent) it starts for them. The actual solve concurrency is
+// still governed by the engine's fair scheduler — the worker count only
+// bounds how many requests this batch can have in flight at once, so one
+// batch cannot monopolise admission ordering. Each instance runs with
+// NoDeadline: the caller bounds the whole batch through ctx. The returned
+// slice is index-aligned with insts; once ctx is cancelled, instances not
+// yet answered fail fast with ctx.Err() and are marked Skipped.
 func (e *Engine) SolveEach(ctx context.Context, tenant, solverName string, insts []*core.Instance, workers int) []Outcome {
-	if workers <= 0 {
-		workers = e.cfg.MaxConcurrent
-	}
-	if workers > len(insts) {
-		workers = len(insts)
-	}
 	outcomes := make([]Outcome, len(insts))
-	if len(insts) == 0 {
+	type miss struct {
+		idx int
+		p   pending
+	}
+	var misses []miss
+	for idx, inst := range insts {
+		if err := ctx.Err(); err != nil {
+			outcomes[idx] = Outcome{Index: idx, Err: err, Skipped: true}
+			continue
+		}
+		req := Request{Solver: solverName, Instance: inst, Tenant: tenant}
+		p, res, err := e.stored(&req)
+		switch {
+		case err != nil:
+			outcomes[idx] = Outcome{Index: idx, Err: err}
+		case res != nil:
+			outcomes[idx] = Outcome{Index: idx, Result: res}
+		default:
+			misses = append(misses, miss{idx, p})
+		}
+	}
+	switch len(misses) {
+	case 0:
+		return outcomes
+	case 1:
+		m := misses[0]
+		outcomes[m.idx] = e.solveMiss(ctx, tenant, solverName, m.idx, insts[m.idx], m.p)
 		return outcomes
 	}
 
-	indices := make(chan int)
+	if workers <= 0 {
+		workers = e.cfg.MaxConcurrent
+	}
+	workers = min(workers, len(misses))
+	feed := make(chan miss)
 	done := make(chan struct{})
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			for idx := range indices {
-				outcomes[idx] = e.solveOne(ctx, tenant, solverName, idx, insts[idx])
+			for m := range feed {
+				outcomes[m.idx] = e.solveMiss(ctx, tenant, solverName, m.idx, insts[m.idx], m.p)
 			}
 		}()
 	}
-feed:
-	for idx := range insts {
+send:
+	for k, m := range misses {
 		select {
-		case indices <- idx:
+		case feed <- m:
 		case <-ctx.Done():
-			for rest := idx; rest < len(insts); rest++ {
-				outcomes[rest] = Outcome{Index: rest, Err: ctx.Err(), Skipped: true}
+			for _, rest := range misses[k:] {
+				outcomes[rest.idx] = Outcome{Index: rest.idx, Err: ctx.Err(), Skipped: true}
 			}
-			break feed
+			break send
 		}
 	}
-	close(indices)
+	close(feed)
 	for w := 0; w < workers; w++ {
 		<-done
 	}
 	return outcomes
 }
 
-func (e *Engine) solveOne(ctx context.Context, tenant, solverName string, idx int, inst *core.Instance) Outcome {
+// solveMiss solves one instance of a batch that stored left pending,
+// unless the batch context has already expired.
+func (e *Engine) solveMiss(ctx context.Context, tenant, solverName string, idx int, inst *core.Instance, p pending) Outcome {
 	if err := ctx.Err(); err != nil {
 		return Outcome{Index: idx, Err: err, Skipped: true}
 	}
-	// Hash at the batch split and hand the fingerprint down, so the cache
-	// route (and the response field) reuse it instead of re-hashing.
-	fp := inst.Fingerprint()
-	res, err := e.Solve(ctx, Request{Solver: solverName, Instance: inst, Fingerprint: &fp, Timeout: NoDeadline, Tenant: tenant})
+	res, err := e.solveFresh(ctx, &Request{Solver: solverName, Instance: inst, Timeout: NoDeadline, Tenant: tenant}, p)
 	if err != nil {
 		return Outcome{Index: idx, Err: err}
 	}

@@ -364,16 +364,42 @@ func TestAdmissionRespectsDeadlineWhileQueued(t *testing.T) {
 	}
 }
 
+// TestSolveEachSkipsAfterCancellation mixes cached instances into a batch
+// whose solver never finishes: the hits are answered on the caller's
+// goroutine before the deadline and stay answered, while the misses fail
+// with the deadline or, never handed to a solver, are marked Skipped.
 func TestSolveEachSkipsAfterCancellation(t *testing.T) {
+	insts := distinctInstances(8)
+	cached := map[int]bool{0: true, 3: true, 6: true}
+	cache := solver.NewCache(4, 64)
+	warm := newTestEngine(t, &countingSolver{name: "stub"}, func(cfg *Config) { cfg.Cache = cache })
+	for idx := range cached {
+		if _, err := warm.Solve(context.Background(), Request{Instance: insts[idx]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	stub := &countingSolver{name: "stub", block: make(chan struct{})} // never released
 	defer close(stub.block)
-	eng := newTestEngine(t, stub, func(cfg *Config) { cfg.MaxConcurrent = 1 })
+	eng := newTestEngine(t, stub, func(cfg *Config) {
+		cfg.MaxConcurrent = 1
+		cfg.Cache = cache
+	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	outcomes := eng.SolveEach(ctx, "", "", distinctInstances(4), 2)
-	solved, failed, skipped := 0, 0, 0
-	for _, out := range outcomes {
+	outcomes := eng.SolveEach(ctx, "", "", insts, 2)
+	failed, skipped := 0, 0
+	for idx, out := range outcomes {
+		if out.Index != idx {
+			t.Fatalf("outcome %d has index %d", idx, out.Index)
+		}
+		if cached[idx] {
+			if out.Err != nil || out.Result == nil || out.Result.Source != solver.SourceCache {
+				t.Fatalf("cached instance %d: %+v, want its stored answer", idx, out)
+			}
+			continue
+		}
 		switch {
 		case out.Skipped:
 			skipped++
@@ -383,17 +409,34 @@ func TestSolveEachSkipsAfterCancellation(t *testing.T) {
 		case out.Err != nil:
 			failed++
 		default:
-			solved++
+			t.Fatalf("blocked solver cannot have solved instance %d", idx)
 		}
-	}
-	if solved != 0 {
-		t.Fatalf("blocked solver cannot have solved anything: %d solved", solved)
 	}
 	if skipped == 0 {
 		t.Fatal("expected some never-attempted instances marked skipped")
 	}
-	if solved+failed+skipped != 4 {
-		t.Fatalf("accounting broken: %d/%d/%d", solved, failed, skipped)
+	if failed+skipped != len(insts)-len(cached) {
+		t.Fatalf("accounting broken: %d failed, %d skipped of %d misses", failed, skipped, len(insts)-len(cached))
+	}
+}
+
+// TestSolveEachAllHitsAllocs bounds what an all-hit batch allocates: the
+// stored answers are read on the caller's goroutine, so the batch starts no
+// feeder pool and costs little more than each answer's Result.
+func TestSolveEachAllHitsAllocs(t *testing.T) {
+	eng := newTestEngine(t, &countingSolver{name: "stub"}, nil)
+	insts := distinctInstances(4)
+	ctx := context.Background()
+	eng.SolveEach(ctx, "", "", insts, 0) // store every answer
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, out := range eng.SolveEach(ctx, "", "", insts, 0) {
+			if out.Err != nil || out.Result.Source != solver.SourceCache {
+				t.Fatalf("outcome %d: %+v, want a stored answer", out.Index, out)
+			}
+		}
+	})
+	if max := 3.0 * float64(len(insts)); allocs > max {
+		t.Fatalf("an all-hit batch of %d allocates %.1f times, want at most %.0f", len(insts), allocs, max)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -18,10 +19,17 @@ import (
 // each instance's bytes to its owner unchanged, decodes the backends'
 // responses only at the envelope, and splices their results into the merged
 // body under the original indices. Nothing is re-encoded on the way.
+//
+// Every body on the way lives in a wire.GetBuffer buffer: the client's, each
+// sub-batch's, each sub-response and the merged body. The instances' bytes
+// alias the client's body and the results alias the sub-responses, so those
+// buffers go back to the pool only after the merged body is written. A
+// sub-batch body goes back once its backend has answered it (see
+// sendSubBatch), and a client body handed whole to route never does.
 
 // batchRequest is the router's view of a POST /v1/batch-solve body
 // (service.BatchRequest): the envelope it forwards and every instance as
-// the client's bytes beside their decoded form.
+// the client's bytes beside their routing key.
 type batchRequest struct {
 	Solver    string        `json:"solver,omitempty"`
 	Instances []rawInstance `json:"instances"`
@@ -29,23 +37,30 @@ type batchRequest struct {
 }
 
 // rawInstance is one instance of a batch: the client's bytes, forwarded as
-// they are, and the decoded instance, used only for its fingerprint (its
-// UnmarshalJSON validates it). json.Unmarshal hands UnmarshalJSON a
-// sub-slice of its input, so raw aliases the request body, which the
-// handler holds until the sub-batches are sent.
+// they are, and the ring key of its fingerprint. Decoding validates the
+// instance and keeps nothing else of it. json.Unmarshal hands UnmarshalJSON
+// a sub-slice of its input, so raw aliases the request body, which the
+// handler holds until the merged body is written.
 type rawInstance struct {
-	raw  []byte
-	inst *core.Instance // nil for a JSON null
+	raw []byte // the literal null for a JSON null, whose key is 0
+	key uint64
 }
 
 func (ri *rawInstance) UnmarshalJSON(data []byte) error {
 	ri.raw = data
-	if string(data) == "null" {
+	if ri.null() {
 		return nil
 	}
-	ri.inst = new(core.Instance)
-	return ri.inst.UnmarshalJSON(data)
+	var inst core.Instance
+	if err := inst.UnmarshalJSON(data); err != nil {
+		return err
+	}
+	ri.key = inst.Fingerprint().Uint64()
+	return nil
 }
+
+// null reports whether the instance is a JSON null.
+func (ri *rawInstance) null() bool { return string(ri.raw) == "null" }
 
 // decodeCanonical decodes a canonical batch body (the form
 // service.BatchRequest.DecodeCanonical takes) in one pass and reports
@@ -82,8 +97,9 @@ func (req *batchRequest) decodeCanonical(body []byte) bool {
 }
 
 // parseRawInstances parses an array of canonical instances, keeping each
-// one's bytes; an empty array decodes to an empty, non-nil slice, as
-// encoding/json decodes it.
+// one's bytes and key; an empty array decodes to an empty, non-nil slice, as
+// encoding/json decodes it. Every instance is decoded into one scratch
+// instance, which lives only as long as the parse.
 func parseRawInstances(sc *wire.Scanner, body []byte) ([]rawInstance, bool) {
 	if !sc.Token("[") {
 		return nil, false
@@ -92,14 +108,14 @@ func parseRawInstances(sc *wire.Scanner, body []byte) ([]rawInstance, bool) {
 	if sc.Token("]") {
 		return insts, true
 	}
+	var scratch core.Instance
 	for {
 		sc.SkipSpace()
 		start := sc.Pos()
-		inst, ok := core.DecodeInstance(sc)
-		if !ok {
+		if !core.DecodeInstanceInto(sc, &scratch) {
 			return nil, false
 		}
-		insts = append(insts, rawInstance{raw: body[start:sc.Pos()], inst: inst})
+		insts = append(insts, rawInstance{raw: body[start:sc.Pos()], key: scratch.Fingerprint().Uint64()})
 		if sc.Token("]") {
 			return insts, true
 		}
@@ -124,7 +140,7 @@ type subResponse struct {
 }
 
 // rawSpan keeps a JSON value's bytes: a sub-slice of the response body the
-// sub-batch outcome holds.
+// sub-batch outcome holds in its buffer.
 type rawSpan []byte
 
 func (s *rawSpan) UnmarshalJSON(data []byte) error {
@@ -263,6 +279,7 @@ type subOutcome struct {
 	status     int
 	retryAfter string
 	err        error
+	buf        *[]byte // the pooled buffer resp's spans alias, or nil
 }
 
 // refusal returns the error text of a sub-batch the backend answered but
@@ -289,7 +306,15 @@ func (out *subOutcome) refusal() string {
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rt.m.requests.Add(1)
 	rt.m.routedBatch.Add(1)
-	body, ok := rt.readBody(w, r)
+	bp := wire.GetBuffer()
+	pooled := true
+	defer func() {
+		if pooled {
+			wire.PutBuffer(bp)
+		}
+	}()
+	body, ok := rt.readBody(w, r, *bp)
+	*bp = body
 	if !ok {
 		return
 	}
@@ -298,44 +323,47 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.fail(w, http.StatusBadRequest, errors.New("parsing request: missing instances"))
 		return
 	}
-	for i, ri := range req.Instances {
-		if ri.inst == nil {
+	for i := range req.Instances {
+		if req.Instances[i].null() {
 			rt.fail(w, http.StatusBadRequest, fmt.Errorf("instance %d is null", i))
 			return
 		}
 	}
 
-	// Group the original indices by routed backend.
-	groups := make(map[string][]int)
-	var order []string
+	// Group the original indices into one sub-batch per routed backend,
+	// in the order the batch first routes to them.
+	var outs []subOutcome
 	for i, ri := range req.Instances {
-		target, _ := rt.pick(ri.inst.Fingerprint().Uint64(), "")
+		target, _ := rt.pick(ri.key, "")
 		if target == "" {
 			rt.m.errors.Add(1)
 			rt.fail(w, http.StatusServiceUnavailable, errors.New("no healthy backends"))
 			return
 		}
-		if _, seen := groups[target]; !seen {
-			order = append(order, target)
+		gi := slices.IndexFunc(outs, func(out subOutcome) bool { return out.backend == target })
+		if gi < 0 {
+			gi = len(outs)
+			outs = append(outs, subOutcome{backend: target})
 		}
-		groups[target] = append(groups[target], i)
+		outs[gi].indices = append(outs[gi].indices, i)
 	}
-	if len(groups) == 1 {
-		rt.route(w, r, req.Instances[0].inst.Fingerprint().Uint64(), body)
+	if len(outs) == 1 {
+		// A transport error leaves the body with a round tripper that may
+		// still read it, and route retries, so the body is not pooled.
+		pooled = false
+		rt.route(w, r, req.Instances[0].key, body)
 		return
 	}
 	rt.m.batchSplits.Add(1)
 
 	envelope := subBatchEnvelope(req.Solver, req.Timeout)
-	outs := make([]subOutcome, len(order))
 	var wg sync.WaitGroup
-	for gi, backend := range order {
+	for gi := range outs {
 		wg.Add(1)
-		go func(gi int, backend string) {
+		go func(out *subOutcome) {
 			defer wg.Done()
-			indices := groups[backend]
-			outs[gi] = rt.sendSubBatch(r, backend, indices, envelope.body(req.Instances, indices))
-		}(gi, backend)
+			rt.sendSubBatch(r, out, envelope, req.Instances)
+		}(&outs[gi])
 	}
 	wg.Wait()
 
@@ -344,7 +372,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			rt.m.errors.Add(1)
 		}
 	}
-	merged, status, retryAfter := mergeBatch(len(req.Instances), outs)
+	mp := wire.GetBuffer()
+	merged, status, retryAfter := mergeBatch(*mp, len(req.Instances), outs)
+	*mp = merged
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(merged)))
@@ -353,27 +383,48 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(status)
 	w.Write(merged)
+	wire.PutBuffer(mp)
+	for _, out := range outs {
+		if out.buf != nil {
+			wire.PutBuffer(out.buf)
+		}
+	}
 }
 
-// sendSubBatch posts one sub-batch and decodes its response's envelope.
-func (rt *Router) sendSubBatch(r *http.Request, backend string, indices []int, body []byte) subOutcome {
-	out := subOutcome{backend: backend, indices: indices}
-	resp, err := rt.send(r.Context(), http.MethodPost, backend, "/v1/batch-solve", r.Header, "", body)
+// sendSubBatch posts the sub-batch of the instances at out.indices to
+// out.backend and decodes its response's envelope into out, reading it into
+// out.buf for the caller to release once the merged body is written.
+//
+// The sub-batch body is built in a pooled buffer too. An http.RoundTripper
+// may still read a request body after RoundTrip returns, so that buffer
+// goes back only when the backend answered 2xx and the answer was read to
+// its end: a backend answers a batch 2xx only after it has read the whole
+// body, so by then the transport has copied every byte of it out. After a
+// transport error, a failed read or any other status, the buffer is
+// dropped.
+func (rt *Router) sendSubBatch(r *http.Request, out *subOutcome, env batchEnvelope, insts []rawInstance) {
+	bp := wire.GetBuffer()
+	*bp = env.appendBody((*bp)[:0], insts, out.indices)
+	resp, err := rt.send(r.Context(), http.MethodPost, out.backend, "/v1/batch-solve", r.Header, "", *bp)
 	if err != nil {
 		out.err = err
-		return out
+		return
 	}
-	data, err := wire.ReadSized(nil, resp.Body, resp.ContentLength)
+	out.buf = wire.GetBuffer()
+	data, err := wire.ReadSized(*out.buf, resp.Body, resp.ContentLength)
+	*out.buf = data
 	resp.Body.Close()
 	out.status = resp.StatusCode
 	out.retryAfter = resp.Header.Get("Retry-After")
+	if err == nil && out.status/100 == 2 {
+		wire.PutBuffer(bp)
+	}
 	if err == nil && !out.resp.decodeCanonical(data) {
 		err = json.Unmarshal(data, &out.resp)
 	}
 	if err != nil {
-		out.err = fmt.Errorf("backend %s: %v", backend, err)
+		out.err = fmt.Errorf("backend %s: %v", out.backend, err)
 	}
-	return out
 }
 
 // batchEnvelope holds a sub-batch body's encoded solver and timeout fields,
@@ -395,14 +446,14 @@ func subBatchEnvelope(solver, timeout string) batchEnvelope {
 	return env
 }
 
-// body builds a sub-batch body: the envelope around the client's bytes of
-// the instances at indices, in one allocation.
-func (env batchEnvelope) body(insts []rawInstance, indices []int) []byte {
+// appendBody appends a sub-batch body to b: the envelope around the
+// client's bytes of the instances at indices, growing b at most once.
+func (env batchEnvelope) appendBody(b []byte, insts []rawInstance, indices []int) []byte {
 	size := len(`{"instances":[]}`) + len(env.solver) + len(env.timeout) + len(indices)
 	for _, idx := range indices {
 		size += len(insts[idx].raw)
 	}
-	b := make([]byte, 0, size)
+	b = slices.Grow(b, size)
 	b = append(b, '{')
 	b = append(b, env.solver...)
 	b = append(b, `"instances":[`...)
@@ -431,10 +482,10 @@ func sameRefusal(outs []subOutcome) (status int, msg string) {
 	return outs[0].status, outs[0].refusal()
 }
 
-// mergeBatch merges the sub-batch outcomes into the body of a
-// service.BatchResponse for a batch of n instances, byte for byte what
-// encoding it with json.Encoder gives, and returns the status to answer
-// with: 429, with the largest Retry-After seen, when every sub-response was
+// mergeBatch appends to dst the body of a service.BatchResponse that
+// merges the sub-batch outcomes of a batch of n instances, byte for byte
+// what encoding it with json.Encoder gives, and returns the status to
+// answer with: 429, with the largest Retry-After seen, when every sub-response was
 // a full quota shed; the backends' own 4xx, with the first one's error as a
 // service.ErrorResponse body, when every sub-batch was refused with that
 // same status, as the single-owner path passes it through; else 200.
@@ -443,9 +494,9 @@ func sameRefusal(outs []subOutcome) (status int, msg string) {
 // instances with the error, and counts them as failed. An instance its
 // backend returned no well-formed result for gets an error of its own; the
 // counts stay the backend's, which already counted it.
-func mergeBatch(n int, outs []subOutcome) (body []byte, status, retryAfter int) {
+func mergeBatch(dst []byte, n int, outs []subOutcome) (body []byte, status, retryAfter int) {
 	if status, msg := sameRefusal(outs); status != 0 {
-		return append(wire.AppendString([]byte(`{"error":`), msg), "}\n"...), status, 0
+		return append(wire.AppendString(append(dst, `{"error":`...), msg), "}\n"...), status, 0
 	}
 	head := service.BatchResponse{Count: n}
 	slots := make([]resultSlot, n)
@@ -494,15 +545,14 @@ func mergeBatch(n int, outs []subOutcome) (body []byte, status, retryAfter int) 
 
 	// Encode the envelope with no results, then splice them in where its
 	// "results":null stands. (It holds no float, so encoding cannot fail.)
-	enc, _ := head.AppendJSON(nil)
+	body, _ = head.AppendJSON(dst)
 	const nullResults = `null}`
-	enc = enc[:len(enc)-len(nullResults)]
-	size := len(enc) + len("[]}\n")
+	body = body[:len(body)-len(nullResults)]
+	size := len("[]}\n")
 	for _, s := range slots {
 		size += len(resultPrefix) + 20 + 1 + len(s.rest)
 	}
-	body = make([]byte, 0, size)
-	body = append(body, enc...)
+	body = slices.Grow(body, size)
 	body = append(body, '[')
 	for i, s := range slots {
 		if i > 0 {

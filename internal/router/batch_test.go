@@ -6,12 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/iotest"
 
+	"crsharing/internal/core"
 	"crsharing/internal/engine"
 	"crsharing/internal/service"
 	"crsharing/internal/wire"
@@ -113,7 +118,7 @@ func mergeBoth(t *testing.T, n int, subs []subFixture) []byte {
 			t.Fatalf("sub-response %d (typed): %v", i, err)
 		}
 	}
-	got, status, retryAfter := mergeBatch(n, outs)
+	got, status, retryAfter := mergeBatch(nil, n, outs)
 	want, wantStatus, wantRetryAfter := refMerge(n, refs)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("merged body differs from the typed merge:\n got %s\nwant %s", got, want)
@@ -238,7 +243,7 @@ func mergeFixtures(t *testing.T, n int, subs []subFixture) (service.BatchRespons
 			}
 		}
 	}
-	body, status, _ := mergeBatch(n, outs)
+	body, status, _ := mergeBatch(nil, n, outs)
 	var br service.BatchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatalf("merged body is not valid JSON: %v\n%s", err, body)
@@ -390,7 +395,7 @@ func TestMalformedResultCannotCorruptSiblings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged, status, _ := mergeBatch(4, outs[:])
+	merged, status, _ := mergeBatch(nil, 4, outs[:])
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
@@ -474,16 +479,16 @@ func TestRouterBatchForwardsInstanceBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ri := range req.Instances {
-		if !bytes.Equal(ri.raw, spans[i]) || ri.inst.Fingerprint() != insts[i].Fingerprint() {
+		if !bytes.Equal(ri.raw, spans[i]) || ri.key != insts[i].Fingerprint().Uint64() {
 			t.Fatalf("instance %d: span %q, want the client's %q", i, ri.raw, spans[i])
 		}
 	}
-	sub := subBatchEnvelope("stub", "2s").body(req.Instances, []int{3, 1})
+	sub := subBatchEnvelope("stub", "2s").appendBody(nil, req.Instances, []int{3, 1})
 	want := `{"solver":"stub","instances":[` + string(spans[3]) + `,` + string(spans[1]) + `],"timeout":"2s"}`
 	if string(sub) != want {
 		t.Fatalf("sub-batch body %s, want %s", sub, want)
 	}
-	if got := subBatchEnvelope("", "").body(req.Instances, []int{0}); string(got) != `{"instances":[`+string(spans[0])+`]}` {
+	if got := subBatchEnvelope("", "").appendBody(nil, req.Instances, []int{0}); string(got) != `{"instances":[`+string(spans[0])+`]}` {
 		t.Fatalf("sub-batch body without envelope fields: %s", got)
 	}
 
@@ -508,6 +513,205 @@ func TestRouterBatchForwardsInstanceBytes(t *testing.T) {
 	}
 	if a.freshSolves() == 0 || b.freshSolves() == 0 {
 		t.Fatal("the batch did not split across both backends")
+	}
+}
+
+// cuttingBackend fronts a backend's handler, records every batch
+// sub-response it produces by the sub-batch body that asked for it, and
+// cuts a seeded share of them mid-response: it announces the whole body,
+// sends half of it and drops the connection.
+type cuttingBackend struct {
+	inner http.Handler
+
+	mu   sync.Mutex
+	rng  *rand.Rand // nil: never cut
+	subs map[string]recordedSub
+}
+
+type recordedSub struct {
+	body       []byte
+	status     int
+	retryAfter string
+	cut        bool
+}
+
+func (cb *cuttingBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	cb.inner.ServeHTTP(rec, r)
+	sub := recordedSub{body: rec.Body.Bytes(), status: rec.Code, retryAfter: rec.Header().Get("Retry-After")}
+	cb.mu.Lock()
+	sub.cut = cb.rng != nil && r.URL.Path == "/v1/batch-solve" && cb.rng.Intn(4) == 0
+	cb.subs[string(body)] = sub
+	cb.mu.Unlock()
+	if !sub.cut {
+		for k, vs := range rec.Header() {
+			w.Header()[k] = vs
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(sub.body)
+		return
+	}
+	conn, bw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		panic(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(bw, "HTTP/1.1 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n",
+		sub.status, http.StatusText(sub.status), len(sub.body))
+	bw.Write(sub.body[:len(sub.body)/2])
+	bw.Flush()
+}
+
+// TestRouterBatchBuffersUnderConcurrency pushes 256 split batches of
+// distinct instances through a two-backend router at once, one backend
+// cutting a seeded quarter of its sub-responses mid-response, under the
+// race detector in CI. Each merged body must be byte for byte what
+// mergeBatch builds from the sub-responses the backends produced for that
+// batch's own sub-batches: a body, sub-batch or response buffer recycled
+// while still in use, or shared between batches, shows up as a wrong byte
+// or a sub-batch body no backend saw. A cut sub-batch must degrade to
+// per-instance errors naming its backend.
+func TestRouterBatchBuffersUnderConcurrency(t *testing.T) {
+	const batches, size = 256, 8
+	a, b := newBackend(t, false), newBackend(t, false)
+	fronts := []*cuttingBackend{
+		{inner: a.ts.Config.Handler, subs: map[string]recordedSub{}},
+		{inner: b.ts.Config.Handler, subs: map[string]recordedSub{}, rng: rand.New(rand.NewSource(39))},
+	}
+	var fixtures []*backendFixture
+	for _, f := range fronts {
+		ts := httptest.NewServer(f)
+		t.Cleanup(ts.Close)
+		fixtures = append(fixtures, &backendFixture{ts: ts})
+	}
+	rt, rts := newRouter(t, Config{}, fixtures...)
+
+	// Deal distinct instances into batches that each span both backends.
+	rng := rand.New(rand.NewSource(7))
+	byOwner := map[string][]*core.Instance{}
+	for len(byOwner[fixtures[0].ts.URL]) < batches*size || len(byOwner[fixtures[1].ts.URL]) < batches*size {
+		row := func() []float64 {
+			reqs := make([]float64, 1+rng.Intn(3))
+			for k := range reqs {
+				reqs[k] = 0.05 + 0.95*rng.Float64()
+			}
+			return reqs
+		}
+		inst := core.NewInstance(row(), row())
+		if rng.Intn(2) == 0 {
+			inst = core.NewInstance(row(), row(), row())
+		}
+		_, owner := rt.pick(inst.Fingerprint().Uint64(), "")
+		byOwner[owner] = append(byOwner[owner], inst)
+	}
+	reqs := make([][]*core.Instance, batches)
+	for i := range reqs {
+		onA := 1 + rng.Intn(size-1)
+		for k, owner := range []string{fixtures[0].ts.URL, fixtures[1].ts.URL} {
+			n := []int{onA, size - onA}[k]
+			reqs[i] = append(reqs[i], byOwner[owner][:n]...)
+			byOwner[owner] = byOwner[owner][n:]
+		}
+		rng.Shuffle(size, func(x, y int) { reqs[i][x], reqs[i][y] = reqs[i][y], reqs[i][x] })
+	}
+
+	type answer struct {
+		body   []byte
+		status int
+		err    error
+	}
+	answers := make([]answer, batches)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			raw, err := json.Marshal(service.BatchRequest{Instances: reqs[i], Timeout: "5s"})
+			if err != nil {
+				answers[i].err = err
+				return
+			}
+			<-start
+			resp, err := http.Post(rts.URL+"/v1/batch-solve", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				answers[i].err = err
+				return
+			}
+			defer resp.Body.Close()
+			answers[i].body, answers[i].err = io.ReadAll(resp.Body)
+			answers[i].status = resp.StatusCode
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	cuts := 0
+	for i, ans := range answers {
+		if ans.err != nil {
+			t.Fatalf("batch %d: %v", i, ans.err)
+		}
+		var merged service.BatchResponse
+		if err := json.Unmarshal(ans.body, &merged); err != nil || len(merged.Results) != size {
+			t.Fatalf("batch %d: answer %s (%v)", i, ans.body, err)
+		}
+		insts := make([]rawInstance, size)
+		for k, inst := range reqs[i] {
+			raw, err := json.Marshal(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insts[k] = rawInstance{raw: raw}
+		}
+		// The router sends the sub-batches in the order the batch first
+		// routes to their backends.
+		var outs []subOutcome
+		for k, inst := range reqs[i] {
+			target, _ := rt.pick(inst.Fingerprint().Uint64(), "")
+			gi := slices.IndexFunc(outs, func(o subOutcome) bool { return o.backend == target })
+			if gi < 0 {
+				gi = len(outs)
+				outs = append(outs, subOutcome{backend: target})
+			}
+			outs[gi].indices = append(outs[gi].indices, k)
+		}
+		for gi := range outs {
+			o := &outs[gi]
+			front := fronts[slices.IndexFunc(fixtures, func(fx *backendFixture) bool { return fx.ts.URL == o.backend })]
+			front.mu.Lock()
+			sub, ok := front.subs[string(subBatchEnvelope("", "5s").appendBody(nil, insts, o.indices))]
+			front.mu.Unlock()
+			if !ok {
+				t.Fatalf("batch %d: %s never received this batch's sub-batch", i, o.backend)
+			}
+			o.status, o.retryAfter = sub.status, sub.retryAfter
+			if sub.cut {
+				cuts++
+				msg := merged.Results[o.indices[0]].Error
+				prefix := "backend " + o.backend + ": "
+				if !strings.HasPrefix(msg, prefix) || !strings.Contains(msg, "EOF") {
+					t.Fatalf("batch %d: cut sub-batch answered %q, want a transport error from %s", i, msg, o.backend)
+				}
+				o.err = errors.New(strings.TrimPrefix(msg, prefix))
+			} else if !o.resp.decodeCanonical(sub.body) {
+				if err := json.Unmarshal(sub.body, &o.resp); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want, status, _ := mergeBatch(nil, size, outs)
+		if !bytes.Equal(ans.body, want) || ans.status != status {
+			t.Fatalf("batch %d: router answered %d %s\nmergeBatch of its sub-responses gives %d %s", i, ans.status, ans.body, status, want)
+		}
+	}
+	if cuts == 0 || cuts == batches {
+		t.Fatalf("%d of %d batches had a cut sub-batch; the test needs some of each", cuts, batches)
 	}
 }
 
@@ -593,6 +797,45 @@ func BenchmarkRouterBatchSplit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		post()
+	}
+}
+
+// BenchmarkRouterBatchSplitFresh is BenchmarkRouterBatchSplit shaped like
+// servebench's fleet-batch: seven cached instances and one instance no
+// backend has seen, on two or three processors, per batch, so the router's
+// miss path (a backend's lone fresh solve) is measured too.
+func BenchmarkRouterBatchSplitFresh(b *testing.B) {
+	rt, rts := newRouter(b, Config{}, newBackend(b, false), newBackend(b, false))
+	cached := spanningInstances(b, rt, 7)
+	insts := append(cached, nil)
+	fresh := func(i int) *core.Instance {
+		a, c := float64(i%1000+1)/1002, float64(i/1000%1000+1)/1002
+		if i%2 == 0 {
+			return core.NewInstance([]float64{a, 0.5}, []float64{c})
+		}
+		return core.NewInstance([]float64{a}, []float64{c, 0.25}, []float64{0.75})
+	}
+	post := func(i int) {
+		insts[len(insts)-1] = fresh(i)
+		raw, err := json.Marshal(service.BatchRequest{Instances: insts, Timeout: "2s"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp, err := http.Post(rts.URL+"/v1/batch-solve", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	post(-1) // warm both caches with the cached instances
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(i)
 	}
 }
 

@@ -348,12 +348,13 @@ func (rt *Router) healthyBackends() []string {
 	return out
 }
 
-// readBody slurps and bounds the request body.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := wire.ReadSized(nil, http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+// readBody slurps and bounds the request body, reading it into buf when it
+// has room (wire.ReadSized).
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, bool) {
+	body, err := wire.ReadSized(buf, http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	if err != nil {
 		rt.fail(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return nil, false
+		return body, false
 	}
 	return body, true
 }
@@ -406,19 +407,19 @@ func (rt *Router) passthrough(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	buf := copyBufs.Get().(*[]byte)
-	io.CopyBuffer(writerOnly{w}, resp.Body, *buf)
-	copyBufs.Put(buf)
+	// Copy through a pooled buffer: io.Copy into the ResponseWriter itself
+	// would take its ReadFrom, which for a response with a Content-Length
+	// hands the body to the TCP connection's generic ReadFrom, and that
+	// allocates a fresh 32 KiB buffer per response. Any buffer the pool
+	// has served a body in holds 512 bytes or more (wire.ReadSized), and a
+	// longer response is copied in rounds.
+	bp := wire.GetBuffer()
+	if cap(*bp) < 512 {
+		*bp = make([]byte, 0, 4<<10)
+	}
+	io.CopyBuffer(writerOnly{w}, resp.Body, (*bp)[:cap(*bp)])
+	wire.PutBuffer(bp)
 }
-
-// copyBufs pools passthrough's copy buffers. io.Copy into the
-// ResponseWriter itself would take its ReadFrom, which for a response with a
-// Content-Length hands the body to the TCP connection's generic ReadFrom,
-// and that allocates a fresh 32 KiB buffer per response.
-var copyBufs = sync.Pool{New: func() any {
-	buf := make([]byte, 32<<10)
-	return &buf
-}}
 
 // writerOnly hides a writer's ReadFrom, so io.CopyBuffer uses the buffer it
 // is given.
@@ -459,7 +460,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, key uint64, body
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rt.m.requests.Add(1)
 	rt.m.routedSolve.Add(1)
-	body, ok := rt.readBody(w, r)
+	body, ok := rt.readBody(w, r, nil)
 	if !ok {
 		return
 	}
@@ -474,7 +475,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.m.requests.Add(1)
 	rt.m.routedJobs.Add(1)
-	body, ok := rt.readBody(w, r)
+	body, ok := rt.readBody(w, r, nil)
 	if !ok {
 		return
 	}

@@ -367,12 +367,8 @@ type canonicalDecoder interface {
 // decodes in one pass; any other goes through encoding/json. It writes the
 // error response itself and reports whether decoding succeeded.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst canonicalDecoder) bool {
-	bp := reqBufs.Get().(*[]byte)
-	defer func() {
-		if cap(*bp) <= maxPooledRequest {
-			reqBufs.Put(bp)
-		}
-	}()
+	bp := wire.GetBuffer()
+	defer wire.PutBuffer(bp)
 	body, err := wire.ReadSized(*bp, http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	*bp = body
 	if err != nil {
@@ -405,23 +401,14 @@ type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
-// maxPooledRequest caps the request buffers returned to the pool, so one
-// huge body is not pinned for good.
-const maxPooledRequest = 64 << 10
-
-var reqBufs = sync.Pool{New: func() any { return new([]byte) }}
-
 // respBuf is a pooled response encoder: its buffer and the json.Encoder
 // writing into it live as long as the pool keeps them, so encoding a
-// response allocates nothing of its own.
+// response allocates nothing of its own. Like wire.PutBuffer, respond drops
+// a buffer that grew past wire.MaxPooled.
 type respBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder
 }
-
-// maxPooledResponse caps the buffers returned to the pool, so one huge
-// response (a long schedule, a big job listing) is not pinned for good.
-const maxPooledResponse = 64 << 10
 
 var respBufs = sync.Pool{New: func() any {
 	rb := new(respBuf)
@@ -454,7 +441,7 @@ func (rb *respBuf) encode(body any) error {
 func (s *Server) respond(w http.ResponseWriter, status int, body any) {
 	rb := respBufs.Get().(*respBuf)
 	defer func() {
-		if rb.buf.Cap() <= maxPooledResponse {
+		if rb.buf.Cap() <= wire.MaxPooled {
 			rb.buf.Reset()
 			respBufs.Put(rb)
 		}

@@ -2,7 +2,8 @@
 // a single context-aware interface and adds the concurrency layer on top of
 // it: a registry the CLIs select solvers from, and a parallel portfolio
 // runner that races several solvers on one instance and keeps the best
-// schedule. Batches are sharded across workers by engine.SolveEach.
+// schedule. Batches run through engine.SolveEach, which shards the
+// instances the memo cache misses across workers.
 //
 // Every package under internal/algo implements Kernel, and Adapt lifts a
 // Kernel to a Solver. The searching kernels (branch-and-bound, the

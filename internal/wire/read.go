@@ -3,6 +3,7 @@ package wire
 import (
 	"io"
 	"slices"
+	"sync"
 )
 
 // MaxPrealloc bounds how far ReadSized allocates ahead of the bytes that
@@ -37,5 +38,28 @@ func ReadSized(buf []byte, r io.Reader, declared int64) ([]byte, error) {
 		if err != nil {
 			return buf, err
 		}
+	}
+}
+
+// MaxPooled caps the buffers PutBuffer keeps, so one huge body is not
+// pinned for good.
+const MaxPooled = 64 << 10
+
+// bufs is the serving tier's one pool of byte buffers: request and
+// response bodies read, built and copied on the backends and the router.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// GetBuffer returns a pooled buffer, of any length and capacity. Store the
+// slice last used in it (*bp = buf) before handing it back with PutBuffer,
+// so a buffer that grew is kept grown.
+func GetBuffer() *[]byte { return bufs.Get().(*[]byte) }
+
+// PutBuffer returns a buffer to the pool, unless it grew past MaxPooled.
+// Nothing may read or write its bytes afterwards: every slice that aliases
+// them must be dead.
+func PutBuffer(bp *[]byte) {
+	if cap(*bp) <= MaxPooled {
+		*bp = (*bp)[:0]
+		bufs.Put(bp)
 	}
 }
