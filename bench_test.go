@@ -261,11 +261,10 @@ func BenchmarkManycoreEngine(b *testing.B) {
 			}
 			w := manycore.NewWorkload(cores)
 			w.AssignRoundRobin(tasks)
-			machine := manycore.NewMachine(cores)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := manycore.NewEngine(machine).Run(w.Clone(), manycore.GreedyBalance{}); err != nil {
+				if _, err := manycore.Run(w, manycore.GreedyBalance{}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

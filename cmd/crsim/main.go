@@ -51,7 +51,6 @@ func main() {
 
 	w := manycore.NewWorkload(*cores)
 	w.AssignRoundRobin(taskList)
-	machine := manycore.NewMachine(*cores)
 
 	policies := manycore.Policies()
 	if *policyName != "" {
@@ -73,22 +72,16 @@ func main() {
 
 	results := make([]*manycore.Metrics, 0, len(policies))
 	var recorder *manycore.Recorder
+	if *timeline && len(policies) == 1 {
+		recorder = manycore.NewRecorder(200)
+	}
 	for _, p := range policies {
-		engine := manycore.NewEngine(machine)
-		var rec *manycore.Recorder
-		if *timeline && len(policies) == 1 {
-			rec = manycore.NewRecorder(200)
-			engine.SetRecorder(rec)
-		}
-		m, err := engine.Run(w.Clone(), p)
+		m, err := manycore.Run(w, p, recorder)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		results = append(results, m)
-		if rec != nil {
-			recorder = rec
-		}
 	}
 
 	fmt.Printf("workload: %s, %d tasks on %d cores, total work %.1f, critical path %.1f\n",

@@ -1,9 +1,9 @@
 // Manycore I/O: the paper's motivating scenario — an I/O-intensive scientific
 // workload on a many-core machine whose cores share one bandwidth channel.
 // The example generates a synthetic trace, runs every built-in bandwidth
-// policy in the simulator, and then converts the (one task per core) workload
-// into a CRSharing instance so the paper's offline algorithms can be used as
-// a yardstick.
+// policy in the simulator, and then looks at the workload as the CRSharing
+// instance the simulator steps, scheduling it with two of the paper's
+// offline algorithms.
 //
 // Run with:
 //
@@ -38,12 +38,11 @@ func main() {
 	}
 	workload := manycore.NewWorkload(cores)
 	workload.AssignRoundRobin(tasks)
-	machine := manycore.NewMachine(cores)
 
 	fmt.Printf("scientific workload: %d tasks on %d cores, total bandwidth-work %.1f, critical path %.1f ticks\n\n",
 		workload.NumTasks(), cores, workload.TotalWork(), workload.MaxQueueVolume())
 
-	results, err := manycore.Compare(machine, workload, manycore.Policies()...)
+	results, err := manycore.Compare(workload, manycore.Policies()...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,8 +55,8 @@ func main() {
 
 	// The same workload through the lens of the paper's model: each phase
 	// becomes a job with the phase's bandwidth share as its resource
-	// requirement. The offline algorithms then give reference schedules.
-	inst, err := trace.ToInstance(workload)
+	// requirement. The offline algorithms schedule that instance directly.
+	inst, err := workload.Instance()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,6 +70,6 @@ func main() {
 		}
 		fmt.Printf("  offline %-16s makespan %3d steps (%.3fx lower bound)\n", ev.Algorithm, ev.Makespan, ev.Ratio)
 	}
-	fmt.Println("\nthe offline balanced schedule shows how much of the gap between the")
-	fmt.Println("online policies and the lower bound is due to missing future knowledge")
+	fmt.Println("\nthe simulator steps this same instance and its policies see whole queues,")
+	fmt.Println("so its greedy-balance row and the offline greedy-balance makespan are one computation")
 }

@@ -38,10 +38,9 @@ func main() {
 	}
 	workload := manycore.NewWorkload(hostCores)
 	workload.AssignRoundRobin(vmTasks)
-	machine := manycore.NewMachine(hostCores)
 
 	fmt.Printf("consolidating %d VMs onto %d host cores (shared resource capacity 1.0)\n\n", vms, hostCores)
-	results, err := manycore.Compare(machine, workload, manycore.Policies()...)
+	results, err := manycore.Compare(workload, manycore.Policies()...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,11 +55,8 @@ func main() {
 	// gives a 2-processor CRSharing instance with (generally) non-unit phase
 	// volumes; rounding the volumes to 1 gives the unit-size model that the
 	// exact dynamic program of Theorem 5 solves.
-	flat := trace.Flatten(workload)
-	pair := manycore.NewWorkload(2)
-	pair.Assign(0, flat.Queues[0][0])
-	pair.Assign(1, flat.Queues[1][0])
-	inst, err := trace.ToInstance(pair)
+	pair := &manycore.Workload{Queues: workload.Queues[:2]}
+	inst, err := pair.Instance()
 	if err != nil {
 		log.Fatal(err)
 	}

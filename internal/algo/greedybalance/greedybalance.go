@@ -96,16 +96,19 @@ func (s *Scheduler) Build(b *core.Builder) *core.Schedule {
 	order := make([]int, 0, b.NumProcessors())
 	shares := make([]float64, b.NumProcessors())
 	b.Run(func(b *core.Builder) []float64 {
-		order = s.allocateStep(b, order, shares)
+		order = s.Step(b, order, shares)
 		return shares
 	})
 	return &core.Schedule{Alloc: b.Rows()}
 }
 
-// allocateStep computes the allocation of a single time step from the
-// builder's current state into shares, using order's backing array for the
-// priority order, which it returns.
-func (s *Scheduler) allocateStep(b *core.Builder, order []int, shares []float64) []int {
+// Step is the rule Build applies at every time step: it writes the
+// allocation of the builder's next step into shares (one entry per
+// processor), serving the active processors in priority order, each with its
+// full demand until the resource runs out. It uses order's backing array for
+// the priority order and returns it, so a caller can reuse one buffer across
+// steps.
+func (s *Scheduler) Step(b *core.Builder, order []int, shares []float64) []int {
 	order = s.priority(b, order[:0])
 	clear(shares)
 	avail := 1.0

@@ -248,8 +248,7 @@ func runE12(cfg Config) (*Result, error) {
 		}
 		w := manycore.NewWorkload(cores)
 		w.AssignRoundRobin(tasks)
-		machine := manycore.NewMachine(cores)
-		metrics, err := manycore.Compare(machine, w, manycore.EqualShare{}, manycore.GreedyBalance{})
+		metrics, err := manycore.Compare(w, manycore.EqualShare{}, manycore.GreedyBalance{})
 		if err != nil {
 			return nil, err
 		}

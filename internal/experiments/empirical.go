@@ -393,8 +393,7 @@ func runE7(cfg Config) (*Result, error) {
 		}
 		w := manycore.NewWorkload(sc.cores)
 		w.AssignRoundRobin(taskList)
-		machine := manycore.NewMachine(sc.cores)
-		metrics, err := manycore.Compare(machine, w, manycore.Policies()...)
+		metrics, err := manycore.Compare(w, manycore.Policies()...)
 		if err != nil {
 			return nil, err
 		}
@@ -402,7 +401,7 @@ func runE7(cfg Config) (*Result, error) {
 			res.AddRow(sc.name, m.Policy, m.Ticks, m.RatioToLowerBound(), 100*m.Utilization(), m.StallTicks)
 		}
 	}
-	res.AddNote("equal-share is the demand-oblivious baseline; greedy-balance is the paper's balanced strategy used online")
+	res.AddNote("equal-share is the demand-oblivious baseline; greedy-balance is the paper's GreedyBalance rule stepped tick by tick (more phases left first, ties to the running phase's larger remaining work), so its ticks equal the offline greedybalance makespan of the flattened queues; longest-queue-first is the volume-aware contrast, serving the most remaining queue volume first")
 	return res, nil
 }
 

@@ -113,28 +113,29 @@ func TestTraceToModelToScheduleFlow(t *testing.T) {
 	}
 
 	// Online: simulate with the greedy-balance policy.
-	machine := manycore.NewMachine(6)
-	online, err := manycore.NewEngine(machine).Run(w.Clone(), manycore.GreedyBalance{})
+	online, err := manycore.Run(w, manycore.GreedyBalance{}, nil)
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
 	}
 
 	// Offline: convert to the model and schedule with GreedyBalance.
-	inst, err := trace.ToInstance(w)
+	inst, err := w.Instance()
 	if err != nil {
-		t.Fatalf("ToInstance: %v", err)
+		t.Fatalf("Instance: %v", err)
 	}
 	offline, err := solver.Evaluate(context.Background(), solver.Adapt(greedybalance.New()), inst)
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
 
-	// Both must respect the same lower bound; the offline schedule (same
-	// algorithm, same information) must not be worse than the online run by
-	// more than rounding at phase boundaries.
-	lb := core.LowerBounds(inst).Best()
-	if online.Ticks < lb || offline.Makespan < lb {
-		t.Fatalf("a makespan beat the lower bound: online %d, offline %d, lb %d", online.Ticks, offline.Makespan, lb)
+	// The simulator steps the same instance through the same rule, so the
+	// online run takes exactly the offline makespan, which in turn respects
+	// the model's lower bound.
+	if online.Ticks != offline.Makespan {
+		t.Fatalf("online greedy-balance took %d ticks, offline makespan %d", online.Ticks, offline.Makespan)
+	}
+	if lb := core.LowerBounds(inst).Best(); offline.Makespan < lb {
+		t.Fatalf("makespan %d beat the lower bound %d", offline.Makespan, lb)
 	}
 
 	res, err := core.Execute(inst, offline.Schedule)

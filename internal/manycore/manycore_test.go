@@ -3,8 +3,11 @@ package manycore
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"crsharing/internal/core"
 )
 
 func ioPhase(bw, vol float64) Phase { return Phase{Kind: PhaseIO, Bandwidth: bw, Volume: vol} }
@@ -67,20 +70,14 @@ func TestWorkloadAccounting(t *testing.T) {
 	if !almostEq(w.MaxQueueVolume(), 4) {
 		t.Fatalf("max queue volume = %v, want 4 (core 1 holds task b alone)", w.MaxQueueVolume())
 	}
-	clone := w.Clone()
-	clone.Queues[0][0].Phases[0].Bandwidth = 0.9
-	if w.Queues[0][0].Phases[0].Bandwidth != 0.5 {
-		t.Fatalf("Clone must be deep")
-	}
 }
 
 func TestEngineSingleCoreFullBandwidth(t *testing.T) {
 	// One core, one task with 3 volume units of I/O at bandwidth 0.5: with
 	// the whole bus available it runs at full speed and finishes in 3 ticks.
-	machine := NewMachine(1)
 	w := singleTaskWorkload(1, NewTask("only", ioPhase(0.5, 3)))
 	for _, p := range Policies() {
-		m, err := NewEngine(machine).Run(w.Clone(), p)
+		m, err := Run(w, p, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -94,17 +91,16 @@ func TestEngineEqualShareStarvesIOHeavyCore(t *testing.T) {
 	// Three cores: one I/O-bound task needing 100% of the bus and two compute
 	// tasks needing none. EqualShare gives the I/O task only a third of the
 	// bus, so it crawls; demand-aware policies give it everything.
-	machine := NewMachine(3)
 	w := singleTaskWorkload(3,
 		NewTask("io", ioPhase(1.0, 4)),
 		NewTask("compute-1", computePhase(0, 4)),
 		NewTask("compute-2", computePhase(0, 4)),
 	)
-	equal, err := NewEngine(machine).Run(w.Clone(), EqualShare{})
+	equal, err := Run(w, EqualShare{}, nil)
 	if err != nil {
 		t.Fatalf("equal: %v", err)
 	}
-	greedy, err := NewEngine(machine).Run(w.Clone(), GreedyBalance{})
+	greedy, err := Run(w, GreedyBalance{}, nil)
 	if err != nil {
 		t.Fatalf("greedy: %v", err)
 	}
@@ -123,12 +119,11 @@ func TestEngineEqualShareStarvesIOHeavyCore(t *testing.T) {
 }
 
 func TestEngineMetricsAccounting(t *testing.T) {
-	machine := NewMachine(2)
 	w := singleTaskWorkload(2,
 		NewTask("a", ioPhase(0.6, 2)),
 		NewTask("b", ioPhase(0.4, 2)),
 	)
-	m, err := NewEngine(machine).Run(w, WaterFill{})
+	m, err := Run(w, WaterFill{}, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -159,7 +154,6 @@ func TestEngineLowerBoundNeverViolated(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
 		cores := 2 + rng.Intn(6)
-		machine := NewMachine(cores)
 		w := NewWorkload(cores)
 		var tasks []*Task
 		for i := 0; i < cores+rng.Intn(cores); i++ {
@@ -175,14 +169,14 @@ func TestEngineLowerBoundNeverViolated(t *testing.T) {
 		}
 		w.AssignRoundRobin(tasks)
 		for _, p := range Policies() {
-			m, err := NewEngine(machine).Run(w.Clone(), p)
+			m, err := Run(w, p, nil)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, p.Name(), err)
 			}
 			if float64(m.Ticks) < m.LowerBound-1e-9 {
 				t.Fatalf("trial %d %s: ticks %d below lower bound %v", trial, p.Name(), m.Ticks, m.LowerBound)
 			}
-			if m.BusBusy > float64(m.Ticks)*machine.Bandwidth+1e-6 {
+			if m.BusBusy > float64(m.Ticks)+1e-6 {
 				t.Fatalf("trial %d %s: bus busy %v exceeds capacity", trial, p.Name(), m.BusBusy)
 			}
 		}
@@ -196,7 +190,6 @@ func TestEngineGreedyBalanceNeverWorseTwiceLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		cores := 2 + rng.Intn(5)
-		machine := NewMachine(cores)
 		w := NewWorkload(cores)
 		for c := 0; c < cores; c++ {
 			var phases []Phase
@@ -205,7 +198,7 @@ func TestEngineGreedyBalanceNeverWorseTwiceLowerBound(t *testing.T) {
 			}
 			w.Assign(c, NewTask("t", phases...))
 		}
-		m, err := NewEngine(machine).Run(w, GreedyBalance{})
+		m, err := Run(w, GreedyBalance{}, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -216,37 +209,70 @@ func TestEngineGreedyBalanceNeverWorseTwiceLowerBound(t *testing.T) {
 	}
 }
 
-func TestEngineRejectsMismatchedShapes(t *testing.T) {
-	machine := NewMachine(2)
-	w := NewWorkload(3)
-	w.Assign(0, NewTask("a", ioPhase(0.5, 1)))
-	w.Assign(1, NewTask("b", ioPhase(0.5, 1)))
-	w.Assign(2, NewTask("c", ioPhase(0.5, 1)))
-	if _, err := NewEngine(machine).Run(w, EqualShare{}); err == nil {
-		t.Fatalf("expected mismatch error")
+func TestRunRejectsInvalidWorkloads(t *testing.T) {
+	if _, err := Run(NewWorkload(0), EqualShare{}, nil); err == nil {
+		t.Fatalf("a workload covering no cores must be rejected")
 	}
-	if _, err := NewEngine(&Machine{Cores: 0, Bandwidth: 1}).Run(NewWorkload(0), EqualShare{}); err == nil {
-		t.Fatalf("expected invalid machine error")
+	w := singleTaskWorkload(2, NewTask("a", ioPhase(0.5, 1)), NewTask("b", ioPhase(1.5, 1)))
+	if _, err := Run(w, EqualShare{}, nil); err == nil {
+		t.Fatalf("a phase with bandwidth above the capacity must be rejected")
 	}
 }
 
-func TestEngineMaxTicksGuard(t *testing.T) {
-	machine := NewMachine(1)
-	w := singleTaskWorkload(1, NewTask("x", ioPhase(0.5, 100)))
-	e := NewEngine(machine)
-	e.MaxTicks = 5
-	if _, err := e.Run(w, EqualShare{}); err == nil {
-		t.Fatalf("expected max-ticks error")
+// starve serves no core at all.
+type starve struct{}
+
+func (starve) Name() string                          { return "starve" }
+func (starve) Allocate(_ *core.Builder, _ []float64) {}
+
+func TestRunReportsStarvation(t *testing.T) {
+	// Core 1's compute phase needs no bandwidth and finishes on its own;
+	// core 0's I/O phase needs bandwidth the policy never grants, so the
+	// build ends at the builder's safety cap with work left.
+	w := singleTaskWorkload(2, NewTask("io", ioPhase(0.5, 3)), NewTask("compute", computePhase(0, 2)))
+	_, err := Run(w, starve{}, nil)
+	if err == nil || !strings.Contains(err.Error(), `"starve"`) || !strings.Contains(err.Error(), "unfinished") {
+		t.Fatalf("starving policy: err = %v, want an unfinished-work error naming the policy", err)
+	}
+}
+
+func TestRunMapsFinishesThroughQueues(t *testing.T) {
+	// Core 0 runs two tasks back to back, core 1 one; with the whole bus
+	// each phase runs at full speed, so finish ticks are volume sums.
+	w := NewWorkload(2)
+	w.Assign(0, NewTask("a", ioPhase(0.5, 2), computePhase(0, 1)))
+	w.Assign(0, NewTask("b", ioPhase(0.5, 1)))
+	w.Assign(1, NewTask("c", computePhase(0.1, 2)))
+	rec := NewRecorder(0)
+	m, err := Run(w, WaterFill{}, rec)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if m.Ticks != 4 || m.TaskFinish["a"] != 3 || m.TaskFinish["b"] != 4 || m.TaskFinish["c"] != 2 {
+		t.Fatalf("ticks %d, task finish %v; want 4 and a:3 b:4 c:2", m.Ticks, m.TaskFinish)
+	}
+	if m.CoreFinish[0] != 4 || m.CoreFinish[1] != 2 {
+		t.Fatalf("core finish = %v, want [4 2]", m.CoreFinish)
+	}
+	if m.IOPhaseTicks != 3 || m.ComputePhaseTicks != 3 {
+		t.Fatalf("phase ticks io %d compute %d, want 3 and 3", m.IOPhaseTicks, m.ComputePhaseTicks)
+	}
+	// Tick 3 (index 3) runs task b's first phase on core 0; core 1 is idle.
+	last := rec.Ticks[3]
+	if last.Task[0] != "b" || last.Phase[0] != 0 || last.Phase[1] != -1 || last.Task[1] != "" {
+		t.Fatalf("last tick recorded tasks %q phases %v", last.Task, last.Phase)
+	}
+	if rec.Ticks[2].Task[0] != "a" || rec.Ticks[2].Phase[0] != 1 {
+		t.Fatalf("tick 2 recorded task %q phase %d, want a's phase 1", rec.Ticks[2].Task[0], rec.Ticks[2].Phase[0])
 	}
 }
 
 func TestCompareRunsIdenticalCopies(t *testing.T) {
-	machine := NewMachine(2)
 	w := singleTaskWorkload(2,
 		NewTask("io", ioPhase(0.9, 3)),
 		NewTask("bg", computePhase(0.05, 3)),
 	)
-	results, err := Compare(machine, w, Policies()...)
+	results, err := Compare(w, Policies()...)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
 	}
@@ -264,49 +290,66 @@ func TestCompareRunsIdenticalCopies(t *testing.T) {
 	}
 }
 
+// randomBuilder returns a builder for a random instance of up to eight
+// processors, advanced by a random number of steps with random feasible
+// shares, so that some processors are idle, some mid-job and some untouched.
+func randomBuilder(rng *rand.Rand) *core.Builder {
+	n := 1 + rng.Intn(8)
+	procs := make([][]core.Job, n)
+	for i := range procs {
+		if rng.Float64() < 0.15 {
+			continue
+		}
+		for j := 0; j < 1+rng.Intn(4); j++ {
+			req := rng.Float64()
+			if rng.Float64() < 0.1 {
+				req = 0
+			}
+			procs[i] = append(procs[i], core.Job{Req: req, Size: 0.5 + rng.Float64()*3})
+		}
+	}
+	b := core.NewBuilder(core.NewSizedInstance(procs...))
+	shares := make([]float64, n)
+	for k := rng.Intn(12); k > 0 && !b.Done(); k-- {
+		var total float64
+		for i := range shares {
+			shares[i] = rng.Float64()
+			total += shares[i]
+		}
+		for i := range shares {
+			shares[i] /= total
+		}
+		b.AppendStep(shares)
+	}
+	return b
+}
+
 func TestPoliciesNeverOvercommitProperty(t *testing.T) {
-	// Property: on arbitrary states, every built-in policy allocates
-	// non-negative shares totalling at most the capacity (within tolerance)
-	// and never more than a core's demand plus tolerance.
+	// Property: on arbitrary build states, every built-in policy allocates
+	// non-negative shares totalling at most the capacity, and the
+	// demand-aware ones never grant a core more than its demand (so nothing
+	// to idle cores).
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		s := &State{Tick: rng.Intn(100), Capacity: 1, Cores: make([]CoreState, n)}
-		for i := range s.Cores {
-			active := rng.Float64() < 0.8
-			cs := CoreState{Core: i, Active: active, PhaseIndex: -1}
-			if active {
-				req := rng.Float64()
-				rem := rng.Float64() * 4
-				cs.Requirement = req
-				cs.Demand = math.Min(req, req*rem)
-				cs.RemainingPhaseVolume = rem
-				cs.RemainingTaskVolume = rem
-				cs.RemainingQueueVolume = rem + rng.Float64()*4
-				cs.RemainingPhases = 1 + rng.Intn(5)
-				cs.PhaseIndex = rng.Intn(3)
-			}
-			s.Cores[i] = cs
-		}
+		b := randomBuilder(rng)
 		for _, p := range Policies() {
-			shares := p.Allocate(s)
-			if len(shares) != n {
-				return false
-			}
+			shares := make([]float64, b.NumProcessors())
+			p.Allocate(b, shares)
+			demandAware := p.Name() != "equal-share" && p.Name() != "proportional-share"
 			var total float64
 			for i, x := range shares {
 				if x < -1e-12 {
 					return false
 				}
-				if !s.Cores[i].Active && x > 1e-12 && p.Name() != "equal-share" && p.Name() != "proportional-share" {
-					// Demand-aware policies never grant bandwidth to idle
-					// cores. (The naive baselines may, which the engine then
-					// accounts as waste.)
+				if demandAware && x > b.DemandThisStep(i)+1e-9 {
+					return false
+				}
+				if !b.Active(i) && x > 1e-12 && demandAware {
 					return false
 				}
 				total += x
 			}
-			if total > s.Capacity+1e-9 {
+			if total > 1+1e-9 {
 				return false
 			}
 		}
@@ -314,21 +357,6 @@ func TestPoliciesNeverOvercommitProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatalf("property violated: %v", err)
-	}
-}
-
-func TestStateHelpers(t *testing.T) {
-	s := &State{Capacity: 1, Cores: []CoreState{
-		{Core: 0, Active: true, Demand: 0.3},
-		{Core: 1, Active: false},
-		{Core: 2, Active: true, Demand: 0.5},
-	}}
-	if !almostEq(s.TotalDemand(), 0.8) {
-		t.Fatalf("total demand = %v, want 0.8", s.TotalDemand())
-	}
-	act := s.ActiveCores()
-	if len(act) != 2 || act[0] != 0 || act[1] != 2 {
-		t.Fatalf("active cores = %v", act)
 	}
 }
 

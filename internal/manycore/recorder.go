@@ -19,9 +19,9 @@ type TickRecord struct {
 	Task []string
 }
 
-// Recorder collects per-tick records during a simulation run. Attach it to an
-// Engine via SetRecorder; a nil recorder disables recording (the default, to
-// keep long simulations allocation-free).
+// Recorder collects per-tick records during a simulation run. Pass it to
+// Run; a nil recorder disables recording (the default, to keep long
+// simulations from allocating a record per tick).
 type Recorder struct {
 	Ticks []TickRecord
 	// MaxTicks caps the number of recorded ticks (0 = unlimited); once the
@@ -103,6 +103,3 @@ func (r *Recorder) BandwidthCSV() string {
 	}
 	return b.String()
 }
-
-// SetRecorder attaches a recorder to the engine. Passing nil detaches it.
-func (e *Engine) SetRecorder(r *Recorder) { e.recorder = r }

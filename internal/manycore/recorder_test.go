@@ -6,15 +6,12 @@ import (
 )
 
 func TestRecorderCapturesEveryTick(t *testing.T) {
-	machine := NewMachine(2)
 	w := singleTaskWorkload(2,
 		NewTask("io", ioPhase(0.6, 2)),
 		NewTask("bg", computePhase(0, 3)),
 	)
 	rec := NewRecorder(0)
-	e := NewEngine(machine)
-	e.SetRecorder(rec)
-	m, err := e.Run(w, WaterFill{})
+	m, err := Run(w, WaterFill{}, rec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -32,15 +29,12 @@ func TestRecorderCapturesEveryTick(t *testing.T) {
 }
 
 func TestRecorderTimelineAndCSV(t *testing.T) {
-	machine := NewMachine(2)
 	w := singleTaskWorkload(2,
 		NewTask("heavy", ioPhase(1.0, 3)),
 		NewTask("light", ioPhase(0.2, 1)),
 	)
 	rec := NewRecorder(0)
-	e := NewEngine(machine)
-	e.SetRecorder(rec)
-	if _, err := e.Run(w, GreedyBalance{}); err != nil {
+	if _, err := Run(w, GreedyBalance{}, rec); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	timeline := rec.Timeline()
@@ -57,12 +51,9 @@ func TestRecorderTimelineAndCSV(t *testing.T) {
 }
 
 func TestRecorderMaxTicks(t *testing.T) {
-	machine := NewMachine(1)
 	w := singleTaskWorkload(1, NewTask("long", ioPhase(0.5, 10)))
 	rec := NewRecorder(3)
-	e := NewEngine(machine)
-	e.SetRecorder(rec)
-	if _, err := e.Run(w, WaterFill{}); err != nil {
+	if _, err := Run(w, WaterFill{}, rec); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if len(rec.Ticks) != 3 {
@@ -86,15 +77,12 @@ func TestRecorderEmpty(t *testing.T) {
 func TestRecorderMarksStarvedCores(t *testing.T) {
 	// FCFS gives everything to core 0 first; core 1's bandwidth-hungry phase
 	// is starved ('!') while core 0 runs.
-	machine := NewMachine(2)
 	w := singleTaskWorkload(2,
 		NewTask("first", ioPhase(1.0, 2)),
 		NewTask("second", ioPhase(1.0, 2)),
 	)
 	rec := NewRecorder(0)
-	e := NewEngine(machine)
-	e.SetRecorder(rec)
-	if _, err := e.Run(w, FirstComeFirstServed{}); err != nil {
+	if _, err := Run(w, FirstComeFirstServed{}, rec); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !strings.Contains(rec.Timeline(), "!") {

@@ -1,22 +1,23 @@
 // Package manycore implements the system substrate that motivates the paper
 // (Section 1): a many-core machine whose cores share a single memory/I/O
-// bandwidth channel. Tasks progress through phases; each phase declares the
-// bandwidth share it needs to run at full speed and, when it receives only an
-// x-fraction of that share, it progresses at an x-fraction of full speed —
-// exactly the progress law of the CRSharing model, realised here as a
-// discrete-time simulator with pluggable online bandwidth-allocation
-// policies.
-//
-// The simulator deliberately does not depend on package core: it models the
-// "real" system (cores, a bus, tasks with phases, queues), while package core
-// models the paper's abstraction of it. Package trace converts between the
-// two representations, mirroring how the paper derives its model from the
-// system it describes.
+// bandwidth channel of capacity 1. Tasks progress through phases; each phase
+// declares the bandwidth share it needs to run at full speed and, when it
+// receives only an x-fraction of that share, it progresses at an x-fraction
+// of full speed. That is the progress law of the CRSharing model, so the
+// simulator does not implement it again: Run converts a workload into its
+// CRSharing instance (each core's queue, flattened, is one processor's job
+// sequence; see Workload.Instance) and steps it through core.Builder, one
+// tick per time step, asking a pluggable online bandwidth-allocation policy
+// for every step's shares. What the package adds to the model is the
+// system's vocabulary (tasks, phases, queues) and the per-tick metrics and
+// recording it reads off the build.
 package manycore
 
 import (
 	"fmt"
 	"math"
+
+	"crsharing/internal/core"
 )
 
 // PhaseKind classifies a phase for reporting purposes; the engine treats all
@@ -119,11 +120,6 @@ func (t *Task) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the task.
-func (t *Task) Clone() *Task {
-	return NewTask(t.Name, t.Phases...)
-}
-
 // Workload assigns a queue of tasks to every core of a machine. Cores process
 // their queues sequentially, one task at a time, one phase at a time.
 type Workload struct {
@@ -217,13 +213,23 @@ func (w *Workload) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the workload.
-func (w *Workload) Clone() *Workload {
-	out := NewWorkload(len(w.Queues))
+// Instance converts the workload into the CRSharing instance Run simulates:
+// core c becomes processor c, whose jobs are the phases of c's queue in
+// order, task after task, each job's requirement being the phase's
+// bandwidth share and its size the phase's volume. Task boundaries
+// disappear, exactly as the paper's model treats a processor's job
+// sequence; a core with an empty queue becomes a processor without jobs.
+func (w *Workload) Instance() (*core.Instance, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	inst := &core.Instance{Procs: make([][]core.Job, len(w.Queues))}
 	for c, q := range w.Queues {
 		for _, t := range q {
-			out.Assign(c, t.Clone())
+			for _, p := range t.Phases {
+				inst.Procs[c] = append(inst.Procs[c], core.Job{Req: p.Bandwidth, Size: p.Volume})
+			}
 		}
 	}
-	return out
+	return inst, nil
 }

@@ -1,6 +1,8 @@
 // Package trace generates synthetic workload traces for the many-core
-// simulator and converts between the simulator's task/phase representation
-// and the CRSharing model of package core.
+// simulator, and converts a CRSharing instance of package core into a
+// simulator workload (FromInstance). The opposite direction, a workload's
+// instance, belongs to the simulator itself (manycore.Workload.Instance),
+// since that is the instance it simulates.
 //
 // The paper motivates its model with I/O-intensive scientific computing on
 // many-core machines and with virtual machines sharing a host resource, but
@@ -198,51 +200,9 @@ func UnitPhases(rng *rand.Rand, tasks, phases int, lo, hi float64) []*manycore.T
 	return out
 }
 
-// ToInstance converts a one-task-per-core workload into a CRSharing instance:
-// phase k of core i's task becomes job (i,k) with requirement equal to the
-// phase's bandwidth share and size equal to its volume. It fails if any core
-// has more than one task queued (the paper's model fixes one task per
-// processor; concatenate tasks first if needed, see Flatten).
-func ToInstance(w *manycore.Workload) (*core.Instance, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	procs := make([][]core.Job, w.Cores())
-	for c, q := range w.Queues {
-		if len(q) > 1 {
-			return nil, fmt.Errorf("trace: core %d has %d tasks; flatten the queue first", c, len(q))
-		}
-		if len(q) == 0 {
-			continue
-		}
-		for _, p := range q[0].Phases {
-			procs[c] = append(procs[c], core.Job{Req: p.Bandwidth, Size: p.Volume})
-		}
-	}
-	return core.NewSizedInstance(procs...), nil
-}
-
-// Flatten concatenates each core's task queue into a single task so the
-// workload can be converted with ToInstance. Task boundaries disappear, which
-// is exactly how the paper's model treats a processor's job sequence.
-func Flatten(w *manycore.Workload) *manycore.Workload {
-	out := manycore.NewWorkload(w.Cores())
-	for c, q := range w.Queues {
-		if len(q) == 0 {
-			continue
-		}
-		var phases []manycore.Phase
-		for _, t := range q {
-			phases = append(phases, t.Phases...)
-		}
-		out.Assign(c, manycore.NewTask(fmt.Sprintf("core-%02d", c), phases...))
-	}
-	return out
-}
-
 // FromInstance converts a CRSharing instance into a one-task-per-core
-// workload, the inverse of ToInstance: job (i,j) becomes phase j of core i's
-// task with bandwidth r_ij and volume p_ij.
+// workload, the inverse of manycore.Workload.Instance: job (i,j) becomes
+// phase j of core i's task with bandwidth r_ij and volume p_ij.
 func FromInstance(inst *core.Instance) (*manycore.Workload, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err

@@ -108,32 +108,15 @@ func TestUnitPhasesMatchUnitSizeModel(t *testing.T) {
 	for i, task := range tasks {
 		w.Assign(i, task)
 	}
-	inst, err := ToInstance(w)
+	inst, err := w.Instance()
 	if err != nil {
-		t.Fatalf("ToInstance: %v", err)
+		t.Fatalf("Instance: %v", err)
 	}
 	if !inst.IsUnitSize() {
 		t.Fatalf("unit-phase workload must convert to a unit-size instance")
 	}
 	if inst.NumProcessors() != 4 || inst.TotalJobs() != 20 {
 		t.Fatalf("unexpected instance shape: %d procs, %d jobs", inst.NumProcessors(), inst.TotalJobs())
-	}
-}
-
-func TestToInstanceRejectsMultiTaskQueues(t *testing.T) {
-	w := manycore.NewWorkload(1)
-	w.Assign(0, manycore.NewTask("a", manycore.Phase{Kind: manycore.PhaseIO, Bandwidth: 0.5, Volume: 1}))
-	w.Assign(0, manycore.NewTask("b", manycore.Phase{Kind: manycore.PhaseIO, Bandwidth: 0.5, Volume: 1}))
-	if _, err := ToInstance(w); err == nil {
-		t.Fatalf("multi-task queues must be rejected before flattening")
-	}
-	flat := Flatten(w)
-	inst, err := ToInstance(flat)
-	if err != nil {
-		t.Fatalf("ToInstance(Flatten): %v", err)
-	}
-	if inst.NumJobs(0) != 2 {
-		t.Fatalf("flattened queue should yield 2 jobs, got %d", inst.NumJobs(0))
 	}
 }
 
@@ -144,9 +127,9 @@ func TestRoundTripInstanceWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromInstance: %v", err)
 	}
-	back, err := ToInstance(w)
+	back, err := w.Instance()
 	if err != nil {
-		t.Fatalf("ToInstance: %v", err)
+		t.Fatalf("Instance: %v", err)
 	}
 	if !orig.Equal(back) {
 		t.Fatalf("round trip changed the instance:\n%v\n%v", orig, back)
@@ -173,8 +156,7 @@ func TestConvertedWorkloadSimulatesConsistently(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromInstance: %v", err)
 	}
-	machine := manycore.NewMachine(4)
-	metrics, err := manycore.NewEngine(machine).Run(w, manycore.GreedyBalance{})
+	metrics, err := manycore.Run(w, manycore.GreedyBalance{}, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
